@@ -14,7 +14,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"sort"
 
 	"diacap/internal/core"
 	"diacap/internal/obs"
@@ -131,7 +130,15 @@ func (NearestServer) Name() string { return "Nearest-Server" }
 
 // Assign implements Algorithm.
 func (NearestServer) Assign(in *core.Instance, caps core.Capacities) (core.Assignment, error) {
-	if err := validateInputs(in, caps); err != nil {
+	return nearestServerAssign(in, nil, caps)
+}
+
+// nearestServerAssign is Nearest-Server's engine; nil weights count
+// every client as 1. A capacitated client takes the argmin over the
+// servers whose remaining capacity fits its weight, in the order
+// cmp.Compare gives distances and then by lower server index.
+func nearestServerAssign(in *core.Instance, weights Weights, caps core.Capacities) (core.Assignment, error) {
+	if err := validateWeights(in, weights, caps); err != nil {
 		return nil, err
 	}
 	nc, ns := in.NumClients(), in.NumServers()
@@ -144,32 +151,23 @@ func (NearestServer) Assign(in *core.Instance, caps core.Capacities) (core.Assig
 	}
 
 	loads := make([]int, ns)
-	// Per-client server ranking by distance; computed lazily would save
-	// little since most clients fall through only rarely.
-	order := make([]int, ns)
 	for i := 0; i < nc; i++ {
 		row := in.ClientServerRow(i)
-		for k := range order {
-			order[k] = k
-		}
-		sort.Slice(order, func(x, y int) bool {
-			if c := cmp.Compare(row[order[x]], row[order[y]]); c != 0 {
-				return c < 0
-			}
-			return order[x] < order[y]
-		})
-		assigned := false
-		for _, k := range order {
-			if loads[k] < caps[k] {
-				a[i] = k
-				loads[k]++
-				assigned = true
-				break
+		w := weights.of(i)
+		best := -1
+		for k, d := range row {
+			if loads[k]+w <= caps[k] && (best == -1 || cmp.Compare(d, row[best]) < 0) {
+				best = k
 			}
 		}
-		if !assigned {
-			return nil, fmt.Errorf("%w: no server has capacity for client %d", ErrInfeasible, i)
+		if best == -1 {
+			if weights == nil {
+				return nil, fmt.Errorf("%w: no server has capacity for client %d", ErrInfeasible, i)
+			}
+			return nil, fmt.Errorf("%w: no server has capacity for client %d (weight %d)", ErrInfeasible, i, w)
 		}
+		a[i] = best
+		loads[best] += w
 	}
 	return a, nil
 }

@@ -1,11 +1,19 @@
 package assign
 
 import (
+	"cmp"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
 	"runtime"
+	"sort"
 	"testing"
 
 	"diacap/internal/core"
 	"diacap/internal/latency"
+	"diacap/internal/obs"
+	"diacap/internal/placement"
 )
 
 // nearestServerScalar is the pre-perfkit scalar scan NearestServer
@@ -64,6 +72,299 @@ func TestGreedyKernelByteIdentical(t *testing.T) {
 		runtime.GOMAXPROCS(prev)
 		if got != want {
 			t.Fatalf("GOMAXPROCS=%d: Greedy diverges:\n--- baseline\n%s--- got\n%s", procs, want, got)
+		}
+	}
+}
+
+// greedyReference is the differential reference for greedyAssign: the
+// paper's Fig. 6 loop scanning every (unassigned client, server) pair in
+// every iteration, with Δn the running weight of the unassigned clients
+// passed in Ls[s] (nil weights count every client as 1). It neither
+// prunes the scan nor keeps a cursor; amortized selects Δl/Δn (true) or
+// the plain-Δl ablation (false).
+func greedyReference(in *core.Instance, weights Weights, caps core.Capacities, amortized bool, trace obs.AlgoTrace) (core.Assignment, error) {
+	if err := validateWeights(in, weights, caps); err != nil {
+		return nil, err
+	}
+	nc, ns := in.NumClients(), in.NumServers()
+	a := core.NewAssignment(nc)
+
+	// Ls per server: all clients sorted by distance ascending.
+	ls := make([][]int, ns)
+	for k := 0; k < ns; k++ {
+		list := make([]int, nc)
+		for i := range list {
+			list[i] = i
+		}
+		sort.Slice(list, func(x, y int) bool {
+			if c := cmp.Compare(in.ClientServerDist(list[x], k), in.ClientServerDist(list[y], k)); c != 0 {
+				return c < 0
+			}
+			return list[x] < list[y]
+		})
+		ls[k] = list
+	}
+
+	loads := make([]int, ns)
+	ecc := make([]float64, ns)
+	for k := range ecc {
+		ecc[k] = -1
+	}
+	maxLen := 0.0
+	remaining := nc
+	step := 0
+
+	for remaining > 0 {
+		step++
+		minCost := math.Inf(1)
+		bestC, bestS := -1, -1
+		bestLen := 0.0
+		for k := 0; k < ns; k++ {
+			room := math.MaxInt
+			if caps != nil {
+				room = caps[k] - loads[k]
+				if room <= 0 {
+					continue
+				}
+			}
+			m := math.Inf(-1)
+			for t := 0; t < ns; t++ {
+				if ecc[t] < 0 {
+					continue
+				}
+				if v := in.ServerServerDist(k, t) + ecc[t]; v > m {
+					m = v
+				}
+			}
+			wsum := 0
+			for _, c := range ls[k] {
+				if a[c] != core.Unassigned {
+					continue
+				}
+				wsum += weights.of(c)
+				if wsum > room {
+					break
+				}
+				d := in.ClientServerDist(c, k)
+				l := 2 * d
+				if m > math.Inf(-1) {
+					if v := d + m; v > l {
+						l = v
+					}
+				}
+				if maxLen > l {
+					l = maxLen
+				}
+				cost := l - maxLen
+				if amortized {
+					cost /= float64(wsum)
+				}
+				if cost < minCost {
+					minCost = cost
+					bestC, bestS = c, k
+					bestLen = l
+				}
+			}
+		}
+		if bestC == -1 {
+			return nil, fmt.Errorf("%w: no (client, server) candidate with %d clients left", ErrInfeasible, remaining)
+		}
+
+		// Assign the batch: every unassigned client of Ls[bestS] up to
+		// and including bestC.
+		batchW := 0
+		for _, c := range ls[bestS] {
+			if a[c] == core.Unassigned {
+				a[c] = bestS
+				loads[bestS] += weights.of(c)
+				batchW += weights.of(c)
+				remaining--
+				if d := in.ClientServerDist(c, bestS); d > ecc[bestS] {
+					ecc[bestS] = d
+				}
+			}
+			if c == bestC {
+				break
+			}
+		}
+		if trace != nil {
+			trace(obs.AlgoEvent{
+				Algorithm: "Greedy", Kind: obs.KindBatch, Step: step,
+				D: bestLen, DeltaL: bestLen - maxLen, DeltaN: batchW,
+				Client: bestC, Server: bestS,
+			})
+		}
+		maxLen = bestLen
+	}
+	return a, nil
+}
+
+// nearestServerSorted is the differential reference for capacitated
+// nearestServerAssign: every client sorts all servers by (distance,
+// index) and takes the first whose remaining capacity fits its weight.
+func nearestServerSorted(in *core.Instance, weights Weights, caps core.Capacities) (core.Assignment, error) {
+	if err := validateWeights(in, weights, caps); err != nil {
+		return nil, err
+	}
+	nc, ns := in.NumClients(), in.NumServers()
+	a := core.NewAssignment(nc)
+	loads := make([]int, ns)
+	order := make([]int, ns)
+	for i := 0; i < nc; i++ {
+		row := in.ClientServerRow(i)
+		for k := range order {
+			order[k] = k
+		}
+		sort.Slice(order, func(x, y int) bool {
+			if c := cmp.Compare(row[order[x]], row[order[y]]); c != 0 {
+				return c < 0
+			}
+			return order[x] < order[y]
+		})
+		for _, k := range order {
+			if loads[k]+weights.of(i) <= caps[k] {
+				a[i] = k
+				loads[k] += weights.of(i)
+				break
+			}
+		}
+		if a[i] == core.Unassigned {
+			if weights == nil {
+				return nil, fmt.Errorf("%w: no server has capacity for client %d", ErrInfeasible, i)
+			}
+			return nil, fmt.Errorf("%w: no server has capacity for client %d (weight %d)", ErrInfeasible, i, weights.of(i))
+		}
+	}
+	return a, nil
+}
+
+// diffCase is one differential input: an instance with client weights
+// (nil for unit weights) and capacities (nil for uncapacitated).
+type diffCase struct {
+	name    string
+	in      *core.Instance
+	weights Weights
+	caps    core.Capacities
+}
+
+// differentialCases draws seeded random instances, alternating
+// tie-heavy integer latencies with real-valued ones, and crosses each
+// with nil and 1–4 weights and with no capacities or uniform ones from
+// exact fit to +2 slack. Outside -short it adds Meridian(1) with 80
+// K-center-B servers, uncapacitated and at ⌈1.2·|C|/|S|⌉.
+func differentialCases(t *testing.T) []diffCase {
+	t.Helper()
+	rng := rand.New(rand.NewSource(29))
+	trials := 300
+	if testing.Short() {
+		trials = 30
+	}
+	var cases []diffCase
+	for trial := 0; trial < trials; trial++ {
+		n := 7 + rng.Intn(34)
+		ns := 1 + rng.Intn(6)
+		var m latency.Matrix
+		kind := "real"
+		if trial%2 == 0 {
+			kind = "int"
+			m = latency.NewMatrix(n)
+			for i := 0; i < n; i++ {
+				for j := i + 1; j < n; j++ {
+					v := float64(1 + rng.Intn(4))
+					m[i][j], m[j][i] = v, v
+				}
+			}
+		} else {
+			m = latency.ScaledLike(n, int64(trial))
+		}
+		perm := rng.Perm(n)
+		in, err := core.NewInstanceTrusted(m, perm[:ns], perm[ns:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		nc := in.NumClients()
+		weighted := make(Weights, nc)
+		for i := range weighted {
+			weighted[i] = 1 + rng.Intn(4)
+		}
+		for _, weights := range []Weights{nil, weighted} {
+			total := 0
+			for i := 0; i < nc; i++ {
+				total += weights.of(i)
+			}
+			name := fmt.Sprintf("trial %d (%s, %d clients, %d servers, weighted %t)", trial, kind, nc, ns, weights != nil)
+			cases = append(cases, diffCase{name + " uncapacitated", in, weights, nil})
+			for slack := 0; slack <= 2; slack++ {
+				caps := core.UniformCapacities(ns, (total+ns-1)/ns+slack)
+				cases = append(cases, diffCase{fmt.Sprintf("%s slack %d", name, slack), in, weights, caps})
+			}
+		}
+	}
+	if !testing.Short() {
+		m := latency.MeridianLike(1)
+		servers, err := placement.PlaceKCenterB(m, 80)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients := make([]int, m.Len())
+		for i := range clients {
+			clients[i] = i
+		}
+		in, err := core.NewInstanceTrusted(m, servers, clients)
+		if err != nil {
+			t.Fatal(err)
+		}
+		caps := core.UniformCapacities(80, int(math.Ceil(1.2*float64(len(clients))/80)))
+		cases = append(cases, diffCase{"Meridian(1) uncapacitated", in, nil, nil}, diffCase{"Meridian(1) capacitated", in, nil, caps})
+	}
+	return cases
+}
+
+// errText renders an error for comparison; "" for nil.
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// TestGreedyDifferential pins the pruned, cursor-driven Greedy engine
+// to greedyReference under both cost rules: the same assignment, the
+// same trace events and the same error text on every case.
+func TestGreedyDifferential(t *testing.T) {
+	for _, tc := range differentialCases(t) {
+		for _, amortized := range []bool{true, false} {
+			var want, got []obs.AlgoEvent
+			wantA, wantErr := greedyReference(tc.in, tc.weights, tc.caps, amortized, obs.Collect(&want))
+			gotA, gotErr := greedyAssign(tc.in, tc.weights, tc.caps, amortized, obs.Collect(&got))
+			if errText(gotErr) != errText(wantErr) {
+				t.Fatalf("%s, amortized %t: error %q, reference %q", tc.name, amortized, errText(gotErr), errText(wantErr))
+			}
+			if !reflect.DeepEqual(gotA, wantA) {
+				t.Fatalf("%s, amortized %t: assignment diverges\ngot       %v\nreference %v", tc.name, amortized, gotA, wantA)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, amortized %t: trace diverges\ngot       %+v\nreference %+v", tc.name, amortized, got, want)
+			}
+		}
+	}
+}
+
+// TestNearestServerCapacitatedDifferential pins the capacitated
+// Nearest-Server argmin to nearestServerSorted: the same assignment
+// and the same error text on every capacitated case.
+func TestNearestServerCapacitatedDifferential(t *testing.T) {
+	for _, tc := range differentialCases(t) {
+		if tc.caps == nil {
+			continue
+		}
+		want, wantErr := nearestServerSorted(tc.in, tc.weights, tc.caps)
+		got, gotErr := nearestServerAssign(tc.in, tc.weights, tc.caps)
+		if errText(gotErr) != errText(wantErr) {
+			t.Fatalf("%s: error %q, reference %q", tc.name, errText(gotErr), errText(wantErr))
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: assignment diverges\ngot       %v\nreference %v", tc.name, got, want)
 		}
 	}
 }

@@ -3,12 +3,10 @@ package assign
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 
 	"diacap/internal/core"
-	"diacap/internal/obs"
 )
 
 // Weights gives each client an integral demand against server
@@ -96,42 +94,8 @@ type WeightedAlgorithm interface {
 // AssignWeighted implements WeightedAlgorithm: each client, in index
 // order, takes the nearest server whose remaining capacity fits its
 // weight.
-func (ns NearestServer) AssignWeighted(in *core.Instance, weights Weights, caps core.Capacities) (core.Assignment, error) {
-	if err := validateWeights(in, weights, caps); err != nil {
-		return nil, err
-	}
-	if caps == nil || weights == nil {
-		return ns.Assign(in, caps)
-	}
-	nc, nsrv := in.NumClients(), in.NumServers()
-	a := core.NewAssignment(nc)
-	loads := make([]int, nsrv)
-	order := make([]int, nsrv)
-	for i := 0; i < nc; i++ {
-		row := in.ClientServerRow(i)
-		for k := range order {
-			order[k] = k
-		}
-		sort.Slice(order, func(x, y int) bool {
-			if c := cmp.Compare(row[order[x]], row[order[y]]); c != 0 {
-				return c < 0
-			}
-			return order[x] < order[y]
-		})
-		assigned := false
-		for _, k := range order {
-			if loads[k]+weights.of(i) <= caps[k] {
-				a[i] = k
-				loads[k] += weights.of(i)
-				assigned = true
-				break
-			}
-		}
-		if !assigned {
-			return nil, fmt.Errorf("%w: no server has capacity for client %d (weight %d)", ErrInfeasible, i, weights.of(i))
-		}
-	}
-	return a, nil
+func (NearestServer) AssignWeighted(in *core.Instance, weights Weights, caps core.Capacities) (core.Assignment, error) {
+	return nearestServerAssign(in, weights, caps)
 }
 
 // AssignWeighted implements WeightedAlgorithm. The engine is the
@@ -291,124 +255,5 @@ func (r RandomAssign) AssignWeighted(in *core.Instance, weights Weights, caps co
 // batches are the prefixes of Ls whose weight fits the remaining
 // capacity).
 func (g Greedy) AssignWeighted(in *core.Instance, weights Weights, caps core.Capacities) (core.Assignment, error) {
-	if err := validateWeights(in, weights, caps); err != nil {
-		return nil, err
-	}
-	if weights == nil {
-		return g.Assign(in, caps)
-	}
-	nc, ns := in.NumClients(), in.NumServers()
-	a := core.NewAssignment(nc)
-
-	// Ls per server: all clients sorted by distance ascending.
-	ls := make([][]int, ns)
-	for k := 0; k < ns; k++ {
-		list := make([]int, nc)
-		for i := range list {
-			list[i] = i
-		}
-		row := make([]float64, nc)
-		for i := 0; i < nc; i++ {
-			row[i] = in.ClientServerDist(i, k)
-		}
-		sort.Slice(list, func(x, y int) bool {
-			if c := cmp.Compare(row[list[x]], row[list[y]]); c != 0 {
-				return c < 0
-			}
-			return list[x] < list[y]
-		})
-		ls[k] = list
-	}
-
-	loads := make([]int, ns)
-	ecc := make([]float64, ns)
-	for k := range ecc {
-		ecc[k] = -1
-	}
-	maxLen := 0.0
-	remaining := nc
-	step := 0
-
-	for remaining > 0 {
-		step++
-		minCost := math.Inf(1)
-		bestC, bestS := -1, -1
-		bestLen := 0.0
-		for k := 0; k < ns; k++ {
-			room := math.MaxInt
-			if caps != nil {
-				room = caps[k] - loads[k]
-				if room <= 0 {
-					continue
-				}
-			}
-			m := math.Inf(-1)
-			for t := 0; t < ns; t++ {
-				if ecc[t] < 0 {
-					continue
-				}
-				if v := in.ServerServerDist(k, t) + ecc[t]; v > m {
-					m = v
-				}
-			}
-			wsum := 0
-			for _, c := range ls[k] {
-				if a[c] != core.Unassigned {
-					continue
-				}
-				wsum += weights.of(c)
-				if wsum > room {
-					// The batch ending at c cannot fit; prefix weights
-					// are monotone so neither can any farther batch.
-					break
-				}
-				d := in.ClientServerDist(c, k)
-				l := 2 * d
-				if m > math.Inf(-1) {
-					if v := d + m; v > l {
-						l = v
-					}
-				}
-				if maxLen > l {
-					l = maxLen
-				}
-				cost := (l - maxLen) / float64(wsum)
-				if cost < minCost {
-					minCost = cost
-					bestC, bestS = c, k
-					bestLen = l
-				}
-			}
-		}
-		if bestC == -1 {
-			return nil, fmt.Errorf("%w: no (client, server) candidate with %d clients left", ErrInfeasible, remaining)
-		}
-
-		// Assign the batch: every unassigned client of Ls[bestS] up to
-		// and including bestC.
-		batchW := 0
-		for _, c := range ls[bestS] {
-			if a[c] == core.Unassigned {
-				a[c] = bestS
-				loads[bestS] += weights.of(c)
-				batchW += weights.of(c)
-				remaining--
-				if d := in.ClientServerDist(c, bestS); d > ecc[bestS] {
-					ecc[bestS] = d
-				}
-			}
-			if c == bestC {
-				break
-			}
-		}
-		if g.Trace != nil {
-			g.Trace(obs.AlgoEvent{
-				Algorithm: g.Name(), Kind: obs.KindBatch, Step: step,
-				D: bestLen, DeltaL: bestLen - maxLen, DeltaN: batchW,
-				Client: bestC, Server: bestS,
-			})
-		}
-		maxLen = bestLen
-	}
-	return a, nil
+	return greedyAssign(in, weights, caps, true, g.Trace)
 }

@@ -182,9 +182,10 @@ func TestGoldenFiguresScaled(t *testing.T) {
 
 // TestGoldenFiguresFull replays EXPERIMENTS.md's full-scale
 // configuration (MeridianLike(1), 80 servers, 30 runs) against the
-// published results/figure*.csv. Tens of minutes of CPU; opt in with
-// DIACAP_GOLDEN_FULL=1. -update-golden is deliberately ignored here:
-// the published CSVs are blessed by cmd/capbench, not by this test.
+// published results/figure*.csv. About 35 s wall and 1 min of CPU on a
+// 2-vCPU Intel Xeon VM; opt in with DIACAP_GOLDEN_FULL=1. -update-golden
+// is deliberately ignored here: the published CSVs are blessed by
+// cmd/capbench, not by this test.
 func TestGoldenFiguresFull(t *testing.T) {
 	if os.Getenv("DIACAP_GOLDEN_FULL") == "" {
 		t.Skip("full-scale golden replay is opt-in: set DIACAP_GOLDEN_FULL=1")
