@@ -164,33 +164,12 @@ func suite() []benchmark {
 			},
 		},
 		{
-			name:     "nearest32/meridian",
-			workload: "nearest-server argmin, float32 narrowed table, Meridian scale",
-			setup: func() (func() float64, func() float64) {
-				in := buildInstance(latency.MeridianLike(1), 80)
-				cs32 := in.FlatClientServer().Narrow()
-				out := make([]int, in.NumClients())
-				return func() float64 { perfkit.NearestInto32(cs32, out); return float64(out[0]) },
-					func() float64 { perfkit.NearestInto32Ref(cs32, out); return float64(out[0]) }
-			},
-		},
-		{
 			name:     "min_plus/4096",
 			workload: "min-plus inner product, 4096-element rows",
 			setup: func() (func() float64, func() float64) {
 				a, b := randomVector(4096, 3), randomVector(4096, 4)
 				return func() float64 { return perfkit.MinPlus(a, b) },
 					func() float64 { return perfkit.MinPlusRef(a, b) }
-			},
-		},
-		{
-			name:     "min_plus32/4096",
-			workload: "min-plus inner product, float32, 4096-element rows",
-			setup: func() (func() float64, func() float64) {
-				a64, b64 := randomVector(4096, 3), randomVector(4096, 4)
-				a, b := narrowVector(a64), narrowVector(b64)
-				return func() float64 { return float64(perfkit.MinPlus32(a, b)) },
-					func() float64 { return float64(perfkit.MinPlus32Ref(a, b)) }
 			},
 		},
 		{
@@ -471,14 +450,6 @@ func randomVector(n int, seed int64) []float64 {
 		v[i] = 1 + 300*rng.Float64()
 	}
 	return v
-}
-
-func narrowVector(v []float64) []float32 {
-	out := make([]float32, len(v))
-	for i, x := range v {
-		out[i] = float32(x)
-	}
-	return out
 }
 
 // entry is one benchmark's recorded result.

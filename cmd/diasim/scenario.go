@@ -88,7 +88,16 @@ func runScenario(kind string, seed int64, deltaFactor float64, numOps int, inter
 	if *chaosMode {
 		return runScenarioChaos(sc, seed, deltaFactor, numOps, interval, reg)
 	}
-	return runScenarioSim(sc, seed)
+	return runScenarioSim(sc)
+}
+
+// scenarioCaps is the -cap flag as a uniform capacity vector over the
+// scenario's servers (nil = unlimited).
+func scenarioCaps(sc *dynamic.Scenario) core.Capacities {
+	if *scenarioCap <= 0 {
+		return nil
+	}
+	return core.UniformCapacities(len(sc.Pop.Servers), *scenarioCap)
 }
 
 // runScenarioSharded replays the scenario through the sharded
@@ -101,19 +110,12 @@ func runScenarioSharded(sc *dynamic.Scenario, reg *obs.Registry) error {
 	if _, err := buildScenarioStrategy(label, sc.Pop.Instance); err != nil {
 		return err
 	}
-	var caps core.Capacities
-	if *scenarioCap > 0 {
-		caps = make(core.Capacities, len(sc.Pop.Servers))
-		for k := range caps {
-			caps[k] = *scenarioCap
-		}
-	}
 	if reg != nil {
 		shard.Preregister(reg)
 	}
 	p, err := shard.NewFromPopulation(sc.Pop, shard.Options{
 		Shards:     *scenarioShards,
-		Capacities: caps,
+		Capacities: scenarioCaps(sc),
 		Metrics:    reg,
 		Strategy: func(in *core.Instance) dynamic.Strategy {
 			strat, err := buildScenarioStrategy(label, in)
@@ -131,56 +133,44 @@ func runScenarioSharded(sc *dynamic.Scenario, reg *obs.Registry) error {
 
 	res, err := p.Replay(context.Background(), sc)
 	if err != nil {
-		if errors.Is(err, dynamic.ErrCapacityExhausted) {
-			return fmt.Errorf("capacity exhausted mid-scenario (no panic, no overload — the join was refused): %w", err)
-		}
-		return err
+		return scenarioError(err)
 	}
-
-	fmt.Printf("joins / leaves:           %d / %d\n", res.Joins, res.Leaves)
-	fmt.Printf("repair moves:             %d (strategy-chosen reassignments)\n", res.RepairMoves)
-	fmt.Printf("forced moves:             %d (failover evacuations)\n", res.ForcedMoves)
-	if res.KillsApplied > 0 || res.Restarts > 0 {
-		fmt.Printf("kills / restarts:         %d / %d\n", res.KillsApplied, res.Restarts)
-	}
-	if res.DriftSteps > 0 {
-		fmt.Printf("drift re-materializations: %d\n", res.DriftSteps)
-	}
-	fmt.Printf("shard event spread:       %v\n", res.ShardEvents)
-	fmt.Printf("published epochs:         %d\n", res.FinalEpoch)
-	fmt.Printf("interactivity D:          time-avg %.3f ms, max %.3f ms, final %.3f ms\n",
-		res.TimeAvgD, res.MaxD, res.FinalD)
-	fmt.Printf("certified D bound:        final %.3f ms (max observed gap %.3f ms)\n",
-		res.FinalCertifiedD, res.MaxCertGap)
-	fmt.Println("\nresult: OK — capacity invariant held at every event")
+	printScenarioReport(&res.ScenarioResult,
+		fmt.Sprintf("shard event spread:       %v", res.ShardEvents),
+		fmt.Sprintf("published epochs:         %d", res.FinalEpoch),
+		fmt.Sprintf("certified D bound:        final %.3f ms (max observed gap %.3f ms)",
+			res.FinalCertifiedD, res.MaxCertGap))
 	return nil
 }
 
 // runScenarioSim replays the scenario against the pure simulator under
 // the selected online strategy.
-func runScenarioSim(sc *dynamic.Scenario, seed int64) error {
-	in := sc.Pop.Instance
-	strat, err := buildScenarioStrategy(*scenarioStrategy, in)
+func runScenarioSim(sc *dynamic.Scenario) error {
+	strat, err := buildScenarioStrategy(*scenarioStrategy, sc.Pop.Instance)
 	if err != nil {
 		return err
-	}
-	var caps core.Capacities
-	if *scenarioCap > 0 {
-		caps = make(core.Capacities, in.NumServers())
-		for k := range caps {
-			caps[k] = *scenarioCap
-		}
 	}
 	fmt.Printf("strategy: %s\n\n", strat.Name())
 
-	res, err := dynamic.SimulateScenario(sc, caps, strat)
+	res, err := dynamic.SimulateScenario(sc, scenarioCaps(sc), strat)
 	if err != nil {
-		if errors.Is(err, dynamic.ErrCapacityExhausted) {
-			return fmt.Errorf("capacity exhausted mid-scenario (no panic, no overload — the join was refused): %w", err)
-		}
-		return err
+		return scenarioError(err)
 	}
+	printScenarioReport(res)
+	return nil
+}
 
+// scenarioError names a capacity exhaustion as the refusal it is.
+func scenarioError(err error) error {
+	if errors.Is(err, dynamic.ErrCapacityExhausted) {
+		return fmt.Errorf("capacity exhausted mid-scenario (no panic, no overload — the join was refused): %w", err)
+	}
+	return err
+}
+
+// printScenarioReport prints the outcome of a scenario replay: the
+// lines the simulator and the plane share, then planeLines.
+func printScenarioReport(res *dynamic.ScenarioResult, planeLines ...string) {
 	fmt.Printf("joins / leaves:           %d / %d\n", res.Joins, res.Leaves)
 	fmt.Printf("repair moves:             %d (strategy-chosen reassignments)\n", res.RepairMoves)
 	fmt.Printf("forced moves:             %d (failover evacuations)\n", res.ForcedMoves)
@@ -196,8 +186,10 @@ func runScenarioSim(sc *dynamic.Scenario, seed int64) error {
 	}
 	fmt.Printf("interactivity D:          time-avg %.3f ms, max %.3f ms, final %.3f ms\n",
 		res.TimeAvgD, res.MaxD, res.FinalD)
+	for _, l := range planeLines {
+		fmt.Println(l)
+	}
 	fmt.Println("\nresult: OK — capacity invariant held at every event")
-	return nil
 }
 
 // runScenarioChaos deploys the scenario population as a live TCP

@@ -8,8 +8,7 @@ import (
 
 // Scale-sized benchmarks for the two hot loops the million-client
 // pipeline leans on: the O(|C|²·|S|) super-optimal lower bound and the
-// O(|C|²) full-pair D oracle. Before/after numbers for the goroutine
-// fan-out over row ranges are recorded in BENCH_scale.json.
+// O(|C|²) full-pair D oracle.
 
 func scaleBenchInstance(b *testing.B, nodes, servers int) *Instance {
 	b.Helper()

@@ -14,7 +14,7 @@
 package dynamic
 
 import (
-	"cmp"
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -158,13 +158,7 @@ func GenerateChurnPool(pool []int, cfg ChurnConfig, seed int64) ([]Event, error)
 		}
 	}
 	events = append(events, departures...)
-	sort.SliceStable(events, func(i, j int) bool {
-		if c := cmp.Compare(events[i].Time, events[j].Time); c != 0 {
-			return c < 0
-		}
-		// Leaves before joins at equal times frees capacity first.
-		return events[i].Kind == Leave && events[j].Kind == Join
-	})
+	sortEvents(events)
 	return events, nil
 }
 
@@ -324,10 +318,9 @@ type PeriodicReoptimize struct {
 	lastRun   float64
 }
 
-// NewPeriodicReoptimize builds the strategy. The simulator drives its
-// clock via the event times it passes to Repair (see Simulate). The
-// instance argument is accepted for compatibility and no longer
-// retained.
+// NewPeriodicReoptimize builds the strategy. Its clock is the event
+// time every tape target passes to Repair (see RunTape). The instance
+// argument is accepted for compatibility and no longer retained.
 func NewPeriodicReoptimize(in *core.Instance, period float64) *PeriodicReoptimize {
 	if period <= 0 {
 		period = 500
@@ -435,7 +428,8 @@ func anyCapacityLeft(ev *core.Evaluator, caps core.Capacities) bool {
 }
 
 // Simulate replays a churn trace against a strategy. The instance's
-// client set is the churn pool; capacities are optional.
+// client set is the churn pool; capacities are optional. The trace runs
+// through RunTape in input order, so it must already be time-sorted.
 func Simulate(in *core.Instance, caps core.Capacities, events []Event, horizon float64, strat Strategy) (*Result, error) {
 	if in == nil || strat == nil {
 		return nil, errors.New("dynamic: nil instance or strategy")
@@ -446,22 +440,7 @@ func Simulate(in *core.Instance, caps core.Capacities, events []Event, horizon f
 	if caps != nil && len(caps) != in.NumServers() {
 		return nil, fmt.Errorf("dynamic: %d capacities for %d servers", len(caps), in.NumServers())
 	}
-	ev, err := in.NewEvaluator(core.NewAssignment(in.NumClients()))
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Strategy: strat.Name()}
-	prevT, prevD := 0.0, 0.0
-	var integral float64
-	record := func(t, d float64) {
-		integral += prevD * (t - prevT)
-		prevT, prevD = t, d
-		if d > res.MaxD {
-			res.MaxD = d
-		}
-		res.Timeline = append(res.Timeline, TimelinePoint{Time: t, D: d})
-	}
-
+	tape := make([]TapeEvent, 0, len(events))
 	for i, e := range events {
 		if i > 0 && e.Time < events[i-1].Time {
 			return nil, fmt.Errorf("dynamic: events not sorted at index %d", i)
@@ -469,45 +448,19 @@ func Simulate(in *core.Instance, caps core.Capacities, events []Event, horizon f
 		if e.Time > horizon {
 			break
 		}
-		if e.Client < 0 || e.Client >= in.NumClients() {
-			return nil, fmt.Errorf("dynamic: event client %d out of range", e.Client)
-		}
-		switch e.Kind {
-		case Join:
-			if ev.ServerOf(e.Client) != core.Unassigned {
-				return nil, fmt.Errorf("dynamic: client %d joined twice", e.Client)
-			}
-			s := strat.PlaceJoin(ev, caps, e.Client)
-			if s < 0 {
-				if !anyCapacityLeft(ev, caps) {
-					return nil, fmt.Errorf("dynamic: %s: join of client %d at t=%.1f: %w",
-						strat.Name(), e.Client, e.Time, ErrCapacityExhausted)
-				}
-				return nil, fmt.Errorf("dynamic: %s returned server %d for join", strat.Name(), s)
-			}
-			if s >= in.NumServers() {
-				return nil, fmt.Errorf("dynamic: %s returned server %d for join", strat.Name(), s)
-			}
-			if caps != nil && ev.Load(s) >= caps[s] {
-				return nil, fmt.Errorf("dynamic: %s placed a join on saturated server %d", strat.Name(), s)
-			}
-			ev.Move(e.Client, s)
-			res.Joins++
-		case Leave:
-			if ev.ServerOf(e.Client) == core.Unassigned {
-				return nil, fmt.Errorf("dynamic: client %d left while inactive", e.Client)
-			}
-			ev.Move(e.Client, core.Unassigned)
-			res.Leaves++
-		default:
+		if e.Kind != Join && e.Kind != Leave {
 			return nil, fmt.Errorf("dynamic: unknown event kind %d", e.Kind)
 		}
-		res.RepairMoves += strat.Repair(ev, caps, e.Time)
-		record(e.Time, ev.D())
+		tape = append(tape, churnTape(e))
 	}
-	// Close the integral at the horizon.
-	integral += prevD * (horizon - prevT)
-	res.TimeAvgD = integral / horizon
-	res.FinalD = ev.D()
-	return res, nil
+	ev, err := in.NewEvaluator(core.NewAssignment(in.NumClients()))
+	if err != nil {
+		return nil, err
+	}
+	res, err := RunTape(context.TODO(), tape, horizon, newEvalTarget(ev, caps, strat, nil))
+	if err != nil {
+		return nil, err
+	}
+	res.Strategy = strat.Name()
+	return &res.Result, nil
 }

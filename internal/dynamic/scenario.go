@@ -10,9 +10,11 @@ package dynamic
 // slice of the client pool, so drivers compose without conflicting and
 // the whole scenario replays bit-identically for a given seed set.
 //
-// Scenarios are deliberately neutral about the execution substrate:
-// SimulateScenario replays them against the pure simulator in this
-// package, and cmd/diasim converts the kill/partition schedules into a
+// Scenarios are deliberately neutral about the execution substrate.
+// ScenarioTape turns one into a single event tape, and RunTape walks
+// that tape over a target: the pure simulator in this package
+// (SimulateScenario) or the sharded plane (shard.Plane.Replay).
+// cmd/diasim also converts the kill/partition schedules into a
 // live.FaultPlan to run the same script against real TCP servers.
 
 import (
@@ -524,14 +526,10 @@ func (sc *Scenario) Finalize() error {
 	return nil
 }
 
-// sortEvents time-orders a churn tape, leaves before joins at ties.
+// sortEvents time-orders a churn trace in tape order: leaves before
+// joins at equal times.
 func sortEvents(events []Event) {
-	sort.SliceStable(events, func(i, j int) bool {
-		if c := cmp.Compare(events[i].Time, events[j].Time); c != 0 {
-			return c < 0
-		}
-		return events[i].Kind == Leave && events[j].Kind == Join
-	})
+	sort.SliceStable(events, func(i, j int) bool { return tapeLess(churnTape(events[i]), churnTape(events[j])) })
 }
 
 // ScenarioKinds lists the preset scenario names BuildScenario accepts.

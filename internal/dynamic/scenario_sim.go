@@ -1,10 +1,9 @@
 package dynamic
 
 import (
-	"cmp"
+	"context"
 	"errors"
 	"fmt"
-	"sort"
 
 	"diacap/internal/core"
 )
@@ -24,24 +23,6 @@ type ScenarioResult struct {
 	// SuppressedProposals and SuppressedMoves mirror Hysteresis
 	// counters when the strategy is hysteresis-wrapped (zero otherwise).
 	SuppressedProposals, SuppressedMoves int
-}
-
-// scenario event stream: churn, kills, restarts, and drift snapshots
-// merged into one time-ordered tape.
-type scenKind int
-
-const (
-	scenLeave   scenKind = iota // leaves first at ties: frees capacity
-	scenRestart                 // then restarts: adds capacity
-	scenKill                    // then kills: evacuations see restarts
-	scenJoin                    // then joins
-	scenDrift                   // drift last: D recorded on the new geometry
-)
-
-type scenEvent struct {
-	time float64
-	kind scenKind
-	id   int // client, server, or snapshot index depending on kind
 }
 
 // SimulateScenario replays a finalized scenario against a strategy.
@@ -71,31 +52,6 @@ func SimulateScenario(sc *Scenario, caps core.Capacities, strat Strategy) (*Scen
 			return nil, err
 		}
 	}
-
-	tape := make([]scenEvent, 0, len(sc.Events)+2*len(sc.Kills)+len(sc.Snapshots))
-	for i, e := range sc.Events {
-		k := scenJoin
-		if e.Kind == Leave {
-			k = scenLeave
-		}
-		tape = append(tape, scenEvent{time: e.Time, kind: k, id: i})
-	}
-	for i, k := range sc.Kills {
-		tape = append(tape, scenEvent{time: k.Time, kind: scenKill, id: i})
-		if k.RestartAt > k.Time && k.RestartAt < sc.Horizon {
-			tape = append(tape, scenEvent{time: k.RestartAt, kind: scenRestart, id: i})
-		}
-	}
-	for i, s := range sc.Snapshots {
-		tape = append(tape, scenEvent{time: s.Time, kind: scenDrift, id: i})
-	}
-	sort.SliceStable(tape, func(i, j int) bool {
-		if c := cmp.Compare(tape[i].time, tape[j].time); c != 0 {
-			return c < 0
-		}
-		return tape[i].kind < tape[j].kind
-	})
-
 	ev, err := in.NewEvaluator(core.NewAssignment(in.NumClients()))
 	if err != nil {
 		return nil, err
@@ -104,161 +60,133 @@ func SimulateScenario(sc *Scenario, caps core.Capacities, strat Strategy) (*Scen
 	// values bit-for-bit (see the core differential tests), but each
 	// churn event costs a bounded repair instead of an O(U²) recompute.
 	ev.EnableIncremental()
-	res := &ScenarioResult{Result: Result{Strategy: strat.Name()}}
-
-	alive := make([]bool, in.NumServers())
-	for k := range alive {
-		alive[k] = true
+	res, err := RunTape(context.TODO(), ScenarioTape(sc), sc.Horizon, newEvalTarget(ev, caps, strat, sc.Snapshots))
+	if err != nil {
+		return nil, err
 	}
-	deadCount := 0
-	// effCaps is the strategy-visible capacity vector: caller caps with
-	// dead servers clamped to zero. Nil while nothing is dead and the
-	// caller passed nil (unlimited).
-	effCaps := caps
-	rebuildCaps := func() {
-		if deadCount == 0 {
-			effCaps = caps
-			return
-		}
-		effCaps = make(core.Capacities, in.NumServers())
-		for k := range effCaps {
-			switch {
-			case !alive[k]:
-				effCaps[k] = 0
-			case caps != nil:
-				effCaps[k] = caps[k]
-			default:
-				effCaps[k] = in.NumClients()
-			}
-		}
-	}
-
-	prevT, prevD := 0.0, 0.0
-	var integral float64
-	record := func(t, d float64) {
-		integral += prevD * (t - prevT)
-		prevT, prevD = t, d
-		if d > res.MaxD {
-			res.MaxD = d
-		}
-		res.Timeline = append(res.Timeline, TimelinePoint{Time: t, D: d})
-	}
-	// place runs the strategy's join path with full validation; forced
-	// marks kill evacuations (which tolerate an already-placed caller).
-	place := func(c int, t float64, forced bool) error {
-		s := strat.PlaceJoin(ev, effCaps, c)
-		if s < 0 {
-			if !anyCapacityLeft(ev, effCaps) {
-				return fmt.Errorf("dynamic: %s: %s of client %d at t=%.1f: %w",
-					strat.Name(), joinWord(forced), c, t, ErrCapacityExhausted)
-			}
-			return fmt.Errorf("dynamic: %s returned server %d for %s", strat.Name(), s, joinWord(forced))
-		}
-		if s >= in.NumServers() {
-			return fmt.Errorf("dynamic: %s returned server %d for %s", strat.Name(), s, joinWord(forced))
-		}
-		if effCaps != nil && ev.Load(s) >= effCaps[s] {
-			return fmt.Errorf("dynamic: %s placed a %s on saturated server %d", strat.Name(), joinWord(forced), s)
-		}
-		ev.Move(c, s)
-		return nil
-	}
-	checkInvariant := func(t float64) error {
-		for k := 0; k < in.NumServers(); k++ {
-			if !alive[k] && ev.Load(k) > 0 {
-				return fmt.Errorf("dynamic: %s left %d clients on dead server %d at t=%.1f",
-					strat.Name(), ev.Load(k), k, t)
-			}
-			if effCaps != nil && ev.Load(k) > effCaps[k] {
-				return fmt.Errorf("dynamic: %s: capacity violation on server %d at t=%.1f: load %d > cap %d",
-					strat.Name(), k, t, ev.Load(k), effCaps[k])
-			}
-		}
-		return nil
-	}
-
-	for _, te := range tape {
-		if te.time > sc.Horizon {
-			break
-		}
-		switch te.kind {
-		case scenJoin, scenLeave:
-			e := sc.Events[te.id]
-			if e.Client < 0 || e.Client >= in.NumClients() {
-				return nil, fmt.Errorf("dynamic: event client %d out of range", e.Client)
-			}
-			if te.kind == scenJoin {
-				if ev.ServerOf(e.Client) != core.Unassigned {
-					return nil, fmt.Errorf("dynamic: client %d joined twice", e.Client)
-				}
-				if err := place(e.Client, e.Time, false); err != nil {
-					return nil, err
-				}
-				res.Joins++
-			} else {
-				if ev.ServerOf(e.Client) == core.Unassigned {
-					return nil, fmt.Errorf("dynamic: client %d left while inactive", e.Client)
-				}
-				ev.Move(e.Client, core.Unassigned)
-				res.Leaves++
-			}
-		case scenKill:
-			k := sc.Kills[te.id].Server
-			if !alive[k] {
-				break // double kill in overlapping storms: idempotent
-			}
-			alive[k] = false
-			deadCount++
-			rebuildCaps()
-			res.KillsApplied++
-			// Evacuate in ascending client order for determinism.
-			for c := 0; c < in.NumClients(); c++ {
-				if ev.ServerOf(c) != k {
-					continue
-				}
-				ev.Move(c, core.Unassigned)
-				if err := place(c, te.time, true); err != nil {
-					return nil, err
-				}
-				res.ForcedMoves++
-			}
-		case scenRestart:
-			k := sc.Kills[te.id].Server
-			if alive[k] {
-				break
-			}
-			alive[k] = true
-			deadCount--
-			rebuildCaps()
-			res.Restarts++
-		case scenDrift:
-			snap := sc.Snapshots[te.id]
-			fresh, err := snap.Instance.NewEvaluator(ev.Assignment())
-			if err != nil {
-				return nil, fmt.Errorf("dynamic: drift snapshot at t=%.1f: %w", snap.Time, err)
-			}
-			fresh.EnableIncremental()
-			ev = fresh
-			res.DriftSteps++
-		}
-		res.RepairMoves += strat.Repair(ev, effCaps, te.time)
-		if err := checkInvariant(te.time); err != nil {
-			return nil, err
-		}
-		record(te.time, ev.D())
-	}
-	integral += prevD * (sc.Horizon - prevT)
-	res.TimeAvgD = integral / sc.Horizon
-	res.FinalD = ev.D()
+	res.Strategy = strat.Name()
 	if h, ok := strat.(*Hysteresis); ok {
 		res.SuppressedProposals, res.SuppressedMoves = h.Suppressed()
 	}
-	return res, nil
+	return &res, nil
 }
 
-func joinWord(forced bool) string {
-	if forced {
-		return "forced rejoin"
+// evalTarget is the simulator's world for RunTape: one evaluator over
+// the whole client pool, driven by one strategy. Drift keeps the
+// evaluator's engine (incremental or not).
+type evalTarget struct {
+	ev    *core.Evaluator
+	strat Strategy
+	// caps are the caller's capacities (nil = unlimited); eff is what
+	// the strategy sees, EffectiveCaps of caps under alive.
+	caps, eff core.Capacities
+	alive     []bool
+	snaps     []DriftSnapshot
+}
+
+// newEvalTarget starts the world from ev (every client unassigned)
+// with every server up.
+func newEvalTarget(ev *core.Evaluator, caps core.Capacities, strat Strategy, snaps []DriftSnapshot) *evalTarget {
+	alive := make([]bool, ev.Instance().NumServers())
+	for k := range alive {
+		alive[k] = true
 	}
-	return "join"
+	return &evalTarget{ev: ev, strat: strat, caps: caps, eff: caps, alive: alive, snaps: snaps}
+}
+
+// D implements Target.
+func (t *evalTarget) D() float64 { return t.ev.D() }
+
+// Apply implements Target.
+func (t *evalTarget) Apply(_ context.Context, e TapeEvent) (Step, error) {
+	var st Step
+	switch e.Kind {
+	case TapeJoin, TapeLeave:
+		c := e.ID
+		if c < 0 || c >= t.ev.Instance().NumClients() {
+			return st, fmt.Errorf("dynamic: event client %d out of range", c)
+		}
+		if e.Kind == TapeLeave {
+			if t.ev.ServerOf(c) == core.Unassigned {
+				return st, fmt.Errorf("dynamic: client %d left while inactive", c)
+			}
+			t.ev.Move(c, core.Unassigned)
+			break
+		}
+		if t.ev.ServerOf(c) != core.Unassigned {
+			return st, fmt.Errorf("dynamic: client %d joined twice", c)
+		}
+		if err := t.place(c, e.Time, false); err != nil {
+			return st, err
+		}
+	case TapeKill:
+		k := e.ID
+		if !t.alive[k] {
+			st.Noop = true // double kill in overlapping storms: idempotent
+			break
+		}
+		t.setAlive(k, false)
+		// Evacuate in ascending client order for determinism.
+		for c := 0; c < t.ev.Instance().NumClients(); c++ {
+			if t.ev.ServerOf(c) != k {
+				continue
+			}
+			t.ev.Move(c, core.Unassigned)
+			if err := t.place(c, e.Time, true); err != nil {
+				return st, err
+			}
+			st.Forced++
+		}
+	case TapeRestart:
+		if t.alive[e.ID] {
+			st.Noop = true
+			break
+		}
+		t.setAlive(e.ID, true)
+	case TapeDrift:
+		snap := t.snaps[e.ID]
+		fresh, err := snap.Instance.NewEvaluator(t.ev.Assignment())
+		if err != nil {
+			return st, fmt.Errorf("dynamic: drift snapshot at t=%.1f: %w", snap.Time, err)
+		}
+		if t.ev.IncrementalEnabled() {
+			fresh.EnableIncremental()
+		}
+		t.ev = fresh
+	}
+	st.Repairs = t.strat.Repair(t.ev, t.eff, e.Time)
+	if err := CheckServers(t.ev, t.alive, t.eff); err != nil {
+		return st, fmt.Errorf("dynamic: %s at t=%.1f: %w", t.strat.Name(), e.Time, err)
+	}
+	return st, nil
+}
+
+func (t *evalTarget) setAlive(k int, up bool) {
+	t.alive[k] = up
+	t.eff = EffectiveCaps(t.caps, t.alive, t.ev.Instance().NumClients())
+}
+
+// place runs the strategy's join path with full validation; forced
+// marks kill evacuations.
+func (t *evalTarget) place(c int, at float64, forced bool) error {
+	word := "join"
+	if forced {
+		word = "forced rejoin"
+	}
+	s := t.strat.PlaceJoin(t.ev, t.eff, c)
+	if s < 0 {
+		if !anyCapacityLeft(t.ev, t.eff) {
+			return fmt.Errorf("dynamic: %s: %s of client %d at t=%.1f: %w",
+				t.strat.Name(), word, c, at, ErrCapacityExhausted)
+		}
+		return fmt.Errorf("dynamic: %s returned server %d for %s", t.strat.Name(), s, word)
+	}
+	if s >= t.ev.Instance().NumServers() {
+		return fmt.Errorf("dynamic: %s returned server %d for %s", t.strat.Name(), s, word)
+	}
+	if t.eff != nil && t.ev.Load(s) >= t.eff[s] {
+		return fmt.Errorf("dynamic: %s placed a %s on saturated server %d", t.strat.Name(), word, s)
+	}
+	t.ev.Move(c, s)
+	return nil
 }

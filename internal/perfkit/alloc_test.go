@@ -21,7 +21,6 @@ func TestHotpathKernelsZeroAlloc(t *testing.T) {
 	const n, ns = 96, 12
 	cs := randMatrix(rng, n, ns, false)
 	ss := randMatrix(rng, ns, ns, true)
-	cs32 := cs.Narrow()
 	a := make([]int, n)
 	for i := range a {
 		a[i] = rng.Intn(ns)
@@ -32,11 +31,9 @@ func TestHotpathKernelsZeroAlloc(t *testing.T) {
 	srv := make([]int, n)
 	CompactAssigned(cs, a, dc, srv)
 	out := make([]int, n)
-	out32 := make([]int, n)
 	scratch := new(Scratch)
 
 	var fsink float64
-	var f32sink float32
 	var isink int
 	cases := []struct {
 		name string
@@ -53,8 +50,6 @@ func TestHotpathKernelsZeroAlloc(t *testing.T) {
 		{"CompactAssigned", func() { isink = CompactAssigned(cs, a, dc, srv) }},
 		{"MaxPathPairsRange", func() { fsink = MaxPathPairsRange(dc, srv, ss, 0, 1) }},
 		{"NearestInto", func() { NearestInto(cs, out) }},
-		{"MinPlus32", func() { f32sink = MinPlus32(cs32.Row(0), cs32.Row(1)) }},
-		{"NearestInto32", func() { NearestInto32(cs32, out32) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -63,5 +58,5 @@ func TestHotpathKernelsZeroAlloc(t *testing.T) {
 			}
 		})
 	}
-	_, _, _ = fsink, f32sink, isink
+	_, _ = fsink, isink
 }

@@ -1,9 +1,9 @@
 // Package perfkit holds the cache-conscious data layouts and hot-path
 // kernels behind the repo's assignment and evaluation loops: a flat,
-// row-major, 64-byte-aligned latency representation (FlatMatrix, with a
-// float32 variant for memory-bound sweeps), fused min-plus / max-plus /
-// max-path / nearest-server kernels, and reusable scratch arenas that
-// keep the per-call allocation count of the quadratic loops at zero.
+// row-major, 64-byte-aligned latency representation (FlatMatrix), fused
+// min-plus / max-plus / max-path / nearest-server kernels, and reusable
+// scratch arenas that keep the per-call allocation count of the
+// quadratic loops at zero.
 //
 // Every optimized kernel has a retained naive reference twin (the
 // ...Ref functions) implementing the same contract with the obvious
@@ -33,9 +33,6 @@ const cacheLineBytes = 64
 
 // f64PerLine is how many float64 lanes one cache line holds.
 const f64PerLine = cacheLineBytes / 8
-
-// f32PerLine is how many float32 lanes one cache line holds.
-const f32PerLine = cacheLineBytes / 4
 
 // FlatMatrix is a dense rows×cols float64 matrix in one contiguous,
 // 64-byte-aligned allocation. Rows are padded to a multiple of the
@@ -123,63 +120,6 @@ func (f *FlatMatrix) Resize(rows, cols int) {
 	f.rows, f.cols, f.stride = rows, cols, stride
 }
 
-// FlatMatrix32 is the float32 variant of FlatMatrix: half the memory
-// traffic for bandwidth-bound sweeps over very large instances, at the
-// cost of ~7 decimal digits of precision. It is an opt-in
-// representation for experiments — the repo's determinism invariants
-// (byte-identical D across runs) hold for the float64 path only, so
-// nothing behavior-affecting is wired through it.
-type FlatMatrix32 struct {
-	data   []float32
-	rows   int
-	cols   int
-	stride int
-}
-
-// NewFlatMatrix32 allocates an aligned, zeroed rows×cols matrix.
-func NewFlatMatrix32(rows, cols int) *FlatMatrix32 {
-	if rows < 0 || cols < 0 {
-		panic(fmt.Sprintf("perfkit: NewFlatMatrix32(%d, %d)", rows, cols))
-	}
-	stride := roundUp(cols, f32PerLine)
-	return &FlatMatrix32{
-		data:   alignedF32(rows * stride),
-		rows:   rows,
-		cols:   cols,
-		stride: stride,
-	}
-}
-
-// Narrow converts a FlatMatrix to float32, rounding each entry.
-func (f *FlatMatrix) Narrow() *FlatMatrix32 {
-	out := NewFlatMatrix32(f.rows, f.cols)
-	for i := 0; i < f.rows; i++ {
-		src, dst := f.Row(i), out.Row(i)
-		for j, v := range src {
-			dst[j] = float32(v)
-		}
-	}
-	return out
-}
-
-// Rows returns the row count.
-func (f *FlatMatrix32) Rows() int { return f.rows }
-
-// Cols returns the column count.
-func (f *FlatMatrix32) Cols() int { return f.cols }
-
-// Row returns row i as a length-Cols slice into the backing array.
-func (f *FlatMatrix32) Row(i int) []float32 {
-	off := i * f.stride
-	return f.data[off : off+f.cols : off+f.cols]
-}
-
-// At returns element (i, j).
-func (f *FlatMatrix32) At(i, j int) float32 { return f.data[i*f.stride+j] }
-
-// Set stores element (i, j).
-func (f *FlatMatrix32) Set(i, j int, v float32) { f.data[i*f.stride+j] = v }
-
 // roundUp rounds n up to the next multiple of q (q > 0).
 func roundUp(n, q int) int { return (n + q - 1) / q * q }
 
@@ -195,19 +135,6 @@ func alignedF64(n int) []float64 {
 	off := 0
 	if rem := uintptr(unsafe.Pointer(&buf[0])) % cacheLineBytes; rem != 0 {
 		off = int((cacheLineBytes - rem) / 8)
-	}
-	return buf[off : off+n : off+n]
-}
-
-// alignedF32 is alignedF64 for float32 lanes.
-func alignedF32(n int) []float32 {
-	if n == 0 {
-		return nil
-	}
-	buf := make([]float32, n+f32PerLine-1)
-	off := 0
-	if rem := uintptr(unsafe.Pointer(&buf[0])) % cacheLineBytes; rem != 0 {
-		off = int((cacheLineBytes - rem) / 4)
 	}
 	return buf[off : off+n : off+n]
 }

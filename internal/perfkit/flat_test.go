@@ -31,11 +31,6 @@ func TestFlatMatrixAlignment(t *testing.T) {
 			}
 		}
 	}
-	f32 := NewFlatMatrix32(9, 13)
-	addr := uintptr(unsafe.Pointer(&f32.data[0]))
-	if addr%cacheLineBytes != 0 {
-		t.Errorf("float32 base address %#x not aligned", addr)
-	}
 }
 
 func TestFlatMatrixAccessors(t *testing.T) {
@@ -70,19 +65,6 @@ func TestFromRowsRoundTrip(t *testing.T) {
 				t.Fatalf("At(%d,%d) bits %x, want %x", i, j, got, want)
 			}
 		}
-	}
-}
-
-func TestNarrowRounds(t *testing.T) {
-	f := NewFlatMatrix(2, 3)
-	f.Set(0, 0, 1.0/3.0)
-	f.Set(1, 2, 123.456)
-	n := f.Narrow()
-	if got, want := n.At(0, 0), float32(1.0/3.0); got != want {
-		t.Fatalf("Narrow At(0,0) = %v, want %v", got, want)
-	}
-	if got, want := n.At(1, 2), float32(123.456); got != want {
-		t.Fatalf("Narrow At(1,2) = %v, want %v", got, want)
 	}
 }
 

@@ -236,44 +236,3 @@ func TestNearestIntoDifferential(t *testing.T) {
 		}
 	}
 }
-
-func TestFloat32KernelsTrackFloat64(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(200)
-		a64 := make([]float64, n)
-		b64 := make([]float64, n)
-		a32 := make([]float32, n)
-		b32 := make([]float32, n)
-		for i := range a64 {
-			a64[i] = 1 + rng.Float64()*400
-			b64[i] = 1 + rng.Float64()*400
-			a32[i], b32[i] = float32(a64[i]), float32(b64[i])
-		}
-		got32, ref32 := MinPlus32(a32, b32), MinPlus32Ref(a32, b32)
-		if math.Float32bits(got32) != math.Float32bits(ref32) {
-			t.Fatalf("MinPlus32 = %v, its ref = %v", got32, ref32)
-		}
-		// The narrowed result tracks the float64 one to float32
-		// precision: one addition plus two roundings.
-		want := MinPlus(a64, b64)
-		if rel := math.Abs(float64(got32)-want) / want; rel > 1e-5 {
-			t.Fatalf("MinPlus32 = %v diverges from float64 %v (rel %v)", got32, want, rel)
-		}
-	}
-
-	// Nearest argmin structure survives narrowing except on near-ties;
-	// differential against its own ref is exact.
-	rng = rand.New(rand.NewSource(9))
-	cs64 := randMatrix(rng, 150, 16, false)
-	cs32 := cs64.Narrow()
-	got := make([]int, 150)
-	want := make([]int, 150)
-	NearestInto32(cs32, got)
-	NearestInto32Ref(cs32, want)
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("client %d: NearestInto32 = %d, ref = %d", i, got[i], want[i])
-		}
-	}
-}

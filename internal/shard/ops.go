@@ -74,8 +74,8 @@ func (p *Plane) Join(ctx context.Context, c int) (OpResult, error) {
 }
 
 // place runs the shard strategy's join path for local client and
-// applies the placement, with the same validation the scenario
-// simulator performs. Callers hold p.mu.
+// applies the placement. A negative, dead or saturated answer from the
+// strategy is an error, never a placement. Callers hold p.mu.
 func (p *Plane) place(sh *shardState, local, global int) (int, error) {
 	s := sh.strat.PlaceJoin(sh.ev, sh.effCaps, local)
 	if s < 0 {
@@ -278,27 +278,11 @@ func (p *Plane) RestartServer(ctx context.Context, k int) (OpResult, error) {
 }
 
 // rebuildEffCaps refreshes every shard's effective capacity vector
-// after a liveness change (dead servers clamp to zero; nil caller caps
-// substitute the shard's own client count, mirroring the scenario
-// simulator). Callers hold p.mu.
+// after a liveness change (dynamic.EffectiveCaps over the shard's own
+// client count). Callers hold p.mu.
 func (p *Plane) rebuildEffCaps() {
 	for _, sh := range p.shards {
-		if p.dead == 0 {
-			sh.effCaps = sh.caps
-			continue
-		}
-		eff := make(core.Capacities, len(p.alive))
-		for k := range eff {
-			switch {
-			case !p.alive[k]:
-				eff[k] = 0
-			case sh.caps != nil:
-				eff[k] = sh.caps[k]
-			default:
-				eff[k] = len(sh.clients)
-			}
-		}
-		sh.effCaps = eff
+		sh.effCaps = dynamic.EffectiveCaps(sh.caps, p.alive, len(sh.clients))
 	}
 }
 

@@ -1,11 +1,9 @@
 package shard
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 
 	"diacap/internal/core"
 	"diacap/internal/dynamic"
@@ -130,22 +128,14 @@ type ReplayResult struct {
 	ShardEvents []int
 }
 
-// replayEvent mirrors the scenario simulator's merged tape: leaves
-// first at equal times (freeing capacity), then restarts, then kills,
-// then joins, then drift.
-type replayEvent struct {
-	time float64
-	kind int // 0 leave, 1 restart, 2 kill, 3 join, 4 drift
-	id   int
-}
-
-// Replay drives a finalized scenario through the plane: churn routes to
-// the owning shards' strategies, kills evacuate through the plane,
-// drift re-materializes every sub-instance, and after every event the
-// affected shards repair and the capacity invariant is re-checked. The
-// event semantics — tape ordering, evacuation order, effective
-// capacities, repair cadence — match dynamic.SimulateScenario, so a
-// one-shard replay reproduces the unsharded simulation bit-for-bit.
+// Replay drives a finalized scenario through the plane: it runs
+// dynamic.RunTape over the scenario's tape with the plane as the
+// target. Churn routes to the owning shards' strategies, kills
+// evacuate through the plane, drift re-materializes every
+// sub-instance, and after every event the affected shards repair and
+// the capacity invariant is re-checked. The tape, its tie order, the
+// horizon cut-off and the D bookkeeping are the simulator's own, so a
+// one-shard replay reproduces dynamic.SimulateScenario bit-for-bit.
 //
 // When the plane has a tracer, every tape event is stamped with its own
 // root span (replay.join, replay.leave, replay.kill, replay.restart,
@@ -164,138 +154,15 @@ func (p *Plane) Replay(ctx context.Context, sc *dynamic.Scenario) (*ReplayResult
 		return nil, fmt.Errorf("shard: scenario population (%d clients, %d servers) does not match plane (%d, %d)",
 			sc.Pop.Instance.NumClients(), len(sc.Pop.Servers), p.NumClients(), p.NumServers())
 	}
-
-	tape := make([]replayEvent, 0, len(sc.Events)+2*len(sc.Kills)+len(sc.Snapshots))
-	for i, e := range sc.Events {
-		k := 3
-		if e.Kind == dynamic.Leave {
-			k = 0
-		}
-		tape = append(tape, replayEvent{time: e.Time, kind: k, id: i})
-	}
-	for i, kill := range sc.Kills {
-		tape = append(tape, replayEvent{time: kill.Time, kind: 2, id: i})
-		if kill.RestartAt > kill.Time && kill.RestartAt < sc.Horizon {
-			tape = append(tape, replayEvent{time: kill.RestartAt, kind: 1, id: i})
-		}
-	}
-	for i := range sc.Snapshots {
-		tape = append(tape, replayEvent{time: sc.Snapshots[i].Time, kind: 4, id: i})
-	}
-	sort.SliceStable(tape, func(i, j int) bool {
-		if c := cmp.Compare(tape[i].time, tape[j].time); c != 0 {
-			return c < 0
-		}
-		return tape[i].kind < tape[j].kind
-	})
-
 	res := &ReplayResult{ShardEvents: make([]int, p.NumShards())}
+	sr, err := dynamic.RunTape(ctx, dynamic.ScenarioTape(sc), sc.Horizon,
+		&replayTarget{p: p, snaps: sc.Snapshots, res: res})
+	if err != nil {
+		return nil, err
+	}
+	res.ScenarioResult = sr
 	res.Strategy = p.shards[0].strat.Name()
-	prevT, prevD := 0.0, 0.0
-	var integral float64
-	record := func(t float64) {
-		s := p.Current()
-		integral += prevD * (t - prevT)
-		prevT, prevD = t, s.D
-		if s.D > res.MaxD {
-			res.MaxD = s.D
-		}
-		if gap := s.CertGap(); gap > res.MaxCertGap {
-			res.MaxCertGap = gap
-		}
-		res.Timeline = append(res.Timeline, dynamic.TimelinePoint{Time: t, D: s.D})
-	}
-	// repairAfter runs the strategy repair for the affected shards
-	// (every shard for global events) and re-checks the capacity
-	// invariant, mirroring the scenario simulator's per-event cadence.
-	repairAfter := func(ctx context.Context, t float64, shards ...int) error {
-		if len(shards) == 0 {
-			for s := 0; s < p.NumShards(); s++ {
-				shards = append(shards, s)
-			}
-		}
-		for _, s := range shards {
-			moves, err := p.RepairShard(ctx, s, t)
-			if err != nil {
-				return err
-			}
-			res.RepairMoves += moves
-		}
-		return p.checkInvariant(t)
-	}
-	spanNames := [5]string{"replay.leave", "replay.restart", "replay.kill", "replay.join", "replay.drift"}
-
-	for _, te := range tape {
-		if te.time > sc.Horizon {
-			break
-		}
-		ectx, esp := p.tracer.Root(ctx, spanNames[te.kind])
-		esp.SetAttr(obs.F64("time", te.time))
-		err := func() error {
-			defer esp.End()
-			switch te.kind {
-			case 3: // join
-				e := sc.Events[te.id]
-				r, err := p.Join(ectx, e.Client)
-				if err != nil {
-					return fmt.Errorf("shard: join of client %d at t=%.1f: %w", e.Client, e.Time, err)
-				}
-				res.Joins++
-				res.ShardEvents[r.Shard]++
-				esp.SetAttr(obs.Int("client", e.Client), obs.Int("shard", r.Shard))
-				return repairAfter(ectx, te.time, r.Shard)
-			case 0: // leave
-				e := sc.Events[te.id]
-				r, err := p.Leave(ectx, e.Client)
-				if err != nil {
-					return fmt.Errorf("shard: leave of client %d at t=%.1f: %w", e.Client, e.Time, err)
-				}
-				res.Leaves++
-				res.ShardEvents[r.Shard]++
-				esp.SetAttr(obs.Int("client", e.Client), obs.Int("shard", r.Shard))
-				return repairAfter(ectx, te.time, r.Shard)
-			case 2: // kill
-				k := sc.Kills[te.id].Server
-				wasAlive := p.ServerAlive(k)
-				_, evacuated, err := p.KillServer(ectx, k)
-				if err != nil {
-					return fmt.Errorf("shard: kill of server %d at t=%.1f: %w", k, te.time, err)
-				}
-				res.ForcedMoves += evacuated
-				if wasAlive {
-					res.KillsApplied++
-				}
-				esp.SetAttr(obs.Int("server", k), obs.Int("evacuated", evacuated))
-				return repairAfter(ectx, te.time)
-			case 1: // restart
-				k := sc.Kills[te.id].Server
-				wasAlive := p.ServerAlive(k)
-				if _, err := p.RestartServer(ectx, k); err != nil {
-					return err
-				}
-				if !wasAlive {
-					res.Restarts++
-				}
-				esp.SetAttr(obs.Int("server", k))
-				return repairAfter(ectx, te.time)
-			default: // 4: drift
-				snap := sc.Snapshots[te.id]
-				if err := p.ApplyDriftMatrix(ectx, snap.Instance.Matrix()); err != nil {
-					return fmt.Errorf("shard: drift at t=%.1f: %w", snap.Time, err)
-				}
-				res.DriftSteps++
-				return repairAfter(ectx, te.time)
-			}
-		}()
-		if err != nil {
-			return nil, err
-		}
-		record(te.time)
-	}
-	integral += prevD * (sc.Horizon - prevT)
-	res.TimeAvgD = integral / sc.Horizon
 	final := p.Current()
-	res.FinalD = final.D
 	res.FinalEpoch = final.Epoch
 	res.FinalCertifiedD = final.CertifiedD
 	for _, sh := range p.shards {
@@ -306,6 +173,88 @@ func (p *Plane) Replay(ctx context.Context, sc *dynamic.Scenario) (*ReplayResult
 		}
 	}
 	return res, nil
+}
+
+// replayTarget is the plane's world for dynamic.RunTape. It fills the
+// plane-only fields of res: ShardEvents and MaxCertGap.
+type replayTarget struct {
+	p     *Plane
+	snaps []dynamic.DriftSnapshot
+	res   *ReplayResult
+}
+
+// replaySpans names the root span of each tape event kind.
+var replaySpans = [...]string{
+	dynamic.TapeLeave:   "replay.leave",
+	dynamic.TapeRestart: "replay.restart",
+	dynamic.TapeKill:    "replay.kill",
+	dynamic.TapeJoin:    "replay.join",
+	dynamic.TapeDrift:   "replay.drift",
+}
+
+// D implements dynamic.Target.
+func (t *replayTarget) D() float64 { return t.p.Current().D }
+
+// Apply implements dynamic.Target. The event's root span encloses the
+// plane operation, the repair passes and the invariant check.
+func (t *replayTarget) Apply(ctx context.Context, e dynamic.TapeEvent) (dynamic.Step, error) {
+	p := t.p
+	ctx, sp := p.tracer.Root(ctx, replaySpans[e.Kind])
+	defer sp.End()
+	sp.SetAttr(obs.F64("time", e.Time))
+	var st dynamic.Step
+	only := -1 // a join or leave repairs its own shard; the rest repair all
+	switch e.Kind {
+	case dynamic.TapeJoin, dynamic.TapeLeave:
+		op, verb := p.Join, "join"
+		if e.Kind == dynamic.TapeLeave {
+			op, verb = p.Leave, "leave"
+		}
+		r, err := op(ctx, e.ID)
+		if err != nil {
+			return st, fmt.Errorf("shard: %s of client %d at t=%.1f: %w", verb, e.ID, e.Time, err)
+		}
+		t.res.ShardEvents[r.Shard]++
+		sp.SetAttr(obs.Int("client", e.ID), obs.Int("shard", r.Shard))
+		only = r.Shard
+	case dynamic.TapeKill:
+		wasAlive := p.ServerAlive(e.ID)
+		_, evacuated, err := p.KillServer(ctx, e.ID)
+		if err != nil {
+			return st, fmt.Errorf("shard: kill of server %d at t=%.1f: %w", e.ID, e.Time, err)
+		}
+		st.Noop, st.Forced = !wasAlive, evacuated
+		sp.SetAttr(obs.Int("server", e.ID), obs.Int("evacuated", evacuated))
+	case dynamic.TapeRestart:
+		wasAlive := p.ServerAlive(e.ID)
+		if _, err := p.RestartServer(ctx, e.ID); err != nil {
+			return st, err
+		}
+		st.Noop = wasAlive
+		sp.SetAttr(obs.Int("server", e.ID))
+	case dynamic.TapeDrift:
+		snap := t.snaps[e.ID]
+		if err := p.ApplyDriftMatrix(ctx, snap.Instance.Matrix()); err != nil {
+			return st, fmt.Errorf("shard: drift at t=%.1f: %w", snap.Time, err)
+		}
+	}
+	for s := range p.shards {
+		if only >= 0 && s != only {
+			continue
+		}
+		moves, err := p.RepairShard(ctx, s, e.Time)
+		if err != nil {
+			return st, err
+		}
+		st.Repairs += moves
+	}
+	if err := p.checkInvariant(e.Time); err != nil {
+		return st, err
+	}
+	if gap := p.Current().CertGap(); gap > t.res.MaxCertGap {
+		t.res.MaxCertGap = gap
+	}
+	return st, nil
 }
 
 // ServerAlive reports whether server k is up in the published state.
@@ -320,15 +269,8 @@ func (p *Plane) checkInvariant(t float64) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, sh := range p.shards {
-		for k := 0; k < sh.in.NumServers(); k++ {
-			if !p.alive[k] && sh.ev.Load(k) > 0 {
-				return fmt.Errorf("shard %d: %d clients on dead server %d at t=%.1f",
-					sh.id, sh.ev.Load(k), k, t)
-			}
-			if sh.effCaps != nil && sh.ev.Load(k) > sh.effCaps[k] {
-				return fmt.Errorf("shard %d: capacity violation on server %d at t=%.1f: load %d > cap %d",
-					sh.id, k, t, sh.ev.Load(k), sh.effCaps[k])
-			}
+		if err := dynamic.CheckServers(sh.ev, p.alive, sh.effCaps); err != nil {
+			return fmt.Errorf("shard %d at t=%.1f: %w", sh.id, t, err)
 		}
 	}
 	return nil
