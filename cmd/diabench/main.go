@@ -92,20 +92,6 @@ func suite() []benchmark {
 			},
 		},
 		{
-			name:     "maxpath_ecc/meridian",
-			workload: "max interaction path by eccentricity decomposition, Meridian scale (1796 clients, 80 servers)",
-			setup: func() (func() float64, func() float64) {
-				in := buildInstance(latency.MeridianLike(1), 80)
-				a := randomAssignment(in, 99)
-				ecc := make([]float64, in.NumServers())
-				return func() float64 { return in.MaxInteractionPath(a) },
-					func() float64 {
-						perfkit.EccIntoRef(in.FlatClientServer(), a, ecc)
-						return perfkit.MaxPathEccRef(in.FlatServerServer(), ecc)
-					}
-			},
-		},
-		{
 			name:     "incremental_d/meridian",
 			workload: "per-event D maintenance under churn: incremental engine vs eccentricity repair + full pair recompute, Meridian scale (1796 clients, 80 servers)",
 			setup: func() (func() float64, func() float64) {
@@ -150,17 +136,6 @@ func suite() []benchmark {
 				in := buildInstance(latency.MITLike(2), 32)
 				return func() float64 { return in.LowerBoundUncached() },
 					func() float64 { return in.LowerBoundReference() }
-			},
-		},
-		{
-			name:     "nearest/meridian",
-			workload: "nearest-server argmin over the client-server table, Meridian scale",
-			setup: func() (func() float64, func() float64) {
-				in := buildInstance(latency.MeridianLike(1), 80)
-				out := make([]int, in.NumClients())
-				cs := in.FlatClientServer()
-				return func() float64 { perfkit.NearestInto(cs, out); return float64(out[0]) },
-					func() float64 { perfkit.NearestIntoRef(cs, out); return float64(out[0]) }
 			},
 		},
 		{
@@ -633,6 +608,25 @@ func compare(cur, base *report, threshold float64, absoluteGate bool, w io.Write
 	return regressions
 }
 
+// orphanRecords returns the names of base's records that the -bench
+// filter re (nil selects all) matches but that name no selected
+// benchmark. compare walks only the benchmarks a run produced, so
+// without this check a deleted or renamed benchmark would drop its
+// gate without a word.
+func orphanRecords(base *report, selected []benchmark, re *regexp.Regexp) []string {
+	names := make(map[string]bool, len(selected))
+	for _, b := range selected {
+		names[b.name] = true
+	}
+	var orphans []string
+	for _, e := range base.Benchmarks {
+		if (re == nil || re.MatchString(e.Name)) && !names[e.Name] {
+			orphans = append(orphans, e.Name)
+		}
+	}
+	return orphans
+}
+
 func loadReport(path string) (*report, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -679,9 +673,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 	selected := all
+	var re *regexp.Regexp
 	if *filter != "" {
-		re, err := regexp.Compile(*filter)
-		if err != nil {
+		var err error
+		if re, err = regexp.Compile(*filter); err != nil {
 			fmt.Fprintf(stderr, "diabench: bad -bench regexp: %v\n", err)
 			return 2
 		}
@@ -699,6 +694,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *reps < 1 || *warmup < 0 || *threshold < 0 {
 		fmt.Fprintln(stderr, "diabench: -reps must be >= 1, -warmup and -threshold >= 0")
 		return 2
+	}
+	var base *report
+	if *compareTo != "" && !*bless {
+		var err error
+		if base, err = loadReport(*compareTo); err != nil {
+			fmt.Fprintf(stderr, "diabench: %v\n", err)
+			return 2
+		}
+		if orphans := orphanRecords(base, selected, re); len(orphans) > 0 {
+			for _, name := range orphans {
+				fmt.Fprintf(stderr, "diabench: %s records %q, which names no benchmark; delete the record or restore the benchmark\n", *compareTo, name)
+			}
+			return 2
+		}
 	}
 
 	prev := runtime.GOMAXPROCS(*procs)
@@ -738,11 +747,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "blessed %s (%d benchmarks)\n", *compareTo, len(r.Benchmarks))
 		return 0
-	}
-	base, err := loadReport(*compareTo)
-	if err != nil {
-		fmt.Fprintf(stderr, "diabench: %v\n", err)
-		return 2
 	}
 	if n := compare(r, base, *threshold, *absGate, stdout); n > 0 {
 		fmt.Fprintf(stdout, "%d regression(s) against %s\n", n, *compareTo)

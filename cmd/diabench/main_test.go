@@ -83,6 +83,48 @@ func TestBlessCompareRegress(t *testing.T) {
 	}
 }
 
+// TestCompareOrphanRecord checks that a baseline record the -bench
+// filter selects but no benchmark produces (a deleted or renamed entry)
+// fails the run with exit 2 and names the record, before any benchmark
+// runs, while records outside the filter stay out of the check.
+func TestCompareOrphanRecord(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "base.json")
+	if err := writeReport(base, &report{Benchmarks: []entry{
+		{Name: "min_plus/4096", MedianNs: 1, RefMedianNs: 1, Speedup: 1},
+		{Name: "min_plus/gone", MedianNs: 1, RefMedianNs: 1, Speedup: 1},
+		{Name: "other/gone", MedianNs: 1},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-bench", "min_plus", "-compare", base}, &stdout, &stderr); code != 2 {
+		t.Fatalf("orphan record: exit %d, want 2\nstderr:\n%s", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), `"min_plus/gone"`) || strings.Contains(stderr.String(), "other/gone") {
+		t.Fatalf("stderr should name min_plus/gone and only it:\n%s", stderr.String())
+	}
+	if strings.Contains(stderr.String(), "running") {
+		t.Fatalf("benchmarks ran before the orphan check:\n%s", stderr.String())
+	}
+
+	if testing.Short() {
+		return
+	}
+	// Without min_plus/gone the baseline gates the run: other/gone
+	// lies outside the filter.
+	b, err := loadReport(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Benchmarks = []entry{b.Benchmarks[0], b.Benchmarks[2]}
+	if err := writeReport(base, b); err != nil {
+		t.Fatal(err)
+	}
+	if code, out := runArgs(t, "-bench", "min_plus/4096$", "-reps", "1", "-warmup", "0", "-compare", base, "-threshold", "10"); code != 0 {
+		t.Fatalf("record outside the filter: exit %d, want 0\n%s", code, out)
+	}
+}
+
 // TestCompareGate unit-tests the gate rules on synthetic reports.
 func TestCompareGate(t *testing.T) {
 	kernel := entry{Name: "k", MedianNs: 100, RefMedianNs: 300, Speedup: 3}

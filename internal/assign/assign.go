@@ -11,7 +11,6 @@
 package assign
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 
@@ -134,9 +133,8 @@ func (NearestServer) Assign(in *core.Instance, caps core.Capacities) (core.Assig
 }
 
 // nearestServerAssign is Nearest-Server's engine; nil weights count
-// every client as 1. A capacitated client takes the argmin over the
-// servers whose remaining capacity fits its weight, in the order
-// cmp.Compare gives distances and then by lower server index.
+// every client as 1. A capacitated client takes nearestFit: the nearest
+// server whose remaining capacity fits its weight.
 func nearestServerAssign(in *core.Instance, weights Weights, caps core.Capacities) (core.Assignment, error) {
 	if err := validateWeights(in, weights, caps); err != nil {
 		return nil, err
@@ -152,14 +150,8 @@ func nearestServerAssign(in *core.Instance, weights Weights, caps core.Capacitie
 
 	loads := make([]int, ns)
 	for i := 0; i < nc; i++ {
-		row := in.ClientServerRow(i)
 		w := weights.of(i)
-		best := -1
-		for k, d := range row {
-			if loads[k]+w <= caps[k] && (best == -1 || cmp.Compare(d, row[best]) < 0) {
-				best = k
-			}
-		}
+		best := nearestFit(in.ClientServerRow(i), loads, caps, w)
 		if best == -1 {
 			if weights == nil {
 				return nil, fmt.Errorf("%w: no server has capacity for client %d", ErrInfeasible, i)
@@ -172,14 +164,17 @@ func nearestServerAssign(in *core.Instance, weights Weights, caps core.Capacitie
 	return a, nil
 }
 
-// nearestServerOf returns the index of the server closest to client i,
-// breaking ties toward the lower server index.
-func nearestServerOf(in *core.Instance, i int) int {
-	row := in.ClientServerRow(i)
-	best := 0
-	for k := 1; k < len(row); k++ {
-		if row[k] < row[best] {
-			best = k
+// nearestFit returns the nearest server whose remaining capacity fits
+// weight w — the argmin of row over the servers k with
+// loads[k]+w ≤ caps[k], ties toward the lower index — or -1 when none
+// fits. Capacitated Nearest-Server and Longest-First-Batch both pick
+// their servers with it.
+func nearestFit(row []float64, loads []int, caps core.Capacities, w int) int {
+	loads, caps = loads[:len(row)], caps[:len(row)]
+	best, bd := -1, 0.0
+	for k, d := range row {
+		if loads[k]+w <= caps[k] && (best == -1 || d < bd) {
+			best, bd = k, d
 		}
 	}
 	return best

@@ -64,34 +64,47 @@ func (RandomAssign) Name() string { return "Random" }
 
 // Assign implements Algorithm.
 func (r RandomAssign) Assign(in *core.Instance, caps core.Capacities) (core.Assignment, error) {
-	if err := validateInputs(in, caps); err != nil {
+	return r.assign(in, nil, caps)
+}
+
+// assign is Random's engine; nil weights count every client as 1. Each
+// capacitated client, in index order, takes a uniformly random server
+// whose remaining capacity fits its weight — so under weights a later,
+// lighter client can succeed where an earlier one could not.
+func (r RandomAssign) assign(in *core.Instance, weights Weights, caps core.Capacities) (core.Assignment, error) {
+	if err := validateWeights(in, weights, caps); err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(r.Seed))
 	nc, ns := in.NumClients(), in.NumServers()
 	a := make(core.Assignment, nc)
-	loads := make([]int, ns)
-	for i := 0; i < nc; i++ {
-		if caps == nil {
+	if caps == nil {
+		for i := range a {
 			a[i] = rng.Intn(ns)
-			continue
 		}
-		// Choose uniformly among unsaturated servers.
+		return a, nil
+	}
+	loads := make([]int, ns)
+	for i := range a {
+		w := weights.of(i)
 		open := 0
-		for k := 0; k < ns; k++ {
-			if loads[k] < caps[k] {
+		for k := range loads {
+			if loads[k]+w <= caps[k] {
 				open++
 			}
 		}
 		if open == 0 {
-			return nil, fmt.Errorf("%w: all servers saturated at client %d", ErrInfeasible, i)
+			if weights == nil {
+				return nil, fmt.Errorf("%w: all servers saturated at client %d", ErrInfeasible, i)
+			}
+			return nil, fmt.Errorf("%w: no server fits client %d (weight %d)", ErrInfeasible, i, w)
 		}
 		pick := rng.Intn(open)
-		for k := 0; k < ns; k++ {
-			if loads[k] < caps[k] {
+		for k := range loads {
+			if loads[k]+w <= caps[k] {
 				if pick == 0 {
 					a[i] = k
-					loads[k]++
+					loads[k] += w
 					break
 				}
 				pick--

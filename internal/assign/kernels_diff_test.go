@@ -238,6 +238,264 @@ func nearestServerSorted(in *core.Instance, weights Weights, caps core.Capacitie
 	return a, nil
 }
 
+// lfbReference is the differential reference for capacitated
+// lfbAssign: the two engines Longest-First-Batch shipped before they
+// were folded into one — lfbUnitReference for nil weights and
+// lfbWeightedReference otherwise.
+func lfbReference(in *core.Instance, weights Weights, caps core.Capacities) (core.Assignment, error) {
+	if err := validateWeights(in, weights, caps); err != nil {
+		return nil, err
+	}
+	if weights == nil {
+		return lfbUnitReference(in, caps)
+	}
+	return lfbWeightedReference(in, weights, caps)
+}
+
+// lfbUnitReference is the unit-weight capacitated engine: nearest
+// unsaturated servers, refreshed only when a batch saturates its
+// server, and batches truncated to the room left.
+func lfbUnitReference(in *core.Instance, caps core.Capacities) (core.Assignment, error) {
+	nc, ns := in.NumClients(), in.NumServers()
+	a := core.NewAssignment(nc)
+	loads := make([]int, ns)
+	remaining := nc
+	nearest := make([]int, nc)
+	nearestDist := make([]float64, nc)
+	recompute := func() error {
+		for i := 0; i < nc; i++ {
+			if a[i] != core.Unassigned {
+				continue
+			}
+			row := in.ClientServerRow(i)
+			best := -1
+			for k := 0; k < ns; k++ {
+				if loads[k] >= caps[k] {
+					continue
+				}
+				if best == -1 || row[k] < row[best] {
+					best = k
+				}
+			}
+			if best == -1 {
+				return fmt.Errorf("%w: all servers saturated with %d clients left", ErrInfeasible, remaining)
+			}
+			nearest[i] = best
+			nearestDist[i] = row[best]
+		}
+		return nil
+	}
+	if err := recompute(); err != nil {
+		return nil, err
+	}
+	for remaining > 0 {
+		c := -1
+		for i := 0; i < nc; i++ {
+			if a[i] != core.Unassigned {
+				continue
+			}
+			if c == -1 || nearestDist[i] > nearestDist[c] {
+				c = i
+			}
+		}
+		s := nearest[c]
+		limit := nearestDist[c]
+		batch := lfbBatchReference(in, a, s, limit)
+		room := caps[s] - loads[s]
+		if room <= 0 {
+			return nil, fmt.Errorf("%w: internal: picked saturated server %d", ErrInfeasible, s)
+		}
+		if len(batch) > room {
+			batch = batch[:room]
+		}
+		for _, j := range batch {
+			a[j] = s
+			loads[s]++
+			remaining--
+		}
+		if loads[s] >= caps[s] && remaining > 0 {
+			if err := recompute(); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return a, nil
+}
+
+// lfbWeightedReference is the weighted capacitated engine: nearest
+// servers whose room fits each client's weight, a refresh on a stale
+// pick, and nearest-first fills that skip members too heavy for the
+// room left.
+func lfbWeightedReference(in *core.Instance, weights Weights, caps core.Capacities) (core.Assignment, error) {
+	nc, ns := in.NumClients(), in.NumServers()
+	a := core.NewAssignment(nc)
+	loads := make([]int, ns)
+	remaining := nc
+	nearest := make([]int, nc)
+	nearestDist := make([]float64, nc)
+	recompute := func() error {
+		for i := 0; i < nc; i++ {
+			if a[i] != core.Unassigned {
+				continue
+			}
+			row := in.ClientServerRow(i)
+			best := -1
+			for k := 0; k < ns; k++ {
+				if loads[k]+weights.of(i) > caps[k] {
+					continue
+				}
+				if best == -1 || row[k] < row[best] {
+					best = k
+				}
+			}
+			if best == -1 {
+				return fmt.Errorf("%w: no server fits client %d (weight %d) with %d clients left", ErrInfeasible, i, weights.of(i), remaining)
+			}
+			nearest[i] = best
+			nearestDist[i] = row[best]
+		}
+		return nil
+	}
+	if err := recompute(); err != nil {
+		return nil, err
+	}
+	for remaining > 0 {
+		c := -1
+		for i := 0; i < nc; i++ {
+			if a[i] != core.Unassigned {
+				continue
+			}
+			if c == -1 || nearestDist[i] > nearestDist[c] {
+				c = i
+			}
+		}
+		s := nearest[c]
+		if loads[s]+weights.of(c) > caps[s] {
+			if err := recompute(); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		skipped := false
+		for _, j := range lfbBatchReference(in, a, s, nearestDist[c]) {
+			if loads[s]+weights.of(j) > caps[s] {
+				skipped = true
+				continue
+			}
+			a[j] = s
+			loads[s] += weights.of(j)
+			remaining--
+		}
+		if remaining > 0 && (skipped || loads[s] >= caps[s]) {
+			if err := recompute(); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return a, nil
+}
+
+// lfbBatchReference returns the unassigned clients not farther from s
+// than limit, sorted by (distance to s, index).
+func lfbBatchReference(in *core.Instance, a core.Assignment, s int, limit float64) []int {
+	var batch []int
+	for j := range a {
+		if a[j] == core.Unassigned && in.ClientServerDist(j, s) <= limit+eps {
+			batch = append(batch, j)
+		}
+	}
+	sort.Slice(batch, func(x, y int) bool {
+		dx, dy := in.ClientServerDist(batch[x], s), in.ClientServerDist(batch[y], s)
+		if c := cmp.Compare(dx, dy); c != 0 {
+			return c < 0
+		}
+		return batch[x] < batch[y]
+	})
+	return batch
+}
+
+// randomReference is the differential reference for RandomAssign: the
+// two loops Random shipped before they were folded into one,
+// randomUnitReference for nil weights and randomWeightedReference
+// otherwise.
+func randomReference(in *core.Instance, weights Weights, caps core.Capacities, seed int64) (core.Assignment, error) {
+	if err := validateWeights(in, weights, caps); err != nil {
+		return nil, err
+	}
+	if caps == nil || weights == nil {
+		return randomUnitReference(in, caps, seed)
+	}
+	return randomWeightedReference(in, weights, caps, seed)
+}
+
+// randomUnitReference draws each client's server uniformly, from the
+// unsaturated servers when capacitated.
+func randomUnitReference(in *core.Instance, caps core.Capacities, seed int64) (core.Assignment, error) {
+	rng := rand.New(rand.NewSource(seed))
+	nc, ns := in.NumClients(), in.NumServers()
+	a := make(core.Assignment, nc)
+	loads := make([]int, ns)
+	for i := 0; i < nc; i++ {
+		if caps == nil {
+			a[i] = rng.Intn(ns)
+			continue
+		}
+		open := 0
+		for k := 0; k < ns; k++ {
+			if loads[k] < caps[k] {
+				open++
+			}
+		}
+		if open == 0 {
+			return nil, fmt.Errorf("%w: all servers saturated at client %d", ErrInfeasible, i)
+		}
+		pick := rng.Intn(open)
+		for k := 0; k < ns; k++ {
+			if loads[k] < caps[k] {
+				if pick == 0 {
+					a[i] = k
+					loads[k]++
+					break
+				}
+				pick--
+			}
+		}
+	}
+	return a, nil
+}
+
+// randomWeightedReference draws each client's server uniformly from the
+// servers whose remaining capacity fits its weight.
+func randomWeightedReference(in *core.Instance, weights Weights, caps core.Capacities, seed int64) (core.Assignment, error) {
+	rng := rand.New(rand.NewSource(seed))
+	nc, ns := in.NumClients(), in.NumServers()
+	a := make(core.Assignment, nc)
+	loads := make([]int, ns)
+	for i := 0; i < nc; i++ {
+		open := 0
+		for k := 0; k < ns; k++ {
+			if loads[k]+weights.of(i) <= caps[k] {
+				open++
+			}
+		}
+		if open == 0 {
+			return nil, fmt.Errorf("%w: no server fits client %d (weight %d)", ErrInfeasible, i, weights.of(i))
+		}
+		pick := rng.Intn(open)
+		for k := 0; k < ns; k++ {
+			if loads[k]+weights.of(i) <= caps[k] {
+				if pick == 0 {
+					a[i] = k
+					loads[k] += weights.of(i)
+					break
+				}
+				pick--
+			}
+		}
+	}
+	return a, nil
+}
+
 // diffCase is one differential input: an instance with client weights
 // (nil for unit weights) and capacities (nil for uncapacitated).
 type diffCase struct {
@@ -249,9 +507,10 @@ type diffCase struct {
 
 // differentialCases draws seeded random instances, alternating
 // tie-heavy integer latencies with real-valued ones, and crosses each
-// with nil and 1–4 weights and with no capacities or uniform ones from
-// exact fit to +2 slack. Outside -short it adds Meridian(1) with 80
-// K-center-B servers, uncapacitated and at ⌈1.2·|C|/|S|⌉.
+// with nil, all-ones and 1–4 weights and with no capacities, uniform
+// ones from exact fit to +2 slack, or a total one unit short of the
+// total weight. Outside -short it adds Meridian(1) with 80 K-center-B
+// servers, uncapacitated and at ⌈1.2·|C|/|S|⌉.
 func differentialCases(t *testing.T) []diffCase {
 	t.Helper()
 	rng := rand.New(rand.NewSource(29))
@@ -284,20 +543,32 @@ func differentialCases(t *testing.T) []diffCase {
 		}
 		nc := in.NumClients()
 		weighted := make(Weights, nc)
+		ones := make(Weights, nc)
 		for i := range weighted {
 			weighted[i] = 1 + rng.Intn(4)
+			ones[i] = 1
 		}
-		for _, weights := range []Weights{nil, weighted} {
+		for _, w := range []struct {
+			label   string
+			weights Weights
+		}{{"unit", nil}, {"all-ones", ones}, {"1-4", weighted}} {
+			weights := w.weights
 			total := 0
 			for i := 0; i < nc; i++ {
 				total += weights.of(i)
 			}
-			name := fmt.Sprintf("trial %d (%s, %d clients, %d servers, weighted %t)", trial, kind, nc, ns, weights != nil)
+			name := fmt.Sprintf("trial %d (%s, %d clients, %d servers, %s weights)", trial, kind, nc, ns, w.label)
 			cases = append(cases, diffCase{name + " uncapacitated", in, weights, nil})
 			for slack := 0; slack <= 2; slack++ {
 				caps := core.UniformCapacities(ns, (total+ns-1)/ns+slack)
 				cases = append(cases, diffCase{fmt.Sprintf("%s slack %d", name, slack), in, weights, caps})
 			}
+			// One unit short of the total weight.
+			short := core.UniformCapacities(ns, (total-1)/ns)
+			for k := 0; k < (total-1)%ns; k++ {
+				short[k]++
+			}
+			cases = append(cases, diffCase{name + " infeasible total", in, weights, short})
 		}
 	}
 	if !testing.Short() {
@@ -365,6 +636,50 @@ func TestNearestServerCapacitatedDifferential(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: assignment diverges\ngot       %v\nreference %v", tc.name, got, want)
+		}
+	}
+}
+
+// TestLFBCapacitatedDifferential pins the folded capacitated
+// Longest-First-Batch engine to lfbReference: the same assignment and
+// the same error text on every capacitated case, through both the unit
+// and the weighted entry point.
+func TestLFBCapacitatedDifferential(t *testing.T) {
+	for _, tc := range differentialCases(t) {
+		if tc.caps == nil {
+			continue
+		}
+		want, wantErr := lfbReference(tc.in, tc.weights, tc.caps)
+		got, gotErr := LongestFirstBatch{}.AssignWeighted(tc.in, tc.weights, tc.caps)
+		if tc.weights == nil {
+			got, gotErr = LongestFirstBatch{}.Assign(tc.in, tc.caps)
+		}
+		if errText(gotErr) != errText(wantErr) {
+			t.Fatalf("%s: error %q, reference %q", tc.name, errText(gotErr), errText(wantErr))
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: assignment diverges\ngot       %v\nreference %v", tc.name, got, want)
+		}
+	}
+}
+
+// TestRandomDifferential pins the folded Random engine to
+// randomReference over three seeds: the same assignment and the same
+// error text on every case, uncapacitated included.
+func TestRandomDifferential(t *testing.T) {
+	for _, tc := range differentialCases(t) {
+		for _, seed := range []int64{0, 1, 97} {
+			want, wantErr := randomReference(tc.in, tc.weights, tc.caps, seed)
+			got, gotErr := RandomAssign{Seed: seed}.AssignWeighted(tc.in, tc.weights, tc.caps)
+			if tc.weights == nil {
+				got, gotErr = RandomAssign{Seed: seed}.Assign(tc.in, tc.caps)
+			}
+			if errText(gotErr) != errText(wantErr) {
+				t.Fatalf("%s, seed %d: error %q, reference %q", tc.name, seed, errText(gotErr), errText(wantErr))
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, seed %d: assignment diverges\ngot       %v\nreference %v", tc.name, seed, got, want)
+			}
 		}
 	}
 }

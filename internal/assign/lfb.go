@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"diacap/internal/core"
+	"diacap/internal/perfkit"
 )
 
 // LongestFirstBatch is the paper's Longest-First-Batch Assignment
@@ -29,13 +30,19 @@ func (LongestFirstBatch) Name() string { return "Longest-First-Batch" }
 
 // Assign implements Algorithm.
 func (LongestFirstBatch) Assign(in *core.Instance, caps core.Capacities) (core.Assignment, error) {
-	if err := validateInputs(in, caps); err != nil {
+	return lfbAssign(in, nil, caps)
+}
+
+// lfbAssign is Longest-First-Batch's engine; nil weights count every
+// client as 1. Weights only enter the capacitated form.
+func lfbAssign(in *core.Instance, weights Weights, caps core.Capacities) (core.Assignment, error) {
+	if err := validateWeights(in, weights, caps); err != nil {
 		return nil, err
 	}
 	if caps == nil {
 		return lfbUncapacitated(in), nil
 	}
-	return lfbCapacitated(in, caps)
+	return lfbCapacitated(in, weights, caps)
 }
 
 func lfbUncapacitated(in *core.Instance) core.Assignment {
@@ -43,10 +50,10 @@ func lfbUncapacitated(in *core.Instance) core.Assignment {
 	a := core.NewAssignment(nc)
 
 	nearest := make([]int, nc)
+	perfkit.NearestInto(in.FlatClientServer(), nearest)
 	nearestDist := make([]float64, nc)
-	for i := 0; i < nc; i++ {
-		nearest[i] = nearestServerOf(in, i)
-		nearestDist[i] = in.ClientServerDist(i, nearest[i])
+	for i, s := range nearest {
+		nearestDist[i] = in.ClientServerDist(i, s)
 	}
 	// Clients in descending distance-to-nearest-server order.
 	order := make([]int, nc)
@@ -77,62 +84,68 @@ func lfbUncapacitated(in *core.Instance) core.Assignment {
 	return a
 }
 
-func lfbCapacitated(in *core.Instance, caps core.Capacities) (core.Assignment, error) {
+// lfbCapacitated is the capacitated form of Section IV-E with weighted
+// feasibility: a server is a candidate for a client only if its
+// remaining capacity fits the client's weight, and batches fill
+// nearest-first, skipping members too heavy for the remaining room.
+// With unit weights (nil) the weighted rules reduce to the paper's: a
+// fit is an unsaturated server, and a batch skips members only once it
+// has filled its server to capacity.
+//
+// Every unassigned client's nearest server fits it at the top of each
+// round, so c always fits s: a round that neither skips a member nor
+// saturates s leaves no unassigned client pointing at s (such a
+// client's nearest distance is at most c's, so it was in the batch and
+// placed), and every other round ends in a refresh.
+func lfbCapacitated(in *core.Instance, weights Weights, caps core.Capacities) (core.Assignment, error) {
 	nc, ns := in.NumClients(), in.NumServers()
 	a := core.NewAssignment(nc)
 	loads := make([]int, ns)
 	remaining := nc
 
-	// nearest unsaturated server per client; recomputed when a server
-	// saturates.
+	// Nearest fitting server per unassigned client. Under weights,
+	// feasibility is per-client (a weight-2 client may fit where a
+	// weight-5 one does not), so it is refreshed after every batch that
+	// skips a member, not only on saturation.
 	nearest := make([]int, nc)
 	nearestDist := make([]float64, nc)
-	recompute := func() error {
+	refresh := func() error {
 		for i := 0; i < nc; i++ {
 			if a[i] != core.Unassigned {
 				continue
 			}
 			row := in.ClientServerRow(i)
-			best := -1
-			for k := 0; k < ns; k++ {
-				if loads[k] >= caps[k] {
-					continue
-				}
-				if best == -1 || row[k] < row[best] {
-					best = k
-				}
-			}
+			best := nearestFit(row, loads, caps, weights.of(i))
 			if best == -1 {
-				return fmt.Errorf("%w: all servers saturated with %d clients left", ErrInfeasible, remaining)
+				if weights == nil {
+					return fmt.Errorf("%w: all servers saturated with %d clients left", ErrInfeasible, remaining)
+				}
+				return fmt.Errorf("%w: no server fits client %d (weight %d) with %d clients left", ErrInfeasible, i, weights.of(i), remaining)
 			}
-			nearest[i] = best
-			nearestDist[i] = row[best]
+			nearest[i], nearestDist[i] = best, row[best]
 		}
 		return nil
 	}
-	if err := recompute(); err != nil {
+	if err := refresh(); err != nil {
 		return nil, err
 	}
 
+	batch := make([]int, 0, nc)
 	for remaining > 0 {
 		// Unassigned client with the longest distance to its nearest
-		// unsaturated server.
+		// fitting server.
 		c := -1
 		for i := 0; i < nc; i++ {
-			if a[i] != core.Unassigned {
-				continue
-			}
-			if c == -1 || nearestDist[i] > nearestDist[c] {
+			if a[i] == core.Unassigned && (c == -1 || nearestDist[i] > nearestDist[c]) {
 				c = i
 			}
 		}
-		s := nearest[c]
-		limit := nearestDist[c]
+		s, limit := nearest[c], nearestDist[c]
 
 		// Candidate batch: unassigned clients not farther from s than c,
 		// nearest first so a truncated batch fills s with its closest
 		// clients.
-		batch := make([]int, 0, remaining)
+		batch = batch[:0]
 		for j := 0; j < nc; j++ {
 			if a[j] == core.Unassigned && in.ClientServerDist(j, s) <= limit+eps {
 				batch = append(batch, j)
@@ -145,24 +158,23 @@ func lfbCapacitated(in *core.Instance, caps core.Capacities) (core.Assignment, e
 			}
 			return batch[x] < batch[y]
 		})
-		room := caps[s] - loads[s]
-		if room <= 0 {
-			// recompute() guarantees nearest[] points at unsaturated
-			// servers, so this cannot happen; guard for safety.
-			return nil, fmt.Errorf("%w: internal: picked saturated server %d", ErrInfeasible, s)
-		}
-		if len(batch) > room {
-			batch = batch[:room]
-		}
+		// Nearest-first fill, skipping members too heavy for the
+		// remaining room (a skipped near client must not block farther,
+		// lighter ones — in particular c itself, which fits whenever the
+		// fill reaches it with the room untouched).
+		skipped := false
 		for _, j := range batch {
+			w := weights.of(j)
+			if loads[s]+w > caps[s] {
+				skipped = true
+				continue
+			}
 			a[j] = s
-			loads[s]++
+			loads[s] += w
 			remaining--
 		}
-		if loads[s] >= caps[s] && remaining > 0 {
-			// Server saturated: remaining clients re-target unsaturated
-			// servers and the distance order is rebuilt.
-			if err := recompute(); err != nil {
+		if remaining > 0 && (skipped || loads[s] >= caps[s]) {
+			if err := refresh(); err != nil {
 				return nil, err
 			}
 		}

@@ -31,11 +31,6 @@ type Evaluator struct {
 	// dirty marks that d must be recomputed (after a move that could
 	// lower D, a full pair scan over used servers is needed anyway).
 	dirty bool
-	// scratch backs the recompute kernel's compaction arrays. An
-	// Evaluator is single-goroutine (its whole point is mutable
-	// incremental state), so one private arena serves every recompute
-	// without allocation.
-	scratch *perfkit.Scratch
 	// inc, when non-nil, maintains D incrementally (heap-backed
 	// eccentricities plus cached pair maxima) instead of through
 	// recompute. See EnableIncremental.
@@ -63,12 +58,11 @@ func (in *Instance) NewEvaluator(a Assignment) (*Evaluator, error) {
 		}
 	}
 	ev := &Evaluator{
-		in:      in,
-		a:       a.Clone(),
-		loads:   in.Loads(a),
-		ecc:     in.Eccentricities(a),
-		dirty:   true,
-		scratch: new(perfkit.Scratch),
+		in:    in,
+		a:     a.Clone(),
+		loads: in.Loads(a),
+		ecc:   in.Eccentricities(a),
+		dirty: true,
 	}
 	return ev, nil
 }
@@ -101,13 +95,11 @@ func (ev *Evaluator) D() float64 {
 	return ev.d
 }
 
-// recompute rebuilds D from the per-server eccentricities via the
-// perfkit pair kernel (bit-identical to the sentinel-skipping double
-// loop it replaced — see perfkit.MaxPathEccRef).
+// recompute rebuilds D from the per-server eccentricities with the
+// perfkit.MaxPathEcc pair scan.
 func (ev *Evaluator) recompute() {
 	ev.stats.Recomputes++
-	ev.scratch.Reset()
-	ev.d = perfkit.MaxPathEcc(ev.in.ssF, ev.ecc, ev.scratch)
+	ev.d = perfkit.MaxPathEcc(ev.in.ssF, ev.ecc)
 	ev.dirty = false
 }
 

@@ -5,15 +5,15 @@
 // scratch arenas that keep the per-call allocation count of the
 // quadratic loops at zero.
 //
-// Every optimized kernel has a retained naive reference twin (the
-// ...Ref functions) implementing the same contract with the obvious
-// scalar loop. The references serve two roles: they are the correctness
-// oracle for the differential tests (optimized and reference results
-// must be bit-identical on the same inputs — all kernels combine their
-// operands in the same pairings, so min/max reorderings never change
-// the produced bits), and they are the "before" side of the
-// cmd/diabench regression suite, which tracks the speedup ratio of each
-// kernel over its reference.
+// A kernel keeps a naive reference twin (the ...Ref functions) only
+// while cmd/diabench shows the kernel beating it; a kernel that runs no
+// faster than the obvious scalar loop is that loop. A twin serves two
+// roles: it is the correctness oracle for the differential tests
+// (optimized and reference results must be bit-identical on the same
+// inputs — both combine their operands in the same pairings, so min/max
+// reorderings never change the produced bits), and it is the "before"
+// side of the cmd/diabench regression suite, which tracks the speedup
+// ratio of each kernel over its reference.
 //
 // perfkit deliberately depends on nothing in the repo: kernels consume
 // plain slices and FlatMatrix values, and internal/core adapts its

@@ -4,13 +4,14 @@ import "math"
 
 // Kernel contracts
 //
-// Every kernel in this file is paired with a ...Ref reference that
-// implements the identical contract with the plain scalar loop the
-// repo shipped before perfkit existed. The pair must agree
-// bit-for-bit: kernels are free to reorder *comparisons* (min/max are
+// MinPlus and MaxMinPlus keep ...Ref twins, and the CompactAssigned +
+// MaxPathPairsRange scan keeps core.MaxPathReference, because diabench
+// shows them beating the plain loop (see the package doc); the other
+// kernels are the plain loop. A kernel must agree with its twin
+// bit-for-bit: it is free to reorder *comparisons* (min/max are
 // order-independent) and to skip elements that provably cannot win,
-// but they must combine operands in exactly the same additions, with
-// the same left-to-right association, as their reference. That is the
+// but it must combine operands in exactly the same additions, with the
+// same left-to-right association, as its reference. That is the
 // property the differential tests assert with math.Float64bits, and it
 // is what lets internal/core swap a kernel into MaxInteractionPath or
 // LowerBound without perturbing a single figure CSV.
@@ -122,36 +123,19 @@ func MaxMinPlusRef(bi []float64, cs *FlatMatrix, jStart int, lb float64) float64
 // or -Inf when no entry qualifies. Negative ecc entries are the
 // "server has no clients" sentinel used throughout the repo. This is
 // Greedy's per-candidate-server m term (the paper's
-// max_b {d(s, sA(b)) + d(sA(b), b)}).
+// max_b {d(s, sA(b)) + d(sA(b), b)}). ecc is resliced to the row's
+// length once so the loop carries no per-entry bounds check.
 //
 //dialint:hotpath
 func MaxPlusSkip(row, ecc []float64) float64 {
-	n := len(row)
-	if n == 0 {
-		return math.Inf(-1)
-	}
-	ecc = ecc[:n]
+	ecc = ecc[:len(row)]
 	best := math.Inf(-1)
-	for i := 0; i < n; i++ {
+	for i, r := range row {
 		e := ecc[i]
 		if e < 0 {
 			continue
 		}
-		if v := row[i] + e; v > best {
-			best = v
-		}
-	}
-	return best
-}
-
-// MaxPlusSkipRef is the retained scalar reference for MaxPlusSkip.
-func MaxPlusSkipRef(row, ecc []float64) float64 {
-	best := math.Inf(-1)
-	for i := range row {
-		if ecc[i] < 0 {
-			continue
-		}
-		if v := row[i] + ecc[i]; v > best {
+		if v := r + e; v > best {
 			best = v
 		}
 	}
@@ -178,65 +162,14 @@ func EccInto(cs *FlatMatrix, a []int, ecc []float64) {
 	}
 }
 
-// EccIntoRef is the retained reference for EccInto.
-func EccIntoRef(cs *FlatMatrix, a []int, ecc []float64) {
-	for k := range ecc {
-		ecc[k] = -1
-	}
-	for i, s := range a {
-		if s < 0 {
-			continue
-		}
-		if d := cs.At(i, s); d > ecc[s] {
-			ecc[s] = d
-		}
-	}
-}
-
 // MaxPathEcc returns the maximum interaction-path length implied by
-// per-server eccentricities: max over server pairs (s, t), both with
-// ecc ≥ 0, of ecc[s] + ss[s][t] + ecc[t], including s = t. The result
-// is 0 when no server has clients (matching the evaluators it backs).
-//
-// The kernel first compacts the used servers into dense scratch arrays
-// so the pair loop runs over gap-free data — with U used servers out
-// of |S| the loop is U² tight iterations instead of |S|² sentinel
-// tests. scratch may be nil, in which case a pooled arena is used.
+// per-server eccentricities: max over server pairs (s, t), s ≤ t, both
+// with ecc ≥ 0, of ecc[s] + ss[s][t] + ecc[t], including s = t. The
+// result is 0 when no server has clients (matching the evaluators it
+// backs).
 //
 //dialint:hotpath
-func MaxPathEcc(ss *FlatMatrix, ecc []float64, scratch *Scratch) float64 {
-	s := scratch
-	if s == nil {
-		s = GetScratch()
-		defer PutScratch(s)
-	}
-	su := s.Ints(len(ecc))
-	eu := s.Floats(len(ecc))
-	u := 0
-	for k, e := range ecc {
-		if e < 0 {
-			continue
-		}
-		su[u], eu[u] = k, e
-		u++
-	}
-	var best float64
-	for x := 0; x < u; x++ {
-		row := ss.Row(su[x])
-		ex := eu[x]
-		for y := x; y < u; y++ {
-			if v := ex + row[su[y]] + eu[y]; v > best {
-				best = v
-			}
-		}
-	}
-	return best
-}
-
-// MaxPathEccRef is the retained reference for MaxPathEcc: the direct
-// double loop over all server pairs with sentinel tests, exactly as
-// core.Evaluator.recompute was written before perfkit.
-func MaxPathEccRef(ss *FlatMatrix, ecc []float64) float64 {
+func MaxPathEcc(ss *FlatMatrix, ecc []float64) float64 {
 	ns := len(ecc)
 	var best float64
 	for s := 0; s < ns; s++ {
@@ -322,26 +255,6 @@ func NearestInto(cs *FlatMatrix, out []int) {
 		for k := 1; k < len(row); k++ {
 			if row[k] < bv {
 				best, bv = k, row[k]
-			}
-		}
-		out[i] = best
-	}
-}
-
-// NearestIntoRef is the retained reference for NearestInto, written
-// the way assign.NearestServer's scan was: re-reading row[best] on
-// every comparison.
-func NearestIntoRef(cs *FlatMatrix, out []int) {
-	for i := 0; i < cs.Rows(); i++ {
-		row := cs.Row(i)
-		if len(row) == 0 {
-			out[i] = -1
-			continue
-		}
-		best := 0
-		for k := 1; k < len(row); k++ {
-			if row[k] < row[best] {
-				best = k
 			}
 		}
 		out[i] = best

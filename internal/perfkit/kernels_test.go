@@ -3,6 +3,7 @@ package perfkit
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -98,30 +99,49 @@ func TestMaxMinPlusDifferential(t *testing.T) {
 	}
 }
 
+// TestMaxPlusSkipDifferential checks MaxPlusSkip against the maximum
+// taken over the qualifying (ecc ≥ 0) positions gathered first, plus
+// the fixed expectations: sentinel entries never contribute, and an
+// empty or all-sentinel input yields -Inf.
 func TestMaxPlusSkipDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 200; trial++ {
 		n := rng.Intn(100)
 		row := make([]float64, n)
 		ecc := make([]float64, n)
+		var used []int
 		for i := range row {
 			row[i] = rng.Float64() * 300
 			if rng.Float64() < 0.3 {
 				ecc[i] = -1 // empty-server sentinel
 			} else {
 				ecc[i] = rng.Float64() * 200
+				used = append(used, i)
 			}
 		}
-		got, want := MaxPlusSkip(row, ecc), MaxPlusSkipRef(row, ecc)
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("n=%d: MaxPlusSkip = %v, ref = %v", n, got, want)
+		want := math.Inf(-1)
+		for _, i := range used {
+			want = math.Max(want, row[i]+ecc[i])
 		}
+		if got := MaxPlusSkip(row, ecc); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("n=%d: MaxPlusSkip = %v, want %v", n, got, want)
+		}
+	}
+	// The sentinel's row entry is the largest, yet it never counts.
+	if got := MaxPlusSkip([]float64{1, 500, 2}, []float64{10, -1, 3}); got != 11 {
+		t.Fatalf("MaxPlusSkip skipped the wrong entry: %v, want 11", got)
 	}
 	if got := MaxPlusSkip(nil, nil); !math.IsInf(got, -1) {
 		t.Fatalf("MaxPlusSkip(empty) = %v, want -Inf", got)
 	}
+	if got := MaxPlusSkip([]float64{4, 5}, []float64{-1, -1}); !math.IsInf(got, -1) {
+		t.Fatalf("MaxPlusSkip(all sentinel) = %v, want -Inf", got)
+	}
 }
 
+// TestEccIntoDifferential checks EccInto against eccentricities built
+// server by server (the maximum over the clients on each server), and
+// that unassigned (-1) clients are ignored and empty servers read -1.
 func TestEccIntoDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 100; trial++ {
@@ -129,41 +149,78 @@ func TestEccIntoDifferential(t *testing.T) {
 		cs := randMatrix(rng, nc, ns, false)
 		a := randAssignment(rng, nc, ns, 0.2)
 		got := make([]float64, ns)
-		want := make([]float64, ns)
 		EccInto(cs, a, got)
-		EccIntoRef(cs, a, want)
 		for k := range got {
-			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
-				t.Fatalf("ecc[%d] = %v, ref %v", k, got[k], want[k])
+			want := -1.0
+			for i, s := range a {
+				if s == k {
+					want = math.Max(want, cs.At(i, k))
+				}
+			}
+			if math.Float64bits(got[k]) != math.Float64bits(want) {
+				t.Fatalf("ecc[%d] = %v, want %v", k, got[k], want)
 			}
 		}
+	}
+	cs := NewFlatMatrix(3, 2)
+	for i, row := range [][]float64{{5, 9}, {7, 1}, {8, 8}} {
+		copy(cs.Row(i), row)
+	}
+	ecc := []float64{42, 42}
+	EccInto(cs, []int{0, -1, -1}, ecc)
+	if ecc[0] != 5 || ecc[1] != -1 {
+		t.Fatalf("EccInto with unassigned clients = %v, want [5 -1]", ecc)
 	}
 }
 
+// TestMaxPathEccDifferential checks MaxPathEcc, fed by EccInto, against
+// the direct client-pair maximum it decomposes (to 1e-9: the pair loop
+// may add a cross-server path's endpoints in the other order), and the
+// fixed expectations: no used server gives 0, and sentinel servers
+// never contribute.
 func TestMaxPathEccDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 150; trial++ {
-		ns := 1 + rng.Intn(40)
+		nc, ns := 1+rng.Intn(60), 1+rng.Intn(40)
+		cs := randMatrix(rng, nc, ns, false)
 		ss := randMatrix(rng, ns, ns, true)
+		a := randAssignment(rng, nc, ns, 0.2)
 		ecc := make([]float64, ns)
-		for k := range ecc {
-			if rng.Float64() < 0.35 {
-				ecc[k] = -1
-			} else {
-				ecc[k] = rng.Float64() * 150
-			}
-		}
-		got := MaxPathEcc(ss, ecc, nil)
-		want := MaxPathEccRef(ss, ecc)
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("ns=%d: MaxPathEcc = %v, ref = %v", ns, got, want)
+		EccInto(cs, a, ecc)
+		got, want := MaxPathEcc(ss, ecc), directMaxPath(cs, ss, a)
+		if math.Abs(got-want) > 1e-9 {
+			t.Fatalf("nc=%d ns=%d: MaxPathEcc = %v, direct pair loop %v", nc, ns, got, want)
 		}
 	}
-	// All-empty must yield the evaluators' zero default.
 	ss := randMatrix(rand.New(rand.NewSource(5)), 4, 4, true)
-	if got := MaxPathEcc(ss, []float64{-1, -1, -1, -1}, nil); got != 0 {
+	if got := MaxPathEcc(ss, []float64{-1, -1, -1, -1}); got != 0 {
 		t.Fatalf("MaxPathEcc(all empty) = %v, want 0", got)
 	}
+	// Server 1 alone is used: D is its diagonal, 2·ecc, whatever the
+	// far-away sentinel servers' table entries say.
+	if got := MaxPathEcc(ss, []float64{-1, 3, -1, -1}); got != 6 {
+		t.Fatalf("MaxPathEcc(one used server) = %v, want 6", got)
+	}
+}
+
+// directMaxPath is D by definition: the maximum over assigned client
+// pairs i ≤ j of d(i, s_i) + d(s_i, s_j) + d(s_j, j), 0 with none.
+func directMaxPath(cs, ss *FlatMatrix, a []int) float64 {
+	var best float64
+	for i := range a {
+		if a[i] < 0 {
+			continue
+		}
+		for j := i; j < len(a); j++ {
+			if a[j] < 0 {
+				continue
+			}
+			if v := cs.At(i, a[i]) + ss.At(a[i], a[j]) + cs.At(j, a[j]); v > best {
+				best = v
+			}
+		}
+	}
+	return best
 }
 
 func TestMaxPathPairsDifferential(t *testing.T) {
@@ -176,20 +233,7 @@ func TestMaxPathPairsDifferential(t *testing.T) {
 
 		// Reference: direct enumeration with sentinel branches, the
 		// shape core.MaxPathNaive had before perfkit.
-		var want float64
-		for i := 0; i < nc; i++ {
-			if a[i] < 0 {
-				continue
-			}
-			for j := i; j < nc; j++ {
-				if a[j] < 0 {
-					continue
-				}
-				if v := cs.At(i, a[i]) + ss.At(a[i], a[j]) + cs.At(j, a[j]); v > want {
-					want = v
-				}
-			}
-		}
+		want := directMaxPath(cs, ss, a)
 
 		dc := make([]float64, nc)
 		srv := make([]int, nc)
@@ -215,6 +259,10 @@ func TestMaxPathPairsDifferential(t *testing.T) {
 	}
 }
 
+// TestNearestIntoDifferential checks NearestInto against the first
+// server of each row sorted by (latency, index), and the fixed
+// expectations: exact ties go to the lowest index, and an empty row
+// gives -1.
 func TestNearestIntoDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 100; trial++ {
@@ -226,13 +274,30 @@ func TestNearestIntoDifferential(t *testing.T) {
 			cs.Set(0, ns-1, 7)
 		}
 		got := make([]int, nc)
-		want := make([]int, nc)
 		NearestInto(cs, got)
-		NearestIntoRef(cs, want)
+		order := make([]int, ns)
 		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("client %d: NearestInto = %d, ref = %d", i, got[i], want[i])
+			row := cs.Row(i)
+			for k := range order {
+				order[k] = k
+			}
+			sort.SliceStable(order, func(x, y int) bool { return row[order[x]] < row[order[y]] })
+			if got[i] != order[0] {
+				t.Fatalf("client %d: NearestInto = %d, want %d", i, got[i], order[0])
 			}
 		}
+	}
+	cs := NewFlatMatrix(2, 4)
+	copy(cs.Row(0), []float64{9, 3, 5, 3})
+	copy(cs.Row(1), []float64{2, 2, 2, 2})
+	out := make([]int, 2)
+	NearestInto(cs, out)
+	if out[0] != 1 || out[1] != 0 {
+		t.Fatalf("NearestInto ties = %v, want [1 0]", out)
+	}
+	empty := NewFlatMatrix(2, 0)
+	NearestInto(empty, out)
+	if out[0] != -1 || out[1] != -1 {
+		t.Fatalf("NearestInto on empty rows = %v, want [-1 -1]", out)
 	}
 }

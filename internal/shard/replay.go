@@ -9,6 +9,7 @@ import (
 	"diacap/internal/dynamic"
 	"diacap/internal/latency"
 	"diacap/internal/obs"
+	"diacap/internal/perfkit"
 )
 
 // NewFromPopulation builds a plane over a scenario population: the
@@ -86,7 +87,7 @@ func (p *Plane) resliceLocked(m latency.Matrix) error {
 		// The fresh evaluator dropped the previous delta hook; reattach.
 		p.installHooks(sh)
 	}
-	p.ss = m.Submatrix(p.serverNodes)
+	p.ss = perfkit.FromRows(m.Submatrix(p.serverNodes))
 	return nil
 }
 

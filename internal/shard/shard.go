@@ -9,13 +9,13 @@
 // The global objective survives the partition exactly: every shard
 // shares the full server set, a server's true eccentricity is the max
 // of its per-shard eccentricities (a max over a disjoint union is the
-// max of the per-part maxima, float-exactly), and D is the canonical
-// pair scan over those merged eccentricities — bit-identical to a
-// single evaluator over the unpartitioned world. Alongside the exact D
-// the plane maintains a certified upper bound from cell-level summaries
-// in the style of internal/scale's expansion bound: each client's
-// distance to its server is over-approximated by its cell
-// representative's distance plus the cell radius ρ, so
+// max of the per-part maxima, float-exactly), and D is the
+// perfkit.MaxPathEcc pair scan over those merged eccentricities —
+// bit-identical to a single evaluator over the unpartitioned world.
+// Alongside the exact D the plane maintains a certified upper bound
+// from cell-level summaries in the style of internal/scale's expansion
+// bound: each client's distance to its server is over-approximated by
+// its cell representative's distance plus the cell radius ρ, so
 // D ≤ CertifiedD ≤ D + 4·max ρ (2·max ρ per pair endpoint) without
 // ever touching per-client state.
 //
@@ -38,6 +38,7 @@ import (
 	"diacap/internal/dynamic"
 	"diacap/internal/latency"
 	"diacap/internal/obs"
+	"diacap/internal/perfkit"
 	"diacap/internal/scale"
 )
 
@@ -124,8 +125,9 @@ type Plane struct {
 	clientCell  []int
 	// ss is the server-server latency table (CoordsToMatrix over the
 	// server coordinates, so entries are bit-identical to every shard
-	// sub-instance's ServerServerDist).
-	ss latency.Matrix
+	// sub-instance's ServerServerDist) in the flat layout publish's
+	// perfkit.MaxPathEcc scan reads.
+	ss *perfkit.FlatMatrix
 	// repDist[j][k] is the certified distance bound base: latency from
 	// cell j's representative to server k.
 	repDist [][]float64
@@ -251,7 +253,7 @@ func New(opts Options) (*Plane, error) {
 		clientShard: make([]int, len(opts.Clients)),
 		clientLocal: make([]int, len(opts.Clients)),
 		clientCell:  make([]int, len(opts.Clients)),
-		ss:          latency.CoordsToMatrix(opts.Servers),
+		ss:          perfkit.FromRows(latency.CoordsToMatrix(opts.Servers)),
 		repDist:     make([][]float64, len(cells)),
 		alive:       make([]bool, len(opts.Servers)),
 		met:         newPlaneMetrics(opts.Metrics),

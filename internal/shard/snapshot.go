@@ -8,6 +8,7 @@ import (
 
 	"diacap/internal/core"
 	"diacap/internal/obs"
+	"diacap/internal/perfkit"
 )
 
 // ErrStaleEpoch reports a snapshot read that named an epoch other than
@@ -156,8 +157,8 @@ func (p *Plane) publishLocked(ctx context.Context) *Snapshot {
 			}
 		}
 	}
-	snap.D = eccPairMax(p.ss, ecc)
-	snap.CertifiedD = eccPairMax(p.ss, bound)
+	snap.D = perfkit.MaxPathEcc(p.ss, ecc)
+	snap.CertifiedD = perfkit.MaxPathEcc(p.ss, bound)
 	p.snap.Store(snap)
 	p.met.published(snap, time.Since(start).Seconds())
 	// Guarded so an uninstrumented publish skips attr rendering: both
@@ -247,29 +248,6 @@ func (sh *shardState) rebuildSummary(p *Plane) {
 		}
 	}
 	sh.summary = sum
-}
-
-// eccPairMax is the canonical eccentricity pair scan (the scalar form
-// of perfkit.MaxPathEcc, same association and comparison order): max
-// over used server pairs k ≤ l of ecc[k] + ss[k][l] + ecc[l]. It is
-// bit-identical to Evaluator.D over the same eccentricities.
-func eccPairMax(ss [][]float64, ecc []float64) float64 {
-	var max float64
-	for k := range ecc {
-		if ecc[k] < 0 {
-			continue
-		}
-		row := ss[k]
-		for l := k; l < len(ecc); l++ {
-			if ecc[l] < 0 {
-				continue
-			}
-			if v := ecc[k] + row[l] + ecc[l]; v > max {
-				max = v
-			}
-		}
-	}
-	return max
 }
 
 // CertGap returns the published certified-bound slack CertifiedD - D,
