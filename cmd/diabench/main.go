@@ -93,13 +93,14 @@ func suite() []benchmark {
 		},
 		{
 			name:     "incremental_d/meridian",
-			workload: "per-event D maintenance under churn: incremental engine vs eccentricity repair + full pair recompute, Meridian scale (1796 clients, 80 servers)",
+			workload: "per-event D maintenance under churn: incremental engine vs from-scratch MaxInteractionPath over the same assignment, Meridian scale (1796 clients, 80 servers)",
 			setup: func() (func() float64, func() float64) {
 				in := buildInstance(latency.MeridianLike(1), 80)
 				a := randomAssignment(in, 99)
-				// One shared cyclic churn tape: both evaluators replay
-				// the same migrations from the same initial assignment,
-				// so per-event work differs only in how D is maintained.
+				// One shared cyclic churn tape: the evaluator and the
+				// plain assignment replay the same migrations from the
+				// same initial assignment, so per-event work differs only
+				// in how D is maintained.
 				const tapeLen = 4096
 				rng := rand.New(rand.NewSource(7))
 				tapeClient := make([]int, tapeLen)
@@ -108,22 +109,19 @@ func suite() []benchmark {
 					tapeClient[i] = rng.Intn(in.NumClients())
 					tapeServer[i] = rng.Intn(in.NumServers())
 				}
-				newEval := func() *core.Evaluator {
-					ev, err := in.NewEvaluator(a)
-					if err != nil {
-						panic(err)
-					}
-					return ev
+				ev, err := in.NewEvaluator(a)
+				if err != nil {
+					panic(err)
 				}
-				evInc, evRef := newEval(), newEval()
-				evInc.EnableIncremental()
+				ref := a.Clone()
 				i, j := 0, 0
 				return func() float64 {
-						d := evInc.Move(tapeClient[i], tapeServer[i])
+						d := ev.Move(tapeClient[i], tapeServer[i])
 						i = (i + 1) % tapeLen
 						return d
 					}, func() float64 {
-						d := evRef.Move(tapeClient[j], tapeServer[j])
+						ref[tapeClient[j]] = tapeServer[j]
+						d := in.MaxInteractionPath(ref)
 						j = (j + 1) % tapeLen
 						return d
 					}

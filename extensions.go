@@ -91,7 +91,7 @@ func VivaldiRelativeErrors(est, truth Matrix) ([]float64, error) {
 // Incremental evaluation.
 
 // NewEvaluator builds an incremental D evaluator over the assignment; see
-// core.Evaluator for the O(|S|) move operations online systems need.
+// core.Evaluator for its moves and closed-form PeekJoin pricing.
 func NewEvaluator(in *Instance, a Assignment) (*core.Evaluator, error) {
 	return in.NewEvaluator(a)
 }

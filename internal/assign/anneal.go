@@ -96,7 +96,8 @@ func (an Anneal) Assign(in *core.Instance, caps core.Capacities) (core.Assignmen
 			temp *= cool
 			continue
 		}
-		nd := ev.PeekMove(c, s)
+		ev.Move(c, core.Unassigned)
+		nd := ev.PeekJoin(c, s)
 		if nd <= d || rng.Float64() < math.Exp((d-nd)/temp) {
 			ev.Move(c, s)
 			d = nd
@@ -111,6 +112,8 @@ func (an Anneal) Assign(in *core.Instance, caps core.Capacities) (core.Assignmen
 				bestD = d
 				best = ev.Assignment()
 			}
+		} else {
+			ev.Move(c, cur)
 		}
 		temp *= cool
 	}

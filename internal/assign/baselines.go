@@ -162,36 +162,47 @@ func (l LocalSearch) Assign(in *core.Instance, caps core.Capacities) (core.Assig
 	if err != nil {
 		return nil, err
 	}
-	nc, ns := in.NumClients(), in.NumServers()
 	rounds := l.MaxRounds
 	if rounds <= 0 {
-		rounds = nc
+		rounds = in.NumClients()
 	}
-	d := ev.D()
 	for round := 0; round < rounds; round++ {
-		bestC, bestS, bestD := -1, -1, d
-		for c := 0; c < nc; c++ {
-			cur := ev.ServerOf(c)
-			// Only clients on a longest path can lower D by moving.
-			if ev.MaxPathInvolving(c) < d-eps {
-				continue
-			}
-			for s := 0; s < ns; s++ {
-				if s == cur {
-					continue
-				}
-				if caps != nil && ev.Load(s) >= caps[s] {
-					continue
-				}
-				if nd := ev.PeekMove(c, s); nd < bestD-eps {
-					bestC, bestS, bestD = c, s, nd
-				}
-			}
-		}
-		if bestC == -1 {
+		c, s, _ := BestMove(ev, caps)
+		if c == -1 {
 			break
 		}
-		d = ev.Move(bestC, bestS)
+		ev.Move(c, s)
 	}
 	return ev.Assignment(), nil
+}
+
+// BestMove returns the single-client move (c to s) that lowers ev's D
+// by more than eps, and the D it gives, or (-1, -1, ev.D()) when none
+// does. Only clients on a longest path can lower D by moving, so only
+// they are tried: each is detached once, every other server with room
+// under caps is priced with ev.PeekJoin, and the client is put back.
+// A candidate replaces the incumbent only when it beats it by more
+// than eps, so ties go to the lowest client, then the lowest server.
+// The evaluator's assignment and D are unchanged on return.
+func BestMove(ev *core.Evaluator, caps core.Capacities) (c, s int, d float64) {
+	in := ev.Instance()
+	d0 := ev.D()
+	c, s, d = -1, -1, d0
+	for i := 0; i < in.NumClients(); i++ {
+		cur := ev.ServerOf(i)
+		if cur == core.Unassigned || ev.MaxPathInvolving(i) < d0-eps {
+			continue
+		}
+		ev.Move(i, core.Unassigned)
+		for k := 0; k < in.NumServers(); k++ {
+			if k == cur || caps != nil && ev.Load(k) >= caps[k] {
+				continue
+			}
+			if nd := ev.PeekJoin(i, k); nd < d-eps {
+				c, s, d = i, k, nd
+			}
+		}
+		ev.Move(i, cur)
+	}
+	return c, s, d
 }

@@ -702,3 +702,114 @@ func mustInstance(t *testing.T, m latency.Matrix, ns int) *core.Instance {
 	}
 	return in
 }
+
+// bestMoveReference is the best-single-move scan LocalSearch and
+// GreedyJoinRepair each ran before BestMove, kept as its differential
+// reference: every candidate is priced by moving the client there and
+// back.
+func bestMoveReference(ev *core.Evaluator, caps core.Capacities) (int, int, float64) {
+	in := ev.Instance()
+	d := ev.D()
+	bestC, bestS, bestD := -1, -1, d
+	for c := 0; c < in.NumClients(); c++ {
+		cur := ev.ServerOf(c)
+		if cur == core.Unassigned {
+			continue
+		}
+		if ev.MaxPathInvolving(c) < d-eps {
+			continue // not on a longest path
+		}
+		for k := 0; k < in.NumServers(); k++ {
+			if k == cur {
+				continue
+			}
+			if caps != nil && ev.Load(k) >= caps[k] {
+				continue
+			}
+			nd := ev.Move(c, k)
+			ev.Move(c, cur)
+			if nd < bestD-eps {
+				bestC, bestS, bestD = c, k, nd
+			}
+		}
+	}
+	return bestC, bestS, bestD
+}
+
+// TestBestMoveDifferential pins BestMove to bestMoveReference along a
+// best-move descent over the unit-weight differentialCases, with no
+// capacities, exact ones and slack ones: every step must pick the same
+// (client, server) with a bit-equal D, and BestMove must leave the
+// evaluator's D, assignment and eccentricities as it found them. Each
+// case descends from Nearest-Server (every client placed) and from a
+// random partial assignment within the capacities (the churn case).
+func TestBestMoveDifferential(t *testing.T) {
+	for _, tc := range differentialCases(t) {
+		if tc.weights != nil {
+			continue
+		}
+		nc, ns := tc.in.NumClients(), tc.in.NumServers()
+		total := 0
+		for _, c := range tc.caps {
+			total += c
+		}
+		if tc.caps != nil && total < nc {
+			continue // infeasible: no start respects the capacities
+		}
+		nearest, err := NearestServer{}.Assign(tc.in, tc.caps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(nc*ns + total)))
+		partial := core.NewAssignment(nc)
+		loads := make([]int, ns)
+		for i := range partial {
+			if k := rng.Intn(ns); rng.Float64() < 0.7 && (tc.caps == nil || loads[k] < tc.caps[k]) {
+				partial[i] = k
+				loads[k]++
+			}
+		}
+		for _, start := range []struct {
+			label string
+			a     core.Assignment
+		}{{"nearest", nearest}, {"partial", partial}} {
+			ev, err := tc.in.NewEvaluator(start.a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := tc.in.NewEvaluator(start.a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for step := 0; step < 50; step++ {
+				d, a := ev.D(), ev.Assignment()
+				ecc := make([]float64, ns)
+				for k := range ecc {
+					ecc[k] = ev.Eccentricity(k)
+				}
+				wantC, wantS, wantD := bestMoveReference(ref, tc.caps)
+				c, s, gotD := BestMove(ev, tc.caps)
+				where := fmt.Sprintf("%s, %s start, step %d", tc.name, start.label, step)
+				if c != wantC || s != wantS {
+					t.Fatalf("%s: move (%d,%d), reference (%d,%d)", where, c, s, wantC, wantS)
+				}
+				if math.Float64bits(gotD) != math.Float64bits(wantD) {
+					t.Fatalf("%s: D %v, reference %v", where, gotD, wantD)
+				}
+				if math.Float64bits(ev.D()) != math.Float64bits(d) || !reflect.DeepEqual(ev.Assignment(), a) {
+					t.Fatalf("%s: BestMove changed the evaluator's D or assignment", where)
+				}
+				for k := range ecc {
+					if math.Float64bits(ev.Eccentricity(k)) != math.Float64bits(ecc[k]) {
+						t.Fatalf("%s: BestMove changed ecc(%d): %v -> %v", where, k, ecc[k], ev.Eccentricity(k))
+					}
+				}
+				if c == -1 {
+					break
+				}
+				ev.Move(c, s)
+				ref.Move(c, s)
+			}
+		}
+	}
+}

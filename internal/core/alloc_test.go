@@ -8,11 +8,13 @@ import (
 	"diacap/internal/testkit"
 )
 
-// The Apply* delta path (applyTracked → moveIncremental) is annotated
-// //dialint:hotpath: churn events fire on every live join/leave/migrate
+// The Apply* delta path (applyTracked → moveIncremental) and PeekJoin
+// are annotated //dialint:hotpath: churn events fire on every live
+// join/leave/migrate, each join is priced by one PeekJoin per server,
 // and a control plane sustains thousands per second. Once the
 // incremental engine's heaps have grown to steady state, a migrate must
-// not allocate — with or without a delta hook installed.
+// not allocate — with or without a delta hook installed — and a peek
+// never does.
 func TestApplyMoveZeroAlloc(t *testing.T) {
 	if testkit.RaceEnabled {
 		t.Skip("allocation counts include race-detector bookkeeping")
@@ -26,7 +28,6 @@ func TestApplyMoveZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev.EnableIncremental()
 	for c := 0; c < in.NumClients(); c++ {
 		if _, err := ev.ApplyJoin(c, c%in.NumServers()); err != nil {
 			t.Fatal(err)
@@ -65,5 +66,19 @@ func TestApplyMoveZeroAlloc(t *testing.T) {
 	}
 	if events == 0 {
 		t.Fatal("delta hook never fired")
+	}
+
+	// PeekJoin prices every join the control plane places: detach one
+	// client and peek it onto each server in turn.
+	if _, err := ev.ApplyLeave(1); err != nil {
+		t.Fatal(err)
+	}
+	k := 0
+	peek := func() {
+		ev.PeekJoin(1, k)
+		k = (k + 1) % in.NumServers()
+	}
+	if avg := testing.AllocsPerRun(500, peek); avg != 0 {
+		t.Errorf("PeekJoin allocates %.2f times per run, want 0", avg)
 	}
 }

@@ -3,21 +3,17 @@ package core
 import (
 	"fmt"
 	"math"
-
-	"diacap/internal/perfkit"
 )
 
 // Evaluator maintains the maximum interaction-path length D of an
-// assignment under incremental client moves. A move costs O(|S| + R)
-// where R is the size of the moved client's old server (for eccentricity
-// repair), against O(|C| + U²) for a from-scratch MaxInteractionPath —
-// the difference matters for local-search algorithms that try thousands
-// of moves (TwoPhase, the ablation studies, and external users doing
-// online reassignment as clients join and leave).
-//
-// The evaluator tracks, per server, a multiset of client distances (via
-// counts) so eccentricities can be repaired exactly when the farthest
-// client leaves.
+// assignment under incremental client moves. Per-server eccentricities
+// are backed by distance heaps and D by cached per-server best pair
+// values (see incState), so a move costs O(log |C|) heap work plus
+// O(U) amortized pair repairs for U used servers, against O(|C| + U²)
+// for a from-scratch MaxInteractionPath — the difference matters for
+// local-search algorithms that try thousands of moves and for control
+// planes that apply one churn event at a time. PeekJoin prices a
+// placement in closed form without mutating anything.
 type Evaluator struct {
 	in *Instance
 	a  Assignment
@@ -28,12 +24,8 @@ type Evaluator struct {
 	ecc []float64
 	// d = current maximum interaction-path length.
 	d float64
-	// dirty marks that d must be recomputed (after a move that could
-	// lower D, a full pair scan over used servers is needed anyway).
-	dirty bool
-	// inc, when non-nil, maintains D incrementally (heap-backed
-	// eccentricities plus cached pair maxima) instead of through
-	// recompute. See EnableIncremental.
+	// inc maintains D incrementally: heap-backed eccentricities plus
+	// cached pair maxima.
 	inc *incState
 	// stats counts the work performed, split by kind (see
 	// EvaluatorStats).
@@ -47,7 +39,8 @@ type Evaluator struct {
 
 // NewEvaluator builds an evaluator over a copy of the assignment (the
 // caller's slice is not retained). Partial assignments are allowed;
-// unassigned clients contribute nothing until Assign-ed.
+// unassigned clients contribute nothing until Assign-ed. Building the
+// engine costs O(|C| log |C| + U²).
 func (in *Instance) NewEvaluator(a Assignment) (*Evaluator, error) {
 	if len(a) != in.NumClients() {
 		return nil, fmt.Errorf("%w: length %d, want %d", ErrInvalidAssignment, len(a), in.NumClients())
@@ -62,8 +55,9 @@ func (in *Instance) NewEvaluator(a Assignment) (*Evaluator, error) {
 		a:     a.Clone(),
 		loads: in.Loads(a),
 		ecc:   in.Eccentricities(a),
-		dirty: true,
 	}
+	ev.inc = newIncState(ev)
+	ev.d = ev.inc.currentD()
 	return ev, nil
 }
 
@@ -88,23 +82,11 @@ func (ev *Evaluator) Load(s int) int { return ev.loads[s] }
 func (ev *Evaluator) Eccentricity(s int) float64 { return ev.ecc[s] }
 
 // D returns the current maximum interaction-path length.
-func (ev *Evaluator) D() float64 {
-	if ev.dirty {
-		ev.recompute()
-	}
-	return ev.d
-}
-
-// recompute rebuilds D from the per-server eccentricities with the
-// perfkit.MaxPathEcc pair scan.
-func (ev *Evaluator) recompute() {
-	ev.stats.Recomputes++
-	ev.d = perfkit.MaxPathEcc(ev.in.ssF, ev.ecc)
-	ev.dirty = false
-}
+func (ev *Evaluator) D() float64 { return ev.d }
 
 // Move reassigns client c to server s (s may be Unassigned to remove the
-// client) and returns the new D.
+// client) and returns the new D. Moving a client to its current server
+// is a no-op that performs no repair work.
 func (ev *Evaluator) Move(c, s int) float64 {
 	if c < 0 || c >= len(ev.a) {
 		panic(fmt.Sprintf("core: Move client %d out of range", c))
@@ -112,54 +94,60 @@ func (ev *Evaluator) Move(c, s int) float64 {
 	if s != Unassigned && (s < 0 || s >= ev.in.NumServers()) {
 		panic(fmt.Sprintf("core: Move to server %d out of range", s))
 	}
-	old := ev.a[c]
-	if old == s {
-		// No-op move: the assignment is unchanged, so D is too. Return
-		// the cached value without marking state dirty — a recompute here
-		// would be O(U²) for nothing (see TestEvaluatorNoOpMoveDoesNoWork).
-		return ev.D()
-	}
-	if ev.inc != nil {
-		return ev.moveIncremental(c, s)
-	}
-	if old != Unassigned {
-		ev.loads[old]--
-		// Repair the old server's eccentricity if c could have defined it.
-		if ev.in.cs[c][old] >= ev.ecc[old]-1e-15 {
-			ev.stats.EccScans++
-			ev.ecc[old] = -1
-			for j, sj := range ev.a {
-				if j != c && sj == old {
-					if v := ev.in.cs[j][old]; v > ev.ecc[old] {
-						ev.ecc[old] = v
-					}
-				}
-			}
-		}
-	}
-	ev.a[c] = s
-	if s != Unassigned {
-		ev.loads[s]++
-		if v := ev.in.cs[c][s]; v > ev.ecc[s] {
-			ev.ecc[s] = v
-		}
-	}
-	ev.dirty = true
-	return ev.D()
+	return ev.moveIncremental(c, s)
 }
 
-// PeekMove returns the D that Move(c, s) would produce, without changing
-// state. It is O(U) when the move cannot shrink any eccentricity, and
-// falls back to a scan otherwise. Peeking a client's current server is
-// answered from the cached D without any repair work.
-func (ev *Evaluator) PeekMove(c, s int) float64 {
-	cur := ev.a[c]
-	if cur == s {
-		return ev.D()
+// PeekJoin returns the D that placing the unassigned client c on server
+// k would produce — bit-equal to what Move(c, k) then returns — without
+// changing any state. It is the paper's Distributed-Greedy quantity in
+// closed form: with dk = d(c,k), the placement raises ecc(k) to dk when
+// dk exceeds it, so the new D is the max of the current D, c's path to
+// itself (dk + d(k,k) + dk), and ecc(t) + d(t,k) + dk over the other
+// used servers t. O(1) when dk ≤ ecc(k) (no pair changes), O(U)
+// otherwise.
+//
+// Each term is summed in pairPath's lower-index-first order, the order
+// perfkit.MaxPathEcc uses, so it is bit-identical to the pair value the
+// engine would maintain after the move. Old pairs through k need no
+// retraction: float64 addition is monotone, so the raised eccentricity
+// dominates each of them, and max does not depend on order. Moving an
+// assigned client is the same scan after one real detach
+// (Move(c, Unassigned)); PeekJoin panics on an assigned client.
+//
+//dialint:hotpath
+func (ev *Evaluator) PeekJoin(c, k int) float64 {
+	if ev.a[c] != Unassigned {
+		peekAssignedPanic(c, ev.a[c])
 	}
-	d := ev.Move(c, s)
-	ev.Move(c, cur)
-	return d
+	dk := ev.in.cs[c][k]
+	if dk <= ev.ecc[k] {
+		return ev.d
+	}
+	ss := ev.in.ss
+	best := ev.d
+	if v := dk + ss[k][k] + dk; v > best {
+		best = v
+	}
+	for _, t := range ev.inc.used {
+		var v float64
+		switch {
+		case t < k:
+			v = ev.ecc[t] + ss[t][k] + dk
+		case t > k:
+			v = dk + ss[k][t] + ev.ecc[t]
+		default:
+			continue
+		}
+		if v > best {
+			best = v
+		}
+	}
+	return best
+}
+
+// peekAssignedPanic keeps the formatting off PeekJoin's hot path.
+func peekAssignedPanic(c, s int) {
+	panic(fmt.Sprintf("core: PeekJoin of client %d, already on server %d", c, s))
 }
 
 // MaxPathInvolving returns the length of the longest interaction path

@@ -71,19 +71,19 @@ func TestEvaluatorBasics(t *testing.T) {
 	}
 }
 
-func TestEvaluatorPeekMoveDoesNotMutate(t *testing.T) {
+func TestEvaluatorPeekJoinDoesNotMutate(t *testing.T) {
 	in := smallInstance(t)
-	ev, err := in.NewEvaluator(Assignment{0, 1, 1})
+	ev, err := in.NewEvaluator(Assignment{0, Unassigned, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := ev.D()
-	peek := ev.PeekMove(1, 0)
+	peek := ev.PeekJoin(1, 0)
 	if ev.D() != before {
-		t.Fatalf("PeekMove mutated D: %v -> %v", before, ev.D())
+		t.Fatalf("PeekJoin mutated D: %v -> %v", before, ev.D())
 	}
-	if ev.ServerOf(1) != 1 {
-		t.Fatal("PeekMove moved the client")
+	if ev.ServerOf(1) != Unassigned || ev.Load(0) != 1 {
+		t.Fatal("PeekJoin placed the client")
 	}
 	// And the peeked value matches an actual move.
 	if got := ev.Move(1, 0); got != peek {
@@ -167,6 +167,7 @@ func TestEvaluatorValidation(t *testing.T) {
 	for _, fn := range []func(){
 		func() { ev.Move(-1, 0) },
 		func() { ev.Move(0, 7) },
+		func() { ev.PeekJoin(0, 1) }, // client 0 is assigned
 	} {
 		func() {
 			defer func() {

@@ -19,25 +19,25 @@ var (
 )
 
 // EvaluatorStats counts the work the evaluator has performed, split by
-// kind. The counters separate the O(world) operations (full pair-scan
-// recomputes, linear eccentricity repair scans) from the bounded ones
-// (heap settles, per-server pair touches), so tests can assert that a
-// given operation sequence stayed on the incremental path — and that
-// no-op moves perform no repair work at all.
+// kind: heap settles and per-server pair touches are the bounded work,
+// pair rescans the O(U) repairs. Tests use the counters to assert that
+// a given operation sequence stayed cheap — and that no-op moves
+// perform no repair work at all.
 type EvaluatorStats struct {
-	// Recomputes counts full MaxPathEcc pair scans (legacy path only).
+	// Recomputes is always zero: D is never rebuilt by a full pair
+	// scan. The field stays because perfbench's churn pass reads it.
 	Recomputes int
-	// EccScans counts O(|C|) eccentricity repair scans (legacy path
-	// only).
+	// EccScans is always zero: eccentricities are repaired through the
+	// distance heaps, never by a client scan. The field stays because
+	// perfbench's churn pass reads it.
 	EccScans int
-	// HeapOps counts per-server distance-heap pushes and removals
-	// (incremental path).
+	// HeapOps counts per-server distance-heap pushes and removals.
 	HeapOps int
 	// PairTouches counts O(1) candidate updates of another server's
-	// cached best pair value (incremental path).
+	// cached best pair value.
 	PairTouches int
 	// PairRescans counts O(U) rebuilds of one server's best pair value
-	// (incremental path; needed when a cached witness goes stale).
+	// (needed when a cached witness goes stale).
 	PairRescans int
 }
 
@@ -93,24 +93,15 @@ func (ev *Evaluator) Stats() EvaluatorStats { return ev.stats }
 // ResetStats zeroes the work counters.
 func (ev *Evaluator) ResetStats() { ev.stats = EvaluatorStats{} }
 
-// IncrementalEnabled reports whether the evaluator maintains D with the
-// incremental engine.
-func (ev *Evaluator) IncrementalEnabled() bool { return ev.inc != nil }
-
-// EnableIncremental switches the evaluator to incremental D
-// maintenance: per-server eccentricities are backed by lazy-deletion
-// max-heaps over client distances, and D is maintained through cached
-// per-server best pair values under a lazy global max-heap, so a churn
-// event (join, leave, migrate) costs O(U + log) instead of the O(|C| +
-// U²) full rescan. The maintained D is bit-identical to what
-// recompute() produces for the same assignment (both take maxima over
-// the same canonical pair sums — see pairPath). Enabling is idempotent
-// and valid in any state; Move, ApplyJoin, ApplyLeave, ApplyMove, and
-// PeekMove all route through the engine once enabled.
-func (ev *Evaluator) EnableIncremental() {
-	if ev.inc != nil {
-		return
-	}
+// newIncState builds the incremental D engine over ev's assignment:
+// per-server eccentricities are backed by lazy-deletion max-heaps over
+// client distances, and D is maintained through cached per-server best
+// pair values under a lazy global max-heap, so a churn event (join,
+// leave, migrate) costs O(U + log) instead of an O(|C| + U²) rescan.
+// The maintained D is bit-identical to MaxInteractionPath for the same
+// assignment (both take maxima over the same canonical pair sums — see
+// pairPath).
+func newIncState(ev *Evaluator) *incState {
 	ns := ev.in.NumServers()
 	st := &incState{
 		ev:       ev,
@@ -137,14 +128,11 @@ func (ev *Evaluator) EnableIncremental() {
 	for _, s := range st.used {
 		st.rescan(s)
 	}
-	ev.inc = st
-	ev.d = st.currentD()
-	ev.dirty = false
+	return st
 }
 
 // ApplyJoin assigns the currently-unassigned client c to server s and
-// returns the new D. The evaluator switches to incremental maintenance
-// if it has not already.
+// returns the new D.
 func (ev *Evaluator) ApplyJoin(c, s int) (float64, error) {
 	if err := ev.checkDelta(c, s); err != nil {
 		return 0, err
@@ -155,7 +143,6 @@ func (ev *Evaluator) ApplyJoin(c, s int) (float64, error) {
 	if ev.a[c] != Unassigned {
 		return 0, fmt.Errorf("%w: join of client %d (on server %d)", ErrAlreadyAssigned, c, ev.a[c])
 	}
-	ev.EnableIncremental()
 	return ev.applyTracked("join", c, s), nil
 }
 
@@ -167,7 +154,6 @@ func (ev *Evaluator) ApplyLeave(c int) (float64, error) {
 	if ev.a[c] == Unassigned {
 		return 0, fmt.Errorf("%w: leave of client %d", ErrNotAssigned, c)
 	}
-	ev.EnableIncremental()
 	return ev.applyTracked("leave", c, Unassigned), nil
 }
 
@@ -184,7 +170,6 @@ func (ev *Evaluator) ApplyMove(c, s int) (float64, error) {
 	if ev.a[c] == Unassigned {
 		return 0, fmt.Errorf("%w: migrate of client %d", ErrNotAssigned, c)
 	}
-	ev.EnableIncremental()
 	return ev.applyTracked("move", c, s), nil
 }
 
@@ -198,7 +183,7 @@ func (ev *Evaluator) checkDelta(c, s int) error {
 	return nil
 }
 
-// moveIncremental is the incremental counterpart of Move: the affected
+// moveIncremental is Move without the range checks: the affected
 // servers' eccentricities are repaired through their distance heaps and
 // the global max is repaired through the cached pair values, with no
 // O(|C|) scan and no O(U²) pair walk.
@@ -239,7 +224,7 @@ func (ev *Evaluator) moveIncremental(c, s int) float64 {
 //
 //   - trackers[s] holds the multiset of distances from server s to its
 //     assigned clients; its max equals ev.ecc[s] bit-for-bit (-1 when
-//     empty, matching the legacy repair scan).
+//     empty, matching Instance.Eccentricities).
 //   - used lists exactly the servers with at least one client
 //     (ev.ecc[s] >= 0); usedPos is its inverse (-1 when unused).
 //   - For every used s, contrib[s] = max over used t of pairPath(s, t)
@@ -273,7 +258,7 @@ type topEntry struct {
 // pairPath returns the canonical interaction-path value for used
 // servers s and t: the lower-indexed server's eccentricity enters the
 // sum first, exactly as perfkit.MaxPathEcc associates it, so maxima
-// over these values are bit-identical to a full recompute.
+// over these values are bit-identical to MaxInteractionPath.
 func (st *incState) pairPath(s, t int) float64 {
 	if s > t {
 		s, t = t, s

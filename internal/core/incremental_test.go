@@ -2,13 +2,13 @@ package core_test
 
 // Differential battery for the incremental D engine: randomized
 // join/leave/migrate sequences where every step's D must be
-// bit-identical to the legacy evaluator (full recompute) and to the
-// scalar eccentricity reference, and must agree with the client-pair
-// walk MaxPathReference at the repo's 1e-9 cross-form tolerance (the
-// two decompositions associate the witness sum differently — see
-// differential_test.go). Per-server eccentricities and loads are also
-// checked bit-for-bit, because the shard plane reconciles the global D
-// from exactly those eccentricities.
+// bit-identical to the scalar eccentricity reference, and must agree
+// with the client-pair walk MaxPathReference at the repo's 1e-9
+// cross-form tolerance (the two decompositions associate the witness
+// sum differently — see differential_test.go). Per-server
+// eccentricities and loads are also checked bit-for-bit against
+// Instance.Eccentricities and Instance.Loads, because the shard plane
+// reconciles the global D from exactly those eccentricities.
 
 import (
 	"errors"
@@ -20,18 +20,28 @@ import (
 	"diacap/internal/latency"
 )
 
-// incCheck drives one randomized op sequence through an incremental
-// evaluator, cross-checking against a legacy evaluator replaying the
-// same moves. refEvery > 0 additionally checks eccPathReference and
-// MaxPathReference every refEvery ops.
+// checkEvaluatorState asserts that ev's D, eccentricities and loads
+// equal the from-scratch references over its assignment.
+func checkEvaluatorState(t *testing.T, label string, in *core.Instance, ev *core.Evaluator) {
+	t.Helper()
+	a := ev.Assignment()
+	checkBitsEqual(t, label+": D vs ecc reference", ev.D(), eccPathReference(in, a))
+	ecc, loads := in.Eccentricities(a), in.Loads(a)
+	for s := 0; s < in.NumServers(); s++ {
+		checkBitsEqual(t, label+": eccentricity", ev.Eccentricity(s), ecc[s])
+		if ev.Load(s) != loads[s] {
+			t.Fatalf("%s: load[%d] = %d, reference %d", label, s, ev.Load(s), loads[s])
+		}
+	}
+}
+
+// incCheck drives one randomized op sequence through an evaluator,
+// checking every op's D against eccPathReference and every join's
+// PeekJoin against the D the join returns. refEvery > 0 additionally
+// checks eccentricities, loads and MaxPathReference every refEvery ops.
 func incCheck(t *testing.T, in *core.Instance, seed int64, ops, refEvery int) {
 	t.Helper()
 	inc, err := in.NewEvaluator(core.NewAssignment(in.NumClients()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	inc.EnableIncremental()
-	legacy, err := in.NewEvaluator(core.NewAssignment(in.NumClients()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,11 +58,12 @@ func incCheck(t *testing.T, in *core.Instance, seed int64, ops, refEvery int) {
 			i := rng.Intn(len(inactive))
 			c := inactive[i]
 			s := rng.Intn(in.NumServers())
+			peek := inc.PeekJoin(c, s)
 			d, err = inc.ApplyJoin(c, s)
 			if err != nil {
 				t.Fatalf("op %d: join(%d,%d): %v", op, c, s, err)
 			}
-			legacy.Move(c, s)
+			checkBitsEqual(t, "PeekJoin vs join", peek, d)
 			inactive[i] = inactive[len(inactive)-1]
 			inactive = inactive[:len(inactive)-1]
 			active = append(active, c)
@@ -63,7 +74,6 @@ func incCheck(t *testing.T, in *core.Instance, seed int64, ops, refEvery int) {
 			if err != nil {
 				t.Fatalf("op %d: leave(%d): %v", op, c, err)
 			}
-			legacy.Move(c, core.Unassigned)
 			active[i] = active[len(active)-1]
 			active = active[:len(active)-1]
 			inactive = append(inactive, c)
@@ -74,28 +84,21 @@ func incCheck(t *testing.T, in *core.Instance, seed int64, ops, refEvery int) {
 			if err != nil {
 				t.Fatalf("op %d: migrate(%d,%d): %v", op, c, s, err)
 			}
-			legacy.Move(c, s)
 		default:
 			continue
 		}
-		checkBitsEqual(t, "incremental D vs legacy evaluator", d, legacy.D())
+		a := inc.Assignment()
+		checkBitsEqual(t, "incremental D vs ecc reference", d, eccPathReference(in, a))
 		if refEvery > 0 && op%refEvery == 0 {
-			a := inc.Assignment()
-			checkBitsEqual(t, "incremental D vs ecc reference", d, eccPathReference(in, a))
+			checkEvaluatorState(t, "incremental state", in, inc)
 			if ref := in.MaxPathReference(a); math.Abs(d-ref) > 1e-9 {
 				t.Fatalf("op %d: incremental D %v vs MaxPathReference %v: |diff| %g > 1e-9",
 					op, d, ref, math.Abs(d-ref))
 			}
-			for s := 0; s < in.NumServers(); s++ {
-				checkBitsEqual(t, "incremental eccentricity", inc.Eccentricity(s), legacy.Eccentricity(s))
-				if inc.Load(s) != legacy.Load(s) {
-					t.Fatalf("op %d: load[%d] = %d, legacy %d", op, s, inc.Load(s), legacy.Load(s))
-				}
-			}
 		}
 	}
 	if st := inc.Stats(); st.Recomputes != 0 || st.EccScans != 0 {
-		t.Fatalf("incremental evaluator fell back to O(world) work: %+v", inc.Stats())
+		t.Fatalf("evaluator reported O(world) work: %+v", inc.Stats())
 	}
 }
 
@@ -132,62 +135,154 @@ func TestIncrementalDifferentialMeridian(t *testing.T) {
 	incCheck(t, in, 11, 3000, 50)
 }
 
-// TestIncrementalFromWarmState enables the engine on an evaluator that
-// already went through legacy moves, then keeps checking equivalence.
+// TestIncrementalFromWarmState builds the engine over a populated
+// partial assignment and checks it through random moves. An evaluator
+// rebuilt from the warm state must then agree with the running one,
+// move for move.
 func TestIncrementalFromWarmState(t *testing.T) {
 	m := latency.ScaledLike(150, 9)
 	in := diffInstance(t, m, 10, 9)
-	a := diffAssignment(in, 10, 0.3)
-	ev, err := in.NewEvaluator(a)
+	ev, err := in.NewEvaluator(diffAssignment(in, 10, 0.3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := in.NewEvaluator(a)
-	if err != nil {
-		t.Fatal(err)
-	}
+	checkEvaluatorState(t, "built from a populated assignment", in, ev)
 	rng := rand.New(rand.NewSource(12))
-	for i := 0; i < 200; i++ {
-		c, s := rng.Intn(in.NumClients()), rng.Intn(in.NumServers())
-		ev.Move(c, s)
-		legacy.Move(c, s)
-	}
-	ev.EnableIncremental()
-	checkBitsEqual(t, "D at enable time", ev.D(), legacy.D())
-	for i := 0; i < 2000; i++ {
+	move := func() (int, int) {
 		c := rng.Intn(in.NumClients())
 		s := rng.Intn(in.NumServers() + 1)
 		if s == in.NumServers() {
 			s = core.Unassigned
 		}
-		checkBitsEqual(t, "post-enable move", ev.Move(c, s), legacy.Move(c, s))
+		return c, s
 	}
+	for i := 0; i < 200; i++ {
+		c, s := move()
+		checkBitsEqual(t, "warm-up move", ev.Move(c, s), eccPathReference(in, ev.Assignment()))
+	}
+	rebuilt, err := in.NewEvaluator(ev.Assignment())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkEvaluatorState(t, "rebuilt from the warm state", in, rebuilt)
+	checkBitsEqual(t, "rebuilt D", rebuilt.D(), ev.D())
+	for i := 0; i < 2000; i++ {
+		c, s := move()
+		checkBitsEqual(t, "post-rebuild move", rebuilt.Move(c, s), ev.Move(c, s))
+	}
+	checkEvaluatorState(t, "after the moves", in, rebuilt)
 	for s := 0; s < in.NumServers(); s++ {
-		checkBitsEqual(t, "post-enable eccentricity", ev.Eccentricity(s), legacy.Eccentricity(s))
+		checkBitsEqual(t, "post-rebuild eccentricity", rebuilt.Eccentricity(s), ev.Eccentricity(s))
 	}
 }
 
-// TestIncrementalPeekMove checks PeekMove neutrality on the incremental
-// path: a peek must not change D, the assignment, or any eccentricity.
-func TestIncrementalPeekMove(t *testing.T) {
-	m := latency.ScaledLike(120, 3)
-	in := diffInstance(t, m, 8, 3)
-	ev, err := in.NewEvaluator(diffAssignment(in, 4, 0.2))
+// TestIncrementalPeekJoin checks PeekJoin for random unassigned clients
+// and every server: the peek equals, bit for bit, the D that Move then
+// returns, and it changes no state (D, the assignment, any eccentricity
+// or the work counters). Half the servers start empty, so the peeks
+// cover an unused target and a used one on each side of the O(1) test
+// (d(c,k) ≤ ecc(k) or not). Each instance opens with peeks into an
+// empty evaluator, where the client's path to itself is the answer.
+func TestIncrementalPeekJoin(t *testing.T) {
+	type peekCase struct {
+		in     *core.Instance
+		rounds int
+	}
+	var cases []peekCase
+	for _, tc := range []struct {
+		nodes, servers int
+		seed           int64
+	}{{60, 6, 1}, {120, 12, 2}, {200, 25, 3}} {
+		m, err := latency.SyntheticInternet(latency.DefaultConfig(tc.nodes), tc.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, peekCase{diffInstance(t, m, tc.servers, tc.seed), 300})
+	}
+	if !testing.Short() {
+		cases = append(cases, peekCase{diffInstance(t, latency.MeridianLike(1), 80, 7), 40})
+	}
+	for _, tc := range cases {
+		peekJoinCheck(t, tc.in, tc.rounds)
+	}
+}
+
+// peekJoinCheck runs TestIncrementalPeekJoin's checks on one instance.
+func peekJoinCheck(t *testing.T, in *core.Instance, rounds int) {
+	t.Helper()
+	nc, ns := in.NumClients(), in.NumServers()
+	// cover counts peeks at an unused k, at a used k with
+	// d(c,k) ≤ ecc(k), and at a used k with d(c,k) > ecc(k).
+	var cover [3]int
+	ecc := make([]float64, ns)
+	peekAll := func(ev *core.Evaluator, c int) {
+		t.Helper()
+		for k := 0; k < ns; k++ {
+			st, d, a := ev.Stats(), ev.D(), ev.Assignment()
+			for s := range ecc {
+				ecc[s] = ev.Eccentricity(s)
+			}
+			peek := ev.PeekJoin(c, k)
+			if ev.Stats() != st {
+				t.Fatalf("PeekJoin(%d,%d) changed the stats: %+v -> %+v", c, k, st, ev.Stats())
+			}
+			checkBitsEqual(t, "D after peek", ev.D(), d)
+			for s := range ecc {
+				checkBitsEqual(t, "eccentricity after peek", ev.Eccentricity(s), ecc[s])
+			}
+			for i := range a {
+				if ev.ServerOf(i) != a[i] {
+					t.Fatalf("PeekJoin(%d,%d) moved client %d", c, k, i)
+				}
+			}
+			switch {
+			case ecc[k] < 0:
+				cover[0]++
+			case in.ClientServerDist(c, k) <= ecc[k]:
+				cover[1]++
+			default:
+				cover[2]++
+			}
+			checkBitsEqual(t, "PeekJoin vs Move", peek, ev.Move(c, k))
+			ev.Move(c, core.Unassigned)
+		}
+	}
+
+	empty, err := in.NewEvaluator(core.NewAssignment(nc))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev.EnableIncremental()
-	legacy, err := in.NewEvaluator(ev.Assignment())
+	peekAll(empty, 0)
+
+	rng := rand.New(rand.NewSource(int64(nc)))
+	half := (ns + 1) / 2
+	a := core.NewAssignment(nc)
+	for i := range a {
+		if rng.Float64() < 0.6 {
+			a[i] = rng.Intn(half)
+		}
+	}
+	ev, err := in.NewEvaluator(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 500; i++ {
-		c, s := rng.Intn(in.NumClients()), rng.Intn(in.NumServers())
-		checkBitsEqual(t, "peek parity", ev.PeekMove(c, s), legacy.PeekMove(c, s))
-		checkBitsEqual(t, "D after peek", ev.D(), legacy.D())
-		if ev.ServerOf(c) != legacy.ServerOf(c) {
-			t.Fatalf("peek mutated assignment of client %d", c)
+	for r := 0; r < rounds; r++ {
+		c := rng.Intn(nc)
+		ev.Move(c, core.Unassigned)
+		peekAll(ev, c)
+		// Put the client back mostly on the first half of the servers,
+		// so the other half stays mostly empty.
+		switch p := rng.Float64(); {
+		case p < 0.6:
+			ev.Move(c, rng.Intn(half))
+		case p < 0.65:
+			ev.Move(c, rng.Intn(ns))
+		}
+	}
+	checkEvaluatorState(t, "after the peeks", in, ev)
+	for i, label := range []string{"an unused k", "a used k with d(c,k) <= ecc(k)", "a used k with d(c,k) > ecc(k)"} {
+		if cover[i] == 0 {
+			t.Fatalf("%d clients/%d servers: no peek covered %s", nc, ns, label)
 		}
 	}
 }
@@ -227,34 +322,28 @@ func TestApplyOpErrors(t *testing.T) {
 }
 
 // TestEvaluatorNoOpMoveDoesNoWork is the regression test for the no-op
-// fast path: once D is cached, re-assigning a client to its current
-// server (Move or PeekMove, legacy or incremental) must perform no
-// recompute, no eccentricity scan, and no incremental repair work.
+// fast path: re-assigning a client to its current server must perform
+// no repair work at all.
 func TestEvaluatorNoOpMoveDoesNoWork(t *testing.T) {
 	m := latency.ScaledLike(80, 2)
 	in := diffInstance(t, m, 6, 2)
-	for _, incremental := range []bool{false, true} {
-		ev, err := in.NewEvaluator(diffAssignment(in, 3, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if incremental {
-			ev.EnableIncremental()
-		}
-		before := ev.D()
-		ev.ResetStats()
-		for c := 0; c < in.NumClients(); c++ {
-			checkBitsEqual(t, "no-op Move return", ev.Move(c, ev.ServerOf(c)), before)
-			checkBitsEqual(t, "no-op PeekMove return", ev.PeekMove(c, ev.ServerOf(c)), before)
-		}
-		if st := ev.Stats(); st != (core.EvaluatorStats{}) {
-			t.Fatalf("incremental=%v: no-op moves performed repair work: %+v", incremental, st)
-		}
+	ev, err := in.NewEvaluator(diffAssignment(in, 3, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := ev.D()
+	ev.ResetStats()
+	for c := 0; c < in.NumClients(); c++ {
+		checkBitsEqual(t, "no-op Move return", ev.Move(c, ev.ServerOf(c)), before)
+	}
+	if st := ev.Stats(); st != (core.EvaluatorStats{}) {
+		t.Fatalf("no-op moves performed repair work: %+v", st)
 	}
 }
 
-// FuzzIncrementalOps interprets fuzz bytes as an op tape and replays it
-// against the legacy evaluator.
+// FuzzIncrementalOps interprets fuzz bytes as an op tape, checks each
+// op's D against eccPathReference, and checks a PeekJoin before every
+// op that places an unassigned client.
 func FuzzIncrementalOps(f *testing.F) {
 	f.Add(int64(1), []byte{0, 1, 2, 9, 4, 200, 33, 7})
 	f.Add(int64(3), []byte{255, 254, 253, 0, 0, 0, 1, 1, 1, 77})
@@ -264,27 +353,26 @@ func FuzzIncrementalOps(f *testing.F) {
 			tape = tape[:512]
 		}
 		in := diffInstance(t, m, 6, seed%16+1)
-		inc, err := in.NewEvaluator(core.NewAssignment(in.NumClients()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		inc.EnableIncremental()
-		legacy, err := in.NewEvaluator(core.NewAssignment(in.NumClients()))
+		ev, err := in.NewEvaluator(core.NewAssignment(in.NumClients()))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i+1 < len(tape); i += 2 {
 			c := int(tape[i]) % in.NumClients()
 			s := int(tape[i+1])%(in.NumServers()+1) - 1 // -1 = Unassigned
-			got := inc.Move(c, s)
-			want := legacy.Move(c, s)
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("op %d: move(%d,%d): incremental %v != legacy %v", i/2, c, s, got, want)
+			placing := ev.ServerOf(c) == core.Unassigned && s != core.Unassigned
+			var peek float64
+			if placing {
+				peek = ev.PeekJoin(c, s)
+			}
+			got := ev.Move(c, s)
+			if want := eccPathReference(in, ev.Assignment()); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("op %d: move(%d,%d): D %v != ecc reference %v", i/2, c, s, got, want)
+			}
+			if placing && math.Float64bits(peek) != math.Float64bits(got) {
+				t.Fatalf("op %d: PeekJoin(%d,%d) %v != Move %v", i/2, c, s, peek, got)
 			}
 		}
-		a := inc.Assignment()
-		if math.Float64bits(inc.D()) != math.Float64bits(eccPathReference(in, a)) {
-			t.Fatalf("final D %v != ecc reference %v", inc.D(), eccPathReference(in, a))
-		}
+		checkEvaluatorState(t, "final state", in, ev)
 	})
 }

@@ -7,10 +7,11 @@
 // clients and servers, it can be adjusted promptly to adapt to system
 // dynamics" — in contrast to server placement, which is planned long-term.
 // This package provides a churn workload generator, several online
-// strategies built on core.Evaluator's O(|S|) incremental moves, and a
-// simulator that scores strategies by time-averaged D, worst-case D, and
-// disruption (how many already-connected clients get reassigned, since
-// every reassignment means a reconnect for a live participant).
+// strategies built on core.Evaluator's incremental moves and its
+// closed-form PeekJoin pricing, and a simulator that scores strategies
+// by time-averaged D, worst-case D, and disruption (how many
+// already-connected clients get reassigned, since every reassignment
+// means a reconnect for a live participant).
 package dynamic
 
 import (
@@ -212,7 +213,8 @@ func (s *NearestJoin) PlaceJoin(ev *core.Evaluator, caps core.Capacities, client
 func (*NearestJoin) Repair(*core.Evaluator, core.Capacities, float64) int { return 0 }
 
 // GreedyJoin places each joining client on the unsaturated server that
-// minimizes the resulting D (one PeekMove per server); no reassignments.
+// minimizes the resulting D (one closed-form PeekJoin per server); no
+// reassignments.
 type GreedyJoin struct{}
 
 // NewGreedyJoin builds the strategy. The instance argument is accepted
@@ -229,7 +231,7 @@ func (s *GreedyJoin) PlaceJoin(ev *core.Evaluator, caps core.Capacities, client 
 		if caps != nil && ev.Load(k) >= caps[k] {
 			continue
 		}
-		if d := ev.PeekMove(client, k); d < bestD-eps {
+		if d := ev.PeekJoin(client, k); d < bestD-eps {
 			best, bestD = k, d
 		}
 	}
@@ -240,9 +242,9 @@ func (s *GreedyJoin) PlaceJoin(ev *core.Evaluator, caps core.Capacities, client 
 func (*GreedyJoin) Repair(*core.Evaluator, core.Capacities, float64) int { return 0 }
 
 // GreedyJoinRepair is GreedyJoin plus bounded Distributed-Greedy-style
-// repair: after each event it moves clients on longest paths to better
-// servers, up to MovesPerEvent reassignments, whenever that strictly
-// reduces D.
+// repair: after each event it applies assign.BestMove — the best move
+// of a client on a longest path — up to MovesPerEvent times, while that
+// strictly reduces D.
 type GreedyJoinRepair struct {
 	join *GreedyJoin
 	// MovesPerEvent bounds repair reassignments per event (default 2).
@@ -270,35 +272,13 @@ func (s *GreedyJoinRepair) PlaceJoin(ev *core.Evaluator, caps core.Capacities, c
 
 // Repair implements Strategy.
 func (s *GreedyJoinRepair) Repair(ev *core.Evaluator, caps core.Capacities, _ float64) int {
-	in := ev.Instance()
 	moves := 0
 	for moves < s.MovesPerEvent {
-		d := ev.D()
-		bestC, bestS, bestD := -1, -1, d
-		for c := 0; c < in.NumClients(); c++ {
-			cur := ev.ServerOf(c)
-			if cur == core.Unassigned {
-				continue
-			}
-			if ev.MaxPathInvolving(c) < d-eps {
-				continue // not on a longest path
-			}
-			for k := 0; k < in.NumServers(); k++ {
-				if k == cur {
-					continue
-				}
-				if caps != nil && ev.Load(k) >= caps[k] {
-					continue
-				}
-				if nd := ev.PeekMove(c, k); nd < bestD-eps {
-					bestC, bestS, bestD = c, k, nd
-				}
-			}
-		}
-		if bestC == -1 {
+		c, k, _ := assign.BestMove(ev, caps)
+		if c == -1 {
 			break
 		}
-		ev.Move(bestC, bestS)
+		ev.Move(c, k)
 		moves++
 	}
 	return moves

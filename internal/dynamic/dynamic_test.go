@@ -302,6 +302,26 @@ func BenchmarkSimulateGreedyJoinRepair(b *testing.B) {
 	}
 }
 
+// BenchmarkSimulateScenarioHysteresis replays the storm preset at seed
+// 42 under diasim's default scenario strategy: a gain- and
+// budget-gated reoptimization on every event, whose proposal is solved
+// on a sandbox evaluator built per event.
+func BenchmarkSimulateScenarioHysteresis(b *testing.B) {
+	sc, err := BuildScenario("storm", 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	in := sc.Pop.Instance
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// The gate's budget and counters are stateful: one per run.
+		strat := NewHysteresis(NewPeriodicReoptimize(in, 1e-6), 1, 0.05, NewMigrationBudget(3, 6))
+		if _, err := SimulateScenario(sc, nil, strat); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestPeriodicReoptimize(t *testing.T) {
 	in := testInstance(t, 31, 50, 4)
 	cfg := defaultChurn(in.NumClients())

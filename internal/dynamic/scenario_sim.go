@@ -56,10 +56,6 @@ func SimulateScenario(sc *Scenario, caps core.Capacities, strat Strategy) (*Scen
 	if err != nil {
 		return nil, err
 	}
-	// Per-event D maintenance through the incremental engine: identical
-	// values bit-for-bit (see the core differential tests), but each
-	// churn event costs a bounded repair instead of an O(U²) recompute.
-	ev.EnableIncremental()
 	res, err := RunTape(context.TODO(), ScenarioTape(sc), sc.Horizon, newEvalTarget(ev, caps, strat, sc.Snapshots))
 	if err != nil {
 		return nil, err
@@ -72,8 +68,7 @@ func SimulateScenario(sc *Scenario, caps core.Capacities, strat Strategy) (*Scen
 }
 
 // evalTarget is the simulator's world for RunTape: one evaluator over
-// the whole client pool, driven by one strategy. Drift keeps the
-// evaluator's engine (incremental or not).
+// the whole client pool, driven by one strategy.
 type evalTarget struct {
 	ev    *core.Evaluator
 	strat Strategy
@@ -148,9 +143,6 @@ func (t *evalTarget) Apply(_ context.Context, e TapeEvent) (Step, error) {
 		fresh, err := snap.Instance.NewEvaluator(t.ev.Assignment())
 		if err != nil {
 			return st, fmt.Errorf("dynamic: drift snapshot at t=%.1f: %w", snap.Time, err)
-		}
-		if t.ev.IncrementalEnabled() {
-			fresh.EnableIncremental()
 		}
 		t.ev = fresh
 	}

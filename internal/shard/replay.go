@@ -81,7 +81,6 @@ func (p *Plane) resliceLocked(m latency.Matrix) error {
 		if err != nil {
 			return fmt.Errorf("shard %d: reslice: %w", sh.id, err)
 		}
-		ev.EnableIncremental()
 		sh.in, sh.ev = in, ev
 		sh.dirty = true
 		// The fresh evaluator dropped the previous delta hook; reattach.

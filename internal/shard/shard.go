@@ -387,7 +387,6 @@ func (p *Plane) buildShards() error {
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", s, err)
 		}
-		ev.EnableIncremental()
 		var caps core.Capacities
 		if capShare != nil {
 			caps = capShare[s]
