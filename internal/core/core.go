@@ -25,16 +25,18 @@ var ErrInvalidInstance = errors.New("core: invalid instance")
 // ErrInvalidAssignment reports a malformed or incomplete assignment.
 var ErrInvalidAssignment = errors.New("core: invalid assignment")
 
-// Instance is one client assignment problem: a network latency matrix plus
-// the subsets of nodes acting as servers and clients.
+// Instance is one client assignment problem: the latencies between a
+// set of nodes, and the subsets of those nodes acting as servers and
+// clients.
 //
-// Servers and Clients hold node indices into the matrix. A node may appear
-// in both sets (a machine can host a server and a participant). Instances
-// are immutable after construction; the per-instance client-to-server and
-// server-to-server distance tables are precomputed for the hot loops of
-// the assignment algorithms.
+// Servers and Clients hold node indices (into the latency matrix or the
+// coordinate slice the instance was built from). A node may appear in
+// both sets (a machine can host a server and a participant). The
+// objective reads only client-to-server and server-to-server latency, so
+// an instance keeps exactly those two tables, precomputed for the hot
+// loops of the assignment algorithms. Instances are immutable after
+// construction.
 type Instance struct {
-	m       latency.Matrix
 	servers []int
 	clients []int
 
@@ -54,9 +56,9 @@ type Instance struct {
 }
 
 // NewInstance validates the inputs and builds an instance. The latency
-// matrix must be valid per latency.Matrix.Validate semantics; callers that
-// construct matrices through this module's generators can rely on that and
-// skip revalidation by passing trusted = true in NewInstanceTrusted.
+// matrix must be valid per latency.Matrix.Validate semantics; callers
+// whose matrices come from this module's generators can rely on that and
+// skip revalidation with NewInstanceTrusted.
 func NewInstance(m latency.Matrix, servers, clients []int) (*Instance, error) {
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidInstance, err)
@@ -67,7 +69,20 @@ func NewInstance(m latency.Matrix, servers, clients []int) (*Instance, error) {
 // NewInstanceTrusted is NewInstance without re-validating the latency
 // matrix. The server and client index sets are still checked.
 func NewInstanceTrusted(m latency.Matrix, servers, clients []int) (*Instance, error) {
-	n := m.Len()
+	return newInstance(m.Len(), func(u, v int) float64 { return m[u][v] }, servers, clients)
+}
+
+// NewInstanceCoords builds, bit for bit, the instance
+// NewInstanceTrusted(latency.CoordsToMatrix(cs), servers, clients)
+// builds, without materializing the node×node matrix: servers and
+// clients index cs, and every table entry is latency.CoordLatency.
+func NewInstanceCoords(cs []latency.Coord, servers, clients []int) (*Instance, error) {
+	return newInstance(len(cs), func(u, v int) float64 { return latency.CoordLatency(cs, u, v) }, servers, clients)
+}
+
+// newInstance checks the index sets against n nodes and fills the two
+// tables from dist(node, node).
+func newInstance(n int, dist func(u, v int) float64, servers, clients []int) (*Instance, error) {
 	if len(servers) == 0 {
 		return nil, fmt.Errorf("%w: no servers", ErrInvalidInstance)
 	}
@@ -96,7 +111,6 @@ func NewInstanceTrusted(m latency.Matrix, servers, clients []int) (*Instance, er
 	}
 
 	inst := &Instance{
-		m:       m,
 		servers: append([]int(nil), servers...),
 		clients: append([]int(nil), clients...),
 	}
@@ -105,7 +119,7 @@ func NewInstanceTrusted(m latency.Matrix, servers, clients []int) (*Instance, er
 	for i, c := range inst.clients {
 		row := inst.csF.Row(i)
 		for k, s := range inst.servers {
-			row[k] = m[c][s]
+			row[k] = dist(c, s)
 		}
 		inst.cs[i] = row
 	}
@@ -114,11 +128,33 @@ func NewInstanceTrusted(m latency.Matrix, servers, clients []int) (*Instance, er
 	for k, s := range inst.servers {
 		row := inst.ssF.Row(k)
 		for l, s2 := range inst.servers {
-			row[l] = m[s][s2]
+			row[l] = dist(s, s2)
 		}
 		inst.ss[k] = row
 	}
 	return inst, nil
+}
+
+// Restrict returns the sub-instance over the given clients
+// (instance-local indices, distinct, non-empty) in the given order: it
+// copies their client-to-server rows and shares the server set and the
+// server-to-server table, which immutability makes safe. Client i of the
+// result is client idx[i] of in.
+func (in *Instance) Restrict(idx []int) *Instance {
+	sub := &Instance{
+		servers: in.servers,
+		clients: make([]int, len(idx)),
+		csF:     perfkit.NewFlatMatrix(len(idx), len(in.servers)),
+		cs:      make([][]float64, len(idx)),
+		ss:      in.ss,
+		ssF:     in.ssF,
+	}
+	for i, c := range idx {
+		sub.clients[i] = in.clients[c]
+		sub.cs[i] = sub.csF.Row(i)
+		copy(sub.cs[i], in.cs[c])
+	}
+	return sub
 }
 
 // NumServers returns |S|.
@@ -127,14 +163,11 @@ func (in *Instance) NumServers() int { return len(in.servers) }
 // NumClients returns |C|.
 func (in *Instance) NumClients() int { return len(in.clients) }
 
-// ServerNode returns the matrix node index of server k.
+// ServerNode returns the node index of server k.
 func (in *Instance) ServerNode(k int) int { return in.servers[k] }
 
-// ClientNode returns the matrix node index of client i.
+// ClientNode returns the node index of client i.
 func (in *Instance) ClientNode(i int) int { return in.clients[i] }
-
-// Matrix returns the underlying latency matrix. Callers must not mutate it.
-func (in *Instance) Matrix() latency.Matrix { return in.m }
 
 // ClientServerDist returns d(client i, server k) using instance-local
 // indices.

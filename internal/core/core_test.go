@@ -88,9 +88,6 @@ func TestInstanceAccessors(t *testing.T) {
 	if got := in.ServerServerRow(0); got[0] != 0 || got[1] != 10 {
 		t.Fatalf("ServerServerRow(0) = %v, want [0 10]", got)
 	}
-	if in.Matrix().Len() != 5 {
-		t.Fatal("Matrix accessor wrong")
-	}
 }
 
 func TestAssignmentBasics(t *testing.T) {

@@ -63,7 +63,8 @@ type Config struct {
 	// Workload is the operation schedule, sorted by IssueTime.
 	Workload []Operation
 	// Latency optionally overrides the message latency (e.g. a jittered
-	// sampler); nil uses the instance's latency matrix verbatim.
+	// sampler), keyed by node index; nil uses the instance's
+	// client-server and server-server latencies verbatim.
 	Latency sim.LatencyFunc
 	// Drop, if non-nil, is consulted for every message; returning true
 	// silently drops it. For failure-injection experiments: the
@@ -268,24 +269,35 @@ func Run(cfg Config) (*Result, error) {
 	ns, nc := in.NumServers(), in.NumClients()
 	r := &runtime{cfg: cfg, eng: &sim.Engine{}, res: &Result{}}
 
-	lat := cfg.Latency
-	if lat == nil {
-		m := in.Matrix()
-		lat = func(u, v int) float64 { return m[u][v] }
+	// Actor ids are servers 0..ns-1, then clients. Messages travel only
+	// client→server, server→server and server→client, so the default
+	// latency reads the instance's two tables, which are symmetric for
+	// every matrix NewInstance accepts and every generator.
+	lat := func(u, v int) float64 {
+		switch {
+		case u < ns && v < ns:
+			return in.ServerServerDist(u, v)
+		case u < ns:
+			return in.ClientServerDist(v-ns, u)
+		default:
+			return in.ClientServerDist(u-ns, v)
+		}
 	}
-	// Map actor ids to matrix node indices for the latency function.
-	nodeOf := make([]int, ns+nc)
-	for k := 0; k < ns; k++ {
-		nodeOf[k] = in.ServerNode(k)
-	}
-	for i := 0; i < nc; i++ {
-		nodeOf[ns+i] = in.ClientNode(i)
+	if cfg.Latency != nil {
+		nodeOf := make([]int, ns+nc)
+		for k := 0; k < ns; k++ {
+			nodeOf[k] = in.ServerNode(k)
+		}
+		for i := 0; i < nc; i++ {
+			nodeOf[ns+i] = in.ClientNode(i)
+		}
+		lat = func(u, v int) float64 { return cfg.Latency(nodeOf[u], nodeOf[v]) }
 	}
 	net, err := sim.NewNetwork(r.eng, func(u, v int) float64 {
 		if u == v {
 			return 0
 		}
-		return lat(nodeOf[u], nodeOf[v])
+		return lat(u, v)
 	})
 	if err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package dia
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -190,6 +191,36 @@ func TestFairnessOrderPreserved(t *testing.T) {
 	}
 }
 
+// TestDefaultLatencyMatchesMatrix pins the default message latency,
+// read from the instance's client-server and server-server tables, to
+// the node-indexed matrix the instance was built from. δ below D makes
+// lateness and timewarp repair depend on every message's latency.
+func TestDefaultLatencyMatchesMatrix(t *testing.T) {
+	in, a := testInstance(t, 4, 30, 4)
+	m := latency.ScaledLike(30, 4) // testInstance's matrix
+	off, err := in.ComputeOffsets(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Instance: in, Assignment: a, Delta: 0.7 * off.D, Offsets: off,
+		Workload: UniformWorkload(in.NumClients(), 3*in.NumClients(), 0, 5), Repair: RepairTimewarp}
+	got, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Latency = func(u, v int) float64 { return m[u][v] }
+	want, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("default latency result %+v, matrix latency result %+v", got, want)
+	}
+	if got.Rollbacks == 0 {
+		t.Fatal("δ = 0.7·D caused no rollbacks; lateness is not exercised")
+	}
+}
+
 func TestJitterCausesBoundedViolations(t *testing.T) {
 	// With lognormal jitter around the base matrix and δ = D computed on
 	// the base matrix, some messages exceed their modeled latency and
@@ -200,7 +231,7 @@ func TestJitterCausesBoundedViolations(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(7))
-	lat := sim.JitteredLatency(in.Matrix(), 0.4, rng)
+	lat := sim.JitteredLatency(latency.ScaledLike(25, 6), 0.4, rng) // testInstance's matrix
 	wl := UniformWorkload(in.NumClients(), 4*in.NumClients(), 0, 6)
 	res, err := Run(Config{Instance: in, Assignment: a, Delta: off.D, Offsets: off, Workload: wl, Latency: lat})
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"diacap/internal/latency"
 	"diacap/internal/sim"
 )
 
@@ -147,7 +148,7 @@ func TestTimewarpUnderJitterArtifactsScaleWithPercentile(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(deltaFactor float64, seed int64) int {
-		lat := sim.JitteredLatency(in.Matrix(), 0.3, rand.New(rand.NewSource(seed)))
+		lat := sim.JitteredLatency(latency.ScaledLike(25, 55), 0.3, rand.New(rand.NewSource(seed))) // testInstance's matrix
 		wl := UniformWorkload(in.NumClients(), 3*in.NumClients(), 0, 4)
 		res, err := Run(Config{Instance: in, Assignment: a, Delta: offLow.D * deltaFactor,
 			Offsets: offLow, Workload: wl, Latency: lat, Repair: RepairTimewarp})

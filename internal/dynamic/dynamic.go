@@ -338,18 +338,7 @@ func (s *PeriodicReoptimize) Repair(ev *core.Evaluator, caps core.Capacities, no
 	if len(active) == 0 {
 		return 0
 	}
-	activeNodes := make([]int, len(active))
-	for i, c := range active {
-		activeNodes[i] = in.ClientNode(c)
-	}
-	serverNodes := make([]int, in.NumServers())
-	for k := range serverNodes {
-		serverNodes[k] = in.ServerNode(k)
-	}
-	sub, err := core.NewInstanceTrusted(in.Matrix(), serverNodes, activeNodes)
-	if err != nil {
-		return 0 // keep the current assignment on any internal error
-	}
+	sub := in.Restrict(active)
 	alg := s.Algorithm
 	if alg == nil {
 		alg = assign.Greedy{}

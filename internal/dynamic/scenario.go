@@ -48,10 +48,11 @@ type PartitionWindow struct {
 	Servers    []int
 }
 
-// DriftSnapshot is the instance re-materialized from drifted
-// coordinates, taking effect at Time.
+// DriftSnapshot is the population's drifted geometry taking effect at
+// Time: the node-indexed coordinates and the instance built from them.
 type DriftSnapshot struct {
 	Time     float64
+	Coords   []latency.Coord
 	Instance *core.Instance
 }
 
@@ -63,7 +64,8 @@ type Population struct {
 	// Servers and Clients are node indices; Clients[i] is the node of
 	// instance-local client i.
 	Servers, Clients []int
-	// Instance is the assignment instance over CoordsToMatrix(Coords).
+	// Instance is the assignment instance NewInstanceCoords builds over
+	// Coords.
 	Instance *core.Instance
 }
 
@@ -83,7 +85,7 @@ func NewPopulation(numNodes, numServers int, seed int64) (*Population, error) {
 	clients := append([]int(nil), perm[numServers:]...)
 	sort.Ints(servers)
 	sort.Ints(clients)
-	in, err := core.NewInstanceTrusted(latency.CoordsToMatrix(cs), servers, clients)
+	in, err := core.NewInstanceCoords(cs, servers, clients)
 	if err != nil {
 		return nil, err
 	}
@@ -402,11 +404,11 @@ func (sc *Scenario) AddDrift(cfg DriftConfig, seed int64) error {
 		if err != nil {
 			return err
 		}
-		in, err := core.NewInstanceTrusted(latency.CoordsToMatrix(cs), sc.Pop.Servers, sc.Pop.Clients)
+		in, err := core.NewInstanceCoords(cs, sc.Pop.Servers, sc.Pop.Clients)
 		if err != nil {
 			return err
 		}
-		sc.Snapshots = append(sc.Snapshots, DriftSnapshot{Time: t, Instance: in})
+		sc.Snapshots = append(sc.Snapshots, DriftSnapshot{Time: t, Coords: cs, Instance: in})
 	}
 	return nil
 }

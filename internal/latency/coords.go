@@ -123,21 +123,34 @@ func GenerateCoords(cfg SyntheticConfig, seed int64) ([]Coord, error) {
 	}
 }
 
+// CoordLatency is the latency between nodes i and j of cs as every
+// coordinate-built table stores it: 0 when i == j, otherwise the
+// lower-index node's LatencyTo the higher-index node, floored at a tiny
+// positive value so a matrix of such entries passes Matrix.Validate.
+// LatencyTo adds the two heights in argument order, so the order fixes
+// the last ulp: one rule for every caller keeps tables built over
+// different node subsets bit-identical where they overlap.
+func CoordLatency(cs []Coord, i, j int) float64 {
+	if i == j {
+		return 0
+	}
+	if i > j {
+		i, j = j, i
+	}
+	return max(cs[i].LatencyTo(cs[j]), 1e-9)
+}
+
 // CoordsToMatrix materializes the complete pairwise coordinate-predicted
-// latency matrix. Intended for small n only (tests, the n ≤ 2048
-// comparison against the direct heuristics); the whole point of
-// coordinates is not to do this at scale. Entries are floored at a tiny
-// positive value so the result passes Matrix.Validate.
+// latency matrix, entry [i][j] = CoordLatency(cs, i, j). Intended for
+// small n only (tests, the n ≤ 2048 comparison against the direct
+// heuristics); the whole point of coordinates is not to do this at
+// scale.
 func CoordsToMatrix(cs []Coord) Matrix {
-	const floor = 1e-9
 	m := NewMatrix(len(cs))
 	for i := range cs {
 		for j := i + 1; j < len(cs); j++ {
-			v := cs[i].LatencyTo(cs[j])
-			if v < floor {
-				v = floor
-			}
-			m[i][j], m[j][i] = v, v
+			m[i][j] = CoordLatency(cs, i, j)
+			m[j][i] = m[i][j]
 		}
 	}
 	return m

@@ -34,27 +34,15 @@ type reduced struct {
 	servers []latency.Coord
 }
 
-// buildReduced materializes the (U + k)-node instance from coordinates.
-// The matrix is tiny by construction (k ≤ MaxCells), so the O((U+k)²)
-// cost is negligible next to clustering. Distances come straight from
-// the coordinate metric; NewInstanceTrusted skips the positivity
-// validation a measured matrix would need (coincident reps are fine
-// here).
+// buildReduced builds the (U + k)-node instance over [servers ∥ cell
+// reps] from coordinates, every entry latency.CoordLatency (floored at
+// 1e-9, so coincident reps are fine here).
 func buildReduced(servers []latency.Coord, cells []Cell) (*reduced, error) {
 	u, k := len(servers), len(cells)
-	m := latency.NewMatrix(u + k)
-	node := func(i int) latency.Coord {
-		if i < u {
-			return servers[i]
-		}
-		return cells[i-u].Rep
-	}
-	for i := 0; i < u+k; i++ {
-		ci := node(i)
-		for j := i + 1; j < u+k; j++ {
-			v := ci.LatencyTo(node(j))
-			m[i][j], m[j][i] = v, v
-		}
+	nodes := make([]latency.Coord, 0, u+k)
+	nodes = append(nodes, servers...)
+	for _, c := range cells {
+		nodes = append(nodes, c.Rep)
 	}
 	serverIdx := make([]int, u)
 	cellIdx := make([]int, k)
@@ -64,7 +52,7 @@ func buildReduced(servers []latency.Coord, cells []Cell) (*reduced, error) {
 	for j := range cellIdx {
 		cellIdx[j] = u + j
 	}
-	in, err := core.NewInstanceTrusted(m, serverIdx, cellIdx)
+	in, err := core.NewInstanceCoords(nodes, serverIdx, cellIdx)
 	if err != nil {
 		return nil, fmt.Errorf("scale: building reduced instance: %w", err)
 	}

@@ -2,6 +2,7 @@ package shard_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"diacap/internal/shard"
@@ -36,5 +37,29 @@ func TestSnapshotReadZeroAlloc(t *testing.T) {
 	}
 	if snap == nil || snap.Epoch != epoch {
 		t.Fatalf("inconsistent read: snapshot epoch %d, Epoch() %d", snap.Epoch, epoch)
+	}
+}
+
+// TestNewRetainedHeap pins what a plane keeps alive at perfbench's
+// serving shape (32 servers, 4800 clients, 4 shards): each shard's
+// client-server and server-server tables (~1.2 MB in all), not the
+// node×node matrices they were once copied out of (~50 MB).
+func TestNewRetainedHeap(t *testing.T) {
+	if testkit.RaceEnabled {
+		t.Skip("the race detector changes what the heap retains")
+	}
+	servers, clients := testCoords(t, 4800, 32, 1)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	p, err := shard.New(shard.Options{Shards: 4, Servers: servers, Clients: clients})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(p)
+	if retained := int64(after.HeapAlloc) - int64(before.HeapAlloc); retained > 8<<20 {
+		t.Fatalf("shard.New retained %.1f MB of heap, want under 8 MB", float64(retained)/(1<<20))
 	}
 }

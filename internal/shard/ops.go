@@ -333,32 +333,13 @@ func (p *Plane) Resolve(ctx context.Context, algName string, seed int64) (OpResu
 		if sh.active == 0 {
 			continue
 		}
-		ns := len(p.opts.Servers)
-		nodes := make([]int, 0, ns+sh.active)
 		activeLocal := make([]int, 0, sh.active)
-		for k := 0; k < ns; k++ {
-			nodes = append(nodes, k)
-		}
 		for local := range sh.clients {
 			if sh.ev.ServerOf(local) != core.Unassigned {
-				nodes = append(nodes, ns+local)
 				activeLocal = append(activeLocal, local)
 			}
 		}
-		// Submatrix re-indexes: sub node i is shard node nodes[i], so
-		// servers are again 0..ns-1 and clients ns..len(nodes)-1.
-		servers := make([]int, ns)
-		clients := make([]int, len(activeLocal))
-		for k := range servers {
-			servers[k] = k
-		}
-		for i := range clients {
-			clients[i] = ns + i
-		}
-		sub, err := core.NewInstanceTrusted(sh.in.Matrix().Submatrix(nodes), servers, clients)
-		if err != nil {
-			return OpResult{}, moved, fmt.Errorf("shard %d: %w", sh.id, err)
-		}
+		sub := sh.in.Restrict(activeLocal)
 		a, err := alg.Assign(sub, p.resolveCaps(sh))
 		if err != nil {
 			return OpResult{}, moved, fmt.Errorf("shard %d: %s: %w", sh.id, algName, err)

@@ -4,20 +4,20 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
-	"diacap/internal/core"
 	"diacap/internal/dynamic"
 	"diacap/internal/latency"
 	"diacap/internal/obs"
-	"diacap/internal/perfkit"
 )
 
 // NewFromPopulation builds a plane over a scenario population: the
 // population's coordinates become the plane's server and client
-// coordinates, and node ids are recorded so coordinate-drift snapshots
-// (full re-materialized matrices) can be sliced into per-shard
-// sub-instances. opts.Servers and opts.Clients are derived from pop and
-// must be left nil.
+// coordinates, and the plane's node space is the population's own node
+// order, so every sub-instance entry is bit-identical to the
+// corresponding pop.Instance entry and drift snapshots apply in the
+// same node space. opts.Servers and opts.Clients are derived from pop
+// and must be left nil.
 func NewFromPopulation(pop *dynamic.Population, opts Options) (*Plane, error) {
 	if pop == nil || pop.Instance == nil {
 		return nil, errors.New("shard: nil population")
@@ -33,80 +33,37 @@ func NewFromPopulation(pop *dynamic.Population, opts Options) (*Plane, error) {
 	for i, n := range pop.Clients {
 		opts.Clients[i] = pop.Coords[n]
 	}
-	p, err := New(opts)
-	if err != nil {
-		return nil, err
-	}
-	p.serverNodes = append([]int(nil), pop.Servers...)
-	p.clientNodes = append([]int(nil), pop.Clients...)
-	// Re-slice every sub-instance from the population's own matrix
-	// rather than keeping the coordinate-rebuilt ones: LatencyTo sums
-	// the two endpoint heights in argument order, so a rebuilt entry can
-	// differ from the population entry in the last ulp when the node
-	// order and the [servers ∥ clients] order disagree. Slicing keeps
-	// the plane bit-identical to an unsharded evaluator over pop.Instance.
-	p.mu.Lock()
-	err = p.resliceLocked(pop.Instance.Matrix())
-	p.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	return p, nil
+	return newPlane(opts, pop.Coords, append([]int(nil), pop.Servers...), append([]int(nil), pop.Clients...))
 }
 
-// resliceLocked rebuilds every shard's sub-instance and the plane's
-// server-server matrix as bitwise slices of a full population matrix m
-// (node-indexed), preserving assignments. Callers hold p.mu.
-func (p *Plane) resliceLocked(m latency.Matrix) error {
-	ns := len(p.serverNodes)
-	for _, sh := range p.shards {
-		nodes := make([]int, 0, ns+len(sh.clients))
-		nodes = append(nodes, p.serverNodes...)
-		for _, c := range sh.clients {
-			nodes = append(nodes, p.clientNodes[c])
-		}
-		servers := make([]int, ns)
-		clients := make([]int, len(sh.clients))
-		for k := range servers {
-			servers[k] = k
-		}
-		for i := range clients {
-			clients[i] = ns + i
-		}
-		in, err := core.NewInstanceTrusted(m.Submatrix(nodes), servers, clients)
-		if err != nil {
-			return fmt.Errorf("shard %d: reslice: %w", sh.id, err)
-		}
-		ev, err := in.NewEvaluator(sh.ev.Assignment())
-		if err != nil {
-			return fmt.Errorf("shard %d: reslice: %w", sh.id, err)
-		}
-		sh.in, sh.ev = in, ev
-		sh.dirty = true
-		// The fresh evaluator dropped the previous delta hook; reattach.
-		p.installHooks(sh)
-	}
-	p.ss = perfkit.FromRows(m.Submatrix(p.serverNodes))
-	return nil
-}
-
-// ApplyDriftMatrix re-materializes every shard's sub-instance from a
-// drifted full-population matrix (node-indexed like the population the
-// plane was built from), preserving assignments. Each shard gets a
-// fresh incremental evaluator over the new geometry; the certified
-// bound degrades to the exact eccentricities from here on, because the
-// cell radii no longer describe the live metric.
-func (p *Plane) ApplyDriftMatrix(ctx context.Context, m latency.Matrix) error {
-	if p.serverNodes == nil {
-		return errors.New("shard: drift requires a population-built plane (NewFromPopulation)")
+// ApplyDrift rebuilds every shard's sub-instance from drifted
+// coordinates in the plane's node space (see New and
+// NewFromPopulation), preserving assignments. Each shard gets a fresh
+// incremental evaluator over the new geometry; the certified bound
+// degrades to the exact eccentricities from here on, because the cell
+// radii no longer describe the live metric.
+func (p *Plane) ApplyDrift(ctx context.Context, cs []latency.Coord) error {
+	if len(cs) != p.numNodes {
+		return fmt.Errorf("shard: drift has %d coordinates, plane has %d nodes", len(cs), p.numNodes)
 	}
 	ctx, sp := obs.Child(ctx, "plane.drift")
 	defer sp.End()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	defer p.begin(sp)()
-	if err := p.resliceLocked(m); err != nil {
-		return err
+	for _, sh := range p.shards {
+		in, err := p.shardInstance(cs, sh.clients)
+		if err != nil {
+			return fmt.Errorf("shard %d: drift: %w", sh.id, err)
+		}
+		ev, err := in.NewEvaluator(sh.ev.Assignment())
+		if err != nil {
+			return fmt.Errorf("shard %d: drift: %w", sh.id, err)
+		}
+		sh.in, sh.ev = in, ev
+		sh.dirty = true
+		// The fresh evaluator dropped the previous delta hook; reattach.
+		p.installHooks(sh)
 	}
 	p.drifted = true
 	p.met.event("drift")
@@ -131,11 +88,13 @@ type ReplayResult struct {
 // Replay drives a finalized scenario through the plane: it runs
 // dynamic.RunTape over the scenario's tape with the plane as the
 // target. Churn routes to the owning shards' strategies, kills
-// evacuate through the plane, drift re-materializes every
-// sub-instance, and after every event the affected shards repair and
-// the capacity invariant is re-checked. The tape, its tie order, the
-// horizon cut-off and the D bookkeeping are the simulator's own, so a
-// one-shard replay reproduces dynamic.SimulateScenario bit-for-bit.
+// evacuate through the plane, drift rebuilds every sub-instance from
+// the snapshot's coordinates (so the plane must be built by
+// NewFromPopulation over the scenario's population), and after every
+// event the affected shards repair and the capacity invariant is
+// re-checked. The tape, its tie order, the horizon cut-off and the D
+// bookkeeping are the simulator's own, so a one-shard replay
+// reproduces dynamic.SimulateScenario bit-for-bit.
 //
 // When the plane has a tracer, every tape event is stamped with its own
 // root span (replay.join, replay.leave, replay.kill, replay.restart,
@@ -153,6 +112,9 @@ func (p *Plane) Replay(ctx context.Context, sc *dynamic.Scenario) (*ReplayResult
 	if sc.Pop.Instance.NumClients() != p.NumClients() || len(sc.Pop.Servers) != p.NumServers() {
 		return nil, fmt.Errorf("shard: scenario population (%d clients, %d servers) does not match plane (%d, %d)",
 			sc.Pop.Instance.NumClients(), len(sc.Pop.Servers), p.NumClients(), p.NumServers())
+	}
+	if len(sc.Snapshots) > 0 && !(slices.Equal(p.serverNodes, sc.Pop.Servers) && slices.Equal(p.clientNodes, sc.Pop.Clients)) {
+		return nil, errors.New("shard: drift snapshots are in the population's node space; build the plane with NewFromPopulation")
 	}
 	res := &ReplayResult{ShardEvents: make([]int, p.NumShards())}
 	sr, err := dynamic.RunTape(ctx, dynamic.ScenarioTape(sc), sc.Horizon,
@@ -234,7 +196,7 @@ func (t *replayTarget) Apply(ctx context.Context, e dynamic.TapeEvent) (dynamic.
 		sp.SetAttr(obs.Int("server", e.ID))
 	case dynamic.TapeDrift:
 		snap := t.snaps[e.ID]
-		if err := p.ApplyDriftMatrix(ctx, snap.Instance.Matrix()); err != nil {
+		if err := p.ApplyDrift(ctx, snap.Coords); err != nil {
 			return st, fmt.Errorf("shard: drift at t=%.1f: %w", snap.Time, err)
 		}
 	}

@@ -3,10 +3,12 @@ package shard_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"diacap/internal/core"
 	"diacap/internal/dynamic"
+	"diacap/internal/latency"
 	"diacap/internal/shard"
 )
 
@@ -157,6 +159,53 @@ func TestReplayMultiShard(t *testing.T) {
 	}
 }
 
+// TestApplyDriftCoordinatePlane drifts a shard.New plane: ApplyDrift
+// takes moved [servers ∥ clients] coordinates, and the published D must
+// equal, bit for bit, an evaluator over the matrix-built instance of
+// the moved world at the published assignment — after the drift and
+// after a join on the rebuilt evaluators.
+func TestApplyDriftCoordinatePlane(t *testing.T) {
+	servers, clients := testCoords(t, 160, 6, 4)
+	ns := len(servers)
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			p, err := shard.New(shard.Options{Shards: shards, Servers: servers, Clients: clients, MaxCells: 24})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			for c := 0; c < len(clients); c += 2 {
+				if _, err := p.Join(ctx, c); err != nil {
+					t.Fatal(err)
+				}
+			}
+			moved := append(append([]latency.Coord(nil), servers...), clients...)
+			rng := rand.New(rand.NewSource(5))
+			for i := range moved {
+				moved[i].X += 20 * rng.NormFloat64()
+				moved[i].Y += 20 * rng.NormFloat64()
+			}
+			if err := p.ApplyDrift(ctx, moved[1:]); err == nil {
+				t.Fatal("drift with one coordinate missing succeeded")
+			}
+			before := p.Current()
+			if err := p.ApplyDrift(ctx, moved); err != nil {
+				t.Fatal(err)
+			}
+			snap := p.Current()
+			if snap.D == before.D {
+				t.Fatalf("drift left D at %v; the moved geometry is not exercised", snap.D)
+			}
+			bitsEq(t, "D after drift", snap.D, globalD(t, moved[:ns], moved[ns:], snap.Assignment))
+			if _, err := p.Join(ctx, 1); err != nil {
+				t.Fatal(err)
+			}
+			snap = p.Current()
+			bitsEq(t, "D after a post-drift join", snap.D, globalD(t, moved[:ns], moved[ns:], snap.Assignment))
+		})
+	}
+}
+
 // TestReplayPopulationMismatch pins the defensive check against feeding
 // a plane a scenario sized for a different population.
 func TestReplayPopulationMismatch(t *testing.T) {
@@ -174,5 +223,26 @@ func TestReplayPopulationMismatch(t *testing.T) {
 	}
 	if _, err := p.Replay(context.Background(), sc); err == nil {
 		t.Fatal("replay of a mis-sized scenario succeeded")
+	}
+
+	// Drift snapshots are population-indexed: a plane over the same
+	// coordinates in New's [servers ∥ clients] node space must refuse
+	// them rather than apply them to the wrong nodes.
+	sc, err = dynamic.BuildScenario("drift", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := shard.Options{Shards: 2}
+	for _, n := range sc.Pop.Servers {
+		opts.Servers = append(opts.Servers, sc.Pop.Coords[n])
+	}
+	for _, n := range sc.Pop.Clients {
+		opts.Clients = append(opts.Clients, sc.Pop.Coords[n])
+	}
+	if p, err = shard.New(opts); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Replay(context.Background(), sc); err == nil {
+		t.Fatal("replay of drift snapshots on a plane outside the population's node space succeeded")
 	}
 }

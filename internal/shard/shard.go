@@ -38,7 +38,6 @@ import (
 	"diacap/internal/dynamic"
 	"diacap/internal/latency"
 	"diacap/internal/obs"
-	"diacap/internal/perfkit"
 	"diacap/internal/scale"
 )
 
@@ -123,11 +122,6 @@ type Plane struct {
 	clientShard []int
 	clientLocal []int
 	clientCell  []int
-	// ss is the server-server latency table (CoordsToMatrix over the
-	// server coordinates, so entries are bit-identical to every shard
-	// sub-instance's ServerServerDist) in the flat layout publish's
-	// perfkit.MaxPathEcc scan reads.
-	ss *perfkit.FlatMatrix
 	// repDist[j][k] is the certified distance bound base: latency from
 	// cell j's representative to server k.
 	repDist [][]float64
@@ -137,12 +131,14 @@ type Plane struct {
 	alive  []bool
 	dead   int
 
-	// serverNodes/clientNodes map plane indices to node ids of an
-	// external full-population matrix (set by NewFromPopulation, nil in
-	// coordinate mode). They let ApplyDriftMatrix slice drifted
-	// sub-instances out of a re-materialized matrix.
+	// serverNodes/clientNodes map server and client ids to node ids of
+	// the plane's node space, numNodes coordinates long: [servers ∥
+	// clients] for New, the population's own node order for
+	// NewFromPopulation. Shard sub-instances are built, and rebuilt on
+	// drift, from coordinates indexed by these ids.
 	serverNodes []int
 	clientNodes []int
+	numNodes    int
 	// drifted marks that the latency space no longer matches the cell
 	// geometry; the certified bound then degrades to the exact
 	// eccentricities (see rebuildSummary).
@@ -201,9 +197,28 @@ type shardState struct {
 // New builds a plane over the client universe: cluster the clients into
 // cells, balance the cells across shards (largest cell first onto the
 // least-loaded shard — deterministic LPT), build each shard's
-// sub-instance over [servers ∥ shard clients], and publish the empty
-// epoch-1 snapshot. All clients start inactive.
+// sub-instance over the servers and the shard's clients, and publish
+// the empty epoch-1 snapshot. All clients start inactive. The plane's
+// node space is [servers ∥ clients]: server k is node k and client i is
+// node len(Servers)+i.
 func New(opts Options) (*Plane, error) {
+	ns := len(opts.Servers)
+	cs := append(append([]latency.Coord(nil), opts.Servers...), opts.Clients...)
+	serverNodes := make([]int, ns)
+	clientNodes := make([]int, len(opts.Clients))
+	for k := range serverNodes {
+		serverNodes[k] = k
+	}
+	for i := range clientNodes {
+		clientNodes[i] = ns + i
+	}
+	return newPlane(opts, cs, serverNodes, clientNodes)
+}
+
+// newPlane is New over node-indexed coordinates cs: server k is node
+// serverNodes[k] and client i is node clientNodes[i], and
+// opts.Servers/opts.Clients hold the same coordinates by id.
+func newPlane(opts Options, cs []latency.Coord, serverNodes, clientNodes []int) (*Plane, error) {
 	opts.fill()
 	if len(opts.Servers) == 0 {
 		return nil, errors.New("shard: no servers")
@@ -253,7 +268,9 @@ func New(opts Options) (*Plane, error) {
 		clientShard: make([]int, len(opts.Clients)),
 		clientLocal: make([]int, len(opts.Clients)),
 		clientCell:  make([]int, len(opts.Clients)),
-		ss:          perfkit.FromRows(latency.CoordsToMatrix(opts.Servers)),
+		serverNodes: serverNodes,
+		clientNodes: clientNodes,
+		numNodes:    len(cs),
 		repDist:     make([][]float64, len(cells)),
 		alive:       make([]bool, len(opts.Servers)),
 		met:         newPlaneMetrics(opts.Metrics),
@@ -271,9 +288,10 @@ func New(opts Options) (*Plane, error) {
 	for j, cell := range cells {
 		row := make([]float64, len(opts.Servers))
 		for k, sc := range opts.Servers {
-			// Floored like CoordsToMatrix entries, so the bound
-			// rep→server + ρ dominates the (floored) member→server
-			// distances even for coincident coordinates.
+			// Floored like latency.CoordLatency entries, so the
+			// bound rep→server + ρ dominates the (floored)
+			// member→server distances even for coincident
+			// coordinates.
 			row[k] = max(cell.Rep.LatencyTo(sc), 1e-9)
 		}
 		p.repDist[j] = row
@@ -285,7 +303,7 @@ func New(opts Options) (*Plane, error) {
 		}
 	}
 	p.partition()
-	if err := p.buildShards(); err != nil {
+	if err := p.buildShards(cs); err != nil {
 		return nil, err
 	}
 	p.mu.Lock()
@@ -326,12 +344,13 @@ func (p *Plane) partition() {
 	}
 }
 
-// buildShards materializes each shard's sub-instance and capacity
-// share. The sub-instance matrix is CoordsToMatrix over the shard's
-// node coordinates, so its entries are bit-identical to the
-// corresponding entries of the unpartitioned matrix — with one shard
-// the sub-instance IS the unsharded instance.
-func (p *Plane) buildShards() error {
+// buildShards builds each shard's sub-instance from the node-indexed
+// coordinates cs, and its capacity share. Every entry is
+// latency.CoordLatency over the plane's node ids, so it is bit-identical
+// to the corresponding entry of the unpartitioned instance over the
+// same nodes — with one shard the sub-instance IS the unsharded
+// instance.
+func (p *Plane) buildShards(cs []latency.Coord) error {
 	n := len(p.opts.Clients)
 	ns := len(p.opts.Servers)
 	p.shards = make([]*shardState, p.opts.Shards)
@@ -366,20 +385,7 @@ func (p *Plane) buildShards() error {
 	}
 
 	for s := 0; s < p.opts.Shards; s++ {
-		coords := make([]latency.Coord, 0, ns+len(members[s]))
-		coords = append(coords, p.opts.Servers...)
-		for _, c := range members[s] {
-			coords = append(coords, p.opts.Clients[c])
-		}
-		servers := make([]int, ns)
-		clients := make([]int, len(members[s]))
-		for k := range servers {
-			servers[k] = k
-		}
-		for i := range clients {
-			clients[i] = ns + i
-		}
-		in, err := core.NewInstanceTrusted(latency.CoordsToMatrix(coords), servers, clients)
+		in, err := p.shardInstance(cs, members[s])
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", s, err)
 		}
@@ -407,9 +413,19 @@ func (p *Plane) buildShards() error {
 	return nil
 }
 
+// shardInstance builds the sub-instance over every server and the given
+// clients (ascending ids) from node-indexed coordinates cs.
+func (p *Plane) shardInstance(cs []latency.Coord, clients []int) (*core.Instance, error) {
+	nodes := make([]int, len(clients))
+	for i, c := range clients {
+		nodes[i] = p.clientNodes[c]
+	}
+	return core.NewInstanceCoords(cs, p.serverNodes, nodes)
+}
+
 // installHooks attaches the evaluator delta hook and the hysteresis
 // suppression hook to one shard's evaluator and strategy. Called from
-// buildShards and again from resliceLocked — a reslice builds fresh
+// buildShards and again from ApplyDrift — a drift builds fresh
 // evaluators, which would silently drop the previous hook. Both hooks
 // fire only while a mutation holds p.mu, so reading p.curSpan is safe.
 func (p *Plane) installHooks(sh *shardState) {
