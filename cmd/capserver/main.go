@@ -83,7 +83,7 @@ func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:8080", "listen address")
 		maxNodes     = flag.Int("max-nodes", 2048, "largest accepted matrix")
-		reqTimeout   = flag.Duration("request-timeout", 30*time.Second, "per-request handling deadline (0 = unlimited)")
+		reqTimeout   = flag.Duration("request-timeout", 30*time.Second, "handling deadline of the solver routes /v1/assign, /v1/assign-coords and /v1/placement (503 JSON on expiry); the other routes run inline (0 = unlimited)")
 		metricsAddr  = flag.String("metrics-addr", "", "extra listener for /metrics and /debug/vars (empty = main listener only)")
 		pprofFlag    = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		logLevel     = flag.String("log-level", "info", "log level: debug | info | warn | error")

@@ -3,8 +3,11 @@ package service
 import (
 	"io"
 	"net/http"
+	"strings"
 	"testing"
+	"time"
 
+	"diacap/internal/obs"
 	"diacap/internal/testkit"
 )
 
@@ -95,5 +98,33 @@ func TestServePathZeroAlloc(t *testing.T) {
 	body = append(body, `]}`...)
 	if avg := serveAllocs(t, "/v1/assign-batch", string(body), s.handleAssignBatch); avg != 0 {
 		t.Errorf("batch serve path allocates %.2f times per run, want 0", avg)
+	}
+}
+
+// TestServeChainAllocs pins what the request wrapper adds around the
+// zero-alloc handlers, with the options cmd/capserver uses by default: a
+// preregistered metrics registry, a flight recorder, a 30 s
+// RequestTimeout and no tracer. The allocations are the labeled metric
+// lookups, the requests-journal entry and the statusWriter; the handlers
+// add none (TestServePathZeroAlloc).
+func TestServeChainAllocs(t *testing.T) {
+	if testkit.RaceEnabled {
+		t.Skip("allocation counts include race-detector bookkeeping")
+	}
+	reg := obs.NewRegistry()
+	PreregisterMetrics(reg)
+	s, _ := resolveServer(t, 2, Options{
+		Metrics:        reg,
+		Flight:         obs.NewRecorder(0),
+		RequestTimeout: 30 * time.Second,
+	})
+	const pinned = 20
+	for _, c := range []struct{ path, body string }{
+		{"/v1/assign-one", `{"coord":[25,35,1,0.5]}`},
+		{"/v1/assign-batch", `{"coords":[` + strings.Repeat(`[12.5,37.25,1,0.5],`, 255) + `[12.5,37.25,1,0.5]]}`},
+	} {
+		if avg := serveAllocs(t, c.path, c.body, s.ServeHTTP); avg > pinned {
+			t.Errorf("%s through ServeHTTP allocates %.2f times per request, want ≤ %d", c.path, avg, pinned)
+		}
 	}
 }

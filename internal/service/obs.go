@@ -52,9 +52,9 @@ func normalizeEndpoint(path string) string {
 	return "other"
 }
 
-// statusWriter captures the response code for the metrics middleware.
-// It deliberately does not forward Flush/Hijack: every endpoint writes a
-// small JSON or text body in one shot.
+// statusWriter captures the response code for the request wrapper
+// (Server.ServeHTTP). It deliberately does not forward Flush/Hijack:
+// every endpoint writes a small JSON or text body in one shot.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
@@ -74,7 +74,7 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
-// Metric names and help strings shared between the middleware and
+// Metric names and help strings shared between the request wrapper and
 // PreregisterMetrics, so the exposed schema is identical either way.
 const (
 	nHTTPRequests   = "diacap_http_requests_total"
@@ -154,38 +154,31 @@ func (s *Server) countAdmission(decision string, state AdmissionState, score flo
 	reg.Gauge(nAdmState, hAdmState).Set(float64(state))
 }
 
-// instrument is the outermost middleware: it wraps even the recover and
-// timeout layers so their 500/503 responses are counted under the real
-// status code, and tracks in-flight requests across the whole chain.
-func (s *Server) instrument(next http.Handler) http.Handler {
-	reg := s.opts.Metrics
-	inflight := reg.Gauge(nHTTPInflight, hHTTPInflight)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ep := normalizeEndpoint(r.URL.Path)
-		sw := &statusWriter{ResponseWriter: w}
-		inflight.Inc()
-		start := time.Now()
-		defer func() {
-			inflight.Dec()
-			code := sw.status
-			if code == 0 {
-				code = http.StatusOK
-			}
-			reg.Counter(nHTTPRequests, hHTTPRequests,
-				obs.L("endpoint", ep), obs.L("code", strconv.Itoa(code))).Inc()
-			// Exemplar: the latest trace id that landed in each latency
-			// bucket, so a histogram outlier links to its span tree.
-			reg.Histogram(nHTTPSeconds, hHTTPSeconds,
-				obs.SecondsBuckets, obs.L("endpoint", ep)).
-				ObserveExemplar(time.Since(start).Seconds(),
-					obs.SpanFromContext(r.Context()).TraceID())
-			if code >= 400 {
-				reg.Counter(nHTTPErrors, hHTTPErrors,
-					obs.L("endpoint", ep)).Inc()
-			}
-		}()
-		next.ServeHTTP(sw, r)
-	})
+// record accounts for one finished request under its final status code:
+// the request, latency and error metrics, the root span's attributes and
+// end, and the requests journal entry.
+func (s *Server) record(r *http.Request, ep string, sp *obs.Span, code int, d time.Duration) {
+	trace := sp.TraceID()
+	if reg := s.opts.Metrics; reg != nil {
+		reg.Counter(nHTTPRequests, hHTTPRequests,
+			obs.L("endpoint", ep), obs.L("code", strconv.Itoa(code))).Inc()
+		// Exemplar: the latest trace id that landed in each latency
+		// bucket, so a histogram outlier links to its span tree.
+		reg.Histogram(nHTTPSeconds, hHTTPSeconds,
+			obs.SecondsBuckets, obs.L("endpoint", ep)).
+			ObserveExemplar(d.Seconds(), trace)
+		if code >= 400 {
+			reg.Counter(nHTTPErrors, hHTTPErrors,
+				obs.L("endpoint", ep)).Inc()
+		}
+	}
+	if sp != nil {
+		sp.SetAttr(obs.Str("endpoint", ep), obs.Str("method", r.Method), obs.Int("status", code))
+		sp.End()
+	}
+	s.jRequests.Record(ep, trace,
+		obs.Int("status", code),
+		obs.F64("durationMs", durationMs(d)))
 }
 
 // mountDebug adds /metrics, /debug/vars and (opt-in) /debug/pprof to the

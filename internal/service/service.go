@@ -59,8 +59,13 @@ type Options struct {
 	MaxNodes int
 	// MaxBodyBytes bounds request bodies (default 64 MiB).
 	MaxBodyBytes int64
-	// RequestTimeout bounds each request's handling time; a request
-	// exceeding it receives 503 JSON. Zero disables the limit.
+	// RequestTimeout bounds the handling time of /v1/assign,
+	// /v1/assign-coords and /v1/placement, the routes whose work no
+	// request-size limit bounds; a request exceeding it receives 503
+	// JSON. Every other route runs inline: its work is bounded by
+	// MaxBodyBytes, MaxBatchClients, the client universe or one plane
+	// write, and a deadline could not stop a plane write it gave up on.
+	// Zero disables the limit.
 	RequestTimeout time.Duration
 	// Metrics, if non-nil, receives request/assignment metrics and
 	// enables GET /metrics (Prometheus text) and GET /debug/vars (JSON).
@@ -137,16 +142,16 @@ type Server struct {
 	log       *slog.Logger
 	algoTrace obs.AlgoTrace
 	mux       *http.ServeMux
-	handler   http.Handler
 	admission *admission
 	// Flight journals, resolved once (the recorder always exists after
 	// fill, so these are never nil).
 	jRequests  *obs.Journal
 	jAdmission *obs.Journal
-	// Serving-path counters, resolved once at New so the hot handlers
-	// never perform a labeled metric lookup (nil without Metrics).
+	// Serving-path counters and the in-flight gauge, resolved once at
+	// New so the hot paths never look them up (nil without Metrics).
 	mResolveOne   *obs.Counter
 	mResolveBatch *obs.Counter
+	mInflight     *obs.Gauge
 }
 
 // New builds the service.
@@ -160,9 +165,9 @@ func New(opts Options) *Server {
 	}
 	s.mux.HandleFunc("/healthz", s.handleHealth)
 	s.mux.HandleFunc("/v1/algorithms", s.handleAlgorithms)
-	s.mux.HandleFunc("/v1/assign", s.handleAssign)
-	s.mux.HandleFunc("/v1/assign-coords", s.handleAssignCoords)
-	s.mux.HandleFunc("/v1/placement", s.handlePlacement)
+	s.mux.Handle("/v1/assign", timeoutJSON(s.handleAssign, opts.RequestTimeout))
+	s.mux.Handle("/v1/assign-coords", timeoutJSON(s.handleAssignCoords, opts.RequestTimeout))
+	s.mux.Handle("/v1/placement", timeoutJSON(s.handlePlacement, opts.RequestTimeout))
 	if opts.Shard != nil {
 		s.mux.HandleFunc("/v1/shard/assign", s.handleShardAssign)
 		s.mux.HandleFunc("/v1/shard/snapshot", s.handleShardSnapshot)
@@ -176,56 +181,81 @@ func New(opts Options) *Server {
 		}
 	}
 	s.mountDebug()
-	var h http.Handler = s.mux
-	if opts.RequestTimeout > 0 {
-		h = timeoutJSON(h, opts.RequestTimeout)
-	}
-	h = recoverJSON(h)
 	if opts.Metrics != nil {
 		s.algoTrace = obs.MetricsTrace(opts.Metrics)
-		h = s.instrument(h)
+		s.mInflight = opts.Metrics.Gauge(nHTTPInflight, hHTTPInflight)
 	}
-	// Outermost: the root span must exist before instrument reads it for
-	// exemplars, and the request journal must see even panicking or
-	// timed-out requests with their final status.
-	h = s.observe(h)
-	s.handler = h
 	return s
 }
 
-// ServeHTTP implements http.Handler.
+// ServeHTTP implements http.Handler. It is the service's one request
+// wrapper: it opens (or adopts, via W3C traceparent) the root span when
+// a tracer samples the request, turns a handler panic into 500 JSON,
+// and records every finished request, panicking or aborted ones
+// included, under its final status: the HTTP metrics, the root span and
+// the requests journal.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.handler.ServeHTTP(w, r)
-}
-
-// recoverJSON turns a handler panic into a 500 JSON error instead of
-// killing the connection with a stack trace. http.ErrAbortHandler keeps
-// its stdlib meaning and propagates.
-func recoverJSON(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			rec := recover()
-			if rec == nil {
-				return
-			}
-			if rec == http.ErrAbortHandler {
-				panic(rec)
-			}
+	ep := normalizeEndpoint(r.URL.Path)
+	var sp *obs.Span
+	if t := s.opts.Tracer; t != nil {
+		ctx := r.Context()
+		if remote, ok := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader)); ok {
+			ctx, sp = t.RootFrom(ctx, "http "+ep, remote)
+		} else {
+			ctx, sp = t.Root(ctx, "http "+ep)
+		}
+		if sp != nil {
+			// Before the handler runs: the client must learn the trace id
+			// even when the handler fails or times out mid-write.
+			w.Header().Set(TraceHeader, sp.TraceID())
+			r = r.WithContext(ctx)
+		}
+	}
+	sw := &statusWriter{ResponseWriter: w}
+	if s.mInflight != nil {
+		s.mInflight.Inc()
+		defer s.mInflight.Dec()
+	}
+	start := time.Now()
+	defer func() {
+		rec := recover()
+		abort := rec == http.ErrAbortHandler
+		if rec != nil && !abort {
 			// Best effort: if the handler already wrote a header this
 			// degrades to appending, which the client's decoder rejects —
 			// still better than a dropped connection.
-			writeJSON(w, http.StatusInternalServerError, map[string]string{"error": "internal server error"})
-		}()
-		next.ServeHTTP(w, r)
-	})
+			writeJSON(sw, http.StatusInternalServerError, map[string]string{"error": "internal server error"})
+		}
+		code := sw.status
+		if code == 0 {
+			// Nothing written: net/http answers 200, while an aborted
+			// handler's connection is dropped unanswered, a failure.
+			code = http.StatusOK
+			if abort {
+				code = http.StatusInternalServerError
+			}
+		}
+		s.record(r, ep, sp, code, time.Since(start))
+		if abort {
+			// http.ErrAbortHandler keeps its stdlib meaning.
+			panic(rec)
+		}
+	}()
+	s.mux.ServeHTTP(sw, r)
 }
 
-// timeoutJSON bounds each request's handling time, answering 503 JSON on
-// expiry. http.TimeoutHandler writes its timeout body to the outer
-// ResponseWriter, so the Content-Type set here survives; on the fast
-// path every endpoint writes JSON anyway. A handler panic is re-raised
-// by TimeoutHandler in this goroutine, where recoverJSON catches it.
-func timeoutJSON(next http.Handler, d time.Duration) http.Handler {
+// timeoutJSON bounds a route's handling time, answering 503 JSON on
+// expiry; d ≤ 0 leaves the route unbounded. http.TimeoutHandler writes
+// its timeout body to the outer ResponseWriter, so the Content-Type set
+// here survives; on the fast path every endpoint writes JSON anyway. A
+// handler panic is re-raised by TimeoutHandler in this goroutine, where
+// ServeHTTP catches it. TimeoutHandler cannot stop the handler it gives
+// up on, so New puts it only on the routes whose work no request-size
+// limit bounds.
+func timeoutJSON(next http.HandlerFunc, d time.Duration) http.Handler {
+	if d <= 0 {
+		return next
+	}
 	inner := http.TimeoutHandler(next, d, `{"error":"request timed out"}`+"\n")
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -268,8 +298,9 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) error {
 	if r.Method != http.MethodPost {
 		return &httpError{status: http.StatusMethodNotAllowed, msg: "POST required"}
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
+	// A local reader, not r.Body: a handler must not modify its request,
+	// and a caller may serve the same *http.Request again.
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return badRequest("invalid JSON: %v", err)

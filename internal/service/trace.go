@@ -1,21 +1,14 @@
 package service
 
-// Request tracing and the request-level flight journal. The observe
-// middleware is the outermost layer of the chain: it opens (or adopts,
-// via W3C traceparent) the root span for the request, exposes the trace
-// id to the caller in the X-Diacap-Trace response header before the
-// handler runs, and journals every finished request into the flight
-// recorder. Lower layers (admission, the shard plane, the evaluator
-// hooks) attach child spans and events through the request context, so
-// a traced /v1/shard/assign resolves to a span tree attributing latency
-// per layer at /debug/trace?trace=<id>.
-
-import (
-	"net/http"
-	"time"
-
-	"diacap/internal/obs"
-)
+// Request tracing and the request-level flight journal. The request
+// wrapper (Server.ServeHTTP) opens, or adopts via W3C traceparent, the
+// root span for each request a tracer samples, exposes the trace id to
+// the caller in the X-Diacap-Trace response header before the handler
+// runs, and journals every finished request, panicking and aborted ones
+// included, into the flight recorder. Lower layers (admission, the
+// shard plane, the evaluator hooks) attach child spans and events
+// through the request context, so a traced /v1/shard/assign resolves to
+// a span tree attributing latency per layer at /debug/trace?trace=<id>.
 
 // TraceHeader carries the request's trace id on every traced response,
 // resolvable at /debug/trace?trace=<id>.
@@ -31,39 +24,3 @@ const (
 	// state entered) with the score and dominant health component.
 	JournalAdmission = "admission"
 )
-
-// observe opens the request's root span and journals the request. It
-// runs outside instrument so the histogram middleware can read the span
-// from the context for exemplars, and outside recover/timeout so even
-// panicking or expired requests are journaled with their real status.
-func (s *Server) observe(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ep := normalizeEndpoint(r.URL.Path)
-		ctx := r.Context()
-		var sp *obs.Span
-		if t := s.opts.Tracer; t != nil {
-			if remote, ok := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader)); ok {
-				ctx, sp = t.RootFrom(ctx, "http "+ep, remote)
-			} else {
-				ctx, sp = t.Root(ctx, "http "+ep)
-			}
-		}
-		if sp != nil {
-			// Before the handler runs: the client must learn the trace id
-			// even when the handler fails or times out mid-write.
-			w.Header().Set(TraceHeader, sp.TraceID())
-		}
-		sw := &statusWriter{ResponseWriter: w}
-		start := time.Now()
-		next.ServeHTTP(sw, r.WithContext(ctx))
-		code := sw.status
-		if code == 0 {
-			code = http.StatusOK
-		}
-		sp.SetAttr(obs.Str("endpoint", ep), obs.Str("method", r.Method), obs.Int("status", code))
-		sp.End()
-		s.jRequests.Record(ep, sp.TraceID(),
-			obs.Int("status", code),
-			obs.F64("durationMs", durationMs(time.Since(start))))
-	})
-}
