@@ -19,7 +19,9 @@
 //
 // Runs are pinned: GOMAXPROCS forced to 1 (override with -procs), all
 // workloads seeded, warmup repetitions discarded, per-rep iteration
-// counts auto-calibrated so each sample spans at least ~20ms.
+// counts auto-calibrated so each sample spans at least ~20ms. The two
+// sides of a ratio alternate rep by rep, so slow phases of a shared
+// machine land on both.
 package main
 
 import (
@@ -82,16 +84,6 @@ var sink float64
 func suite() []benchmark {
 	return []benchmark{
 		{
-			name:     "maxpath_pairs/meridian",
-			workload: "max interaction path by client-pair scan, Meridian scale (1796 clients, 80 servers)",
-			setup: func() (func() float64, func() float64) {
-				in := buildInstance(latency.MeridianLike(1), 80)
-				a := randomAssignment(in, 99)
-				return func() float64 { return in.MaxPathNaive(a) },
-					func() float64 { return in.MaxPathReference(a) }
-			},
-		},
-		{
 			name:     "incremental_d/meridian",
 			workload: "per-event D maintenance under churn: incremental engine vs from-scratch MaxInteractionPath over the same assignment, Meridian scale (1796 clients, 80 servers)",
 			setup: func() (func() float64, func() float64) {
@@ -134,15 +126,6 @@ func suite() []benchmark {
 				in := buildInstance(latency.MITLike(2), 32)
 				return func() float64 { return in.LowerBoundUncached() },
 					func() float64 { return in.LowerBoundReference() }
-			},
-		},
-		{
-			name:     "min_plus/4096",
-			workload: "min-plus inner product, 4096-element rows",
-			setup: func() (func() float64, func() float64) {
-				a, b := randomVector(4096, 3), randomVector(4096, 4)
-				return func() float64 { return perfkit.MinPlus(a, b) },
-					func() float64 { return perfkit.MinPlusRef(a, b) }
 			},
 		},
 		{
@@ -415,16 +398,6 @@ func randomAssignment(in *core.Instance, seed int64) core.Assignment {
 	return a
 }
 
-// randomVector returns a seeded latency-like vector.
-func randomVector(n int, seed int64) []float64 {
-	rng := rand.New(rand.NewSource(seed))
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = 1 + 300*rng.Float64()
-	}
-	return v
-}
-
 // entry is one benchmark's recorded result.
 type entry struct {
 	Name        string  `json:"name"`
@@ -461,26 +434,48 @@ type report struct {
 	Benchmarks  []entry     `json:"benchmarks"`
 }
 
-// measure times fn: it calibrates an iteration count so one rep spans
-// at least minRepDuration, discards warmup reps, then records reps
-// samples of ns/op.
-func measure(fn func() float64, warmup, reps int) (samples []float64, iters int) {
-	iters = 1
+// calibrate returns the iteration count at which one rep of fn spans
+// at least minRepDuration.
+func calibrate(fn func() float64) int {
+	iters := 1
 	for {
 		ns := timeReps(fn, iters)
 		if time.Duration(ns*float64(iters)) >= minRepDuration || iters >= 1<<24 {
-			break
+			return iters
 		}
 		iters *= 2
 	}
-	for i := 0; i < warmup; i++ {
-		timeReps(fn, iters)
+}
+
+// measure times the optimized closure and, when ref is non-nil, the
+// reference: it calibrates an iteration count for each side, then runs
+// warmup discarded reps and reps recorded samples of ns/op per side.
+// The two sides alternate rep by rep, and the side that goes first swaps
+// every rep, so a machine phase that spans the run moves both sides of
+// the ratio alike.
+func measure(opt, ref func() float64, warmup, reps int) (optSamples, refSamples []float64, optIters int) {
+	sides := []func() float64{opt}
+	if ref != nil {
+		sides = append(sides, ref)
 	}
-	samples = make([]float64, reps)
-	for i := range samples {
-		samples[i] = timeReps(fn, iters)
+	iters := make([]int, len(sides))
+	for s, fn := range sides {
+		iters[s] = calibrate(fn)
 	}
-	return samples, iters
+	samples := make([][]float64, len(sides))
+	for rep := 0; rep < warmup+reps; rep++ {
+		for x := range sides {
+			s := (x + rep) % len(sides)
+			ns := timeReps(sides[s], iters[s])
+			if rep >= warmup {
+				samples[s] = append(samples[s], ns)
+			}
+		}
+	}
+	if ref != nil {
+		refSamples = samples[1]
+	}
+	return samples[0], refSamples, iters[0]
 }
 
 // timeReps runs fn iters times and returns ns per call.
@@ -524,7 +519,7 @@ func summarize(samples []float64) (median, p90, ciLow, ciHigh float64) {
 func runBenchmark(b benchmark, warmup, reps int, progress io.Writer) entry {
 	opt, ref := b.setup()
 	fmt.Fprintf(progress, "running %s...\n", b.name)
-	samples, iters := measure(opt, warmup, reps)
+	samples, refSamples, iters := measure(opt, ref, warmup, reps)
 	median, p90, lo, hi := summarize(samples)
 	e := entry{
 		Name: b.name, Workload: b.workload, ItersPerRep: iters,
@@ -532,7 +527,6 @@ func runBenchmark(b benchmark, warmup, reps int, progress io.Writer) entry {
 		AllocsPerOp: testing.AllocsPerRun(3, func() { sink += opt() }),
 	}
 	if ref != nil {
-		refSamples, _ := measure(ref, warmup, reps)
 		refMedian, _, refLo, refHi := summarize(refSamples)
 		e.RefMedianNs = refMedian
 		e.RefCI95LowNs = refLo

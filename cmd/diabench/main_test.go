@@ -23,7 +23,7 @@ func TestList(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("-list exit %d", code)
 	}
-	for _, want := range []string{"maxpath_pairs/meridian", "lower_bound/mit", "e2e/scale_20k"} {
+	for _, want := range []string{"incremental_d/meridian", "lower_bound/mit", "e2e/scale_20k"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("-list output missing %q", want)
 		}
@@ -34,7 +34,7 @@ func TestBadFlags(t *testing.T) {
 	if code, _ := runArgs(t, "-bench", "(unclosed"); code != 2 {
 		t.Fatalf("bad regexp: exit %d, want 2", code)
 	}
-	if code, _ := runArgs(t, "-bench", "min_plus/4096", "-bless"); code != 2 {
+	if code, _ := runArgs(t, "-bench", "lower_bound/mit", "-bless"); code != 2 {
 		t.Fatalf("-bless without -compare: exit %d, want 2", code)
 	}
 	if code, _ := runArgs(t, "-bench", "no_such_benchmark"); code != 2 {
@@ -42,8 +42,8 @@ func TestBadFlags(t *testing.T) {
 	}
 }
 
-// TestBlessCompareRegress drives the full gate lifecycle on the cheap
-// min_plus kernel: bless a baseline, verify a rerun passes the gate,
+// TestBlessCompareRegress drives the full gate lifecycle on the
+// lower_bound/mit pair: bless a baseline, verify a rerun passes the gate,
 // then tamper the baseline's speedup upward and verify the rerun is
 // reported as a regression with a non-zero exit.
 func TestBlessCompareRegress(t *testing.T) {
@@ -51,7 +51,7 @@ func TestBlessCompareRegress(t *testing.T) {
 		t.Skip("measures real kernels; skipped with -short")
 	}
 	base := filepath.Join(t.TempDir(), "base.json")
-	common := []string{"-bench", "min_plus/4096$", "-reps", "3", "-warmup", "0"}
+	common := []string{"-bench", "lower_bound/mit$", "-reps", "3", "-warmup", "0"}
 
 	if code, _ := runArgs(t, append(common, "-compare", base, "-bless")...); code != 0 {
 		t.Fatalf("bless exit %d", code)
@@ -74,7 +74,7 @@ func TestBlessCompareRegress(t *testing.T) {
 	if code != 1 {
 		t.Fatalf("tampered baseline: exit %d, want 1\n%s", code, out)
 	}
-	if !strings.Contains(out, "FAIL min_plus/4096") {
+	if !strings.Contains(out, "FAIL lower_bound/mit") {
 		t.Fatalf("tampered baseline: no FAIL line\n%s", out)
 	}
 	// A huge threshold waives the same regression.
@@ -90,18 +90,18 @@ func TestBlessCompareRegress(t *testing.T) {
 func TestCompareOrphanRecord(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "base.json")
 	if err := writeReport(base, &report{Benchmarks: []entry{
-		{Name: "min_plus/4096", MedianNs: 1, RefMedianNs: 1, Speedup: 1},
-		{Name: "min_plus/gone", MedianNs: 1, RefMedianNs: 1, Speedup: 1},
+		{Name: "lower_bound/mit", MedianNs: 1, RefMedianNs: 1, Speedup: 1},
+		{Name: "lower_bound/gone", MedianNs: 1, RefMedianNs: 1, Speedup: 1},
 		{Name: "other/gone", MedianNs: 1},
 	}}); err != nil {
 		t.Fatal(err)
 	}
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-bench", "min_plus", "-compare", base}, &stdout, &stderr); code != 2 {
+	if code := run([]string{"-bench", "lower_bound", "-compare", base}, &stdout, &stderr); code != 2 {
 		t.Fatalf("orphan record: exit %d, want 2\nstderr:\n%s", code, stderr.String())
 	}
-	if !strings.Contains(stderr.String(), `"min_plus/gone"`) || strings.Contains(stderr.String(), "other/gone") {
-		t.Fatalf("stderr should name min_plus/gone and only it:\n%s", stderr.String())
+	if !strings.Contains(stderr.String(), `"lower_bound/gone"`) || strings.Contains(stderr.String(), "other/gone") {
+		t.Fatalf("stderr should name lower_bound/gone and only it:\n%s", stderr.String())
 	}
 	if strings.Contains(stderr.String(), "running") {
 		t.Fatalf("benchmarks ran before the orphan check:\n%s", stderr.String())
@@ -110,7 +110,7 @@ func TestCompareOrphanRecord(t *testing.T) {
 	if testing.Short() {
 		return
 	}
-	// Without min_plus/gone the baseline gates the run: other/gone
+	// Without lower_bound/gone the baseline gates the run: other/gone
 	// lies outside the filter.
 	b, err := loadReport(base)
 	if err != nil {
@@ -120,7 +120,7 @@ func TestCompareOrphanRecord(t *testing.T) {
 	if err := writeReport(base, b); err != nil {
 		t.Fatal(err)
 	}
-	if code, out := runArgs(t, "-bench", "min_plus/4096$", "-reps", "1", "-warmup", "0", "-compare", base, "-threshold", "10"); code != 0 {
+	if code, out := runArgs(t, "-bench", "lower_bound/mit$", "-reps", "1", "-warmup", "0", "-compare", base, "-threshold", "10"); code != 0 {
 		t.Fatalf("record outside the filter: exit %d, want 0\n%s", code, out)
 	}
 }

@@ -6,9 +6,11 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"diacap/internal/latency"
@@ -317,46 +319,26 @@ func (in *Instance) MaxInteractionPath(a Assignment) float64 {
 }
 
 // MaxPathNaive computes D by direct enumeration of all client pairs in
-// O(|C|²), fanned out over row ranges (GOMAXPROCS-bounded). It exists
-// as an oracle for testing MaxInteractionPath and as the full-pair
-// evaluator for audits that deliberately avoid the eccentricity
-// shortcut.
-//
-// The enumeration itself runs as the perfkit pair kernel: assigned
-// clients are compacted once into dense (distance, server) arrays and
-// the pair loop streams over them instead of re-testing Unassigned
-// sentinels and chasing row pointers per pair. MaxPathReference keeps
-// the original scalar walk; the two must agree bit-for-bit (the kernel
-// adds the same operands in the same order), which the differential
-// tests assert.
+// O(|C|²): the maximum over assigned pairs i ≤ j of
+// d(ci, sA(ci)) + d(sA(ci), sA(cj)) + d(sA(cj), cj), added in
+// InteractionPath's order. It exists as an oracle for testing
+// MaxInteractionPath and as the full-pair evaluator for audits that
+// deliberately avoid the eccentricity shortcut; no serving or solving
+// path calls it. Client i's own distance and server row are read once
+// per row, not once per pair.
 func (in *Instance) MaxPathNaive(a Assignment) float64 {
-	s := perfkit.GetScratch()
-	defer perfkit.PutScratch(s)
-	dc := s.Floats(len(a))
-	srv := s.Ints(len(a))
-	n := perfkit.CompactAssigned(in.csF, a, dc, srv)
-	dc, srv = dc[:n], srv[:n]
-	return parallelRowsMax(n, parallelMinRows, func(start, stride int) float64 {
-		return perfkit.MaxPathPairsRange(dc, srv, in.ssF, start, stride)
-	})
-}
-
-// MaxPathReference is the retained naive reference for MaxPathNaive:
-// the sequential client-pair walk with per-pair InteractionPath
-// arithmetic, exactly as the repo computed D before the perfkit
-// kernels. It is the correctness oracle of the differential tests and
-// the "before" side of cmd/diabench's maxpath benchmark.
-func (in *Instance) MaxPathReference(a Assignment) float64 {
 	var max float64
-	for i := 0; i < len(a); i++ {
-		if a[i] == Unassigned {
+	for i, si := range a {
+		if si == Unassigned {
 			continue
 		}
+		di, row := in.cs[i][si], in.ss[si]
 		for j := i; j < len(a); j++ {
-			if a[j] == Unassigned {
+			sj := a[j]
+			if sj == Unassigned {
 				continue
 			}
-			if v := in.InteractionPath(a, i, j); v > max {
+			if v := di + row[sj] + in.cs[j][sj]; v > max {
 				max = v
 			}
 		}
@@ -373,70 +355,115 @@ func (in *Instance) MaxPathReference(a Assignment) float64 {
 // This is a super-optimum: in the bound a client may use different servers
 // for different partners, so it may be unachievable by any single
 // assignment. The paper normalizes every algorithm's D by this bound
-// ("normalized interactivity"). The result is cached on the instance;
-// the method is safe for concurrent use.
+// ("normalized interactivity"). The result is computed once by
+// LowerBoundUncached and cached on the instance; the method is safe for
+// concurrent use.
 func (in *Instance) LowerBound() float64 {
 	in.lbOnce.Do(in.computeLowerBound)
 	return in.lowerBound
 }
 
-// computeLowerBound is O(|C|²·|S|) and the dominant cost of serving
-// large matrices; both phases fan out over client-row ranges
-// (GOMAXPROCS-bounded, see parallelRows) — rows are independent in
-// phase one, and phase two is a pure max-reduction.
-//
-// Both phases are min-plus products over flat rows. Phase one runs
-// perfkit.MinPlus and exploits the symmetry of the server-to-server
-// table (a latency.Matrix invariant — Symmetrize writes the identical
-// float to both entries and Validate rejects any difference):
-// min_k cs[i][k] + ss[k][l] walks column l of ss, which is row l, so
-// the kernel streams two contiguous rows instead of striding. Phase
-// two runs the fused, early-abandoning perfkit.MaxMinPlus. The sums
-// are bit-identical to the column walk, which LowerBoundReference
-// retains and the differential tests check.
+// computeLowerBound fills the cache LowerBound reads.
 func (in *Instance) computeLowerBound() {
 	in.lowerBound = in.LowerBoundUncached()
 }
 
 // LowerBoundUncached recomputes the lower bound from scratch, bypassing
-// the per-instance cache. LowerBound is the API callers want; this
-// entry point exists so cmd/diabench can time the kernel-backed
-// computation across repetitions (the cached accessor would measure
-// one run and then a field read).
+// the per-instance cache; cmd/diabench times it against
+// LowerBoundReference, whose value it returns bit for bit. It runs on
+// the calling goroutine in two phases, each with an exact prune.
+//
+// Phase one computes B[i][l] = min over k of d(i,k) + d(k,l). It walks
+// server row l in ascending d(l,k), sorted once per call, and stops once
+// d(i,nᵢ) + d(l,k) reaches the running minimum, where nᵢ is client i's
+// nearest server. Phase two computes the max over pairs i ≤ j of
+// min over l of B[i][l] + d(j,l). With R[l] the largest nearest-server
+// distance among the clients whose nearest server is l, row i cannot
+// exceed Uᵢ = max over l of B[i][l] + R[l]. Rows are visited in
+// descending Uᵢ until Uᵢ ≤ the running bound, and each visited row is
+// folded by the early-abandoning perfkit.MaxMinPlus.
+//
+// Why it is exact: min and max do not depend on order, and IEEE addition
+// is monotone in each operand (a ≤ a' and b ≤ b' give a+b ≤ a'+b' after
+// rounding). In phase one every server k the walk skips has
+// d(i,k) ≥ d(i,nᵢ) and d(l,k) at least the d(l,k) that stopped it, so its
+// sum is at least the running minimum and cannot lower it. In phase two
+// pair (i,j) is at most its l = nⱼ candidate, B[i][nⱼ] + d(j,nⱼ) ≤
+// B[i][nⱼ] + R[nⱼ] ≤ Uᵢ, so a skipped row cannot raise the running
+// maximum. Every candidate that is computed is the sum
+// LowerBoundReference adds (d(l,k) = d(k,l): the server table is
+// symmetric, a latency.Matrix invariant), so the result is
+// bit-identical. When nothing prunes, the cost is the reference's
+// additions plus O(|S|² log |S| + |C| log |C|) of sorting.
 func (in *Instance) LowerBoundUncached() float64 {
 	nc, ns := len(in.clients), len(in.servers)
-	// B[i][l] = min over s of d(ci, s) + d(s, sl).
+	nearest := make([]int, nc)
+	perfkit.NearestInto(in.csF, nearest)
+
+	// byDist[l] lists every server k in ascending d(l,k).
+	byDist := make([][]int, ns)
+	for l, ssRow := range in.ss {
+		order := make([]int, ns)
+		for k := range order {
+			order[k] = k
+		}
+		slices.SortFunc(order, func(x, y int) int { return cmp.Compare(ssRow[x], ssRow[y]) })
+		byDist[l] = order
+	}
 	b := perfkit.NewFlatMatrix(nc, ns)
-	parallelRows(nc, parallelMinRows, func(start, stride int) {
-		for i := start; i < nc; i += stride {
-			row := b.Row(i)
-			csRow := in.cs[i]
-			for l := 0; l < ns; l++ {
-				row[l] = perfkit.MinPlus(csRow, in.ss[l])
+	for i, csRow := range in.cs {
+		bRow, near := b.Row(i), csRow[nearest[i]]
+		for l, order := range byDist {
+			ssRow := in.ss[l]
+			best := math.Inf(1)
+			for _, k := range order {
+				if near+ssRow[k] >= best {
+					break
+				}
+				if v := csRow[k] + ssRow[k]; v < best {
+					best = v
+				}
+			}
+			bRow[l] = best
+		}
+	}
+
+	reach := make([]float64, ns) // R[l]; -Inf where no client is nearest to l
+	for l := range reach {
+		reach[l] = math.Inf(-1)
+	}
+	for i, k := range nearest {
+		if d := in.cs[i][k]; d > reach[k] {
+			reach[k] = d
+		}
+	}
+	upper := make([]float64, nc) // Uᵢ
+	rows := make([]int, nc)
+	for i := range upper {
+		u := math.Inf(-1)
+		for l, x := range b.Row(i) {
+			if v := x + reach[l]; v > u {
+				u = v
 			}
 		}
-	})
-	// Phase two folds each client row through the fused MaxMinPlus
-	// kernel: one call per row instead of one per pair, with rows
-	// abandoned as soon as their running minimum cannot beat the
-	// worker-local maximum. Each worker's local lb only understates the
-	// merged result, so abandoned rows can never affect the final max
-	// and the fold stays bit-identical to LowerBoundReference under any
-	// GOMAXPROCS.
-	return parallelRowsMax(nc, parallelMinRows, func(start, stride int) float64 {
-		var lb float64
-		for i := start; i < nc; i += stride {
-			lb = perfkit.MaxMinPlus(b.Row(i), in.csF, i, lb)
+		upper[i], rows[i] = u, i
+	}
+	slices.SortFunc(rows, func(x, y int) int { return cmp.Compare(upper[y], upper[x]) })
+	var lb float64
+	for _, i := range rows {
+		if upper[i] <= lb {
+			break
 		}
-		return lb
-	})
+		lb = perfkit.MaxMinPlus(b.Row(i), in.csF, i, lb)
+	}
+	return lb
 }
 
 // LowerBoundReference is the retained naive reference for LowerBound:
 // the sequential column-walking nested loops the repo shipped before
-// the perfkit kernels, with no caching. It is the differential-test
-// oracle and the "before" side of cmd/diabench's lower-bound
-// benchmark.
+// the perfkit kernels, with no caching and no pruning. It is the
+// differential-test oracle and the "before" side of cmd/diabench's
+// lower-bound benchmark.
 func (in *Instance) LowerBoundReference() float64 {
 	nc, ns := len(in.clients), len(in.servers)
 	b := make([][]float64, nc)

@@ -1,27 +1,27 @@
 package core_test
 
-// Differential tests for the perfkit-backed hot paths: every optimized
-// evaluator must agree bit-for-bit with its retained naive reference —
-// MaxPathNaive with the pair-walk MaxPathReference, MaxInteractionPath
+// Differential tests for the hot paths: every optimized evaluator must
+// agree bit-for-bit with its retained reference — MaxInteractionPath
 // and the incremental Evaluator with the scalar eccentricity reference,
-// LowerBound with LowerBoundReference — on SyntheticInternet instances,
-// at full Meridian scale, and on fuzz-generated instances, under
-// GOMAXPROCS 1 and 8 alike. Exact equality (asserted on
+// the pruned LowerBound with LowerBoundReference — on SyntheticInternet
+// instances, on tie-heavy instances, at full Meridian scale, and on
+// fuzz-generated instances. Exact equality (asserted on
 // math.Float64bits, never on rounded values) is the repo's determinism
-// contract: the kernels reorder comparisons but combine the same
-// operands in the same association, so any bit of divergence from the
-// same-decomposition reference is a bug, not noise. The two
-// decompositions are compared to each other only at the repo's 1e-9
-// cross-algorithm tolerance (see eccPathReference).
+// contract: the optimized forms reorder comparisons and skip candidates
+// that provably cannot win, but combine the same operands in the same
+// association, so any bit of divergence from the same-decomposition
+// reference is a bug, not noise. The client-pair walk MaxPathNaive and
+// the eccentricity decomposition are compared to each other only at the
+// repo's 1e-9 cross-algorithm tolerance (see eccPathReference).
 
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"diacap/internal/core"
 	"diacap/internal/latency"
+	"diacap/internal/placement"
 )
 
 // diffInstance builds an instance over a matrix with ns random servers
@@ -59,9 +59,9 @@ func diffAssignment(in *core.Instance, seed int64, unassignedFrac float64) core.
 // for MaxInteractionPath and Evaluator.D. It is NOT bit-identical to
 // the client-pair walk in general — the two associate the same three
 // addends in different orders when the witness pair's servers are
-// index-inverted — which is why the pair walk (MaxPathReference) and
-// the ecc decomposition each keep their own reference, and cross-form
-// agreement is asserted to 1e-9 like the repo always has.
+// index-inverted — which is why the pair walk (MaxPathNaive) and the
+// ecc decomposition are each checked against their own form, and
+// cross-form agreement is asserted to 1e-9 like the repo always has.
 func eccPathReference(in *core.Instance, a core.Assignment) float64 {
 	ecc := in.Eccentricities(a)
 	var max float64
@@ -90,57 +90,40 @@ func checkBitsEqual(t *testing.T, label string, got, want float64) {
 	}
 }
 
-// underGOMAXPROCS runs fn at each of the given parallelism levels.
-func underGOMAXPROCS(t *testing.T, levels []int, fn func(t *testing.T)) {
-	t.Helper()
-	for _, procs := range levels {
-		prev := runtime.GOMAXPROCS(procs)
-		fn(t)
-		runtime.GOMAXPROCS(prev)
-		if t.Failed() {
-			t.Fatalf("divergence at GOMAXPROCS=%d", procs)
-		}
-	}
-}
-
 // checkInstance runs the full differential battery on one instance.
 func checkInstance(t *testing.T, in *core.Instance, seed int64) {
 	t.Helper()
 	a := diffAssignment(in, seed, 0.1)
-	refPairs := in.MaxPathReference(a)
 	refEcc := eccPathReference(in, a)
-	refLB := in.LowerBoundReference()
-	if math.Abs(refPairs-refEcc) > 1e-9 {
-		t.Fatalf("references disagree beyond tolerance: pairs %v vs ecc %v", refPairs, refEcc)
+	if pairs := in.MaxPathNaive(a); math.Abs(pairs-refEcc) > 1e-9 {
+		t.Fatalf("pair walk and ecc reference disagree beyond tolerance: %v vs %v", pairs, refEcc)
 	}
+	checkBitsEqual(t, "MaxInteractionPath", in.MaxInteractionPath(a), refEcc)
+	checkBitsEqual(t, "LowerBound", in.LowerBound(), in.LowerBoundReference())
 
-	underGOMAXPROCS(t, []int{1, 8}, func(t *testing.T) {
-		checkBitsEqual(t, "MaxPathNaive", in.MaxPathNaive(a), refPairs)
-		checkBitsEqual(t, "MaxInteractionPath", in.MaxInteractionPath(a), refEcc)
-		checkBitsEqual(t, "LowerBoundReference rerun", in.LowerBoundReference(), refLB)
+	ev, err := in.NewEvaluator(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkBitsEqual(t, "Evaluator.D", ev.D(), refEcc)
 
-		ev, err := in.NewEvaluator(a)
-		if err != nil {
-			t.Fatal(err)
+	// A short random move sequence keeps exact agreement with the
+	// from-scratch references after every mutation.
+	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
+	cur := a.Clone()
+	for step := 0; step < 25; step++ {
+		c := rng.Intn(in.NumClients())
+		s := rng.Intn(in.NumServers())
+		if rng.Float64() < 0.1 {
+			s = core.Unassigned
 		}
-		checkBitsEqual(t, "Evaluator.D", ev.D(), refEcc)
-
-		// A short random move sequence keeps exact agreement with the
-		// from-scratch references after every mutation.
-		rng := rand.New(rand.NewSource(seed ^ 0x5eed))
-		cur := a.Clone()
-		for step := 0; step < 25; step++ {
-			c := rng.Intn(in.NumClients())
-			s := rng.Intn(in.NumServers())
-			if rng.Float64() < 0.1 {
-				s = core.Unassigned
-			}
-			cur[c] = s
-			got := ev.Move(c, s)
-			checkBitsEqual(t, "Evaluator.Move", got, eccPathReference(in, cur))
-			checkBitsEqual(t, "MaxPathNaive after move", in.MaxPathNaive(cur), in.MaxPathReference(cur))
+		cur[c] = s
+		want := eccPathReference(in, cur)
+		checkBitsEqual(t, "Evaluator.Move", ev.Move(c, s), want)
+		if pairs := in.MaxPathNaive(cur); math.Abs(pairs-want) > 1e-9 {
+			t.Fatalf("step %d: pair walk %v vs ecc reference %v beyond tolerance", step, pairs, want)
 		}
-	})
+	}
 }
 
 func TestDifferentialSyntheticInternet(t *testing.T) {
@@ -161,11 +144,56 @@ func TestDifferentialSyntheticInternet(t *testing.T) {
 	}
 }
 
-// TestDifferentialMeridianScale exercises the kernels at the paper's
+// TestDifferentialTies runs the battery where exact ties are the rule:
+// integer latencies 1–4, and an instance where every client-server and
+// every server-server distance is equal. The lower bound's prunes stop
+// on ≥ and ≤, so every tie sits on a stopping boundary.
+func TestDifferentialTies(t *testing.T) {
+	for _, tc := range []struct {
+		nodes, servers int
+		seed           int64
+	}{
+		{40, 4, 1},
+		{90, 7, 2},
+		{120, 12, 3},
+	} {
+		rng := rand.New(rand.NewSource(tc.seed))
+		m := latency.NewMatrix(tc.nodes)
+		for i := 0; i < tc.nodes; i++ {
+			for j := i + 1; j < tc.nodes; j++ {
+				v := float64(1 + rng.Intn(4))
+				m[i][j], m[j][i] = v, v
+			}
+		}
+		checkInstance(t, diffInstance(t, m, tc.servers, tc.seed), tc.seed*17)
+	}
+
+	// Five servers and 25 clients on distinct nodes, all 7 ms apart.
+	m := latency.NewMatrix(30)
+	for i := range m {
+		for j := range m[i] {
+			if i != j {
+				m[i][j] = 7
+			}
+		}
+	}
+	servers, clients := []int{0, 1, 2, 3, 4}, make([]int, 25)
+	for i := range clients {
+		clients[i] = 5 + i
+	}
+	in, err := core.NewInstance(m, servers, clients)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkInstance(t, in, 5)
+}
+
+// TestDifferentialMeridianScale exercises the hot paths at the paper's
 // full Meridian scale (1796 nodes, 80 servers) — the regime
 // cmd/diabench benchmarks — so tiling bugs that only appear past the
-// cache-resident sizes cannot hide. The lower bound differential runs
-// at MIT-like scale to keep the race-enabled CI run affordable.
+// cache-resident sizes cannot hide. The lower bound is checked on
+// solve-meridian's own layout (K-center-B servers, permuted clients) and
+// at MIT-like scale.
 func TestDifferentialMeridianScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("meridian-scale differential is seconds-long; skipped with -short")
@@ -173,29 +201,31 @@ func TestDifferentialMeridianScale(t *testing.T) {
 	m := latency.MeridianLike(1)
 	in := diffInstance(t, m, 80, 7)
 	a := diffAssignment(in, 99, 0.05)
-	refPairs := in.MaxPathReference(a)
 	refEcc := eccPathReference(in, a)
-	if math.Abs(refPairs-refEcc) > 1e-9 {
-		t.Fatalf("references disagree beyond tolerance: pairs %v vs ecc %v", refPairs, refEcc)
+	if pairs := in.MaxPathNaive(a); math.Abs(pairs-refEcc) > 1e-9 {
+		t.Fatalf("pair walk and ecc reference disagree beyond tolerance: %v vs %v", pairs, refEcc)
 	}
-	underGOMAXPROCS(t, []int{1, 8}, func(t *testing.T) {
-		checkBitsEqual(t, "MaxPathNaive@meridian", in.MaxPathNaive(a), refPairs)
-		checkBitsEqual(t, "MaxInteractionPath@meridian", in.MaxInteractionPath(a), refEcc)
-	})
+	checkBitsEqual(t, "MaxInteractionPath@meridian", in.MaxInteractionPath(a), refEcc)
 
-	mit := latency.MITLike(2)
-	inMIT := diffInstance(t, mit, 32, 8)
-	refLB := inMIT.LowerBoundReference()
-	underGOMAXPROCS(t, []int{1, 8}, func(t *testing.T) {
-		checkBitsEqual(t, "LowerBound@mit", inMIT.LowerBound(), refLB)
-	})
+	servers, err := placement.PlaceKCenterB(m, 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solve, err := core.NewInstanceTrusted(m, servers, rand.New(rand.NewSource(1)).Perm(m.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkBitsEqual(t, "LowerBound@meridian-kcenter", solve.LowerBound(), solve.LowerBoundReference())
+
+	mit := diffInstance(t, latency.MITLike(2), 32, 8)
+	checkBitsEqual(t, "LowerBound@mit", mit.LowerBound(), mit.LowerBoundReference())
 }
 
 // FuzzDifferentialInstance feeds fuzz-shaped instances through the
-// same battery: the optimized pair kernel must match the pair-walk
-// reference bit-for-bit, the eccentricity evaluators must match the
-// scalar ecc reference bit-for-bit, and the two forms must agree to
-// the repo's cross-algorithm tolerance.
+// same battery: the eccentricity evaluators must match the scalar ecc
+// reference bit-for-bit, the pruned lower bound must match
+// LowerBoundReference bit-for-bit, and the pair walk must agree with the
+// ecc form to the repo's cross-algorithm tolerance.
 func FuzzDifferentialInstance(f *testing.F) {
 	f.Add(int64(1), uint8(30), uint8(4))
 	f.Add(int64(77), uint8(3), uint8(2))
@@ -209,13 +239,9 @@ func FuzzDifferentialInstance(f *testing.F) {
 		}
 		in := diffInstance(t, m, ns, seed)
 		a := diffAssignment(in, seed^0xfeed, 0.2)
-		refPairs := in.MaxPathReference(a)
 		refEcc := eccPathReference(in, a)
-		if math.Abs(refPairs-refEcc) > 1e-9 {
-			t.Fatalf("references disagree beyond tolerance: pairs %v vs ecc %v", refPairs, refEcc)
-		}
-		if got := in.MaxPathNaive(a); math.Float64bits(got) != math.Float64bits(refPairs) {
-			t.Fatalf("MaxPathNaive %v != reference %v", got, refPairs)
+		if pairs := in.MaxPathNaive(a); math.Abs(pairs-refEcc) > 1e-9 {
+			t.Fatalf("pair walk and ecc reference disagree beyond tolerance: %v vs %v", pairs, refEcc)
 		}
 		if got := in.MaxInteractionPath(a); math.Float64bits(got) != math.Float64bits(refEcc) {
 			t.Fatalf("MaxInteractionPath %v != reference %v", got, refEcc)
@@ -226,6 +252,9 @@ func FuzzDifferentialInstance(f *testing.F) {
 		}
 		if got := ev.D(); math.Float64bits(got) != math.Float64bits(refEcc) {
 			t.Fatalf("Evaluator.D %v != reference %v", got, refEcc)
+		}
+		if got, want := in.LowerBound(), in.LowerBoundReference(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("LowerBound %v != reference %v", got, want)
 		}
 	})
 }

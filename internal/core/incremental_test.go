@@ -3,7 +3,7 @@ package core_test
 // Differential battery for the incremental D engine: randomized
 // join/leave/migrate sequences where every step's D must be
 // bit-identical to the scalar eccentricity reference, and must agree
-// with the client-pair walk MaxPathReference at the repo's 1e-9
+// with the client-pair walk MaxPathNaive at the repo's 1e-9
 // cross-form tolerance (the two decompositions associate the witness
 // sum differently — see differential_test.go). Per-server
 // eccentricities and loads are also checked bit-for-bit against
@@ -38,7 +38,7 @@ func checkEvaluatorState(t *testing.T, label string, in *core.Instance, ev *core
 // incCheck drives one randomized op sequence through an evaluator,
 // checking every op's D against eccPathReference and every join's
 // PeekJoin against the D the join returns. refEvery > 0 additionally
-// checks eccentricities, loads and MaxPathReference every refEvery ops.
+// checks eccentricities, loads and MaxPathNaive every refEvery ops.
 func incCheck(t *testing.T, in *core.Instance, seed int64, ops, refEvery int) {
 	t.Helper()
 	inc, err := in.NewEvaluator(core.NewAssignment(in.NumClients()))
@@ -91,8 +91,8 @@ func incCheck(t *testing.T, in *core.Instance, seed int64, ops, refEvery int) {
 		checkBitsEqual(t, "incremental D vs ecc reference", d, eccPathReference(in, a))
 		if refEvery > 0 && op%refEvery == 0 {
 			checkEvaluatorState(t, "incremental state", in, inc)
-			if ref := in.MaxPathReference(a); math.Abs(d-ref) > 1e-9 {
-				t.Fatalf("op %d: incremental D %v vs MaxPathReference %v: |diff| %g > 1e-9",
+			if ref := in.MaxPathNaive(a); math.Abs(d-ref) > 1e-9 {
+				t.Fatalf("op %d: incremental D %v vs MaxPathNaive %v: |diff| %g > 1e-9",
 					op, d, ref, math.Abs(d-ref))
 			}
 		}

@@ -27,13 +27,9 @@ func TestHotpathKernelsZeroAlloc(t *testing.T) {
 	}
 	ecc := make([]float64, ns)
 	EccInto(cs, a, ecc)
-	dc := make([]float64, n)
-	srv := make([]int, n)
-	CompactAssigned(cs, a, dc, srv)
 	out := make([]int, n)
 
 	var fsink float64
-	var isink int
 	cases := []struct {
 		name string
 		fn   func()
@@ -43,8 +39,6 @@ func TestHotpathKernelsZeroAlloc(t *testing.T) {
 		{"MaxPlusSkip", func() { fsink = MaxPlusSkip(ss.Row(0), ecc) }},
 		{"EccInto", func() { EccInto(cs, a, ecc) }},
 		{"MaxPathEcc", func() { fsink = MaxPathEcc(ss, ecc) }},
-		{"CompactAssigned", func() { isink = CompactAssigned(cs, a, dc, srv) }},
-		{"MaxPathPairsRange", func() { fsink = MaxPathPairsRange(dc, srv, ss, 0, 1) }},
 		{"NearestInto", func() { NearestInto(cs, out) }},
 	}
 	for _, tc := range cases {
@@ -54,5 +48,5 @@ func TestHotpathKernelsZeroAlloc(t *testing.T) {
 			}
 		})
 	}
-	_, _ = fsink, isink
+	_ = fsink
 }

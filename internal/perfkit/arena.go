@@ -2,35 +2,29 @@ package perfkit
 
 import "sync"
 
-// Scratch is a bump-allocating arena for the temporary slices the
-// kernels need (compacted client arrays, eccentricity vectors). Taking
-// memory from a Scratch instead of make keeps the quadratic evaluators
-// allocation-free on the hot path: local-search loops call
-// MaxInteractionPath thousands of times per second, and the per-call
-// ecc/used allocations used to dominate their profile.
+// Scratch is a bump-allocating arena for the temporary float64 slices
+// the kernels need (eccentricity vectors). Taking memory from a Scratch
+// instead of make keeps the evaluators allocation-free on the hot path:
+// local-search loops call MaxInteractionPath thousands of times per
+// second, and the per-call ecc/used allocations used to dominate their
+// profile.
 //
 // Take'd slices stay valid until the next Reset, even if a later Take
 // grows the arena (growth allocates a fresh backing array; outstanding
 // slices keep referencing the old one). Returned memory is NOT zeroed —
 // callers must fully initialize what they take. A Scratch is not safe
-// for concurrent use; either give each goroutine its own (GetScratch)
-// or hand workers read-only views taken before the fan-out.
+// for concurrent use; give each goroutine its own (GetScratch).
 type Scratch struct {
-	f64  bumpF64
-	ints bumpInt
+	f64 bumpF64
 }
 
 // Floats takes an uninitialized []float64 of length n from the arena.
 func (s *Scratch) Floats(n int) []float64 { return s.f64.take(n) }
 
-// Ints takes an uninitialized []int of length n from the arena.
-func (s *Scratch) Ints(n int) []int { return s.ints.take(n) }
-
 // Reset makes all arena memory available for reuse. Slices taken before
 // the Reset must no longer be used (they will be overwritten).
 func (s *Scratch) Reset() {
 	s.f64.off = 0
-	s.ints.off = 0
 }
 
 type bumpF64 struct {
@@ -42,22 +36,6 @@ func (b *bumpF64) take(n int) []float64 {
 	if b.off+n > len(b.buf) {
 		size := 2*len(b.buf) + n
 		b.buf = make([]float64, size)
-		b.off = 0
-	}
-	s := b.buf[b.off : b.off+n : b.off+n]
-	b.off += n
-	return s
-}
-
-type bumpInt struct {
-	buf []int
-	off int
-}
-
-func (b *bumpInt) take(n int) []int {
-	if b.off+n > len(b.buf) {
-		size := 2*len(b.buf) + n
-		b.buf = make([]int, size)
 		b.off = 0
 	}
 	s := b.buf[b.off : b.off+n : b.off+n]

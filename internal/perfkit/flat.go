@@ -3,17 +3,17 @@
 // row-major, 64-byte-aligned latency representation (FlatMatrix), fused
 // min-plus / max-plus / max-path / nearest-server kernels, and reusable
 // scratch arenas that keep the per-call allocation count of the
-// quadratic loops at zero.
+// evaluators at zero.
 //
-// A kernel keeps a naive reference twin (the ...Ref functions) only
-// while cmd/diabench shows the kernel beating it; a kernel that runs no
-// faster than the obvious scalar loop is that loop. A twin serves two
-// roles: it is the correctness oracle for the differential tests
-// (optimized and reference results must be bit-identical on the same
-// inputs — both combine their operands in the same pairings, so min/max
-// reorderings never change the produced bits), and it is the "before"
-// side of the cmd/diabench regression suite, which tracks the speedup
-// ratio of each kernel over its reference.
+// Each kernel is one body with no ...Ref twin: a kernel that runs no
+// faster than the obvious scalar loop is that loop. The differential
+// tests check every kernel bit for bit against independently written
+// loops (a kernel may reorder comparisons and skip candidates that
+// cannot win, but adds the same operands in the same pairings, so the
+// produced bits never change). The one kernel that beats its loop,
+// MaxMinPlus's early abandon, is gated end to end by cmd/diabench's
+// lower_bound/mit pair (core.LowerBoundUncached vs
+// core.LowerBoundReference).
 //
 // perfkit deliberately depends on nothing in the repo: kernels consume
 // plain slices and FlatMatrix values, and internal/core adapts its

@@ -89,9 +89,8 @@ func TestScratchReuseAndGrowth(t *testing.T) {
 		t.Fatalf("scratch growth corrupted outstanding slices")
 	}
 	s.Reset()
-	d := s.Ints(4)
-	if len(d) != 4 {
-		t.Fatalf("Ints(4) len = %d", len(d))
+	if d := s.Floats(4); len(d) != 4 {
+		t.Fatalf("Floats(4) after Reset: len = %d", len(d))
 	}
 	// Pool round trip.
 	p := GetScratch()

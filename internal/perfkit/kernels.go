@@ -4,70 +4,29 @@ import "math"
 
 // Kernel contracts
 //
-// MinPlus and MaxMinPlus keep ...Ref twins, and the CompactAssigned +
-// MaxPathPairsRange scan keeps core.MaxPathReference, because diabench
-// shows them beating the plain loop (see the package doc); the other
-// kernels are the plain loop. A kernel must agree with its twin
-// bit-for-bit: it is free to reorder *comparisons* (min/max are
-// order-independent) and to skip elements that provably cannot win,
-// but it must combine operands in exactly the same additions, with the
-// same left-to-right association, as its reference. That is the
-// property the differential tests assert with math.Float64bits, and it
-// is what lets internal/core swap a kernel into MaxInteractionPath or
-// LowerBound without perturbing a single figure CSV.
+// Every kernel here is one body; none keeps a ...Ref twin. MaxMinPlus
+// is the one kernel that beats the plain loop, by its early abandon, and
+// diabench measures it end to end as core.LowerBoundUncached against
+// core.LowerBoundReference (lower_bound/mit). A kernel is free to
+// reorder *comparisons* (min/max are order-independent) and to skip
+// elements that provably cannot win, but it must combine operands in
+// exactly the same additions, with the same left-to-right association,
+// as the plain loop it replaces. That is the property the differential
+// tests assert with math.Float64bits against independently written
+// loops, and it is what lets internal/core run a kernel inside
+// MaxInteractionPath or LowerBound without perturbing a single figure
+// CSV.
 
 // MinPlus returns min over i of a[i] + b[i], or +Inf when a is empty.
 // b must be at least as long as a. It is the inner step of the paper's
-// super-optimal lower bound (both phases are min-plus products) and is
-// unrolled into four independent accumulators so the adds pipeline
-// instead of serializing on one running minimum.
+// super-optimal lower bound (both phases are min-plus products).
 //
 //dialint:hotpath
 func MinPlus(a, b []float64) float64 {
-	n := len(a)
-	if n == 0 {
-		return math.Inf(1)
-	}
-	b = b[:n]
-	m0 := math.Inf(1)
-	m1, m2, m3 := m0, m0, m0
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		if v := a[i] + b[i]; v < m0 {
-			m0 = v
-		}
-		if v := a[i+1] + b[i+1]; v < m1 {
-			m1 = v
-		}
-		if v := a[i+2] + b[i+2]; v < m2 {
-			m2 = v
-		}
-		if v := a[i+3] + b[i+3]; v < m3 {
-			m3 = v
-		}
-	}
-	for ; i < n; i++ {
-		if v := a[i] + b[i]; v < m0 {
-			m0 = v
-		}
-	}
-	if m1 < m0 {
-		m0 = m1
-	}
-	if m2 < m0 {
-		m0 = m2
-	}
-	if m3 < m0 {
-		m0 = m3
-	}
-	return m0
-}
-
-// MinPlusRef is the retained scalar reference for MinPlus.
-func MinPlusRef(a, b []float64) float64 {
+	b = b[:len(a)]
 	best := math.Inf(1)
-	for i := range a {
-		if v := a[i] + b[i]; v < best {
+	for i, x := range a {
+		if v := x + b[i]; v < best {
 			best = v
 		}
 	}
@@ -83,9 +42,9 @@ func MinPlusRef(a, b []float64) float64 {
 //
 // A row is abandoned as soon as its running minimum falls to lb or
 // below: minima only decrease and lb only increases, so such a row can
-// never raise lb. That skip drops most of the work once lb is large
-// (in practice a ~3x wall-clock cut at MIT scale) and provably cannot
-// change the fold — the result is bit-identical to MaxMinPlusRef.
+// never raise lb. That skip drops most of the work once lb is large and
+// provably cannot change the fold — the result is bit-identical to
+// taking every row's full minimum.
 //
 //dialint:hotpath
 func MaxMinPlus(bi []float64, cs *FlatMatrix, jStart int, lb float64) float64 {
@@ -102,17 +61,6 @@ func MaxMinPlus(bi []float64, cs *FlatMatrix, jStart int, lb float64) float64 {
 			}
 		}
 		if best > lb {
-			lb = best
-		}
-	}
-	return lb
-}
-
-// MaxMinPlusRef is the retained naive reference for MaxMinPlus: the
-// full min of every row, no abandonment.
-func MaxMinPlusRef(bi []float64, cs *FlatMatrix, jStart int, lb float64) float64 {
-	for j := jStart; j < cs.Rows(); j++ {
-		if best := MinPlusRef(bi, cs.Row(j)[:len(bi)]); best > lb {
 			lb = best
 		}
 	}
@@ -182,53 +130,6 @@ func MaxPathEcc(ss *FlatMatrix, ecc []float64) float64 {
 				continue
 			}
 			if v := ecc[s] + row[t] + ecc[t]; v > best {
-				best = v
-			}
-		}
-	}
-	return best
-}
-
-// CompactAssigned gathers the assigned clients of a into dense arrays:
-// dc[x] = d(client, its server) and srv[x] = its server, for the x-th
-// assigned client in index order. It returns the number of assigned
-// clients. dc and srv must have length ≥ len(a).
-//
-//dialint:hotpath
-func CompactAssigned(cs *FlatMatrix, a []int, dc []float64, srv []int) int {
-	n := 0
-	for i, s := range a {
-		if s < 0 {
-			continue
-		}
-		dc[n] = cs.data[i*cs.stride+s]
-		srv[n] = s
-		n++
-	}
-	return n
-}
-
-// MaxPathPairsRange is the full client-pair interaction-path maximum
-// over compacted assigned clients (see CompactAssigned), restricted to
-// outer indices start, start+stride, start+2·stride, … so callers can
-// fan it out over strided row ranges. For each pair x ≤ y it evaluates
-// dc[x] + ss[srv[x]][srv[y]] + dc[y] — the same association the
-// reference uses — with the server row hoisted out of the inner loop.
-//
-// Against the reference (per-pair InteractionPath with two sentinel
-// branches and four indexed loads), compaction turns the O(|C|²) scan
-// into two contiguous streams plus one gather, which is where the
-// diabench speedup at Meridian scale comes from.
-//
-//dialint:hotpath
-func MaxPathPairsRange(dc []float64, srv []int, ss *FlatMatrix, start, stride int) float64 {
-	n := len(dc)
-	var best float64
-	for x := start; x < n; x += stride {
-		row := ss.Row(srv[x])
-		dx := dc[x]
-		for y := x; y < n; y++ {
-			if v := dx + row[srv[y]] + dc[y]; v > best {
 				best = v
 			}
 		}

@@ -42,6 +42,19 @@ func randAssignment(rng *rand.Rand, nc, ns int, unassignedFrac float64) []int {
 	return a
 }
 
+// minPlusLoop is min over i of a[i] + b[i], +Inf for an empty a,
+// written independently of the kernel.
+func minPlusLoop(a, b []float64) float64 {
+	best := math.Inf(1)
+	for i := 0; i < len(a); i++ {
+		best = math.Min(best, a[i]+b[i])
+	}
+	return best
+}
+
+// TestMinPlusDifferential checks MinPlus against minPlusLoop, and the
+// fixed expectations: an empty row gives +Inf, and b's entries past
+// len(a) never count.
 func TestMinPlusDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
@@ -52,21 +65,33 @@ func TestMinPlusDifferential(t *testing.T) {
 			a[i] = rng.Float64() * 500
 			b[i] = rng.Float64() * 500
 		}
-		got, want := MinPlus(a, b), MinPlusRef(a, b)
+		got, want := MinPlus(a, b), minPlusLoop(a, b)
 		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("n=%d: MinPlus = %v (bits %x), ref = %v (bits %x)",
+			t.Fatalf("n=%d: MinPlus = %v (bits %x), loop = %v (bits %x)",
 				n, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
 	}
 	if got := MinPlus(nil, nil); !math.IsInf(got, 1) {
 		t.Fatalf("MinPlus(empty) = %v, want +Inf", got)
 	}
+	if got := MinPlus([]float64{4, 2}, []float64{1, 9, -100}); got != 5 {
+		t.Fatalf("MinPlus read past len(a): %v, want 5", got)
+	}
+}
+
+// maxMinPlusLoop folds every row's full minimum into lb, with no
+// abandon: the definition MaxMinPlus must reproduce.
+func maxMinPlusLoop(bi []float64, cs *FlatMatrix, jStart int, lb float64) float64 {
+	for j := jStart; j < cs.Rows(); j++ {
+		lb = math.Max(lb, minPlusLoop(bi, cs.Row(j)))
+	}
+	return lb
 }
 
 // TestMaxMinPlusDifferential checks the fused, early-abandoning phase-2
-// fold against the full-scan reference: folding every row block from
-// every start index, threaded through a running lb exactly as
-// computeLowerBound's workers do, must stay bit-identical.
+// fold against maxMinPlusLoop: folding rows in a shuffled order, each
+// from its own index and threaded through a running lb as
+// core.LowerBoundUncached does, must stay bit-identical at every step.
 func TestMaxMinPlusDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 50; trial++ {
@@ -75,27 +100,43 @@ func TestMaxMinPlusDifferential(t *testing.T) {
 		cs := randMatrix(rng, rows, cols, false)
 		b := randMatrix(rng, rows, cols, false)
 		lbGot, lbWant := 0.0, 0.0
-		for i := 0; i < rows; i++ {
+		for _, i := range rng.Perm(rows) {
 			lbGot = MaxMinPlus(b.Row(i), cs, i, lbGot)
-			lbWant = MaxMinPlusRef(b.Row(i), cs, i, lbWant)
+			lbWant = maxMinPlusLoop(b.Row(i), cs, i, lbWant)
 			if math.Float64bits(lbGot) != math.Float64bits(lbWant) {
-				t.Fatalf("%dx%d row %d: MaxMinPlus = %v (bits %x), ref = %v (bits %x)",
+				t.Fatalf("%dx%d row %d: MaxMinPlus = %v (bits %x), loop = %v (bits %x)",
 					rows, cols, i, lbGot, math.Float64bits(lbGot), lbWant, math.Float64bits(lbWant))
 			}
 		}
-		// A worker starting mid-table with a stale (lower) lb still
-		// converges to the same fold.
-		mid := rows / 2
-		got := MaxMinPlus(b.Row(0), cs, mid, 0)
-		want := MaxMinPlusRef(b.Row(0), cs, mid, 0)
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("%dx%d from %d: MaxMinPlus = %v, ref = %v", rows, cols, mid, got, want)
-		}
 	}
-	// Empty bi rows yield +Inf minima, which always raise lb — same as
-	// folding MinPlusRef(nil, ...) through the reference.
+	// Empty bi rows yield +Inf minima, which always raise lb.
 	if got := MaxMinPlus(nil, NewFlatMatrix(3, 2), 0, -1); !math.IsInf(got, 1) {
 		t.Fatalf("MaxMinPlus(empty bi) = %v, want +Inf", got)
+	}
+	// The abandon boundary: with bi = [5 1], row [1 4] reaches its
+	// minimum 5 exactly at lb = 5 and leaves lb alone; row [0.5 10]
+	// stays above it (5.5) and raises it.
+	bi := []float64{5, 1}
+	cs := NewFlatMatrix(2, 2)
+	copy(cs.Row(0), []float64{1, 4})
+	copy(cs.Row(1), []float64{0.5, 10})
+	for _, tc := range []struct {
+		jStart   int
+		lb, want float64
+	}{
+		{0, 5, 5.5},
+		{1, 5, 5.5},
+		{0, 5.5, 5.5},
+		{0, 0, 5.5},
+	} {
+		if got := MaxMinPlus(bi, cs, tc.jStart, tc.lb); got != tc.want {
+			t.Fatalf("MaxMinPlus(from %d, lb %v) = %v, want %v", tc.jStart, tc.lb, got, tc.want)
+		}
+	}
+	single := NewFlatMatrix(1, 2)
+	copy(single.Row(0), []float64{1, 4})
+	if got := MaxMinPlus(bi, single, 0, 5); got != 5 {
+		t.Fatalf("MaxMinPlus at the boundary = %v, want lb 5 unchanged", got)
 	}
 }
 
@@ -221,42 +262,6 @@ func directMaxPath(cs, ss *FlatMatrix, a []int) float64 {
 		}
 	}
 	return best
-}
-
-func TestMaxPathPairsDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for trial := 0; trial < 60; trial++ {
-		nc, ns := 1+rng.Intn(90), 1+rng.Intn(10)
-		cs := randMatrix(rng, nc, ns, false)
-		ss := randMatrix(rng, ns, ns, true)
-		a := randAssignment(rng, nc, ns, 0.15)
-
-		// Reference: direct enumeration with sentinel branches, the
-		// shape core.MaxPathNaive had before perfkit.
-		want := directMaxPath(cs, ss, a)
-
-		dc := make([]float64, nc)
-		srv := make([]int, nc)
-		n := CompactAssigned(cs, a, dc, srv)
-		got := MaxPathPairsRange(dc[:n], srv[:n], ss, 0, 1)
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("nc=%d ns=%d: MaxPathPairs = %v, ref = %v", nc, ns, got, want)
-		}
-
-		// Strided decomposition must reproduce the sequential result
-		// for any stride (this is what parallel fan-out relies on).
-		for _, stride := range []int{2, 3, 7} {
-			var strided float64
-			for start := 0; start < stride; start++ {
-				if v := MaxPathPairsRange(dc[:n], srv[:n], ss, start, stride); v > strided {
-					strided = v
-				}
-			}
-			if math.Float64bits(strided) != math.Float64bits(got) {
-				t.Fatalf("stride %d: %v != sequential %v", stride, strided, got)
-			}
-		}
-	}
 }
 
 // TestNearestIntoDifferential checks NearestInto against the first

@@ -101,6 +101,43 @@ func TestRequestTimeoutAnswers503JSON(t *testing.T) {
 	}
 }
 
+// TestRequestTimeoutStopsAbandonedSolve: once RequestTimeout's 503 has
+// been sent, the abandoned /v1/assign handler stops at its next phase
+// boundary, so the solve nobody waits for runs no further and records
+// no diacap_assign_seconds sample.
+func TestRequestTimeoutStopsAbandonedSolve(t *testing.T) {
+	reg := obs.NewRegistry()
+	release := make(chan struct{})
+	s := New(Options{
+		MaxNodes:       256,
+		RequestTimeout: 30 * time.Millisecond,
+		Metrics:        reg,
+		testHookAssign: func() { <-release },
+	})
+	// New's wiring of /v1/assign, with the handler's end observable.
+	done := make(chan struct{})
+	h := timeoutJSON(func(w http.ResponseWriter, r *http.Request) {
+		defer close(done)
+		s.handleAssign(w, r)
+	}, s.opts.RequestTimeout)
+	body, err := json.Marshal(AssignRequest{
+		Matrix: smallMatrix(t), Servers: []int{0, 1}, Algorithm: "Greedy", Seed: ptr[int64](1),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/assign", strings.NewReader(string(body))))
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("status = %d, want 503", rec.Code)
+	}
+	close(release) // the hook returns past the deadline
+	<-done
+	if n := reg.Histogram(nAssignSec, "", obs.SecondsBuckets, obs.L("algorithm", "Greedy")).Count(); n != 0 {
+		t.Fatalf("abandoned solve recorded %d diacap_assign_seconds samples, want 0", n)
+	}
+}
+
 func TestRequestTimeoutFastPathUnaffected(t *testing.T) {
 	s := New(Options{MaxNodes: 256, RequestTimeout: 2 * time.Second})
 	rec := httptest.NewRecorder()

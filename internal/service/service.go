@@ -34,6 +34,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -62,10 +63,13 @@ type Options struct {
 	// RequestTimeout bounds the handling time of /v1/assign,
 	// /v1/assign-coords and /v1/placement, the routes whose work no
 	// request-size limit bounds; a request exceeding it receives 503
-	// JSON. Every other route runs inline: its work is bounded by
-	// MaxBodyBytes, MaxBatchClients, the client universe or one plane
-	// write, and a deadline could not stop a plane write it gave up on.
-	// Zero disables the limit.
+	// JSON. The handler stops at its next phase boundary (decode,
+	// solve, lower bound, offsets, placement, metrics, the write) and
+	// records, caches and writes nothing; a phase that has already
+	// started still runs to its end. Every other route runs inline: its
+	// work is bounded by MaxBodyBytes, MaxBatchClients, the client
+	// universe or one plane write, and a deadline could not stop a plane
+	// write it gave up on. Zero disables the limit.
 	RequestTimeout time.Duration
 	// Metrics, if non-nil, receives request/assignment metrics and
 	// enables GET /metrics (Prometheus text) and GET /debug/vars (JSON).
@@ -398,25 +402,35 @@ type AssignResponse struct {
 	ElapsedMs float64 `json:"elapsedMs"`
 }
 
+// handleAssign serves /v1/assign. Like the other solver handlers, it
+// checks its request's context at each phase boundary and returns
+// without a word once it is done: RequestTimeout's 503 has then been
+// sent, and past the deadline a decode error is only the closed body.
 func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
+	ctx := r.Context()
 	var req AssignRequest
 	if err := s.decode(w, r, &req); err != nil {
-		s.fail(w, r, err)
+		if ctx.Err() == nil {
+			s.fail(w, r, err)
+		}
 		return
 	}
-	if s.admit(w, r, "/v1/assign") {
+	if ctx.Err() != nil || s.admit(w, r, "/v1/assign") {
 		return
 	}
 	if s.opts.testHookAssign != nil {
 		s.opts.testHookAssign()
 	}
-	_, csp := obs.Child(r.Context(), "service.compute")
-	resp, err := s.doAssign(&req)
+	_, csp := obs.Child(ctx, "service.compute")
+	resp, err := s.doAssign(ctx, &req)
 	if resp != nil {
 		csp.SetAttr(obs.Str("algorithm", resp.Algorithm), obs.F64("d", resp.D))
 	}
 	csp.End()
+	if ctx.Err() != nil {
+		return
+	}
 	if err != nil {
 		s.fail(w, r, err,
 			"nodes", len(req.Matrix),
@@ -430,7 +444,7 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) doAssign(req *AssignRequest) (*AssignResponse, error) {
+func (s *Server) doAssign(ctx context.Context, req *AssignRequest) (*AssignResponse, error) {
 	if len(req.Matrix) == 0 {
 		return nil, badRequest("matrix is required")
 	}
@@ -474,6 +488,9 @@ func (s *Server) doAssign(req *AssignRequest) (*AssignResponse, error) {
 		}
 	}
 
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	start := time.Now()
 	a, err := alg.Assign(in, caps)
 	if err != nil {
@@ -486,12 +503,18 @@ func (s *Server) doAssign(req *AssignRequest) (*AssignResponse, error) {
 		Loads:      in.Loads(a),
 	}
 	if req.IncludeLowerBound {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		resp.LowerBound = in.LowerBound()
 		if resp.LowerBound > 0 {
 			resp.Normalized = resp.D / resp.LowerBound
 		}
 	}
 	if req.IncludeOffsets {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		off, err := in.ComputeOffsets(a)
 		if err != nil {
 			return nil, fmt.Errorf("computing offsets: %w", err)
@@ -500,6 +523,9 @@ func (s *Server) doAssign(req *AssignRequest) (*AssignResponse, error) {
 	}
 	elapsed := time.Since(start)
 	resp.ElapsedMs = durationMs(elapsed)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	s.recordAssignD(alg.Name(), resp.D, elapsed)
 	return resp, nil
 }
@@ -581,15 +607,21 @@ type AssignCoordsResponse struct {
 
 func (s *Server) handleAssignCoords(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
+	ctx := r.Context()
 	var req AssignCoordsRequest
 	if err := s.decode(w, r, &req); err != nil {
-		s.fail(w, r, err)
+		if ctx.Err() == nil {
+			s.fail(w, r, err)
+		}
 		return
 	}
-	if s.admit(w, r, "/v1/assign-coords") {
+	if ctx.Err() != nil || s.admit(w, r, "/v1/assign-coords") {
 		return
 	}
-	resp, err := s.doAssignCoords(&req)
+	resp, err := s.doAssignCoords(ctx, &req)
+	if ctx.Err() != nil {
+		return
+	}
 	if err != nil {
 		s.fail(w, r, err,
 			"clients", len(req.Clients),
@@ -603,7 +635,7 @@ func (s *Server) handleAssignCoords(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) doAssignCoords(req *AssignCoordsRequest) (*AssignCoordsResponse, error) {
+func (s *Server) doAssignCoords(ctx context.Context, req *AssignCoordsRequest) (*AssignCoordsResponse, error) {
 	if len(req.Clients) == 0 {
 		return nil, badRequest("clients are required")
 	}
@@ -616,6 +648,9 @@ func (s *Server) doAssignCoords(req *AssignCoordsRequest) (*AssignCoordsResponse
 	if len(servers) == 0 {
 		if req.PlaceServers <= 0 {
 			return nil, badRequest("servers (or placeServers) are required")
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
 		var err error
 		servers, err = scale.PlaceServers(req.Clients, req.PlaceServers, seed)
@@ -631,6 +666,9 @@ func (s *Server) doAssignCoords(req *AssignCoordsRequest) (*AssignCoordsResponse
 			return nil, unprocessable("capacities: %d entries for %d servers", len(req.Capacities), len(servers))
 		}
 		caps = core.Capacities(req.Capacities)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	res, err := scale.AssignCoords(req.Clients, scale.Options{
 		Servers:        servers,
@@ -682,9 +720,15 @@ type PlacementResponse struct {
 }
 
 func (s *Server) handlePlacement(w http.ResponseWriter, r *http.Request) {
+	ctx := r.Context()
 	var req PlacementRequest
 	if err := s.decode(w, r, &req); err != nil {
-		s.fail(w, r, err)
+		if ctx.Err() == nil {
+			s.fail(w, r, err)
+		}
+		return
+	}
+	if ctx.Err() != nil {
 		return
 	}
 	if len(req.Matrix) == 0 {
@@ -704,8 +748,14 @@ func (s *Server) handlePlacement(w http.ResponseWriter, r *http.Request) {
 	if req.Strategy == "" {
 		strategy = placement.KCenterB
 	}
+	if ctx.Err() != nil {
+		return
+	}
 	start := time.Now()
 	servers, err := placement.Place(strategy, m, req.K, rand.New(rand.NewSource(seedOrNow(req.Seed))))
+	if ctx.Err() != nil {
+		return
+	}
 	if err != nil {
 		s.fail(w, r, badRequest("placement: %v", err), "nodes", len(req.Matrix), "k", req.K)
 		return
