@@ -84,6 +84,15 @@ func (t *Trace) FinalD() float64 {
 
 // AssignWithTrace runs the algorithm and returns the final assignment
 // together with the per-modification D trace used for Fig. 9.
+//
+// It runs on a core.Evaluator: D, eccentricities and loads come from
+// the engine, and a move's D is what Move returns, bit-equal to
+// MaxInteractionPath. l(s″) excluding c is read after detaching c,
+// which is reattached when no move wins. The sums are DG's own,
+// d(c,s′) + d(s′,s″) + l(s″) and d(c,s) + far[s], not PeekJoin's
+// lower-index-first order: another association can break an exact tie
+// of L(s′) the other way, and package dgreedy's protocol, which is
+// cross-checked against this type, sums in DG's order.
 func (g DistributedGreedy) AssignWithTrace(in *core.Instance, caps core.Capacities) (core.Assignment, *Trace, error) {
 	if err := validateInputs(in, caps); err != nil {
 		return nil, nil, err
@@ -99,10 +108,13 @@ func (g DistributedGreedy) AssignWithTrace(in *core.Instance, caps core.Capaciti
 	if err := in.Validate(a); err != nil {
 		return nil, nil, fmt.Errorf("assign: initial assignment invalid: %w", err)
 	}
+	ev, err := in.NewEvaluator(a)
+	if err != nil {
+		return nil, nil, fmt.Errorf("assign: initial assignment invalid: %w", err)
+	}
 
 	nc, ns := in.NumClients(), in.NumServers()
-	loads := in.Loads(a)
-	trace := &Trace{InitialD: in.MaxInteractionPath(a)}
+	trace := &Trace{InitialD: ev.D()}
 	d := trace.InitialD
 	if g.Trace != nil {
 		g.Trace(obs.AlgoEvent{
@@ -111,30 +123,46 @@ func (g DistributedGreedy) AssignWithTrace(in *core.Instance, caps core.Capaciti
 		})
 	}
 
-	// reach(c) = d(c, sA(c)) + max_t (d(sA(c), t) + ecc(t)) is the length
-	// of the longest interaction path involving c; c is on a longest path
-	// iff reach(c) == D.
+	// The used servers and their eccentricities, in server order.
+	used := make([]int, 0, ns)
+	usedEcc := make([]float64, 0, ns)
+	collectUsed := func() {
+		used, usedEcc = used[:0], usedEcc[:0]
+		for t := 0; t < ns; t++ {
+			if e := ev.Eccentricity(t); e >= 0 {
+				used, usedEcc = append(used, t), append(usedEcc, e)
+			}
+		}
+	}
+	// farthest(s) = max_t (d(s,t) + ecc(t)) over the used servers t: the
+	// longest path from s through the network.
+	farthest := func(s int) float64 {
+		row := in.ServerServerRow(s)
+		best := math.Inf(-1)
+		for i, t := range used {
+			if v := row[t] + usedEcc[i]; v > best {
+				best = v
+			}
+		}
+		return best
+	}
+	far := make([]float64, ns)
+	var critical []int
+
+	// reach(c) = d(c, sA(c)) + far[sA(c)] is the length of the longest
+	// interaction path involving c; c is on a longest path iff
+	// reach(c) == D.
 	for {
 		improved := false
-		ecc := in.Eccentricities(a)
-		used := in.UsedServers(a)
-
-		// Longest path length from each used server through the network:
-		// far[s] = max_t (d(s,t) + ecc(t)).
-		far := make([]float64, ns)
-		for s := 0; s < ns; s++ {
-			far[s] = math.Inf(-1)
-			for _, t := range used {
-				if v := in.ServerServerDist(s, t) + ecc[t]; v > far[s] {
-					far[s] = v
-				}
-			}
+		collectUsed()
+		for s := range far {
+			far[s] = farthest(s)
 		}
 
 		// Snapshot of clients on longest paths.
-		var critical []int
+		critical = critical[:0]
 		for c := 0; c < nc; c++ {
-			if in.ClientServerDist(c, a[c])+far[a[c]] >= d-eps {
+			if s := ev.ServerOf(c); in.ClientServerDist(c, s)+far[s] >= d-eps {
 				critical = append(critical, c)
 			}
 		}
@@ -142,30 +170,16 @@ func (g DistributedGreedy) AssignWithTrace(in *core.Instance, caps core.Capaciti
 		for _, c := range critical {
 			// Re-check against the current assignment: an earlier move in
 			// this sweep may have taken c off the longest paths.
-			ecc = in.Eccentricities(a)
-			used = in.UsedServers(a)
-			cur := a[c]
-			curFar := math.Inf(-1)
-			for _, t := range used {
-				if v := in.ServerServerDist(cur, t) + ecc[t]; v > curFar {
-					curFar = v
-				}
-			}
-			if in.ClientServerDist(c, cur)+curFar < d-eps {
+			cur := ev.ServerOf(c)
+			collectUsed()
+			if in.ClientServerDist(c, cur)+farthest(cur) < d-eps {
 				continue
 			}
 
-			// l(s'') excluding c: recompute the eccentricity of c's own
-			// server without c; other servers are unaffected.
-			lexcl := append([]float64(nil), ecc...)
-			lexcl[cur] = -1
-			for j := 0; j < nc; j++ {
-				if j != c && a[j] == cur {
-					if v := in.ClientServerDist(j, cur); v > lexcl[cur] {
-						lexcl[cur] = v
-					}
-				}
-			}
+			// l(s'') excluding c: detach c, so that only its own server's
+			// eccentricity changes.
+			ev.Move(c, core.Unassigned)
+			collectUsed()
 
 			// Evaluate L(s') for every candidate target server.
 			bestS, bestL := -1, math.Inf(1)
@@ -173,21 +187,22 @@ func (g DistributedGreedy) AssignWithTrace(in *core.Instance, caps core.Capaciti
 				if sp == cur {
 					continue
 				}
-				if caps != nil && loads[sp] >= caps[sp] {
+				if caps != nil && ev.Load(sp) >= caps[sp] {
 					continue
 				}
 				dcs := in.ClientServerDist(c, sp)
+				row := in.ServerServerRow(sp)
 				// Interaction path from c to itself; pairs between c and
 				// the existing clients of sp fall out of the spp == sp
-				// term of the loop below.
+				// term of the loop below. L only grows along the loop, so
+				// it stops once sp cannot win.
 				l := 2 * dcs
-				for spp := 0; spp < ns; spp++ {
-					e := lexcl[spp]
-					if e < 0 {
-						continue
-					}
-					if v := dcs + in.ServerServerDist(sp, spp) + e; v > l {
+				for i, spp := range used {
+					if v := dcs + row[spp] + usedEcc[i]; v > l {
 						l = v
+						if l >= bestL {
+							break
+						}
 					}
 				}
 				if l < bestL {
@@ -195,14 +210,12 @@ func (g DistributedGreedy) AssignWithTrace(in *core.Instance, caps core.Capaciti
 				}
 			}
 			if bestS == -1 || bestL >= d-eps {
+				ev.Move(c, cur)
 				continue // no move for this client improves its paths
 			}
 
 			// Reassign c to bestS.
-			loads[cur]--
-			loads[bestS]++
-			a[c] = bestS
-			newD := in.MaxInteractionPath(a)
+			newD := ev.Move(c, bestS)
 			trace.DAfter = append(trace.DAfter, newD)
 			trace.Moves = append(trace.Moves, c)
 			if g.Trace != nil {
@@ -212,20 +225,18 @@ func (g DistributedGreedy) AssignWithTrace(in *core.Instance, caps core.Capaciti
 				})
 			}
 			if newD < d-eps {
-				d = newD
 				improved = true
-			} else {
-				d = newD
 			}
+			d = newD
 			if g.MaxModifications > 0 && trace.Modifications() >= g.MaxModifications {
-				return a, trace, nil
+				return ev.Assignment(), trace, nil
 			}
 			if improved {
 				break // restart with the new set of longest paths
 			}
 		}
 		if !improved {
-			return a, trace, nil
+			return ev.Assignment(), trace, nil
 		}
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"diacap/internal/core"
 	"diacap/internal/obs"
@@ -81,22 +81,19 @@ func greedyAssign(in *core.Instance, weights Weights, caps core.Capacities, amor
 	a := core.NewAssignment(nc)
 
 	// Preprocessing: Ls for each server — all clients sorted by distance
-	// ascending (ties by client index for determinism).
-	ls := make([][]int, ns)
+	// ascending, ties by client index for determinism. Each server's
+	// distances are read once, into a server-major row, and each entry
+	// keeps its distance for the scans below.
+	ls := make([][]distClient, ns)
+	all := make([]distClient, ns*nc)
 	row := make([]float64, nc)
-	for k := 0; k < ns; k++ {
-		list := make([]int, nc)
-		for i := range list {
-			list[i] = i
+	counts := make([]int, nc+1)
+	for k := range ls {
+		for i := range row {
 			row[i] = in.ClientServerDist(i, k)
 		}
-		sort.Slice(list, func(x, y int) bool {
-			if c := cmp.Compare(row[list[x]], row[list[y]]); c != 0 {
-				return c < 0
-			}
-			return list[x] < list[y]
-		})
-		ls[k] = list
+		ls[k] = all[k*nc : (k+1)*nc]
+		distanceOrder(row, ls[k], counts)
 	}
 	// cursor[k]: every client of Ls[k] before it is assigned.
 	cursor := make([]int, ns)
@@ -137,11 +134,12 @@ func greedyAssign(in *core.Instance, weights Weights, caps core.Capacities, amor
 			// eccentricities; -Inf when no client is assigned yet.
 			m := perfkit.MaxPlusSkip(in.ServerServerRow(k), ecc)
 			list := ls[k]
-			for a[list[cursor[k]]] != core.Unassigned {
+			for a[list[cursor[k]].c] != core.Unassigned {
 				cursor[k]++
 			}
 			dn := 0 // Δn: weight of the unassigned clients passed so far
-			for _, c := range list[cursor[k]:] {
+			for _, e := range list[cursor[k]:] {
+				c, d := e.c, e.d
 				if a[c] != core.Unassigned {
 					continue
 				}
@@ -151,7 +149,6 @@ func greedyAssign(in *core.Instance, weights Weights, caps core.Capacities, amor
 					// only grow, so neither can any farther batch.
 					break
 				}
-				d := in.ClientServerDist(c, k)
 				l := 2 * d
 				if m > math.Inf(-1) {
 					if v := d + m; v > l {
@@ -193,15 +190,16 @@ func greedyAssign(in *core.Instance, weights Weights, caps core.Capacities, amor
 			})
 		}
 		maxLen = bestLen
-		for _, c := range ls[bestS][cursor[bestS]:] {
+		for _, e := range ls[bestS][cursor[bestS]:] {
+			c := e.c
 			if a[c] == core.Unassigned {
 				a[c] = bestS
 				w := weights.of(c)
 				loads[bestS] += w
 				unassignedW -= w
 				remaining--
-				if d := in.ClientServerDist(c, bestS); d > ecc[bestS] {
-					ecc[bestS] = d
+				if e.d > ecc[bestS] {
+					ecc[bestS] = e.d
 				}
 			}
 			if c == bestC {
@@ -210,4 +208,69 @@ func greedyAssign(in *core.Instance, weights Weights, caps core.Capacities, amor
 		}
 	}
 	return a, nil
+}
+
+// distClient is one entry of a server's list Ls: a client and its
+// distance to the server.
+type distClient struct {
+	d float64
+	c int
+}
+
+// distanceOrder fills list with the clients 0..len(dist)-1 ordered by
+// (dist[c], c) ascending, the order a comparison sort on that key
+// yields, in distribution order: with lo and hi the extreme distances,
+// client c drops, in index order, into bucket ⌊(dist[c] − lo)·s⌋ for
+// s = (|C|−1)/(hi − lo), and each bucket is sorted on its own. IEEE
+// subtraction, and multiplication by a positive constant, round
+// monotonically, so a nearer client never lands in a later bucket and
+// the concatenated buckets are the one (distance, index) order. A
+// spread of zero, a spread that is not finite (min and max propagate
+// NaN) and a spread so small that s overflows put every client in
+// bucket 0 without evaluating the map, which leaves a plain comparison
+// sort. counts is scratch of length len(dist)+1.
+func distanceOrder(dist []float64, list []distClient, counts []int) {
+	n := len(dist)
+	lo, hi := dist[0], dist[0]
+	for _, d := range dist {
+		lo, hi = min(lo, d), max(hi, d)
+	}
+	spread := hi - lo
+	scale := float64(n-1) / spread
+	if !(spread > 0) || math.IsInf(spread, 1) || math.IsInf(scale, 1) {
+		for c, d := range dist {
+			list[c] = distClient{d, c}
+		}
+		slices.SortFunc(list, compareDistClient)
+		return
+	}
+	bucket := func(d float64) int { return min(int((d-lo)*scale), n-1) }
+	clear(counts)
+	for _, d := range dist {
+		counts[bucket(d)+1]++
+	}
+	for b := 1; b < len(counts); b++ {
+		counts[b] += counts[b-1]
+	}
+	for c, d := range dist {
+		b := bucket(d)
+		list[counts[b]] = distClient{d, c}
+		counts[b]++
+	}
+	// counts[b] is now the end of bucket b, and the start of b+1.
+	start := 0
+	for b := 0; b < n; b++ {
+		if end := counts[b]; end-start > 1 {
+			slices.SortFunc(list[start:end], compareDistClient)
+		}
+		start = counts[b]
+	}
+}
+
+// compareDistClient orders Ls entries by (distance, client index).
+func compareDistClient(x, y distClient) int {
+	if c := cmp.Compare(x.d, y.d); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.c, y.c)
 }

@@ -76,6 +76,54 @@ func TestGreedyKernelByteIdentical(t *testing.T) {
 	}
 }
 
+// TestDistanceOrder pins distanceOrder to a comparison sort on
+// (distance, index) for the spreads that must bypass the bucket map
+// (zero, NaN, ±Inf, one so small that (n−1)/spread overflows) and for
+// signed zeros, an outlier and random ties.
+func TestDistanceOrder(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	tiny := math.SmallestNonzeroFloat64
+	cases := map[string][]float64{
+		"one":        {3},
+		"zero":       {7, 7, 7, 7},
+		"nan":        {2, nan, 1, 2, nan, 0},
+		"+inf":       {1, inf, 0, inf, 1},
+		"-inf":       {1, -inf, 0, 2},
+		"overflow":   {tiny, 0, tiny, 0, tiny},
+		"signed 0":   {0, math.Copysign(0, -1), 1, 0, math.Copysign(0, -1)},
+		"outlier":    {1, 2, 1, 3, 1000, 2, 4, 1},
+		"negative":   {-3, 2, -3, 0.5, -1e-300, 1e-300},
+		"two values": {5, 1, 5, 1},
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 50; i++ {
+		d := make([]float64, 1+rng.Intn(60))
+		for j := range d {
+			d[j] = float64(rng.Intn(6)) * 0.1
+		}
+		cases[fmt.Sprintf("random %d", i)] = d
+	}
+	for name, dist := range cases {
+		want := make([]int, len(dist))
+		for i := range want {
+			want[i] = i
+		}
+		sort.Slice(want, func(x, y int) bool {
+			if c := cmp.Compare(dist[want[x]], dist[want[y]]); c != 0 {
+				return c < 0
+			}
+			return want[x] < want[y]
+		})
+		list := make([]distClient, len(dist))
+		distanceOrder(dist, list, make([]int, len(dist)+1))
+		for p, e := range list {
+			if e.c != want[p] || math.Float64bits(e.d) != math.Float64bits(dist[e.c]) {
+				t.Fatalf("%s: position %d holds (%v, %d), want client %d", name, p, e.d, e.c, want[p])
+			}
+		}
+	}
+}
+
 // greedyReference is the differential reference for greedyAssign: the
 // paper's Fig. 6 loop scanning every (unassigned client, server) pair in
 // every iteration, with Δn the running weight of the unassigned clients
@@ -496,6 +544,157 @@ func randomWeightedReference(in *core.Instance, weights Weights, caps core.Capac
 	return a, nil
 }
 
+// dgReference is the differential reference for
+// DistributedGreedy.AssignWithTrace: the from-scratch loop DG shipped
+// before it ran on the evaluator. It rebuilds the eccentricities, the
+// used servers and the excluded eccentricity for every critical client,
+// and a full MaxInteractionPath after every move.
+func dgReference(g DistributedGreedy, in *core.Instance, caps core.Capacities) (core.Assignment, *Trace, error) {
+	if err := validateInputs(in, caps); err != nil {
+		return nil, nil, err
+	}
+	initial := g.Initial
+	if initial == nil {
+		initial = NearestServer{}
+	}
+	a, err := initial.Assign(in, caps)
+	if err != nil {
+		return nil, nil, fmt.Errorf("assign: initial assignment: %w", err)
+	}
+	if err := in.Validate(a); err != nil {
+		return nil, nil, fmt.Errorf("assign: initial assignment invalid: %w", err)
+	}
+
+	nc, ns := in.NumClients(), in.NumServers()
+	loads := in.Loads(a)
+	trace := &Trace{InitialD: in.MaxInteractionPath(a)}
+	d := trace.InitialD
+	if g.Trace != nil {
+		g.Trace(obs.AlgoEvent{
+			Algorithm: g.Name(), Kind: obs.KindInit, Step: 0,
+			D: trace.InitialD, Client: -1, Server: -1,
+		})
+	}
+
+	// reach(c) = d(c, sA(c)) + max_t (d(sA(c), t) + ecc(t)) is the length
+	// of the longest interaction path involving c; c is on a longest path
+	// iff reach(c) == D.
+	for {
+		improved := false
+		ecc := in.Eccentricities(a)
+		used := in.UsedServers(a)
+
+		// Longest path length from each used server through the network:
+		// far[s] = max_t (d(s,t) + ecc(t)).
+		far := make([]float64, ns)
+		for s := 0; s < ns; s++ {
+			far[s] = math.Inf(-1)
+			for _, t := range used {
+				if v := in.ServerServerDist(s, t) + ecc[t]; v > far[s] {
+					far[s] = v
+				}
+			}
+		}
+
+		// Snapshot of clients on longest paths.
+		var critical []int
+		for c := 0; c < nc; c++ {
+			if in.ClientServerDist(c, a[c])+far[a[c]] >= d-eps {
+				critical = append(critical, c)
+			}
+		}
+
+		for _, c := range critical {
+			// Re-check against the current assignment: an earlier move in
+			// this sweep may have taken c off the longest paths.
+			ecc = in.Eccentricities(a)
+			used = in.UsedServers(a)
+			cur := a[c]
+			curFar := math.Inf(-1)
+			for _, t := range used {
+				if v := in.ServerServerDist(cur, t) + ecc[t]; v > curFar {
+					curFar = v
+				}
+			}
+			if in.ClientServerDist(c, cur)+curFar < d-eps {
+				continue
+			}
+
+			// l(s'') excluding c: recompute the eccentricity of c's own
+			// server without c; other servers are unaffected.
+			lexcl := append([]float64(nil), ecc...)
+			lexcl[cur] = -1
+			for j := 0; j < nc; j++ {
+				if j != c && a[j] == cur {
+					if v := in.ClientServerDist(j, cur); v > lexcl[cur] {
+						lexcl[cur] = v
+					}
+				}
+			}
+
+			// Evaluate L(s') for every candidate target server.
+			bestS, bestL := -1, math.Inf(1)
+			for sp := 0; sp < ns; sp++ {
+				if sp == cur {
+					continue
+				}
+				if caps != nil && loads[sp] >= caps[sp] {
+					continue
+				}
+				dcs := in.ClientServerDist(c, sp)
+				// Interaction path from c to itself; pairs between c and
+				// the existing clients of sp fall out of the spp == sp
+				// term of the loop below.
+				l := 2 * dcs
+				for spp := 0; spp < ns; spp++ {
+					e := lexcl[spp]
+					if e < 0 {
+						continue
+					}
+					if v := dcs + in.ServerServerDist(sp, spp) + e; v > l {
+						l = v
+					}
+				}
+				if l < bestL {
+					bestL, bestS = l, sp
+				}
+			}
+			if bestS == -1 || bestL >= d-eps {
+				continue // no move for this client improves its paths
+			}
+
+			// Reassign c to bestS.
+			loads[cur]--
+			loads[bestS]++
+			a[c] = bestS
+			newD := in.MaxInteractionPath(a)
+			trace.DAfter = append(trace.DAfter, newD)
+			trace.Moves = append(trace.Moves, c)
+			if g.Trace != nil {
+				g.Trace(obs.AlgoEvent{
+					Algorithm: g.Name(), Kind: obs.KindMove, Step: trace.Modifications(),
+					D: newD, Client: c, Server: bestS,
+				})
+			}
+			if newD < d-eps {
+				d = newD
+				improved = true
+			} else {
+				d = newD
+			}
+			if g.MaxModifications > 0 && trace.Modifications() >= g.MaxModifications {
+				return a, trace, nil
+			}
+			if improved {
+				break // restart with the new set of longest paths
+			}
+		}
+		if !improved {
+			return a, trace, nil
+		}
+	}
+}
+
 // diffCase is one differential input: an instance with client weights
 // (nil for unit weights) and capacities (nil for uncapacitated).
 type diffCase struct {
@@ -509,8 +708,10 @@ type diffCase struct {
 // tie-heavy integer latencies with real-valued ones, and crosses each
 // with nil, all-ones and 1–4 weights and with no capacities, uniform
 // ones from exact fit to +2 slack, or a total one unit short of the
-// total weight. Outside -short it adds Meridian(1) with 80 K-center-B
-// servers, uncapacitated and at ⌈1.2·|C|/|S|⌉.
+// total weight. Three edge shapes of Greedy's distribution order get
+// the same crossing (see edgeInstances). Outside -short it adds
+// Meridian(1) with 80 K-center-B servers, uncapacitated and at
+// ⌈1.2·|C|/|S|⌉.
 func differentialCases(t *testing.T) []diffCase {
 	t.Helper()
 	rng := rand.New(rand.NewSource(29))
@@ -519,6 +720,37 @@ func differentialCases(t *testing.T) []diffCase {
 		trials = 30
 	}
 	var cases []diffCase
+	cross := func(label string, in *core.Instance) {
+		nc, ns := in.NumClients(), in.NumServers()
+		weighted := make(Weights, nc)
+		ones := make(Weights, nc)
+		for i := range weighted {
+			weighted[i] = 1 + rng.Intn(4)
+			ones[i] = 1
+		}
+		for _, w := range []struct {
+			label   string
+			weights Weights
+		}{{"unit", nil}, {"all-ones", ones}, {"1-4", weighted}} {
+			weights := w.weights
+			total := 0
+			for i := 0; i < nc; i++ {
+				total += weights.of(i)
+			}
+			name := fmt.Sprintf("%s, %d clients, %d servers, %s weights)", label, nc, ns, w.label)
+			cases = append(cases, diffCase{name + " uncapacitated", in, weights, nil})
+			for slack := 0; slack <= 2; slack++ {
+				caps := core.UniformCapacities(ns, (total+ns-1)/ns+slack)
+				cases = append(cases, diffCase{fmt.Sprintf("%s slack %d", name, slack), in, weights, caps})
+			}
+			// One unit short of the total weight.
+			short := core.UniformCapacities(ns, (total-1)/ns)
+			for k := 0; k < (total-1)%ns; k++ {
+				short[k]++
+			}
+			cases = append(cases, diffCase{name + " infeasible total", in, weights, short})
+		}
+	}
 	for trial := 0; trial < trials; trial++ {
 		n := 7 + rng.Intn(34)
 		ns := 1 + rng.Intn(6)
@@ -541,35 +773,10 @@ func differentialCases(t *testing.T) []diffCase {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nc := in.NumClients()
-		weighted := make(Weights, nc)
-		ones := make(Weights, nc)
-		for i := range weighted {
-			weighted[i] = 1 + rng.Intn(4)
-			ones[i] = 1
-		}
-		for _, w := range []struct {
-			label   string
-			weights Weights
-		}{{"unit", nil}, {"all-ones", ones}, {"1-4", weighted}} {
-			weights := w.weights
-			total := 0
-			for i := 0; i < nc; i++ {
-				total += weights.of(i)
-			}
-			name := fmt.Sprintf("trial %d (%s, %d clients, %d servers, %s weights)", trial, kind, nc, ns, w.label)
-			cases = append(cases, diffCase{name + " uncapacitated", in, weights, nil})
-			for slack := 0; slack <= 2; slack++ {
-				caps := core.UniformCapacities(ns, (total+ns-1)/ns+slack)
-				cases = append(cases, diffCase{fmt.Sprintf("%s slack %d", name, slack), in, weights, caps})
-			}
-			// One unit short of the total weight.
-			short := core.UniformCapacities(ns, (total-1)/ns)
-			for k := 0; k < (total-1)%ns; k++ {
-				short[k]++
-			}
-			cases = append(cases, diffCase{name + " infeasible total", in, weights, short})
-		}
+		cross(fmt.Sprintf("trial %d (%s", trial, kind), in)
+	}
+	for _, e := range edgeInstances(t) {
+		cross(e.name+" (edge", e.in)
 	}
 	if !testing.Short() {
 		m := latency.MeridianLike(1)
@@ -591,6 +798,72 @@ func differentialCases(t *testing.T) []diffCase {
 	return cases
 }
 
+// edgeInstance is one named instance of edgeInstances.
+type edgeInstance struct {
+	name string
+	in   *core.Instance
+}
+
+// edgeInstances returns the shapes at the edges of Greedy's
+// distribution order (distanceOrder), at two sizes each:
+//   - equidistant: every latency is 7, so every client-server distance
+//     is equal and a server's spread is zero;
+//   - outlier: 1–4 integer latencies but one client 1000 away from
+//     every node, so all other clients land in one bucket;
+//   - overlap: the clients include the server nodes, so some
+//     client-server distances are zero.
+func edgeInstances(t *testing.T) []edgeInstance {
+	t.Helper()
+	rng := rand.New(rand.NewSource(31))
+	intMatrix := func(n int) latency.Matrix {
+		m := latency.NewMatrix(n)
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				v := float64(1 + rng.Intn(4))
+				m[i][j], m[j][i] = v, v
+			}
+		}
+		return m
+	}
+	nodes := func(from, to int) []int {
+		out := make([]int, 0, to-from)
+		for v := from; v < to; v++ {
+			out = append(out, v)
+		}
+		return out
+	}
+	var out []edgeInstance
+	add := func(name string, m latency.Matrix, servers, clients []int) {
+		in, err := core.NewInstanceTrusted(m, servers, clients)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, edgeInstance{name, in})
+	}
+	for _, size := range []struct{ n, ns int }{{9, 2}, {36, 5}} {
+		n, ns := size.n, size.ns
+		eq := latency.NewMatrix(n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if i != j {
+					eq[i][j] = 7
+				}
+			}
+		}
+		add("equidistant", eq, nodes(0, ns), nodes(ns, n))
+
+		far := intMatrix(n)
+		for v := 0; v < n-1; v++ {
+			far[v][n-1], far[n-1][v] = 1000, 1000
+		}
+		add("outlier", far, nodes(0, ns), nodes(ns, n))
+
+		add("overlap", intMatrix(n), nodes(0, ns), nodes(0, n))
+		add("overlap real", latency.ScaledLike(n, int64(n)), nodes(0, ns), nodes(0, n))
+	}
+	return out
+}
+
 // errText renders an error for comparison; "" for nil.
 func errText(err error) string {
 	if err == nil {
@@ -605,19 +878,106 @@ func errText(err error) string {
 func TestGreedyDifferential(t *testing.T) {
 	for _, tc := range differentialCases(t) {
 		for _, amortized := range []bool{true, false} {
-			var want, got []obs.AlgoEvent
-			wantA, wantErr := greedyReference(tc.in, tc.weights, tc.caps, amortized, obs.Collect(&want))
-			gotA, gotErr := greedyAssign(tc.in, tc.weights, tc.caps, amortized, obs.Collect(&got))
-			if errText(gotErr) != errText(wantErr) {
-				t.Fatalf("%s, amortized %t: error %q, reference %q", tc.name, amortized, errText(gotErr), errText(wantErr))
-			}
-			if !reflect.DeepEqual(gotA, wantA) {
-				t.Fatalf("%s, amortized %t: assignment diverges\ngot       %v\nreference %v", tc.name, amortized, gotA, wantA)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s, amortized %t: trace diverges\ngot       %+v\nreference %+v", tc.name, amortized, got, want)
+			checkGreedy(t, fmt.Sprintf("%s, amortized %t", tc.name, amortized), tc.in, tc.weights, tc.caps, amortized)
+		}
+	}
+}
+
+// checkGreedy runs greedyAssign and greedyReference on the same input
+// and fails on any difference in the assignment, the trace events or
+// the error text.
+func checkGreedy(t *testing.T, where string, in *core.Instance, weights Weights, caps core.Capacities, amortized bool) {
+	t.Helper()
+	var want, got []obs.AlgoEvent
+	wantA, wantErr := greedyReference(in, weights, caps, amortized, obs.Collect(&want))
+	gotA, gotErr := greedyAssign(in, weights, caps, amortized, obs.Collect(&got))
+	if errText(gotErr) != errText(wantErr) {
+		t.Fatalf("%s: error %q, reference %q", where, errText(gotErr), errText(wantErr))
+	}
+	if !reflect.DeepEqual(gotA, wantA) {
+		t.Fatalf("%s: assignment diverges\ngot       %v\nreference %v", where, gotA, wantA)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: trace diverges\ngot       %+v\nreference %+v", where, got, want)
+	}
+}
+
+// TestDGDifferential pins Distributed-Greedy on the evaluator to
+// dgReference on every unit-weight case, uncapacitated and capacitated,
+// with MaxModifications 0, 1 and 7 and with the Nearest-Server and
+// Longest-First-Batch initial assignments: the same assignment, the
+// same Trace, the same obs.AlgoTrace events and the same error text.
+func TestDGDifferential(t *testing.T) {
+	for _, tc := range differentialCases(t) {
+		if tc.weights != nil {
+			continue
+		}
+		for _, maxMods := range []int{0, 1, 7} {
+			for _, initial := range []Algorithm{nil, LongestFirstBatch{}} {
+				checkDG(t, fmt.Sprintf("%s, MaxModifications %d, initial %T", tc.name, maxMods, initial), tc.in, tc.caps, maxMods, initial)
 			}
 		}
+	}
+	in, start := dgSumOrderInstance(t)
+	checkDG(t, "sum order", in, nil, 0, start)
+}
+
+// fixedAssignment is an Algorithm that returns a given assignment, so a
+// test can start Distributed-Greedy where no heuristic would.
+type fixedAssignment core.Assignment
+
+// Name implements Algorithm.
+func (fixedAssignment) Name() string { return "fixed" }
+
+// Assign implements Algorithm.
+func (f fixedAssignment) Assign(*core.Instance, core.Capacities) (core.Assignment, error) {
+	return core.Assignment(f).Clone(), nil
+}
+
+// dgSumOrderInstance returns an instance on which DG's sum order
+// decides the argmin, and the start that reaches it. Servers 0, 1, 2;
+// client c (node 3) starts on server 0 at 0.7 beside a client 0.1 away,
+// so D = 1.4 and c is critical. In DG's order c + s′ + l(s″),
+// L(1) = 0.3 + 0.2 + 0.1 = 0.6 ties L(2) = 2·0.3, so c moves to server
+// 1. In PeekJoin's lower-index-first order L(1) is
+// 0.1 + 0.2 + 0.3 = 0.6000000000000001 and c would move to server 2.
+func dgSumOrderInstance(t *testing.T) (*core.Instance, Algorithm) {
+	t.Helper()
+	m := latency.Matrix{
+		{0, 0.2, 0.1, 0.7, 0.1},
+		{0.2, 0, 0.2, 0.3, 0.3},
+		{0.1, 0.2, 0, 0.3, 0.3},
+		{0.7, 0.3, 0.3, 0, 0.5},
+		{0.1, 0.3, 0.3, 0.5, 0},
+	}
+	in, err := core.NewInstanceTrusted(m, []int{0, 1, 2}, []int{3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in, fixedAssignment{0, 0}
+}
+
+// checkDG runs DistributedGreedy and dgReference with the same
+// configuration and fails on any difference in the assignment, the
+// Trace, the trace events or the error text.
+func checkDG(t *testing.T, where string, in *core.Instance, caps core.Capacities, maxMods int, initial Algorithm) {
+	t.Helper()
+	var want, got []obs.AlgoEvent
+	ref := DistributedGreedy{Initial: initial, MaxModifications: maxMods, Trace: obs.Collect(&want)}
+	wantA, wantTr, wantErr := dgReference(ref, in, caps)
+	dg := DistributedGreedy{Initial: initial, MaxModifications: maxMods, Trace: obs.Collect(&got)}
+	gotA, gotTr, gotErr := dg.AssignWithTrace(in, caps)
+	if errText(gotErr) != errText(wantErr) {
+		t.Fatalf("%s: error %q, reference %q", where, errText(gotErr), errText(wantErr))
+	}
+	if !reflect.DeepEqual(gotA, wantA) {
+		t.Fatalf("%s: assignment diverges\ngot       %v\nreference %v", where, gotA, wantA)
+	}
+	if !reflect.DeepEqual(gotTr, wantTr) {
+		t.Fatalf("%s: Trace diverges\ngot       %+v\nreference %+v", where, gotTr, wantTr)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: trace events diverge\ngot       %+v\nreference %+v", where, got, want)
 	}
 }
 
@@ -646,20 +1006,28 @@ func TestNearestServerCapacitatedDifferential(t *testing.T) {
 // and the weighted entry point.
 func TestLFBCapacitatedDifferential(t *testing.T) {
 	for _, tc := range differentialCases(t) {
-		if tc.caps == nil {
-			continue
+		if tc.caps != nil {
+			checkLFBCapacitated(t, tc.name, tc.in, tc.weights, tc.caps)
 		}
-		want, wantErr := lfbReference(tc.in, tc.weights, tc.caps)
-		got, gotErr := LongestFirstBatch{}.AssignWeighted(tc.in, tc.weights, tc.caps)
-		if tc.weights == nil {
-			got, gotErr = LongestFirstBatch{}.Assign(tc.in, tc.caps)
-		}
-		if errText(gotErr) != errText(wantErr) {
-			t.Fatalf("%s: error %q, reference %q", tc.name, errText(gotErr), errText(wantErr))
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: assignment diverges\ngot       %v\nreference %v", tc.name, got, want)
-		}
+	}
+}
+
+// checkLFBCapacitated runs capacitated Longest-First-Batch, through
+// Assign for unit weights and AssignWeighted otherwise, and
+// lfbReference on the same input, and fails on any difference in the
+// assignment or the error text.
+func checkLFBCapacitated(t *testing.T, where string, in *core.Instance, weights Weights, caps core.Capacities) {
+	t.Helper()
+	want, wantErr := lfbReference(in, weights, caps)
+	got, gotErr := LongestFirstBatch{}.AssignWeighted(in, weights, caps)
+	if weights == nil {
+		got, gotErr = LongestFirstBatch{}.Assign(in, caps)
+	}
+	if errText(gotErr) != errText(wantErr) {
+		t.Fatalf("%s: error %q, reference %q", where, errText(gotErr), errText(wantErr))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: assignment diverges\ngot       %v\nreference %v", where, got, want)
 	}
 }
 

@@ -3,6 +3,7 @@ package assign
 import (
 	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"diacap/internal/core"
@@ -21,8 +22,9 @@ import (
 //
 // In the capacitated form (Section IV-E), if the batch would overload s,
 // only the clients nearest to s are assigned, filling s exactly to
-// capacity; the remainder recompute their nearest servers among
-// unsaturated servers and the distance order is rebuilt.
+// capacity; the remainder, whose nearest server was s, recompute their
+// nearest servers among the unsaturated ones, and the next round picks
+// the longest distance again.
 type LongestFirstBatch struct{}
 
 // Name implements Algorithm.
@@ -92,11 +94,15 @@ func lfbUncapacitated(in *core.Instance) core.Assignment {
 // fit is an unsaturated server, and a batch skips members only once it
 // has filled its server to capacity.
 //
-// Every unassigned client's nearest server fits it at the top of each
-// round, so c always fits s: a round that neither skips a member nor
-// saturates s leaves no unassigned client pointing at s (such a
-// client's nearest distance is at most c's, so it was in the batch and
-// placed), and every other round ends in a refresh.
+// Every unassigned client's nearest fitting server is exact at the top
+// of each round, so c always fits s. A round changes only s's load. If
+// it skips no member, no unassigned client points at s, whether or not
+// s is now full: such a client's nearest distance is at most c's, so it
+// was in the batch and placed. Otherwise only the clients pointing at s
+// are refreshed: a client pointing at t ≠ s still fits t, and no server
+// nearer than t gained room, weights included. The first client a
+// refresh of every client would find without a fit points at s, so the
+// error names the same client.
 func lfbCapacitated(in *core.Instance, weights Weights, caps core.Capacities) (core.Assignment, error) {
 	nc, ns := in.NumClients(), in.NumServers()
 	a := core.NewAssignment(nc)
@@ -105,13 +111,15 @@ func lfbCapacitated(in *core.Instance, weights Weights, caps core.Capacities) (c
 
 	// Nearest fitting server per unassigned client. Under weights,
 	// feasibility is per-client (a weight-2 client may fit where a
-	// weight-5 one does not), so it is refreshed after every batch that
-	// skips a member, not only on saturation.
+	// weight-5 one does not), so a batch may skip a member before it
+	// saturates its server.
 	nearest := make([]int, nc)
 	nearestDist := make([]float64, nc)
-	refresh := func() error {
+	// refresh re-derives the nearest fitting server of every unassigned
+	// client pointing at s, or of every unassigned client for s = -1.
+	refresh := func(s int) error {
 		for i := 0; i < nc; i++ {
-			if a[i] != core.Unassigned {
+			if a[i] != core.Unassigned || (s != -1 && nearest[i] != s) {
 				continue
 			}
 			row := in.ClientServerRow(i)
@@ -126,11 +134,11 @@ func lfbCapacitated(in *core.Instance, weights Weights, caps core.Capacities) (c
 		}
 		return nil
 	}
-	if err := refresh(); err != nil {
+	if err := refresh(-1); err != nil {
 		return nil, err
 	}
 
-	batch := make([]int, 0, nc)
+	batch := make([]distClient, 0, nc)
 	for remaining > 0 {
 		// Unassigned client with the longest distance to its nearest
 		// fitting server.
@@ -147,34 +155,28 @@ func lfbCapacitated(in *core.Instance, weights Weights, caps core.Capacities) (c
 		// clients.
 		batch = batch[:0]
 		for j := 0; j < nc; j++ {
-			if a[j] == core.Unassigned && in.ClientServerDist(j, s) <= limit+eps {
-				batch = append(batch, j)
+			if d := in.ClientServerDist(j, s); a[j] == core.Unassigned && d <= limit+eps {
+				batch = append(batch, distClient{d, j})
 			}
 		}
-		sort.Slice(batch, func(x, y int) bool {
-			dx, dy := in.ClientServerDist(batch[x], s), in.ClientServerDist(batch[y], s)
-			if c := cmp.Compare(dx, dy); c != 0 {
-				return c < 0
-			}
-			return batch[x] < batch[y]
-		})
+		slices.SortFunc(batch, compareDistClient)
 		// Nearest-first fill, skipping members too heavy for the
 		// remaining room (a skipped near client must not block farther,
 		// lighter ones — in particular c itself, which fits whenever the
 		// fill reaches it with the room untouched).
 		skipped := false
-		for _, j := range batch {
-			w := weights.of(j)
+		for _, e := range batch {
+			w := weights.of(e.c)
 			if loads[s]+w > caps[s] {
 				skipped = true
 				continue
 			}
-			a[j] = s
+			a[e.c] = s
 			loads[s] += w
 			remaining--
 		}
-		if remaining > 0 && (skipped || loads[s] >= caps[s]) {
-			if err := refresh(); err != nil {
+		if skipped {
+			if err := refresh(s); err != nil {
 				return nil, err
 			}
 		}

@@ -307,13 +307,11 @@ func (in *Instance) Eccentricities(a Assignment) []float64 {
 // result is the maximum over assigned pairs (0 when none).
 //
 // The eccentricity fill and the pair scan both run as perfkit kernels
-// over the instance's flat tables, with the eccentricity vector taken
-// from a pooled scratch arena — the call allocates nothing, which
-// matters to the local-search and churn loops that invoke it per move.
+// over the instance's flat tables. The call allocates its |S|-length
+// eccentricity vector: loops that re-evaluate D per move run on an
+// Evaluator instead.
 func (in *Instance) MaxInteractionPath(a Assignment) float64 {
-	s := perfkit.GetScratch()
-	defer perfkit.PutScratch(s)
-	ecc := s.Floats(len(in.servers))
+	ecc := make([]float64, len(in.servers))
 	perfkit.EccInto(in.csF, a, ecc)
 	return perfkit.MaxPathEcc(in.ssF, ecc)
 }

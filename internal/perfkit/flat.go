@@ -1,9 +1,7 @@
 // Package perfkit holds the cache-conscious data layouts and hot-path
 // kernels behind the repo's assignment and evaluation loops: a flat,
-// row-major, 64-byte-aligned latency representation (FlatMatrix), fused
-// min-plus / max-plus / max-path / nearest-server kernels, and reusable
-// scratch arenas that keep the per-call allocation count of the
-// evaluators at zero.
+// row-major, 64-byte-aligned latency representation (FlatMatrix) and
+// fused min-plus / max-plus / max-path / nearest-server kernels.
 //
 // Each kernel is one body with no ...Ref twin: a kernel that runs no
 // faster than the obvious scalar loop is that loop. The differential

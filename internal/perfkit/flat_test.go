@@ -68,39 +68,6 @@ func TestFromRowsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestScratchReuseAndGrowth(t *testing.T) {
-	s := new(Scratch)
-	a := s.Floats(8)
-	b := s.Floats(8)
-	for i := range a {
-		a[i] = 1
-	}
-	for i := range b {
-		b[i] = 2
-	}
-	// Distinct live allocations must not alias.
-	if a[0] != 1 || b[0] != 2 {
-		t.Fatalf("scratch slices alias: a[0]=%v b[0]=%v", a[0], b[0])
-	}
-	// Growth mid-cycle keeps outstanding slices valid.
-	c := s.Floats(1 << 16)
-	_ = c
-	if a[3] != 1 || b[3] != 2 {
-		t.Fatalf("scratch growth corrupted outstanding slices")
-	}
-	s.Reset()
-	if d := s.Floats(4); len(d) != 4 {
-		t.Fatalf("Floats(4) after Reset: len = %d", len(d))
-	}
-	// Pool round trip.
-	p := GetScratch()
-	_ = p.Floats(3)
-	PutScratch(p)
-	q := GetScratch()
-	_ = q.Floats(3)
-	PutScratch(q)
-}
-
 func TestFlatMatrixResize(t *testing.T) {
 	f := NewFlatMatrix(8, 5)
 	base := &f.data[0]
