@@ -3,6 +3,7 @@ package assign
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"diacap/internal/core"
 	"diacap/internal/obs"
@@ -93,6 +94,19 @@ func (t *Trace) FinalD() float64 {
 // lower-index-first order: another association can break an exact tie
 // of L(s′) the other way, and package dgreedy's protocol, which is
 // cross-checked against this type, sums in DG's order.
+//
+// far[s] is kept with the eccentricities it was computed from. After
+// each winning move, a server t whose eccentricity changed raises
+// far[s] to its new term d(s,t) + ecc(t) when that is larger, and s is
+// rescanned only when t's old term equalled far[s] and its new one is
+// lower or t is now unused. Max is order-free and every term is the
+// same sum, so far is bit-identical to a full recompute, and the
+// re-check of a critical client reads far[cur]. The critical snapshot
+// tests only the clients of servers with ecc(s) + far[s] ≥ D − eps: a
+// client on s is within ecc(s) of it and rounding is monotone. It reads
+// each server's member list, which only a winning move changes (a
+// losing candidate's detach and reattach leave it as it was), and is
+// sorted by client index, the order a scan of every client yields.
 func (g DistributedGreedy) AssignWithTrace(in *core.Instance, caps core.Capacities) (core.Assignment, *Trace, error) {
 	if err := validateInputs(in, caps); err != nil {
 		return nil, nil, err
@@ -146,7 +160,56 @@ func (g DistributedGreedy) AssignWithTrace(in *core.Instance, caps core.Capaciti
 		}
 		return best
 	}
+	// far[s] = farthest(s) under farEcc, the eccentricities it was last
+	// brought up to date with. It starts as if no server were used, so
+	// the first update folds in every used server's term.
 	far := make([]float64, ns)
+	farEcc := make([]float64, ns)
+	stale := make([]bool, ns)
+	for s := range far {
+		far[s], farEcc[s] = math.Inf(-1), -1
+	}
+	// updateFar brings far up to date term by term: a raised term raises
+	// far[s] to it, and only a lowered or removed term that far[s]
+	// equalled (no term exceeds it) leaves s to rescan.
+	updateFar := func() {
+		rescan := false
+		for t, oe := range farEcc {
+			ne := ev.Eccentricity(t)
+			if math.Float64bits(ne) == math.Float64bits(oe) {
+				continue
+			}
+			farEcc[t] = ne
+			for s := range far {
+				dst := in.ServerServerDist(s, t)
+				nt := dst + ne
+				if ne >= 0 && nt > far[s] {
+					far[s] = nt
+				} else if oe >= 0 && dst+oe >= far[s] && !(ne >= 0 && nt >= far[s]) {
+					stale[s], rescan = true, true
+				}
+			}
+		}
+		if !rescan {
+			return
+		}
+		collectUsed()
+		for s, st := range stale {
+			if st {
+				far[s], stale[s] = farthest(s), false
+			}
+		}
+	}
+	updateFar()
+	// members[s] lists the clients on s in no order, and at[c] is c's
+	// position in its server's list.
+	members := make([][]int, ns)
+	at := make([]int, nc)
+	for c := 0; c < nc; c++ {
+		s := ev.ServerOf(c)
+		at[c] = len(members[s])
+		members[s] = append(members[s], c)
+	}
 	var critical []int
 
 	// reach(c) = d(c, sA(c)) + far[sA(c)] is the length of the longest
@@ -154,25 +217,27 @@ func (g DistributedGreedy) AssignWithTrace(in *core.Instance, caps core.Capaciti
 	// reach(c) == D.
 	for {
 		improved := false
-		collectUsed()
-		for s := range far {
-			far[s] = farthest(s)
-		}
-
-		// Snapshot of clients on longest paths.
+		// Snapshot of clients on longest paths, in client order. Every
+		// client on s is within ecc(s) of it, so a server with
+		// ecc(s) + far[s] < D − eps holds none.
 		critical = critical[:0]
-		for c := 0; c < nc; c++ {
-			if s := ev.ServerOf(c); in.ClientServerDist(c, s)+far[s] >= d-eps {
-				critical = append(critical, c)
+		for s, list := range members {
+			if ev.Eccentricity(s)+far[s] < d-eps {
+				continue
+			}
+			for _, c := range list {
+				if in.ClientServerDist(c, s)+far[s] >= d-eps {
+					critical = append(critical, c)
+				}
 			}
 		}
+		slices.Sort(critical)
 
 		for _, c := range critical {
 			// Re-check against the current assignment: an earlier move in
 			// this sweep may have taken c off the longest paths.
 			cur := ev.ServerOf(c)
-			collectUsed()
-			if in.ClientServerDist(c, cur)+farthest(cur) < d-eps {
+			if in.ClientServerDist(c, cur)+far[cur] < d-eps {
 				continue
 			}
 
@@ -216,6 +281,13 @@ func (g DistributedGreedy) AssignWithTrace(in *core.Instance, caps core.Capaciti
 
 			// Reassign c to bestS.
 			newD := ev.Move(c, bestS)
+			list := members[cur]
+			last := list[len(list)-1]
+			list[at[c]], at[last] = last, at[c]
+			members[cur] = list[:len(list)-1]
+			at[c] = len(members[bestS])
+			members[bestS] = append(members[bestS], c)
+			updateFar()
 			trace.DAfter = append(trace.DAfter, newD)
 			trace.Moves = append(trace.Moves, c)
 			if g.Trace != nil {

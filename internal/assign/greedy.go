@@ -8,7 +8,6 @@ import (
 
 	"diacap/internal/core"
 	"diacap/internal/obs"
-	"diacap/internal/perfkit"
 )
 
 // Greedy is the paper's Greedy Assignment (Section IV-C, pseudocode in
@@ -73,6 +72,19 @@ func (GreedyPlainDelta) Assign(in *core.Instance, caps core.Capacities) (core.As
 // rule, u = 1). Once that reaches minCost, none of them can win the
 // strict < and the walk leaves k. No cost is negative, so a pair of cost
 // 0 ends the scan.
+//
+// The same bound skips the walks of a zero-cost iteration. If the head
+// of Ls[k] (its first unassigned client, fitting k's room) has Δl = 0
+// and every earlier server's head has Δl/u > 0, no earlier server holds
+// a pair of cost 0, so the scan would stop at that head: one pass over
+// the heads finds it. A positive Δl so small that Δl/u underflows to 0
+// leaves a deeper pair of cost 0 possible, and the scan runs.
+//
+// m[k] is kept across iterations rather than recomputed: Greedy never
+// unassigns, so eccentricities only grow, and a batch changes only the
+// chosen server's. IEEE addition is monotone, so the raised term
+// d(k, s) + ecc[s] dominates the one it replaces, and folding it into
+// m[k] gives the maximum over every server's term bit for bit.
 func greedyAssign(in *core.Instance, weights Weights, caps core.Capacities, amortized bool, trace obs.AlgoTrace) (core.Assignment, error) {
 	if err := validateWeights(in, weights, caps); err != nil {
 		return nil, err
@@ -97,15 +109,41 @@ func greedyAssign(in *core.Instance, weights Weights, caps core.Capacities, amor
 	}
 	// cursor[k]: every client of Ls[k] before it is assigned.
 	cursor := make([]int, ns)
+	// head returns the first unassigned entry of Ls[k] and moves the
+	// cursor to it.
+	head := func(k int) distClient {
+		for a[ls[k][cursor[k]].c] != core.Unassigned {
+			cursor[k]++
+		}
+		return ls[k][cursor[k]]
+	}
 
 	loads := make([]int, ns)
 	ecc := make([]float64, ns) // max distance from server to its clients
+	// m[k] = max_b∈C' {d(k, sA(b)) + d(sA(b), b)}, the max over servers t
+	// with clients of d(k,t) + ecc[t]; -Inf when no client is assigned.
+	m := make([]float64, ns)
 	for k := range ecc {
 		ecc[k] = -1
+		m[k] = math.Inf(-1)
 	}
 	unassignedW := 0
 	for i := 0; i < nc; i++ {
 		unassignedW += weights.of(i)
+	}
+	// room returns k's remaining capacity, and bound(r) the u above for
+	// a server with room r: no batch on it weighs more.
+	room := func(k int) int {
+		if caps == nil {
+			return math.MaxInt
+		}
+		return caps[k] - loads[k]
+	}
+	bound := func(r int) float64 {
+		if !amortized {
+			return 1
+		}
+		return float64(min(r, unassignedW))
 	}
 	maxLen := 0.0
 	remaining := nc
@@ -113,65 +151,70 @@ func greedyAssign(in *core.Instance, weights Weights, caps core.Capacities, amor
 
 	for remaining > 0 {
 		step++
-		// Stage 1: find the (client, server) pair with minimum Δl/Δn.
-		minCost := math.Inf(1)
 		bestC, bestS, bestN := -1, -1, 0
 		bestLen := 0.0
-	scan:
+		// Stage 1a: a head with Δl = 0 ends the scan at its own pair.
+		scan := true
 		for k := 0; k < ns; k++ {
-			room := math.MaxInt
-			if caps != nil {
-				room = caps[k] - loads[k]
-				if room <= 0 {
+			r := room(k)
+			if r <= 0 {
+				continue
+			}
+			e := head(k)
+			w := weights.of(e.c)
+			if w > r {
+				continue
+			}
+			l := pathLen(e.d, m[k], maxLen)
+			dl := l - maxLen
+			if dl == 0 {
+				bestC, bestS, bestN, bestLen = e.c, k, w, l
+				scan = false
+				break
+			}
+			if !(dl/bound(r) > 0) {
+				break // a deeper pair on k may cost 0
+			}
+		}
+		// Stage 1b: find the (client, server) pair with minimum Δl/Δn.
+		if scan {
+			minCost := math.Inf(1)
+		pairs:
+			for k := 0; k < ns; k++ {
+				r := room(k)
+				if r <= 0 {
 					continue
 				}
-			}
-			u := 1.0
-			if amortized {
-				u = float64(min(room, unassignedW))
-			}
-			// m ← max_b∈C' {d(s, sA(b)) + d(sA(b), b)}, via per-server
-			// eccentricities; -Inf when no client is assigned yet.
-			m := perfkit.MaxPlusSkip(in.ServerServerRow(k), ecc)
-			list := ls[k]
-			for a[list[cursor[k]].c] != core.Unassigned {
-				cursor[k]++
-			}
-			dn := 0 // Δn: weight of the unassigned clients passed so far
-			for _, e := range list[cursor[k]:] {
-				c, d := e.c, e.d
-				if a[c] != core.Unassigned {
-					continue
-				}
-				dn += weights.of(c)
-				if dn > room {
-					// The batch ending at c cannot fit; prefix weights
-					// only grow, so neither can any farther batch.
-					break
-				}
-				l := 2 * d
-				if m > math.Inf(-1) {
-					if v := d + m; v > l {
-						l = v
+				u := bound(r)
+				head(k) // moves cursor[k] past the assigned prefix
+				dn := 0 // Δn: weight of the unassigned clients passed so far
+				for _, e := range ls[k][cursor[k]:] {
+					c := e.c
+					if a[c] != core.Unassigned {
+						continue
 					}
-				}
-				if maxLen > l {
-					l = maxLen
-				}
-				dl := l - maxLen
-				if dl/u >= minCost {
-					break
-				}
-				cost := dl
-				if amortized {
-					cost /= float64(dn)
-				}
-				if cost < minCost {
-					minCost = cost
-					bestC, bestS, bestN = c, k, dn
-					bestLen = l
-					if cost == 0 {
-						break scan
+					dn += weights.of(c)
+					if dn > r {
+						// The batch ending at c cannot fit; prefix weights
+						// only grow, so neither can any farther batch.
+						break
+					}
+					l := pathLen(e.d, m[k], maxLen)
+					dl := l - maxLen
+					if dl/u >= minCost {
+						break
+					}
+					cost := dl
+					if amortized {
+						cost /= float64(dn)
+					}
+					if cost < minCost {
+						minCost = cost
+						bestC, bestS, bestN = c, k, dn
+						bestLen = l
+						if cost == 0 {
+							break pairs
+						}
 					}
 				}
 			}
@@ -190,6 +233,7 @@ func greedyAssign(in *core.Instance, weights Weights, caps core.Capacities, amor
 			})
 		}
 		maxLen = bestLen
+		old := ecc[bestS]
 		for _, e := range ls[bestS][cursor[bestS]:] {
 			c := e.c
 			if a[c] == core.Unassigned {
@@ -206,8 +250,31 @@ func greedyAssign(in *core.Instance, weights Weights, caps core.Capacities, amor
 				break
 			}
 		}
+		if e := ecc[bestS]; e >= 0 && e > old {
+			for k := range m {
+				if v := in.ServerServerDist(k, bestS) + e; v > m[k] {
+					m[k] = v
+				}
+			}
+		}
 	}
 	return a, nil
+}
+
+// pathLen is the longest interaction path once a batch whose farthest
+// member is d from its server joins: max(maxLen, 2d, d+m), where m is
+// the server's m term and -Inf before any client is assigned.
+func pathLen(d, m, maxLen float64) float64 {
+	l := 2 * d
+	if m > math.Inf(-1) {
+		if v := d + m; v > l {
+			l = v
+		}
+	}
+	if maxLen > l {
+		l = maxLen
+	}
+	return l
 }
 
 // distClient is one entry of a server's list Ls: a client and its

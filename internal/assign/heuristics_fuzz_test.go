@@ -1,6 +1,7 @@
 package assign
 
 import (
+	"math"
 	"testing"
 
 	"diacap/internal/core"
@@ -21,11 +22,12 @@ type heuristicsInput struct {
 // byte 1 the server count (1–5, fewer than the nodes). Byte 2 holds
 // flags: bit 0 makes every node a client, servers included; bit 1 adds
 // capacities; bit 2 draws 1–4 client weights; bit 3 starts
-// Distributed-Greedy from Longest-First-Batch. Byte 3 is DG's
-// MaxModifications (0–7). Then one byte per node pair gives its latency
-// (0–4), one byte per client its weight and one byte per server its
-// capacity, from one below to two above an even split of the total
-// weight.
+// Distributed-Greedy from Longest-First-Batch; bit 4 scales every
+// latency by math.SmallestNonzeroFloat64, so that Greedy's Δl/Δn can
+// underflow to 0. Byte 3 is DG's MaxModifications (0–7). Then one byte
+// per node pair gives its latency (0–4), one byte per client its weight
+// and one byte per server its capacity, from one below to two above an
+// even split of the total weight.
 func decodeHeuristicsInput(t *testing.T, data []byte) heuristicsInput {
 	t.Helper()
 	next := func() int {
@@ -44,6 +46,9 @@ func decodeHeuristicsInput(t *testing.T, data []byte) heuristicsInput {
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			v := float64(next() % 5)
+			if flags&16 != 0 {
+				v *= math.SmallestNonzeroFloat64
+			}
 			m[i][j], m[j][i] = v, v
 		}
 	}
@@ -91,7 +96,8 @@ func decodeHeuristicsInput(t *testing.T, data []byte) heuristicsInput {
 // capacitated Longest-First-Batch and Distributed-Greedy against their
 // references on fuzz-decoded instances (decodeHeuristicsInput): the
 // same assignment, trace and error text. Integer latencies 0–4 make
-// ties, zero spreads and zero distances common.
+// ties, zero spreads and zero distances common; scaled to subnormals
+// they make Greedy's zero-cost pre-check fall back to the scan.
 func FuzzHeuristicsDifferential(f *testing.F) {
 	f.Add([]byte{7, 2, 0, 0})
 	f.Add([]byte{9, 3, 1 | 2, 3, 1, 4, 0, 2, 2, 3, 1, 1, 0, 4})

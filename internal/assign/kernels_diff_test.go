@@ -13,7 +13,6 @@ import (
 	"diacap/internal/core"
 	"diacap/internal/latency"
 	"diacap/internal/obs"
-	"diacap/internal/placement"
 )
 
 // nearestServerScalar is the pre-perfkit scalar scan NearestServer
@@ -779,20 +778,7 @@ func differentialCases(t *testing.T) []diffCase {
 		cross(e.name+" (edge", e.in)
 	}
 	if !testing.Short() {
-		m := latency.MeridianLike(1)
-		servers, err := placement.PlaceKCenterB(m, 80)
-		if err != nil {
-			t.Fatal(err)
-		}
-		clients := make([]int, m.Len())
-		for i := range clients {
-			clients[i] = i
-		}
-		in, err := core.NewInstanceTrusted(m, servers, clients)
-		if err != nil {
-			t.Fatal(err)
-		}
-		caps := core.UniformCapacities(80, int(math.Ceil(1.2*float64(len(clients))/80)))
+		in, caps := meridianInstance(t, false)
 		cases = append(cases, diffCase{"Meridian(1) uncapacitated", in, nil, nil}, diffCase{"Meridian(1) capacitated", in, nil, caps})
 	}
 	return cases
@@ -811,7 +797,10 @@ type edgeInstance struct {
 //   - outlier: 1–4 integer latencies but one client 1000 away from
 //     every node, so all other clients land in one bucket;
 //   - overlap: the clients include the server nodes, so some
-//     client-server distances are zero.
+//     client-server distances are zero;
+//   - subnormal: 0–3 integer latencies times the smallest subnormal, on
+//     8 nodes, so that a positive Δl over Δn can round to a Greedy cost
+//     of 0 and the zero-cost pre-check must fall back to the scan.
 func edgeInstances(t *testing.T) []edgeInstance {
 	t.Helper()
 	rng := rand.New(rand.NewSource(31))
@@ -861,6 +850,14 @@ func edgeInstances(t *testing.T) []edgeInstance {
 		add("overlap", intMatrix(n), nodes(0, ns), nodes(0, n))
 		add("overlap real", latency.ScaledLike(n, int64(n)), nodes(0, ns), nodes(0, n))
 	}
+	tiny := latency.NewMatrix(8)
+	for i := 0; i < 8; i++ {
+		for j := i + 1; j < 8; j++ {
+			v := float64(rng.Intn(4)) * math.SmallestNonzeroFloat64
+			tiny[i][j], tiny[j][i] = v, v
+		}
+	}
+	add("subnormal", tiny, nodes(0, 3), nodes(0, 8))
 	return out
 }
 
@@ -905,7 +902,8 @@ func checkGreedy(t *testing.T, where string, in *core.Instance, weights Weights,
 // TestDGDifferential pins Distributed-Greedy on the evaluator to
 // dgReference on every unit-weight case, uncapacitated and capacitated,
 // with MaxModifications 0, 1 and 7 and with the Nearest-Server and
-// Longest-First-Batch initial assignments: the same assignment, the
+// Longest-First-Batch initial assignments, and on two named instances
+// (dgSumOrderInstance, dgFarDropInstance): the same assignment, the
 // same Trace, the same obs.AlgoTrace events and the same error text.
 func TestDGDifferential(t *testing.T) {
 	for _, tc := range differentialCases(t) {
@@ -920,6 +918,7 @@ func TestDGDifferential(t *testing.T) {
 	}
 	in, start := dgSumOrderInstance(t)
 	checkDG(t, "sum order", in, nil, 0, start)
+	checkDG(t, "far drop", dgFarDropInstance(t), nil, 0, nil)
 }
 
 // fixedAssignment is an Algorithm that returns a given assignment, so a
@@ -955,6 +954,30 @@ func dgSumOrderInstance(t *testing.T) (*core.Instance, Algorithm) {
 		t.Fatal(err)
 	}
 	return in, fixedAssignment{0, 0}
+}
+
+// dgFarDropInstance returns an instance on which a move lowers
+// far[s], so the kept far must be rescanned, not only raised. Servers
+// 0, 1, 2; client c0 (node 3) is 4 from every server and c1 (node 4) 1
+// from servers 1 and 2. Nearest-Server puts c0 on 0 and c1 on 1, so
+// D = 4 + d(0,1) + 1 = 9. c0 moves to server 1 (L = 8), which empties
+// server 0, whose term d(1,0) + 4 = 8 was far[1]: far[1] falls to 4,
+// c1's reach to 5 < D = 8, and DG stops. A far[1] left at 8 would keep
+// c1 on a longest path and move it to server 2 (L = 1 + 2 + 4 = 7).
+func dgFarDropInstance(t *testing.T) *core.Instance {
+	t.Helper()
+	m := latency.Matrix{
+		{0, 4, 1, 4, 4},
+		{4, 0, 2, 4, 1},
+		{1, 2, 0, 4, 1},
+		{4, 4, 4, 0, 1},
+		{4, 1, 1, 1, 0},
+	}
+	in, err := core.NewInstanceTrusted(m, []int{0, 1, 2}, []int{3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in
 }
 
 // checkDG runs DistributedGreedy and dgReference with the same
@@ -1002,13 +1025,78 @@ func TestNearestServerCapacitatedDifferential(t *testing.T) {
 
 // TestLFBCapacitatedDifferential pins the folded capacitated
 // Longest-First-Batch engine to lfbReference: the same assignment and
-// the same error text on every capacitated case, through both the unit
-// and the weighted entry point.
+// the same error text on lfbFillCases, which must also give the
+// assignment worked out by hand, and on every capacitated case, through
+// both the unit and the weighted entry point.
 func TestLFBCapacitatedDifferential(t *testing.T) {
+	for _, tc := range lfbFillCases(t) {
+		checkLFBCapacitated(t, tc.name, tc.in, tc.weights, tc.caps)
+		if got, err := lfbAssign(tc.in, tc.weights, tc.caps); err != nil || !reflect.DeepEqual(got, tc.want) {
+			t.Fatalf("%s: assignment %v (error %v), want %v", tc.name, got, err, tc.want)
+		}
+	}
 	for _, tc := range differentialCases(t) {
 		if tc.caps != nil {
 			checkLFBCapacitated(t, tc.name, tc.in, tc.weights, tc.caps)
 		}
+	}
+}
+
+// lfbFillCase is one named capacitated Longest-First-Batch instance
+// with the assignment worked out by hand.
+type lfbFillCase struct {
+	name    string
+	in      *core.Instance
+	weights Weights
+	caps    core.Capacities
+	want    core.Assignment
+}
+
+// lfbFillCases returns one instance for each fill of capacitated
+// Longest-First-Batch. The first nodes are the servers.
+//   - whole: servers 0, 1, 2 with capacities 2, 1, 1; clients a, b, e, f
+//     at distances (1, 9, 9), (5, 9, 9), (7, 1, 9), (6, 2, 8). b's batch
+//     {a, b} fills server 0 whole. f's batch {e, f} on server 1
+//     overflows, and f's refresh must see server 0 full and take 2.
+//   - heap: servers 0, 1 with capacities 3, 3; clients p, q, r of
+//     weights 2, 2, 1 at distances (1, 10), (2, 10), (3, 4). r's batch
+//     {p, q, r} weighs 5: the fill places p, skips the heavier q and
+//     places the farther r; q then takes server 1 alone.
+func lfbFillCases(t *testing.T) []lfbFillCase {
+	t.Helper()
+	build := func(m latency.Matrix, ns int) *core.Instance {
+		servers, clients := make([]int, ns), make([]int, m.Len()-ns)
+		for k := range servers {
+			servers[k] = k
+		}
+		for i := range clients {
+			clients[i] = ns + i
+		}
+		in, err := core.NewInstanceTrusted(m, servers, clients)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return in
+	}
+	whole := build(latency.Matrix{
+		{0, 4, 4, 1, 5, 7, 6},
+		{4, 0, 4, 9, 9, 1, 2},
+		{4, 4, 0, 9, 9, 9, 8},
+		{1, 9, 9, 0, 1, 1, 1},
+		{5, 9, 9, 1, 0, 1, 1},
+		{7, 1, 9, 1, 1, 0, 1},
+		{6, 2, 8, 1, 1, 1, 0},
+	}, 3)
+	heap := build(latency.Matrix{
+		{0, 5, 1, 2, 3},
+		{5, 0, 10, 10, 4},
+		{1, 10, 0, 1, 1},
+		{2, 10, 1, 0, 1},
+		{3, 4, 1, 1, 0},
+	}, 2)
+	return []lfbFillCase{
+		{"whole", whole, nil, core.Capacities{2, 1, 1}, core.Assignment{0, 0, 1, 2}},
+		{"heap", heap, Weights{2, 2, 1}, core.Capacities{3, 3}, core.Assignment{0, 1, 0}},
 	}
 }
 

@@ -3,7 +3,6 @@ package assign
 import (
 	"cmp"
 	"fmt"
-	"slices"
 	"sort"
 
 	"diacap/internal/core"
@@ -103,6 +102,14 @@ func lfbUncapacitated(in *core.Instance) core.Assignment {
 // nearer than t gained room, weights included. The first client a
 // refresh of every client would find without a fit points at s, so the
 // error names the same client.
+//
+// A batch whose total weight fits s's room is placed whole, unsorted:
+// it skips no member. Otherwise it is heapified and its members pop in
+// (distance, index) order, a full sort's order, until s's room is 0;
+// weights are at least 1, so every member left would be skipped, and
+// the round refreshes. Every round places a client: if no nearer member
+// was placed, the fill reaches c with s's room untouched. A round that
+// places none has a stale nearest server, and panics rather than spin.
 func lfbCapacitated(in *core.Instance, weights Weights, caps core.Capacities) (core.Assignment, error) {
 	nc, ns := in.NumClients(), in.NumServers()
 	a := core.NewAssignment(nc)
@@ -150,31 +157,55 @@ func lfbCapacitated(in *core.Instance, weights Weights, caps core.Capacities) (c
 		}
 		s, limit := nearest[c], nearestDist[c]
 
-		// Candidate batch: unassigned clients not farther from s than c,
-		// nearest first so a truncated batch fills s with its closest
-		// clients.
+		// Candidate batch: unassigned clients not farther from s than c.
 		batch = batch[:0]
+		total := 0
 		for j := 0; j < nc; j++ {
 			if d := in.ClientServerDist(j, s); a[j] == core.Unassigned && d <= limit+eps {
 				batch = append(batch, distClient{d, j})
+				total += weights.of(j)
 			}
 		}
-		slices.SortFunc(batch, compareDistClient)
-		// Nearest-first fill, skipping members too heavy for the
-		// remaining room (a skipped near client must not block farther,
-		// lighter ones — in particular c itself, which fits whenever the
-		// fill reaches it with the room untouched).
-		skipped := false
-		for _, e := range batch {
-			w := weights.of(e.c)
-			if loads[s]+w > caps[s] {
-				skipped = true
-				continue
+		room := caps[s] - loads[s]
+		skipped := total > room
+		placed := 0
+		if !skipped {
+			// The whole batch fits and no member is skipped.
+			for _, e := range batch {
+				a[e.c] = s
 			}
-			a[e.c] = s
-			loads[s] += w
-			remaining--
+			loads[s] += total
+			placed = len(batch)
+		} else {
+			// Nearest-first fill in (distance, index) order, skipping
+			// members too heavy for the remaining room (a skipped near
+			// client must not block farther, lighter ones — in
+			// particular c itself, which fits whenever the fill reaches
+			// it with the room untouched). Weights are at least 1, so
+			// once the room is 0 every member left would be skipped.
+			h := batch
+			for i := len(h)/2 - 1; i >= 0; i-- {
+				siftDown(h, i)
+			}
+			for len(h) > 0 && room > 0 {
+				e := h[0]
+				h[0] = h[len(h)-1]
+				h = h[:len(h)-1]
+				siftDown(h, 0)
+				if w := weights.of(e.c); w <= room {
+					a[e.c] = s
+					loads[s] += w
+					room -= w
+					placed++
+				}
+			}
 		}
+		if placed == 0 {
+			// c fits s at the top of the round, so only a stale nearest
+			// server can leave a round empty, and the loop would spin.
+			panic(fmt.Sprintf("assign: capacitated Longest-First-Batch placed no client in a round (client %d, nearest server %d)", c, s))
+		}
+		remaining -= placed
 		if skipped {
 			if err := refresh(s); err != nil {
 				return nil, err
@@ -182,4 +213,23 @@ func lfbCapacitated(in *core.Instance, weights Weights, caps core.Capacities) (c
 		}
 	}
 	return a, nil
+}
+
+// siftDown restores the min-heap order of h by (distance, index) in the
+// subtree rooted at i.
+func siftDown(h []distClient, i int) {
+	for {
+		j := 2*i + 1
+		if j >= len(h) {
+			return
+		}
+		if r := j + 1; r < len(h) && compareDistClient(h[r], h[j]) < 0 {
+			j = r
+		}
+		if compareDistClient(h[j], h[i]) >= 0 {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }

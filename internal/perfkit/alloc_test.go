@@ -36,7 +36,6 @@ func TestHotpathKernelsZeroAlloc(t *testing.T) {
 	}{
 		{"MinPlus", func() { fsink = MinPlus(cs.Row(0), cs.Row(1)) }},
 		{"MaxMinPlus", func() { fsink = MaxMinPlus(cs.Row(0), cs, 1, 0) }},
-		{"MaxPlusSkip", func() { fsink = MaxPlusSkip(ss.Row(0), ecc) }},
 		{"EccInto", func() { EccInto(cs, a, ecc) }},
 		{"MaxPathEcc", func() { fsink = MaxPathEcc(ss, ecc) }},
 		{"NearestInto", func() { NearestInto(cs, out) }},

@@ -67,29 +67,6 @@ func MaxMinPlus(bi []float64, cs *FlatMatrix, jStart int, lb float64) float64 {
 	return lb
 }
 
-// MaxPlusSkip returns max over i with ecc[i] ≥ 0 of row[i] + ecc[i],
-// or -Inf when no entry qualifies. Negative ecc entries are the
-// "server has no clients" sentinel used throughout the repo. This is
-// Greedy's per-candidate-server m term (the paper's
-// max_b {d(s, sA(b)) + d(sA(b), b)}). ecc is resliced to the row's
-// length once so the loop carries no per-entry bounds check.
-//
-//dialint:hotpath
-func MaxPlusSkip(row, ecc []float64) float64 {
-	ecc = ecc[:len(row)]
-	best := math.Inf(-1)
-	for i, r := range row {
-		e := ecc[i]
-		if e < 0 {
-			continue
-		}
-		if v := r + e; v > best {
-			best = v
-		}
-	}
-	return best
-}
-
 // EccInto fills ecc (length ss-server count = cs.Cols()) with the
 // eccentricity of each server under assignment a: the maximum distance
 // from the server to a client assigned to it, or -1 for servers with

@@ -140,46 +140,6 @@ func TestMaxMinPlusDifferential(t *testing.T) {
 	}
 }
 
-// TestMaxPlusSkipDifferential checks MaxPlusSkip against the maximum
-// taken over the qualifying (ecc ≥ 0) positions gathered first, plus
-// the fixed expectations: sentinel entries never contribute, and an
-// empty or all-sentinel input yields -Inf.
-func TestMaxPlusSkipDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 200; trial++ {
-		n := rng.Intn(100)
-		row := make([]float64, n)
-		ecc := make([]float64, n)
-		var used []int
-		for i := range row {
-			row[i] = rng.Float64() * 300
-			if rng.Float64() < 0.3 {
-				ecc[i] = -1 // empty-server sentinel
-			} else {
-				ecc[i] = rng.Float64() * 200
-				used = append(used, i)
-			}
-		}
-		want := math.Inf(-1)
-		for _, i := range used {
-			want = math.Max(want, row[i]+ecc[i])
-		}
-		if got := MaxPlusSkip(row, ecc); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("n=%d: MaxPlusSkip = %v, want %v", n, got, want)
-		}
-	}
-	// The sentinel's row entry is the largest, yet it never counts.
-	if got := MaxPlusSkip([]float64{1, 500, 2}, []float64{10, -1, 3}); got != 11 {
-		t.Fatalf("MaxPlusSkip skipped the wrong entry: %v, want 11", got)
-	}
-	if got := MaxPlusSkip(nil, nil); !math.IsInf(got, -1) {
-		t.Fatalf("MaxPlusSkip(empty) = %v, want -Inf", got)
-	}
-	if got := MaxPlusSkip([]float64{4, 5}, []float64{-1, -1}); !math.IsInf(got, -1) {
-		t.Fatalf("MaxPlusSkip(all sentinel) = %v, want -Inf", got)
-	}
-}
-
 // TestEccIntoDifferential checks EccInto against eccentricities built
 // server by server (the maximum over the clients on each server), and
 // that unassigned (-1) clients are ignored and empty servers read -1.
