@@ -4,6 +4,8 @@ package main
 // instance as a live localhost TCP cluster, kill one server mid-run,
 // fail the orphaned clients over to the survivors, and report the
 // degraded guarantees — the paper's architecture under a real fault.
+// dynamic.Evacuate with the nearest-survivor policy decides where the
+// orphans go; the cluster only enacts that decision.
 
 import (
 	"flag"
@@ -13,6 +15,7 @@ import (
 
 	"diacap/internal/core"
 	"diacap/internal/dia"
+	"diacap/internal/dynamic"
 	"diacap/internal/live"
 	"diacap/internal/obs"
 )
@@ -55,6 +58,20 @@ func runChaos(in *core.Instance, a core.Assignment, off *core.Offsets, delta flo
 		kill = warmup + 0.6*(span-warmup)
 	}
 
+	// The failover decision, uncapacitated: a matrix instance has no
+	// coordinates to build a plane from.
+	ev, err := in.NewEvaluator(a)
+	if err != nil {
+		return err
+	}
+	alive := make([]bool, in.NumServers())
+	for k := range alive {
+		alive[k] = k != victim
+	}
+	if _, err := dynamic.Evacuate(ev, dynamic.NewNearestJoin(in), dynamic.EffectiveCaps(nil, alive, in.NumClients()), victim, kill); err != nil {
+		return fmt.Errorf("chaos: %w", err)
+	}
+
 	var plan *live.FaultPlan
 	if *chaosDrop > 0 || *chaosDup > 0 || *linkJit > 0 {
 		plan = &live.FaultPlan{
@@ -90,7 +107,7 @@ func runChaos(in *core.Instance, a core.Assignment, off *core.Offsets, delta flo
 			killCh <- chaosOutcome{nil, err}
 			return
 		}
-		rep, err := cluster.Failover()
+		rep, err := cluster.Failover(ev.Assignment())
 		killCh <- chaosOutcome{rep, err}
 	}()
 

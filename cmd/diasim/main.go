@@ -16,8 +16,9 @@
 //	diasim -preset 200 -servers 8 -jitter 0.3
 //
 // With -chaos the instance is instead deployed as a live localhost TCP
-// cluster (package live); one server is killed mid-run and the cluster
-// fails over, reporting the degraded guarantees:
+// cluster (package live); one server is killed mid-run, its clients
+// are placed on their nearest survivors (dynamic.Evacuate), and the
+// cluster enacts that failover, reporting the degraded guarantees:
 //
 //	diasim -preset 30 -servers 3 -ops 60 -interval 10 -delta-factor 1.3 -chaos
 //	diasim -preset 30 -servers 3 -ops 60 -chaos -kill 2 -drop 0.05
@@ -27,11 +28,13 @@
 // failure storms) against an online strategy, reporting the
 // D-vs-disruption outcome; -scenario with -chaos deploys the scenario
 // population as a live cluster and replays its kill and partition
-// schedule over real TCP:
+// schedule over real TCP, every placement and evacuation decided by a
+// control plane (-strategy, -cap, -shards) and enacted by the cluster:
 //
 //	diasim -scenario flashcrowd -strategy hysteresis
 //	diasim -scenario storm -strategy always-rebalance -cap 30
 //	diasim -scenario flashcrowd -chaos -delta-factor 1.3
+//	diasim -scenario storm -chaos -shards 16 -cap 24
 //
 // Observability: -trace-algo logs every assignment-algorithm step (the
 // Greedy batch picks, the Distributed-Greedy D trajectory, annealing

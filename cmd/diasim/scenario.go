@@ -6,11 +6,12 @@ package main
 // handles every join/leave/kill/drift event and the run reports the
 // D-vs-disruption outcome. With -chaos the scenario's population is
 // deployed as a live localhost TCP cluster and its correlated-failure
-// schedule is replayed for real: ServerKills become Kill+Failover
-// calls, PartitionWindows become FaultPlan partitions that cut the
-// TCP links.
+// schedule is replayed for real: a control plane decides every
+// placement and evacuation, ServerKills become Kill+Failover calls
+// that enact the plane's assignment, and PartitionWindows become
+// FaultPlan partitions that cut the TCP links.
 //
-// Any capacity violation, orphaned client, or strategy error exits
+// Any capacity violation, refused failover, or strategy error exits
 // nonzero, which is what the CI chaos-soak job keys on.
 
 import (
@@ -20,7 +21,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"diacap/internal/assign"
 	"diacap/internal/core"
 	"diacap/internal/dia"
 	"diacap/internal/dynamic"
@@ -33,11 +33,11 @@ var (
 	scenarioKind = flag.String("scenario", "",
 		`replay a churn scenario preset: flashcrowd | diurnal | drift | storm | mixed (empty = classic run)`)
 	scenarioStrategy = flag.String("strategy", "hysteresis",
-		`scenario repair policy: nearest | greedy+repair | hysteresis | always-rebalance`)
+		`online policy of -scenario runs, and of the plane that decides -scenario -chaos failovers: nearest | greedy+repair | hysteresis | always-rebalance`)
 	scenarioCap = flag.Int("cap", 0,
 		"scenario: uniform per-server client capacity (0 = unlimited)")
 	scenarioShards = flag.Int("shards", 0,
-		"scenario: replay through a sharded control plane with this many shards (0 = unsharded simulator; incompatible with -chaos)")
+		"scenario: replay through a sharded control plane with this many shards (0 = unsharded simulator); with -chaos, the shard count of the plane that decides (0 = 1)")
 )
 
 // buildScenarioStrategy mirrors the policy ladder of the bench churn
@@ -79,14 +79,11 @@ func runScenario(kind string, seed int64, deltaFactor float64, numOps int, inter
 	fmt.Printf("script: %d churn events, %d kills, %d partition windows, %d drift snapshots\n",
 		len(sc.Events), len(sc.Kills), len(sc.Partitions), len(sc.Snapshots))
 
-	if *scenarioShards > 0 {
-		if *chaosMode {
-			return errors.New("-shards replays through the in-process control plane and cannot drive a live -chaos cluster")
-		}
-		return runScenarioSharded(sc, reg)
-	}
 	if *chaosMode {
 		return runScenarioChaos(sc, seed, deltaFactor, numOps, interval, reg)
+	}
+	if *scenarioShards > 0 {
+		return runScenarioSharded(sc, reg)
 	}
 	return runScenarioSim(sc)
 }
@@ -100,21 +97,19 @@ func scenarioCaps(sc *dynamic.Scenario) core.Capacities {
 	return core.UniformCapacities(len(sc.Pop.Servers), *scenarioCap)
 }
 
-// runScenarioSharded replays the scenario through the sharded
-// assignment control plane: churn routes to per-cell shards, D is
-// reconciled exactly from per-shard eccentricity summaries, and every
-// event publishes a fresh epoch. One shard reproduces the unsharded
-// simulator bit-for-bit.
-func runScenarioSharded(sc *dynamic.Scenario, reg *obs.Registry) error {
+// newScenarioPlane builds the control plane over the scenario's
+// population: the -strategy policy on every shard and the -cap
+// capacities as one pool.
+func newScenarioPlane(sc *dynamic.Scenario, shards int, reg *obs.Registry) (*shard.Plane, error) {
 	label := *scenarioStrategy
 	if _, err := buildScenarioStrategy(label, sc.Pop.Instance); err != nil {
-		return err
+		return nil, err
 	}
 	if reg != nil {
 		shard.Preregister(reg)
 	}
-	p, err := shard.NewFromPopulation(sc.Pop, shard.Options{
-		Shards:     *scenarioShards,
+	return shard.NewFromPopulation(sc.Pop, shard.Options{
+		Shards:     shards,
 		Capacities: scenarioCaps(sc),
 		Metrics:    reg,
 		Strategy: func(in *core.Instance) dynamic.Strategy {
@@ -125,11 +120,20 @@ func runScenarioSharded(sc *dynamic.Scenario, reg *obs.Registry) error {
 			return strat
 		},
 	})
+}
+
+// runScenarioSharded replays the scenario through the sharded
+// assignment control plane: churn routes to per-cell shards, D is
+// reconciled exactly from per-shard eccentricity summaries, and every
+// event publishes a fresh epoch. One shard reproduces the unsharded
+// simulator bit-for-bit.
+func runScenarioSharded(sc *dynamic.Scenario, reg *obs.Registry) error {
+	p, err := newScenarioPlane(sc, *scenarioShards, reg)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("strategy: %s, %d shards over %d cells\n\n",
-		label, p.NumShards(), p.NumCells())
+		*scenarioStrategy, p.NumShards(), p.NumCells())
 
 	res, err := p.Replay(context.Background(), sc)
 	if err != nil {
@@ -193,21 +197,31 @@ func printScenarioReport(res *dynamic.ScenarioResult, planeLines ...string) {
 }
 
 // runScenarioChaos deploys the scenario population as a live TCP
-// cluster and replays its failure schedule: kills become Kill+Failover,
-// partition windows become FaultPlan link cuts. The workload is shifted
-// by the same warmup the classic chaos mode uses so the kill schedule
-// lands inside the run.
+// cluster and replays its failure schedule. A plane (max(1, -shards)
+// shards) joins the population in ascending id and decides every
+// evacuation: a kill is Kill on the cluster, KillServer on the plane,
+// then Failover onto the plane's assignment. Partition windows become
+// FaultPlan link cuts. The workload is shifted by the same warmup the
+// classic chaos mode uses so the kill schedule lands inside the run.
 func runScenarioChaos(sc *dynamic.Scenario, seed int64, deltaFactor float64, numOps int, interval float64, reg *obs.Registry) error {
 	in := sc.Pop.Instance
-	a, err := assign.Greedy{}.Assign(in, nil)
+	p, err := newScenarioPlane(sc, max(1, *scenarioShards), reg)
 	if err != nil {
 		return err
 	}
+	ctx := context.Background()
+	for c := 0; c < in.NumClients(); c++ {
+		if _, err := p.Join(ctx, c); err != nil {
+			return fmt.Errorf("joining the population: %w", err)
+		}
+	}
+	a := p.Current().Assignment
 	off, err := in.ComputeOffsets(a)
 	if err != nil {
 		return err
 	}
 	delta := off.D * deltaFactor
+	fmt.Printf("strategy: %s, %d shards over %d cells\n", *scenarioStrategy, p.NumShards(), p.NumCells())
 
 	const warmup = 100.0 // virtual ms before the first issue
 	plan := &live.FaultPlan{
@@ -253,65 +267,43 @@ func runScenarioChaos(sc *dynamic.Scenario, seed int64, deltaFactor float64, num
 	fmt.Printf("chaos: live cluster up — δ=%.3fms (D=%.3fms), replaying %d scheduled kills\n",
 		delta, off.D, len(sc.Kills))
 
-	// The kill goroutine walks the scenario's failure schedule in order,
-	// failing over after each kill. Restarts are not replayed: the live
-	// harness keeps a killed server down, which only makes the test
-	// stricter (survivor D stays degraded).
-	type killOutcome struct {
-		reports []*live.FailoverReport
-		err     error
-	}
-	killCh := make(chan killOutcome, 1)
-	go func() {
-		var reports []*live.FailoverReport
+	// The kill goroutine walks the scenario's failure schedule in order:
+	// the plane evacuates each killed server and the cluster enacts the
+	// result. Restarts are not replayed: the live harness keeps a killed
+	// server down, which only makes the test stricter (survivor D stays
+	// degraded).
+	replayKills := func() error {
 		for _, k := range sc.Kills {
 			cluster.Clock().SleepUntilVirtual(k.Time + warmup)
 			if err := cluster.Kill(k.Server); err != nil {
-				killCh <- killOutcome{reports, fmt.Errorf("kill server %d: %w", k.Server, err)}
-				return
+				return fmt.Errorf("kill server %d: %w", k.Server, err)
 			}
-			rep, err := cluster.Failover()
+			if _, _, err := p.KillServer(ctx, k.Server); err != nil {
+				return fmt.Errorf("plane kill of server %d: %w", k.Server, scenarioError(err))
+			}
+			rep, err := cluster.Failover(p.Current().Assignment)
 			if err != nil {
-				killCh <- killOutcome{reports, fmt.Errorf("failover after killing server %d: %w", k.Server, err)}
-				return
+				return fmt.Errorf("failover after killing server %d: %w", k.Server, err)
 			}
 			fmt.Printf("chaos: t=%.0fms killed server %d — %d orphans reconnected, D %.3f→%.3fms\n",
 				k.Time+warmup, k.Server, len(rep.Orphans), rep.PreD, rep.PostD)
-			reports = append(reports, rep)
 		}
-		killCh <- killOutcome{reports, nil}
-	}()
+		return nil
+	}
+	killCh := make(chan error, 1)
+	go func() { killCh <- replayKills() }()
 
 	res, err := cluster.RunWorkload(ops)
 	if err != nil {
 		return err
 	}
-	out := <-killCh
-	if out.err != nil {
-		return fmt.Errorf("scenario chaos: %w", out.err)
+	if err := <-killCh; err != nil {
+		return fmt.Errorf("scenario chaos: %w", err)
 	}
 
-	// Invariant: after the last failover no client may still point at a
-	// dead server — that would be a capacity-style violation of the live
-	// plane and fails the run (and the CI soak) outright.
-	finalAssign := a
-	if n := len(out.reports); n > 0 {
-		finalAssign = out.reports[n-1].Assignment
-	}
-	dead := make(map[int]bool)
-	for _, k := range cluster.DeadServers() {
-		dead[k] = true
-	}
-	for c, s := range finalAssign {
-		if dead[s] {
-			return fmt.Errorf("scenario chaos: client %d still assigned to dead server %d after failover", c, s)
-		}
-	}
-
-	postD := off.D
-	if n := len(out.reports); n > 0 {
-		postD = out.reports[n-1].PostD
-	}
+	// Every failover ran the plane's assignment, so the survivors' D is
+	// the plane's.
+	postD := p.Current().D
 	health := cluster.HealthSnapshot()
 	fmt.Printf("\noperations issued:        %d\n", res.OpsIssued)
 	fmt.Printf("executions (op×server):   %d\n", res.Executions)

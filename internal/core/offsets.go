@@ -32,24 +32,7 @@ func (in *Instance) ComputeOffsets(a Assignment) (*Offsets, error) {
 	if err := in.Validate(a); err != nil {
 		return nil, err
 	}
-	d := in.MaxInteractionPath(a)
-	ns := len(in.servers)
-
-	// reach[l] = max over clients c' of d(c', sA(c')) + d(sA(c'), s_l).
-	// Group by assigned server: max over servers t of ecc(t) + d(t, s_l).
-	ecc := in.Eccentricities(a)
-	used := in.UsedServers(a)
-	out := &Offsets{D: d, ServerAhead: make([]float64, ns)}
-	for l := 0; l < ns; l++ {
-		reach := math.Inf(-1)
-		for _, t := range used {
-			if v := ecc[t] + in.ss[t][l]; v > reach {
-				reach = v
-			}
-		}
-		out.ServerAhead[l] = d - reach
-	}
-	return out, nil
+	return in.offsets(a, nil)
 }
 
 // ComputeOffsetsForServers derives the Section II-C offsets when only a
@@ -68,28 +51,40 @@ func (in *Instance) ComputeOffsetsForServers(a Assignment, alive []int) (*Offset
 	if len(alive) == 0 {
 		return nil, fmt.Errorf("%w: no alive servers", ErrInvalidInstance)
 	}
-	aliveSet := make(map[int]bool, len(alive))
+	up := make([]bool, ns)
 	for _, k := range alive {
 		if k < 0 || k >= ns {
 			return nil, fmt.Errorf("%w: alive server %d out of range [0,%d)", ErrInvalidInstance, k, ns)
 		}
-		if aliveSet[k] {
+		if up[k] {
 			return nil, fmt.Errorf("%w: duplicate alive server %d", ErrInvalidInstance, k)
 		}
-		aliveSet[k] = true
+		up[k] = true
 	}
-	for i, s := range a {
-		if !aliveSet[s] {
-			return nil, fmt.Errorf("%w: client %d assigned to dead server %d", ErrInvalidAssignment, i, s)
+	return in.offsets(a, up)
+}
+
+// offsets is the body of both offset derivations for a validated
+// assignment; up marks the servers left in the replication set (nil =
+// every server).
+func (in *Instance) offsets(a Assignment, up []bool) (*Offsets, error) {
+	if up != nil {
+		for i, s := range a {
+			if !up[s] {
+				return nil, fmt.Errorf("%w: client %d assigned to dead server %d", ErrInvalidAssignment, i, s)
+			}
 		}
 	}
-
 	d := in.MaxInteractionPath(a)
+	ns := len(in.servers)
+
+	// reach[l] = max over clients c' of d(c', sA(c')) + d(sA(c'), s_l).
+	// Group by assigned server: max over servers t of ecc(t) + d(t, s_l).
 	ecc := in.Eccentricities(a)
 	used := in.UsedServers(a)
 	out := &Offsets{D: d, ServerAhead: make([]float64, ns)}
 	for l := 0; l < ns; l++ {
-		if !aliveSet[l] {
+		if up != nil && !up[l] {
 			out.ServerAhead[l] = math.NaN()
 			continue
 		}

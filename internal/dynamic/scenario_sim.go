@@ -111,7 +111,7 @@ func (t *evalTarget) Apply(_ context.Context, e TapeEvent) (Step, error) {
 		if t.ev.ServerOf(c) != core.Unassigned {
 			return st, fmt.Errorf("dynamic: client %d joined twice", c)
 		}
-		if err := t.place(c, e.Time, false); err != nil {
+		if err := place(t.ev, t.strat, t.eff, c, e.Time, false); err != nil {
 			return st, err
 		}
 	case TapeKill:
@@ -121,16 +121,9 @@ func (t *evalTarget) Apply(_ context.Context, e TapeEvent) (Step, error) {
 			break
 		}
 		t.setAlive(k, false)
-		// Evacuate in ascending client order for determinism.
-		for c := 0; c < t.ev.Instance().NumClients(); c++ {
-			if t.ev.ServerOf(c) != k {
-				continue
-			}
-			t.ev.Move(c, core.Unassigned)
-			if err := t.place(c, e.Time, true); err != nil {
-				return st, err
-			}
-			st.Forced++
+		var err error
+		if st.Forced, err = Evacuate(t.ev, t.strat, t.eff, k, e.Time); err != nil {
+			return st, err
 		}
 	case TapeRestart:
 		if t.alive[e.ID] {
@@ -147,7 +140,7 @@ func (t *evalTarget) Apply(_ context.Context, e TapeEvent) (Step, error) {
 		t.ev = fresh
 	}
 	st.Repairs = t.strat.Repair(t.ev, t.eff, e.Time)
-	if err := CheckServers(t.ev, t.alive, t.eff); err != nil {
+	if err := CheckServers(t.ev.Load, t.alive, t.eff); err != nil {
 		return st, fmt.Errorf("dynamic: %s at t=%.1f: %w", t.strat.Name(), e.Time, err)
 	}
 	return st, nil
@@ -158,27 +151,47 @@ func (t *evalTarget) setAlive(k int, up bool) {
 	t.eff = EffectiveCaps(t.caps, t.alive, t.ev.Instance().NumClients())
 }
 
+// Evacuate is the simulator's failover rule, for callers with no
+// plane: it moves every client of server k, in ascending client order,
+// to the server strat.PlaceJoin picks under eff (EffectiveCaps with k
+// dead), and returns how many moved. at is the kill time, for errors;
+// a refused client is left unassigned.
+func Evacuate(ev *core.Evaluator, strat Strategy, eff core.Capacities, k int, at float64) (int, error) {
+	forced := 0
+	for c := 0; c < ev.Instance().NumClients(); c++ {
+		if ev.ServerOf(c) != k {
+			continue
+		}
+		ev.Move(c, core.Unassigned)
+		if err := place(ev, strat, eff, c, at, true); err != nil {
+			return forced, err
+		}
+		forced++
+	}
+	return forced, nil
+}
+
 // place runs the strategy's join path with full validation; forced
 // marks kill evacuations.
-func (t *evalTarget) place(c int, at float64, forced bool) error {
+func place(ev *core.Evaluator, strat Strategy, eff core.Capacities, c int, at float64, forced bool) error {
 	word := "join"
 	if forced {
 		word = "forced rejoin"
 	}
-	s := t.strat.PlaceJoin(t.ev, t.eff, c)
+	s := strat.PlaceJoin(ev, eff, c)
 	if s < 0 {
-		if !anyCapacityLeft(t.ev, t.eff) {
+		if !anyCapacityLeft(ev, eff) {
 			return fmt.Errorf("dynamic: %s: %s of client %d at t=%.1f: %w",
-				t.strat.Name(), word, c, at, ErrCapacityExhausted)
+				strat.Name(), word, c, at, ErrCapacityExhausted)
 		}
-		return fmt.Errorf("dynamic: %s returned server %d for %s", t.strat.Name(), s, word)
+		return fmt.Errorf("dynamic: %s returned server %d for %s", strat.Name(), s, word)
 	}
-	if s >= t.ev.Instance().NumServers() {
-		return fmt.Errorf("dynamic: %s returned server %d for %s", t.strat.Name(), s, word)
+	if s >= ev.Instance().NumServers() {
+		return fmt.Errorf("dynamic: %s returned server %d for %s", strat.Name(), s, word)
 	}
-	if t.eff != nil && t.ev.Load(s) >= t.eff[s] {
-		return fmt.Errorf("dynamic: %s placed a %s on saturated server %d", t.strat.Name(), word, s)
+	if eff != nil && ev.Load(s) >= eff[s] {
+		return fmt.Errorf("dynamic: %s placed a %s on saturated server %d", strat.Name(), word, s)
 	}
-	t.ev.Move(c, s)
+	ev.Move(c, s)
 	return nil
 }

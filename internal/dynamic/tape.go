@@ -167,12 +167,13 @@ func EffectiveCaps(caps core.Capacities, alive []bool, numClients int) core.Capa
 	return eff
 }
 
-// CheckServers verifies the per-server invariant of one evaluator: no
-// client sits on a dead server and no load exceeds its effective
-// capacity (nil = unlimited).
-func CheckServers(ev *core.Evaluator, alive []bool, eff core.Capacities) error {
+// CheckServers verifies the per-server invariant of a world whose
+// server k holds loadOf(k) clients: no client sits on a dead server and
+// no load exceeds its capacity (nil = unlimited). The simulator checks
+// its evaluator, the plane its published loads.
+func CheckServers(loadOf func(k int) int, alive []bool, eff core.Capacities) error {
 	for k, up := range alive {
-		load := ev.Load(k)
+		load := loadOf(k)
 		if !up && load > 0 {
 			return fmt.Errorf("%d clients on dead server %d", load, k)
 		}

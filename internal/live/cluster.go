@@ -1,7 +1,6 @@
 package live
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"sort"
@@ -24,9 +23,6 @@ type ClusterConfig struct {
 	// offsets (nil computes them from the assignment).
 	Delta   float64
 	Offsets *core.Offsets
-	// Capacities optionally limits clients per server; the failover
-	// routine then uses the capacitated nearest-survivor reassignment.
-	Capacities core.Capacities
 	// Clients optionally restricts which instance clients to launch
 	// (nil = all). Launching hundreds of TCP clients is fine but slows
 	// tests; experiments usually sample.
@@ -151,9 +147,6 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 		return nil, errors.New("live: nil instance")
 	}
 	if err := in.Validate(cfg.Assignment); err != nil {
-		return nil, err
-	}
-	if err := in.CheckCapacities(cfg.Assignment, cfg.Capacities); err != nil {
 		return nil, err
 	}
 	if cfg.Offsets == nil {
@@ -312,14 +305,14 @@ func (cl *Cluster) Kill(serverID int) error {
 	return cl.servers[serverID].Close()
 }
 
-// Failover recovers from every server killed so far: orphaned clients
-// are reassigned to the nearest surviving server (capacitated variant
-// when ClusterConfig.Capacities is set), the Section II-C offsets are
-// recomputed for the shrunken server set, surviving servers adopt the
-// new offsets, and the orphaned clients reconnect with bounded retry and
-// exponential backoff. The cluster keeps its configured δ; the report's
-// PostD is the degraded minimum feasible lag of the survivor assignment.
-func (cl *Cluster) Failover() (*FailoverReport, error) {
+// Failover enacts a decision made elsewhere (a plane's KillServer, or
+// dynamic.Evacuate): a, copied, is the complete assignment the
+// survivors run; it must move every client of a dead server to a live
+// one and no other client. The Section II-C offsets are recomputed for
+// the survivors, who adopt them, and the orphans reconnect with bounded
+// retry and exponential backoff. The cluster keeps its configured δ;
+// the report's PostD is the degraded minimum feasible lag of a.
+func (cl *Cluster) Failover(a core.Assignment) (*FailoverReport, error) {
 	start := time.Now()
 	virtualStart := cl.clock.NowVirtual()
 	in := cl.cfg.Instance
@@ -335,54 +328,28 @@ func (cl *Cluster) Failover() (*FailoverReport, error) {
 	}
 	sort.Ints(dead)
 	preD := cl.offsets.D
-	newA := cl.assignment.Clone()
+	cur := cl.assignment
 	cl.mu.Unlock()
 
+	if len(a) != len(cur) {
+		return nil, fmt.Errorf("live: failover: assignment covers %d clients, cluster has %d", len(a), len(cur))
+	}
+	newA := a.Clone()
+	var orphanAll []int
+	for ci, s := range cur {
+		switch {
+		case containsInt(dead, s):
+			orphanAll = append(orphanAll, ci)
+		case newA[ci] != s:
+			return nil, fmt.Errorf("live: failover: client %d moved off live server %d", ci, s)
+		}
+	}
 	survivors := make([]int, 0, in.NumServers()-len(dead))
 	for k := 0; k < in.NumServers(); k++ {
 		if !containsInt(dead, k) {
 			survivors = append(survivors, k)
 		}
 	}
-
-	// Nearest-survivor reassignment of every client of a dead server
-	// (launched or not, so the assignment stays complete). With
-	// capacities, each orphan tries survivors in increasing latency
-	// order until one has room — the capacitated Nearest-Server rule
-	// restricted to the surviving set.
-	loads := in.Loads(newA)
-	caps := cl.cfg.Capacities
-	var orphanAll []int
-	for ci, s := range newA {
-		if containsInt(dead, s) {
-			orphanAll = append(orphanAll, ci)
-			loads[s]--
-		}
-	}
-	for _, ci := range orphanAll {
-		row := in.ClientServerRow(ci)
-		order := append([]int(nil), survivors...)
-		sort.Slice(order, func(x, y int) bool {
-			if c := cmp.Compare(row[order[x]], row[order[y]]); c != 0 {
-				return c < 0
-			}
-			return order[x] < order[y]
-		})
-		assigned := false
-		for _, k := range order {
-			if caps != nil && loads[k] >= caps[k] {
-				continue
-			}
-			newA[ci] = k
-			loads[k]++
-			assigned = true
-			break
-		}
-		if !assigned {
-			return nil, fmt.Errorf("live: failover: no surviving server has capacity for client %d", ci)
-		}
-	}
-
 	off, err := in.ComputeOffsetsForServers(newA, survivors)
 	if err != nil {
 		return nil, fmt.Errorf("live: failover: recomputing offsets: %w", err)

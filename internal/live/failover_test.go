@@ -1,10 +1,16 @@
 package live
 
 import (
+	"context"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
+	"diacap/internal/core"
 	"diacap/internal/dia"
+	"diacap/internal/dynamic"
+	"diacap/internal/shard"
 )
 
 // victimServer picks the used server with the fewest clients — a real
@@ -17,6 +23,28 @@ func victimServer(loads []int) int {
 		}
 	}
 	return victim
+}
+
+// nearestFailover is the failover decision these tests hand Failover:
+// dynamic.Evacuate with NearestJoin, uncapacitated, moves every client
+// of a dead server to its nearest survivor.
+func nearestFailover(t testing.TB, in *core.Instance, a core.Assignment, dead ...int) core.Assignment {
+	t.Helper()
+	ev, err := in.NewEvaluator(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alive := make([]bool, in.NumServers())
+	for k := range alive {
+		alive[k] = !slices.Contains(dead, k)
+	}
+	eff := dynamic.EffectiveCaps(nil, alive, in.NumClients())
+	for _, k := range dead {
+		if _, err := dynamic.Evacuate(ev, dynamic.NewNearestJoin(in), eff, k, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ev.Assignment()
 }
 
 func TestKillMidRunFailover(t *testing.T) {
@@ -63,6 +91,7 @@ func TestKillMidRunFailover(t *testing.T) {
 	}
 
 	const killAt = 640 // wave 1 fully drained, wave 2 not yet issued
+	post := nearestFailover(t, in, a, victim)
 	type killResult struct {
 		rep *FailoverReport
 		err error
@@ -74,7 +103,7 @@ func TestKillMidRunFailover(t *testing.T) {
 			killCh <- killResult{nil, err}
 			return
 		}
-		rep, err := cluster.Failover()
+		rep, err := cluster.Failover(post)
 		killCh <- killResult{rep, err}
 	}()
 
@@ -173,96 +202,124 @@ func TestKillMidRunFailover(t *testing.T) {
 	}
 }
 
-func TestFailoverCapacitatedSpillsToSecondNearest(t *testing.T) {
-	// With capacities set, failover must respect them: orphans take the
-	// nearest surviving server with room, spilling to farther ones once
-	// it saturates.
-	in, a, off := liveInstance(t, 5, 14, 3)
-	loads := in.Loads(a)
-	heaviest := 0
-	for k, l := range loads {
-		if l > loads[heaviest] {
-			heaviest = k
-		}
-	}
-	// Headroom sized so the heaviest server's orphans cannot all fit on
-	// any single survivor but exactly fit across all of them together.
-	room := loads[heaviest] / (in.NumServers() - 1)
-	if loads[heaviest]%(in.NumServers()-1) != 0 {
-		room++
-	}
-	caps := make([]int, len(loads))
-	for k, l := range loads {
-		caps[k] = l + room
-	}
-	if room >= loads[heaviest] {
-		t.Fatalf("seed gives loads %v; the heaviest server's orphans fit on one survivor — pick another seed", loads)
-	}
-	cluster, err := StartCluster(ClusterConfig{
-		Instance:          in,
-		Assignment:        a,
-		Delta:             off.D,
-		Offsets:           off,
-		Capacities:        caps,
-		LatenessTolerance: 35,
-	})
+// TestFailoverEnactsPlaneDecision deploys a capacitated plane's
+// assignment of storm's population and replays storm's kills: after
+// each, the cluster enacts the plane's published assignment, and its
+// PostD must equal the plane's D bit for bit.
+func TestFailoverEnactsPlaneDecision(t *testing.T) {
+	sc, err := dynamic.BuildScenario("storm", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cluster.Close()
+	in := sc.Pop.Instance
+	caps := core.UniformCapacities(in.NumServers(), 24)
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			ctx := context.Background()
+			p, err := shard.NewFromPopulation(sc.Pop, shard.Options{Shards: shards, Capacities: caps})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for c := 0; c < in.NumClients(); c++ {
+				if _, err := p.Join(ctx, c); err != nil {
+					t.Fatal(err)
+				}
+			}
+			a := p.Current().Assignment
+			off, err := in.ComputeOffsets(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Launch every client of a server the script kills, so the
+			// failovers reconnect real TCP clients, plus client 0.
+			launched := []int{0}
+			for c, s := range a {
+				if c > 0 && slices.ContainsFunc(sc.Kills, func(k dynamic.ServerKill) bool { return k.Server == s }) {
+					launched = append(launched, c)
+				}
+			}
+			cluster, err := StartCluster(ClusterConfig{
+				Instance: in, Assignment: a, Delta: off.D, Offsets: off, Clients: launched,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cluster.Close()
 
-	if err := cluster.Kill(heaviest); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := cluster.Failover()
-	if err != nil {
-		t.Fatalf("capacitated failover: %v", err)
-	}
-	if err := in.CheckCapacities(rep.Assignment, caps); err != nil {
-		t.Fatalf("failover violated capacities: %v", err)
-	}
-	newLoads := in.Loads(rep.Assignment)
-	if newLoads[heaviest] != 0 {
-		t.Fatalf("dead server still has %d clients", newLoads[heaviest])
-	}
-	// The orphans exceeded any single survivor's headroom, so both
-	// survivors must have absorbed some.
-	absorbed := 0
-	for k, l := range newLoads {
-		if k != heaviest && l > loads[k] {
-			absorbed++
-		}
-	}
-	if absorbed < 2 {
-		t.Fatalf("expected orphans spread over ≥ 2 survivors, got %d (loads %v → %v)", absorbed, loads, newLoads)
+			reconnected := 0
+			for _, k := range sc.Kills {
+				if err := cluster.Kill(k.Server); err != nil {
+					t.Fatal(err)
+				}
+				if _, _, err := p.KillServer(ctx, k.Server); err != nil {
+					t.Fatal(err)
+				}
+				snap := p.Current()
+				rep, err := cluster.Failover(snap.Assignment)
+				if err != nil {
+					t.Fatalf("failover after killing server %d: %v", k.Server, err)
+				}
+				if math.Float64bits(rep.PostD) != math.Float64bits(snap.D) {
+					t.Fatalf("kill of server %d: live PostD %v != plane D %v", k.Server, rep.PostD, snap.D)
+				}
+				if !slices.Equal(rep.Assignment, snap.Assignment) {
+					t.Fatalf("kill of server %d: the cluster runs an assignment the plane did not publish", k.Server)
+				}
+				for _, c := range rep.Orphans {
+					if cluster.Client(c).Disconnected() {
+						t.Fatalf("orphan %d still disconnected after failover", c)
+					}
+				}
+				reconnected += len(rep.Orphans)
+			}
+			if reconnected == 0 {
+				t.Fatal("no failover reconnected a client; the test exercises nothing")
+			}
+		})
 	}
 }
 
-func TestFailoverInsufficientCapacityFailsLoudly(t *testing.T) {
+// TestFailoverRejectsForeignDecisions pins what Failover refuses to
+// enact: a wrong length, a client left on a dead server, and a client
+// moved off a live one. A refusal leaves the cluster as it was.
+func TestFailoverRejectsForeignDecisions(t *testing.T) {
 	in, a, off := liveInstance(t, 5, 14, 3)
-	loads := in.Loads(a)
-	// Exact-fit capacities: legal while every server lives, but no
-	// survivor has room for a single orphan.
-	caps := append([]int(nil), loads...)
-	victim := victimServer(loads)
+	victim := victimServer(in.Loads(a))
 	cluster, err := StartCluster(ClusterConfig{
-		Instance:          in,
-		Assignment:        a,
-		Delta:             off.D,
-		Offsets:           off,
-		Capacities:        caps,
-		LatenessTolerance: 35,
+		Instance: in, Assignment: a, Delta: off.D, Offsets: off, Clients: []int{0},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
-
 	if err := cluster.Kill(victim); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cluster.Failover(); err == nil {
-		t.Fatal("failover with saturated survivors must fail loudly")
+	good := nearestFailover(t, in, a, victim)
+	stray := good.Clone()
+	for c, s := range a {
+		if s != victim {
+			stray[c] = 3 - s - victim // the third of the three servers
+			break
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		a    core.Assignment
+	}{
+		{"wrong length", good[:len(good)-1]},
+		{"client left on the dead server", a},
+		{"client moved off a live server", stray},
+	} {
+		if _, err := cluster.Failover(tc.a); err == nil {
+			t.Fatalf("%s: failover accepted it", tc.name)
+		}
+		if !slices.Equal(cluster.Assignment(), a) {
+			t.Fatalf("%s: a refused failover changed the assignment", tc.name)
+		}
+	}
+	if _, err := cluster.Failover(good); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -278,7 +335,7 @@ func TestKillValidation(t *testing.T) {
 	if err := cluster.Kill(99); err == nil {
 		t.Fatal("out-of-range kill must fail")
 	}
-	if _, err := cluster.Failover(); err == nil {
+	if _, err := cluster.Failover(a); err == nil {
 		t.Fatal("failover without a dead server must fail")
 	}
 	if err := cluster.Kill(0); err != nil {

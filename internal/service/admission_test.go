@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"diacap/internal/dynamic"
 	"diacap/internal/live"
 	"diacap/internal/obs"
 )
@@ -296,15 +297,26 @@ func TestAdmissionAgainstRealCluster(t *testing.T) {
 		t.Fatalf("healthy cluster: status = %d: %s", rec.Code, rec.Body.String())
 	}
 
-	// Kill half the cluster and fail over: dead fraction 0.5 alone puts
-	// the score at 0.225 ≥ ShedScore.
+	// Kill half the cluster and fail over each orphan to its nearest
+	// survivor: dead fraction 0.5 alone puts the score at 0.225 ≥
+	// ShedScore.
 	if err := cluster.Kill(1); err != nil {
 		t.Fatal(err)
 	}
 	if err := cluster.Kill(2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cluster.Failover(); err != nil {
+	ev, err := in.NewEvaluator(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alive := []bool{true, false, false, true}
+	for _, k := range []int{1, 2} {
+		if _, err := dynamic.Evacuate(ev, dynamic.NewNearestJoin(in), dynamic.EffectiveCaps(nil, alive, in.NumClients()), k, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := cluster.Failover(ev.Assignment()); err != nil {
 		t.Fatal(err)
 	}
 	snap := cluster.HealthSnapshot()

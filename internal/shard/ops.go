@@ -62,6 +62,7 @@ func (p *Plane) Join(ctx context.Context, c int) (OpResult, error) {
 		p.met.rejected("conflict")
 		return OpResult{}, fmt.Errorf("%w: client %d", core.ErrAlreadyAssigned, c)
 	}
+	p.refreshCaps(sh)
 	s, err := p.place(sh, local, c)
 	if err != nil {
 		p.met.rejected("no_capacity")
@@ -73,9 +74,10 @@ func (p *Plane) Join(ctx context.Context, c int) (OpResult, error) {
 	return r, nil
 }
 
-// place runs the shard strategy's join path for local client and
-// applies the placement. A negative, dead or saturated answer from the
-// strategy is an error, never a placement. Callers hold p.mu.
+// place runs the shard strategy's join path for local client against
+// sh.effCaps and applies the placement. A negative, dead or saturated
+// answer from the strategy is an error, never a placement. Callers
+// hold p.mu and have refreshed sh.effCaps (refreshCaps).
 func (p *Plane) place(sh *shardState, local, global int) (int, error) {
 	s := sh.strat.PlaceJoin(sh.ev, sh.effCaps, local)
 	if s < 0 {
@@ -125,7 +127,8 @@ func (p *Plane) Leave(ctx context.Context, c int) (OpResult, error) {
 
 // Migrate moves active client c to server target; target < 0 asks the
 // owning shard's strategy to re-place the client (the client keeps its
-// old server if no better placement has room). Fails with
+// old server if no better placement has room). An explicit target must
+// be below its capacity in the world's load. Fails with
 // ErrUnknownClient, core.ErrNotAssigned, ErrServerDown, or
 // ErrNoCapacity.
 func (p *Plane) Migrate(ctx context.Context, c, target int) (OpResult, error) {
@@ -147,6 +150,7 @@ func (p *Plane) Migrate(ctx context.Context, c, target int) (OpResult, error) {
 		p.met.rejected("conflict")
 		return OpResult{}, fmt.Errorf("%w: migrate of client %d", core.ErrNotAssigned, c)
 	}
+	p.refreshCaps(sh)
 	if target >= 0 {
 		if target >= len(p.alive) {
 			return OpResult{}, fmt.Errorf("shard: server %d out of range [0,%d)", target, len(p.alive))
@@ -157,7 +161,7 @@ func (p *Plane) Migrate(ctx context.Context, c, target int) (OpResult, error) {
 		}
 		if target != old && sh.effCaps != nil && sh.ev.Load(target) >= sh.effCaps[target] {
 			p.met.rejected("no_capacity")
-			return OpResult{}, fmt.Errorf("%w: server %d is saturated in shard %d", ErrNoCapacity, target, sh.id)
+			return OpResult{}, fmt.Errorf("%w: server %d is saturated", ErrNoCapacity, target)
 		}
 		if _, err := sh.ev.ApplyMove(local, target); err != nil {
 			return OpResult{}, err
@@ -193,7 +197,8 @@ func (p *Plane) Migrate(ctx context.Context, c, target int) (OpResult, error) {
 
 // KillServer marks server k dead and evacuates its clients shard by
 // shard through each shard's strategy (ascending shard id, ascending
-// client order — deterministic). Killing a dead server is idempotent.
+// client order — deterministic), each shard against the room the
+// earlier ones left. Killing a dead server is idempotent.
 // If an evacuation cannot be placed the plane returns the typed
 // capacity error with the world left capacity-consistent (every client
 // either has a live seat or is detached). A kill is a failover: it is
@@ -228,6 +233,7 @@ func (p *Plane) KillServer(ctx context.Context, k int) (OpResult, int, error) {
 		p.flight.Dump("server-kill")
 	}
 	for _, sh := range p.shards {
+		p.refreshCaps(sh)
 		for local := 0; local < len(sh.clients); local++ {
 			if sh.ev.ServerOf(local) != k {
 				continue
@@ -277,12 +283,37 @@ func (p *Plane) RestartServer(ctx context.Context, k int) (OpResult, error) {
 	return r, nil
 }
 
-// rebuildEffCaps refreshes every shard's effective capacity vector
-// after a liveness change (dynamic.EffectiveCaps over the shard's own
-// client count). Callers hold p.mu.
+// rebuildEffCaps refreshes an uncapacitated plane's effective capacity
+// vectors after a liveness change (dynamic.EffectiveCaps over each
+// shard's own client count), its only capacity work. Callers hold p.mu.
 func (p *Plane) rebuildEffCaps() {
+	if p.opts.Capacities != nil {
+		return
+	}
 	for _, sh := range p.shards {
-		sh.effCaps = dynamic.EffectiveCaps(sh.caps, p.alive, len(sh.clients))
+		sh.effCaps = dynamic.EffectiveCaps(nil, p.alive, len(sh.clients))
+	}
+}
+
+// refreshCaps hands a capacitated plane's shard sh the world's pool
+// before its decision: per live server, sh's load plus the room left,
+// the capacity minus every shard evaluator's load; 0 per dead server.
+// sh's own placements leave it valid. Callers hold p.mu.
+func (p *Plane) refreshCaps(sh *shardState) {
+	caps := p.opts.Capacities
+	if caps == nil {
+		return
+	}
+	for k, c := range caps {
+		if !p.alive[k] {
+			sh.effCaps[k] = 0
+			continue
+		}
+		room := c
+		for _, o := range p.shards {
+			room -= o.ev.Load(k)
+		}
+		sh.effCaps[k] = sh.ev.Load(k) + room
 	}
 }
 
@@ -304,6 +335,7 @@ func (p *Plane) RepairShard(ctx context.Context, id int, now float64) (int, erro
 	//lint:ignore dialint/wallclock-determinism lastRepair feeds only the health endpoint's staleness display, never a replayed decision
 	sh.lastRepair = time.Now()
 	before := sh.ev.Assignment()
+	p.refreshCaps(sh)
 	moves := sh.strat.Repair(sh.ev, sh.effCaps, now)
 	sp.SetAttr(obs.Int("moves", moves))
 	if moves != 0 {
@@ -315,8 +347,9 @@ func (p *Plane) RepairShard(ctx context.Context, id int, now float64) (int, erro
 
 // Resolve re-solves every shard's active sub-instance from scratch with
 // the named assignment algorithm (seeded) and applies the result — the
-// per-shard batch solver counterpart of the online strategies. It
-// returns the total number of clients that moved.
+// per-shard batch solver counterpart of the online strategies. Shards
+// re-solve in ascending id, each against the room the earlier ones
+// left. It returns the total number of clients that moved.
 func (p *Plane) Resolve(ctx context.Context, algName string, seed int64) (OpResult, int, error) {
 	alg, err := assign.ByNameSeeded(algName, seed)
 	if err != nil {
@@ -340,7 +373,8 @@ func (p *Plane) Resolve(ctx context.Context, algName string, seed int64) (OpResu
 			}
 		}
 		sub := sh.in.Restrict(activeLocal)
-		a, err := alg.Assign(sub, p.resolveCaps(sh))
+		p.refreshCaps(sh)
+		a, err := alg.Assign(sub, sh.effCaps)
 		if err != nil {
 			return OpResult{}, moved, fmt.Errorf("shard %d: %s: %w", sh.id, algName, err)
 		}
@@ -357,15 +391,6 @@ func (p *Plane) Resolve(ctx context.Context, algName string, seed int64) (OpResu
 	r := p.opResult(ctx, -1, core.Unassigned)
 	sp.SetAttr(obs.Int("moved", moved), obs.Uint("epoch", r.Epoch), obs.F64("d", r.D))
 	return r, moved, nil
-}
-
-// resolveCaps is the capacity vector handed to a shard's batch solver:
-// the effective share, with nil passed through (uncapacitated).
-func (p *Plane) resolveCaps(sh *shardState) core.Capacities {
-	if sh.effCaps == nil && p.dead == 0 {
-		return nil
-	}
-	return sh.effCaps
 }
 
 // noteAssign maintains the shard's cell-level occupancy and active

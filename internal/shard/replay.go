@@ -91,10 +91,11 @@ type ReplayResult struct {
 // evacuate through the plane, drift rebuilds every sub-instance from
 // the snapshot's coordinates (so the plane must be built by
 // NewFromPopulation over the scenario's population), and after every
-// event the affected shards repair and the capacity invariant is
-// re-checked. The tape, its tie order, the horizon cut-off and the D
-// bookkeeping are the simulator's own, so a one-shard replay
-// reproduces dynamic.SimulateScenario bit-for-bit.
+// event the affected shards repair and the world's capacity invariant
+// is re-checked on the published snapshot. The tape, its tie order,
+// the horizon cut-off and the D bookkeeping are the simulator's own,
+// so a one-shard replay reproduces dynamic.SimulateScenario
+// bit-for-bit.
 //
 // When the plane has a tracer, every tape event is stamped with its own
 // root span (replay.join, replay.leave, replay.kill, replay.restart,
@@ -225,15 +226,12 @@ func (p *Plane) ServerAlive(k int) bool {
 	return k >= 0 && k < len(s.Alive) && s.Alive[k]
 }
 
-// checkInvariant verifies no shard exceeds its effective capacities and
-// no client sits on a dead server.
+// checkInvariant verifies the world's capacity invariant on the
+// published snapshot (dynamic.CheckServers over its loads).
 func (p *Plane) checkInvariant(t float64) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, sh := range p.shards {
-		if err := dynamic.CheckServers(sh.ev, p.alive, sh.effCaps); err != nil {
-			return fmt.Errorf("shard %d at t=%.1f: %w", sh.id, t, err)
-		}
+	s := p.Current()
+	if err := dynamic.CheckServers(func(k int) int { return s.Loads[k] }, s.Alive, p.opts.Capacities); err != nil {
+		return fmt.Errorf("shard: at t=%.1f: %w", t, err)
 	}
 	return nil
 }

@@ -102,59 +102,78 @@ func compareReplay(t *testing.T, got *shard.ReplayResult, want *dynamic.Scenario
 }
 
 // TestReplayMultiShard replays failure-storm and drift scenarios
-// through 4- and 16-shard planes: the run must complete, the published
-// D must stay exact against an oracle evaluator over the population
-// instance, and the certified gap must respect the 4ρ envelope while
-// cell geometry is valid.
+// through 4- and 16-shard planes, uncapacitated and with 24 seats per
+// server: the run must complete (Replay checks the world's capacity
+// invariant after every event), the published D must stay exact
+// against an oracle evaluator over the population instance, and the
+// certified gap must respect the 4ρ envelope while cell geometry is
+// valid.
 func TestReplayMultiShard(t *testing.T) {
 	for _, kind := range []string{"storm", "drift"} {
 		for _, shards := range []int{4, 16} {
-			t.Run(fmt.Sprintf("%s/shards=%d", kind, shards), func(t *testing.T) {
-				sc, err := dynamic.BuildScenario(kind, 9)
-				if err != nil {
-					t.Fatal(err)
+			for _, seats := range []int{0, 24} {
+				name := fmt.Sprintf("%s/shards=%d", kind, shards)
+				if seats > 0 {
+					name += fmt.Sprintf("/cap=%d", seats)
 				}
-				p, err := shard.NewFromPopulation(sc.Pop, shard.Options{Shards: shards, MaxCells: 24})
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := p.Replay(context.Background(), sc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				final := p.Current()
-				if final.Epoch != res.FinalEpoch {
-					t.Fatalf("final epoch %d, result says %d", final.Epoch, res.FinalEpoch)
-				}
-				// Oracle: a single evaluator over the live geometry —
-				// the population instance, or the last drift snapshot's
-				// re-materialized instance once coordinates have moved.
-				oracle := sc.Pop.Instance
-				if res.DriftSteps > 0 {
-					oracle = sc.Snapshots[len(sc.Snapshots)-1].Instance
-				}
-				ev, err := oracle.NewEvaluator(final.Assignment)
-				if err != nil {
-					t.Fatal(err)
-				}
-				bitsEq(t, "final sharded D vs oracle", final.D, ev.D())
-				if final.CertifiedD < final.D {
-					t.Fatalf("certified bound %v below exact D %v", final.CertifiedD, final.D)
-				}
-				if res.MaxCertGap > 4*final.MaxRho+1e-9 {
-					t.Fatalf("certified gap %v exceeded 4·maxρ = %v", res.MaxCertGap, 4*final.MaxRho)
-				}
-				events := 0
-				for _, n := range res.ShardEvents {
-					events += n
-				}
-				if events != res.Joins+res.Leaves {
-					t.Fatalf("shard event counts sum to %d, want %d joins+leaves", events, res.Joins+res.Leaves)
-				}
-				if st := p.EvaluatorStats(); st.Recomputes != 0 || st.EccScans != 0 {
-					t.Fatalf("replay fell back to O(world) repair: %+v", st)
-				}
-			})
+				t.Run(name, func(t *testing.T) { replayMultiShard(t, kind, shards, seats) })
+			}
+		}
+	}
+}
+
+func replayMultiShard(t *testing.T, kind string, shards, seats int) {
+	sc, err := dynamic.BuildScenario(kind, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var caps core.Capacities
+	if seats > 0 {
+		caps = core.UniformCapacities(len(sc.Pop.Servers), seats)
+	}
+	p, err := shard.NewFromPopulation(sc.Pop, shard.Options{Shards: shards, MaxCells: 24, Capacities: caps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Replay(context.Background(), sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := p.Current()
+	if final.Epoch != res.FinalEpoch {
+		t.Fatalf("final epoch %d, result says %d", final.Epoch, res.FinalEpoch)
+	}
+	// Oracle: a single evaluator over the live geometry — the population
+	// instance, or the last drift snapshot's re-materialized instance
+	// once coordinates have moved.
+	oracle := sc.Pop.Instance
+	if res.DriftSteps > 0 {
+		oracle = sc.Snapshots[len(sc.Snapshots)-1].Instance
+	}
+	ev, err := oracle.NewEvaluator(final.Assignment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bitsEq(t, "final sharded D vs oracle", final.D, ev.D())
+	if final.CertifiedD < final.D {
+		t.Fatalf("certified bound %v below exact D %v", final.CertifiedD, final.D)
+	}
+	if res.MaxCertGap > 4*final.MaxRho+1e-9 {
+		t.Fatalf("certified gap %v exceeded 4·maxρ = %v", res.MaxCertGap, 4*final.MaxRho)
+	}
+	events := 0
+	for _, n := range res.ShardEvents {
+		events += n
+	}
+	if events != res.Joins+res.Leaves {
+		t.Fatalf("shard event counts sum to %d, want %d joins+leaves", events, res.Joins+res.Leaves)
+	}
+	if st := p.EvaluatorStats(); st.Recomputes != 0 || st.EccScans != 0 {
+		t.Fatalf("replay fell back to O(world) repair: %+v", st)
+	}
+	for k, load := range final.Loads {
+		if (caps != nil && load > caps[k]) || (!final.Alive[k] && load > 0) {
+			t.Fatalf("server %d (alive %t) holds %d clients", k, final.Alive[k], load)
 		}
 	}
 }

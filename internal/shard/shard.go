@@ -29,6 +29,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -45,9 +46,9 @@ import (
 var (
 	// ErrUnknownClient reports a client id outside the plane's universe.
 	ErrUnknownClient = errors.New("shard: unknown client")
-	// ErrNoCapacity reports a join or migration that no admissible
-	// server can absorb within the owning shard's capacity share.
-	ErrNoCapacity = errors.New("shard: no capacity in owning shard")
+	// ErrNoCapacity reports a join, migration or evacuation that no
+	// live server has room left for in the world's capacity pool.
+	ErrNoCapacity = errors.New("shard: no capacity")
 	// ErrServerDown reports an operation targeting a killed server.
 	ErrServerDown = errors.New("shard: server is down")
 )
@@ -67,8 +68,8 @@ type Options struct {
 	// Clients is the client universe (required); client id i is
 	// Clients[i]. Clients start inactive and enter through Join.
 	Clients []latency.Coord
-	// Capacities are global per-server capacities, split across shards
-	// proportionally to shard population (nil = uncapacitated).
+	// Capacities are per-server capacities (nil = uncapacitated), one
+	// pool: a shard decides against its own load plus the world's room.
 	Capacities core.Capacities
 	// MaxCells bounds the cell decomposition used for partitioning
 	// (default scale.DefaultMaxCells).
@@ -170,10 +171,8 @@ type shardState struct {
 	clients []int
 	in      *core.Instance
 	ev      *core.Evaluator
-	// caps is this shard's capacity share (nil = uncapacitated).
-	caps core.Capacities
-	// effCaps is caps with dead servers clamped to zero (aliases caps
-	// while everything is alive).
+	// effCaps is what the strategy decides against: refreshCaps's view
+	// of the pool, or EffectiveCaps(nil, alive, …) when uncapacitated.
 	effCaps core.Capacities
 	strat   dynamic.Strategy
 	active  int
@@ -345,43 +344,17 @@ func (p *Plane) partition() {
 }
 
 // buildShards builds each shard's sub-instance from the node-indexed
-// coordinates cs, and its capacity share. Every entry is
-// latency.CoordLatency over the plane's node ids, so it is bit-identical
-// to the corresponding entry of the unpartitioned instance over the
-// same nodes — with one shard the sub-instance IS the unsharded
-// instance.
+// coordinates cs. Every entry is latency.CoordLatency over the plane's
+// node ids, so it is bit-identical to the corresponding entry of the
+// unpartitioned instance over the same nodes — with one shard the
+// sub-instance IS the unsharded instance.
 func (p *Plane) buildShards(cs []latency.Coord) error {
-	n := len(p.opts.Clients)
-	ns := len(p.opts.Servers)
 	p.shards = make([]*shardState, p.opts.Shards)
 	members := make([][]int, p.opts.Shards)
-	for c := 0; c < n; c++ {
+	for c := range p.opts.Clients {
 		s := p.clientShard[c]
 		p.clientLocal[c] = len(members[s])
 		members[s] = append(members[s], c)
-	}
-
-	// Split each server's capacity proportionally to shard population;
-	// leftover units go to shards in ascending id order so the split is
-	// deterministic and sums exactly to the global capacity.
-	var capShare [][]int
-	if p.opts.Capacities != nil {
-		capShare = make([][]int, p.opts.Shards)
-		for s := range capShare {
-			capShare[s] = make([]int, ns)
-		}
-		for k, total := range p.opts.Capacities {
-			given := 0
-			for s := 0; s < p.opts.Shards; s++ {
-				share := total * len(members[s]) / n
-				capShare[s][k] = share
-				given += share
-			}
-			for s := 0; given < total; s = (s + 1) % p.opts.Shards {
-				capShare[s][k]++
-				given++
-			}
-		}
 	}
 
 	for s := 0; s < p.opts.Shards; s++ {
@@ -393,17 +366,12 @@ func (p *Plane) buildShards(cs []latency.Coord) error {
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", s, err)
 		}
-		var caps core.Capacities
-		if capShare != nil {
-			caps = capShare[s]
-		}
 		p.shards[s] = &shardState{
 			id:       s,
 			clients:  members[s],
 			in:       in,
 			ev:       ev,
-			caps:     caps,
-			effCaps:  caps,
+			effCaps:  slices.Clone(p.opts.Capacities),
 			strat:    p.opts.Strategy(in),
 			cellLoad: make(map[int][]int),
 			dirty:    true,

@@ -3,6 +3,7 @@ package shard_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -207,29 +208,91 @@ func TestPlaneOpErrors(t *testing.T) {
 	}
 }
 
-// TestPlaneCapacityExhaustion starves one shard's capacity share and
-// checks the typed rejection.
+// TestPlaneCapacityExhaustion fills the world's two seats and checks
+// the typed rejection after them. The seats are one pool at any shard
+// count: the last shard's clients join first, and every join succeeds
+// exactly when the published view still admits a server.
 func TestPlaneCapacityExhaustion(t *testing.T) {
 	servers, clients := testCoords(t, 20, 2, 5)
-	caps := core.Capacities{1, 1} // 2 seats for 20 clients
-	p, err := shard.New(shard.Options{Shards: 1, Servers: servers, Clients: clients, Capacities: caps})
-	if err != nil {
-		t.Fatal(err)
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			p, err := shard.New(shard.Options{Shards: shards, Servers: servers, Clients: clients, Capacities: core.Capacities{1, 1}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var order []int
+			for s := p.NumShards() - 1; s >= 0; s-- {
+				for c := range clients {
+					if owner, _ := p.ShardOf(c); owner == s {
+						order = append(order, c)
+					}
+				}
+			}
+			joined := 0
+			for _, c := range order {
+				v := p.View()
+				open := v.Admissible(0) || v.Admissible(1)
+				_, err := p.Join(context.Background(), c)
+				if open != (err == nil) {
+					t.Fatalf("join of client %d: err = %v, but the view admits a server: %t", c, err, open)
+				}
+				if err == nil {
+					joined++
+				} else if !errors.Is(err, shard.ErrNoCapacity) || !errors.Is(err, dynamic.ErrCapacityExhausted) {
+					t.Fatalf("join of client %d: %v, want ErrNoCapacity wrapping ErrCapacityExhausted", c, err)
+				}
+			}
+			if joined != 2 {
+				t.Fatalf("joined %d clients on 2 seats", joined)
+			}
+		})
 	}
-	joined := 0
-	var lastErr error
-	for c := 0; c < len(clients); c++ {
-		if _, err := p.Join(context.Background(), c); err != nil {
-			lastErr = err
-			break
-		}
-		joined++
+}
+
+// TestPlaneKillsEvacuateIntoWorldRoom is the serving shape (32
+// servers, 4800 clients, 173 seats per server, GreedyJoin) with
+// servers 0–3 killed in turn: 28 × 173 = 4844 seats remain for 4800
+// clients, so every evacuation fits the world and must succeed at
+// every shard count, leaving no server over its capacity. Seed 1 runs
+// at 1, 4 and 16 shards; seeds 2 and 3 only at 16, where a per-shard
+// split of the seats refused the third kill.
+func TestPlaneKillsEvacuateIntoWorldRoom(t *testing.T) {
+	cases := []struct {
+		seed   int64
+		shards int
+	}{{1, 1}, {1, 4}, {1, 16}, {2, 16}, {3, 16}}
+	if testing.Short() {
+		cases = cases[:3]
 	}
-	if joined != 2 {
-		t.Fatalf("joined %d clients on 2 seats", joined)
-	}
-	if !errors.Is(lastErr, shard.ErrNoCapacity) || !errors.Is(lastErr, dynamic.ErrCapacityExhausted) {
-		t.Fatalf("exhaustion error = %v, want ErrNoCapacity wrapping ErrCapacityExhausted", lastErr)
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("seed=%d/shards=%d", tc.seed, tc.shards), func(t *testing.T) {
+			ctx := context.Background()
+			servers, clients := testCoords(t, 4800, 32, tc.seed)
+			caps := core.UniformCapacities(len(servers), 173)
+			p, err := shard.New(shard.Options{Shards: tc.shards, Servers: servers, Clients: clients, Capacities: caps})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for c := range clients {
+				if _, err := p.Join(ctx, c); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for k := 0; k < 4; k++ {
+				if _, _, err := p.KillServer(ctx, k); err != nil {
+					t.Fatalf("kill of server %d: %v", k, err)
+				}
+				s := p.Current()
+				if s.Active != len(clients) {
+					t.Fatalf("kill of server %d: %d of %d clients active", k, s.Active, len(clients))
+				}
+				for j, load := range s.Loads {
+					if load > caps[j] || (!s.Alive[j] && load > 0) {
+						t.Fatalf("kill of server %d: server %d (alive %t) holds %d of %d seats", k, j, s.Alive[j], load, caps[j])
+					}
+				}
+			}
+		})
 	}
 }
 
