@@ -88,12 +88,15 @@ func (t *Trace) FinalD() float64 {
 //
 // It runs on a core.Evaluator: D, eccentricities and loads come from
 // the engine, and a move's D is what Move returns, bit-equal to
-// MaxInteractionPath. l(s″) excluding c is read after detaching c,
-// which is reattached when no move wins. The sums are DG's own,
-// d(c,s′) + d(s′,s″) + l(s″) and d(c,s) + far[s], not PeekJoin's
-// lower-index-first order: another association can break an exact tie
-// of L(s′) the other way, and package dgreedy's protocol, which is
-// cross-checked against this type, sums in DG's order.
+// MaxInteractionPath. l(s″) excluding c is the engine's eccentricity
+// for every server but c's own, whose l is the largest distance to its
+// other members: max is exact, so that is the eccentricity a detach of
+// c would leave, and c's server drops out of the used servers when c is
+// its only member. A losing candidate changes nothing. The sums are
+// DG's own, d(c,s′) + d(s′,s″) + l(s″) and d(c,s) + far[s], not
+// PeekJoin's lower-index-first order: another association can break an
+// exact tie of L(s′) the other way, and package dgreedy's protocol,
+// which is cross-checked against this type, sums in DG's order.
 //
 // far[s] is kept with the eccentricities it was computed from. After
 // each winning move, a server t whose eccentricity changed raises
@@ -104,8 +107,7 @@ func (t *Trace) FinalD() float64 {
 // re-check of a critical client reads far[cur]. The critical snapshot
 // tests only the clients of servers with ecc(s) + far[s] ≥ D − eps: a
 // client on s is within ecc(s) of it and rounding is monotone. It reads
-// each server's member list, which only a winning move changes (a
-// losing candidate's detach and reattach leave it as it was), and is
+// each server's member list, which only a winning move changes, and is
 // sorted by client index, the order a scan of every client yields.
 func (g DistributedGreedy) AssignWithTrace(in *core.Instance, caps core.Capacities) (core.Assignment, *Trace, error) {
 	if err := validateInputs(in, caps); err != nil {
@@ -241,10 +243,22 @@ func (g DistributedGreedy) AssignWithTrace(in *core.Instance, caps core.Capaciti
 				continue
 			}
 
-			// l(s'') excluding c: detach c, so that only its own server's
-			// eccentricity changes.
-			ev.Move(c, core.Unassigned)
+			// l(s'') excluding c: only cur's eccentricity changes, to the
+			// largest distance from cur to its other members, and cur
+			// leaves the used servers when c is its only member.
 			collectUsed()
+			lcur := -1.0
+			for _, j := range members[cur] {
+				if d := in.ClientServerDist(j, cur); j != c && d > lcur {
+					lcur = d
+				}
+			}
+			p, _ := slices.BinarySearch(used, cur)
+			if lcur >= 0 {
+				usedEcc[p] = lcur
+			} else {
+				used, usedEcc = slices.Delete(used, p, p+1), slices.Delete(usedEcc, p, p+1)
+			}
 
 			// Evaluate L(s') for every candidate target server.
 			bestS, bestL := -1, math.Inf(1)
@@ -275,7 +289,6 @@ func (g DistributedGreedy) AssignWithTrace(in *core.Instance, caps core.Capaciti
 				}
 			}
 			if bestS == -1 || bestL >= d-eps {
-				ev.Move(c, cur)
 				continue // no move for this client improves its paths
 			}
 

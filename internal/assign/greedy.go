@@ -1,10 +1,8 @@
 package assign
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 
 	"diacap/internal/core"
 	"diacap/internal/obs"
@@ -92,27 +90,16 @@ func greedyAssign(in *core.Instance, weights Weights, caps core.Capacities, amor
 	nc, ns := in.NumClients(), in.NumServers()
 	a := core.NewAssignment(nc)
 
-	// Preprocessing: Ls for each server — all clients sorted by distance
-	// ascending, ties by client index for determinism. Each server's
-	// distances are read once, into a server-major row, and each entry
-	// keeps its distance for the scans below.
-	ls := make([][]distClient, ns)
-	all := make([]distClient, ns*nc)
-	row := make([]float64, nc)
-	counts := make([]int, nc+1)
-	for k := range ls {
-		for i := range row {
-			row[i] = in.ClientServerDist(i, k)
-		}
-		ls[k] = all[k*nc : (k+1)*nc]
-		distanceOrder(row, ls[k], counts)
-	}
+	// Ls for each server: all clients sorted by distance ascending, ties
+	// by client index, each entry with its distance. The instance builds
+	// them once and every Greedy run on it shares them, read-only.
+	ls := in.ServerLists()
 	// cursor[k]: every client of Ls[k] before it is assigned.
 	cursor := make([]int, ns)
 	// head returns the first unassigned entry of Ls[k] and moves the
 	// cursor to it.
-	head := func(k int) distClient {
-		for a[ls[k][cursor[k]].c] != core.Unassigned {
+	head := func(k int) core.ClientDist {
+		for a[ls[k][cursor[k]].C] != core.Unassigned {
 			cursor[k]++
 		}
 		return ls[k][cursor[k]]
@@ -161,14 +148,14 @@ func greedyAssign(in *core.Instance, weights Weights, caps core.Capacities, amor
 				continue
 			}
 			e := head(k)
-			w := weights.of(e.c)
+			w := weights.of(e.C)
 			if w > r {
 				continue
 			}
-			l := pathLen(e.d, m[k], maxLen)
+			l := pathLen(e.D, m[k], maxLen)
 			dl := l - maxLen
 			if dl == 0 {
-				bestC, bestS, bestN, bestLen = e.c, k, w, l
+				bestC, bestS, bestN, bestLen = e.C, k, w, l
 				scan = false
 				break
 			}
@@ -189,7 +176,7 @@ func greedyAssign(in *core.Instance, weights Weights, caps core.Capacities, amor
 				head(k) // moves cursor[k] past the assigned prefix
 				dn := 0 // Δn: weight of the unassigned clients passed so far
 				for _, e := range ls[k][cursor[k]:] {
-					c := e.c
+					c := e.C
 					if a[c] != core.Unassigned {
 						continue
 					}
@@ -199,7 +186,7 @@ func greedyAssign(in *core.Instance, weights Weights, caps core.Capacities, amor
 						// only grow, so neither can any farther batch.
 						break
 					}
-					l := pathLen(e.d, m[k], maxLen)
+					l := pathLen(e.D, m[k], maxLen)
 					dl := l - maxLen
 					if dl/u >= minCost {
 						break
@@ -235,15 +222,15 @@ func greedyAssign(in *core.Instance, weights Weights, caps core.Capacities, amor
 		maxLen = bestLen
 		old := ecc[bestS]
 		for _, e := range ls[bestS][cursor[bestS]:] {
-			c := e.c
+			c := e.C
 			if a[c] == core.Unassigned {
 				a[c] = bestS
 				w := weights.of(c)
 				loads[bestS] += w
 				unassignedW -= w
 				remaining--
-				if e.d > ecc[bestS] {
-					ecc[bestS] = e.d
+				if e.D > ecc[bestS] {
+					ecc[bestS] = e.D
 				}
 			}
 			if c == bestC {
@@ -275,69 +262,4 @@ func pathLen(d, m, maxLen float64) float64 {
 		l = maxLen
 	}
 	return l
-}
-
-// distClient is one entry of a server's list Ls: a client and its
-// distance to the server.
-type distClient struct {
-	d float64
-	c int
-}
-
-// distanceOrder fills list with the clients 0..len(dist)-1 ordered by
-// (dist[c], c) ascending, the order a comparison sort on that key
-// yields, in distribution order: with lo and hi the extreme distances,
-// client c drops, in index order, into bucket ⌊(dist[c] − lo)·s⌋ for
-// s = (|C|−1)/(hi − lo), and each bucket is sorted on its own. IEEE
-// subtraction, and multiplication by a positive constant, round
-// monotonically, so a nearer client never lands in a later bucket and
-// the concatenated buckets are the one (distance, index) order. A
-// spread of zero, a spread that is not finite (min and max propagate
-// NaN) and a spread so small that s overflows put every client in
-// bucket 0 without evaluating the map, which leaves a plain comparison
-// sort. counts is scratch of length len(dist)+1.
-func distanceOrder(dist []float64, list []distClient, counts []int) {
-	n := len(dist)
-	lo, hi := dist[0], dist[0]
-	for _, d := range dist {
-		lo, hi = min(lo, d), max(hi, d)
-	}
-	spread := hi - lo
-	scale := float64(n-1) / spread
-	if !(spread > 0) || math.IsInf(spread, 1) || math.IsInf(scale, 1) {
-		for c, d := range dist {
-			list[c] = distClient{d, c}
-		}
-		slices.SortFunc(list, compareDistClient)
-		return
-	}
-	bucket := func(d float64) int { return min(int((d-lo)*scale), n-1) }
-	clear(counts)
-	for _, d := range dist {
-		counts[bucket(d)+1]++
-	}
-	for b := 1; b < len(counts); b++ {
-		counts[b] += counts[b-1]
-	}
-	for c, d := range dist {
-		b := bucket(d)
-		list[counts[b]] = distClient{d, c}
-		counts[b]++
-	}
-	// counts[b] is now the end of bucket b, and the start of b+1.
-	start := 0
-	for b := 0; b < n; b++ {
-		if end := counts[b]; end-start > 1 {
-			slices.SortFunc(list[start:end], compareDistClient)
-		}
-		start = counts[b]
-	}
-}
-
-// compareDistClient orders Ls entries by (distance, client index).
-func compareDistClient(x, y distClient) int {
-	if c := cmp.Compare(x.d, y.d); c != 0 {
-		return c
-	}
-	return cmp.Compare(x.c, y.c)
 }

@@ -75,54 +75,6 @@ func TestGreedyKernelByteIdentical(t *testing.T) {
 	}
 }
 
-// TestDistanceOrder pins distanceOrder to a comparison sort on
-// (distance, index) for the spreads that must bypass the bucket map
-// (zero, NaN, ±Inf, one so small that (n−1)/spread overflows) and for
-// signed zeros, an outlier and random ties.
-func TestDistanceOrder(t *testing.T) {
-	nan, inf := math.NaN(), math.Inf(1)
-	tiny := math.SmallestNonzeroFloat64
-	cases := map[string][]float64{
-		"one":        {3},
-		"zero":       {7, 7, 7, 7},
-		"nan":        {2, nan, 1, 2, nan, 0},
-		"+inf":       {1, inf, 0, inf, 1},
-		"-inf":       {1, -inf, 0, 2},
-		"overflow":   {tiny, 0, tiny, 0, tiny},
-		"signed 0":   {0, math.Copysign(0, -1), 1, 0, math.Copysign(0, -1)},
-		"outlier":    {1, 2, 1, 3, 1000, 2, 4, 1},
-		"negative":   {-3, 2, -3, 0.5, -1e-300, 1e-300},
-		"two values": {5, 1, 5, 1},
-	}
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 50; i++ {
-		d := make([]float64, 1+rng.Intn(60))
-		for j := range d {
-			d[j] = float64(rng.Intn(6)) * 0.1
-		}
-		cases[fmt.Sprintf("random %d", i)] = d
-	}
-	for name, dist := range cases {
-		want := make([]int, len(dist))
-		for i := range want {
-			want[i] = i
-		}
-		sort.Slice(want, func(x, y int) bool {
-			if c := cmp.Compare(dist[want[x]], dist[want[y]]); c != 0 {
-				return c < 0
-			}
-			return want[x] < want[y]
-		})
-		list := make([]distClient, len(dist))
-		distanceOrder(dist, list, make([]int, len(dist)+1))
-		for p, e := range list {
-			if e.c != want[p] || math.Float64bits(e.d) != math.Float64bits(dist[e.c]) {
-				t.Fatalf("%s: position %d holds (%v, %d), want client %d", name, p, e.d, e.c, want[p])
-			}
-		}
-	}
-}
-
 // greedyReference is the differential reference for greedyAssign: the
 // paper's Fig. 6 loop scanning every (unassigned client, server) pair in
 // every iteration, with Δn the running weight of the unassigned clients
@@ -790,8 +742,9 @@ type edgeInstance struct {
 	in   *core.Instance
 }
 
-// edgeInstances returns the shapes at the edges of Greedy's
-// distribution order (distanceOrder), at two sizes each:
+// edgeInstances returns the shapes at the edges of the distribution
+// order Greedy's lists are built in (core.Instance.ServerLists), at two
+// sizes each:
 //   - equidistant: every latency is 7, so every client-server distance
 //     is equal and a server's spread is zero;
 //   - outlier: 1–4 integer latencies but one client 1000 away from

@@ -145,7 +145,7 @@ func lfbCapacitated(in *core.Instance, weights Weights, caps core.Capacities) (c
 		return nil, err
 	}
 
-	batch := make([]distClient, 0, nc)
+	batch := make([]core.ClientDist, 0, nc)
 	for remaining > 0 {
 		// Unassigned client with the longest distance to its nearest
 		// fitting server.
@@ -162,7 +162,7 @@ func lfbCapacitated(in *core.Instance, weights Weights, caps core.Capacities) (c
 		total := 0
 		for j := 0; j < nc; j++ {
 			if d := in.ClientServerDist(j, s); a[j] == core.Unassigned && d <= limit+eps {
-				batch = append(batch, distClient{d, j})
+				batch = append(batch, core.ClientDist{D: d, C: j})
 				total += weights.of(j)
 			}
 		}
@@ -172,7 +172,7 @@ func lfbCapacitated(in *core.Instance, weights Weights, caps core.Capacities) (c
 		if !skipped {
 			// The whole batch fits and no member is skipped.
 			for _, e := range batch {
-				a[e.c] = s
+				a[e.C] = s
 			}
 			loads[s] += total
 			placed = len(batch)
@@ -192,8 +192,8 @@ func lfbCapacitated(in *core.Instance, weights Weights, caps core.Capacities) (c
 				h[0] = h[len(h)-1]
 				h = h[:len(h)-1]
 				siftDown(h, 0)
-				if w := weights.of(e.c); w <= room {
-					a[e.c] = s
+				if w := weights.of(e.C); w <= room {
+					a[e.C] = s
 					loads[s] += w
 					room -= w
 					placed++
@@ -217,16 +217,16 @@ func lfbCapacitated(in *core.Instance, weights Weights, caps core.Capacities) (c
 
 // siftDown restores the min-heap order of h by (distance, index) in the
 // subtree rooted at i.
-func siftDown(h []distClient, i int) {
+func siftDown(h []core.ClientDist, i int) {
 	for {
 		j := 2*i + 1
 		if j >= len(h) {
 			return
 		}
-		if r := j + 1; r < len(h) && compareDistClient(h[r], h[j]) < 0 {
+		if r := j + 1; r < len(h) && h[r].Compare(h[j]) < 0 {
 			j = r
 		}
-		if compareDistClient(h[j], h[i]) >= 0 {
+		if h[j].Compare(h[i]) >= 0 {
 			return
 		}
 		h[i], h[j] = h[j], h[i]

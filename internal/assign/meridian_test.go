@@ -51,18 +51,33 @@ func meridianInstance(tb testing.TB, permuted bool) (*core.Instance, core.Capaci
 
 // benchSink keeps the benchmarked results live.
 var benchSink struct {
-	a  core.Assignment
-	lb float64
+	a     core.Assignment
+	lb    float64
+	lists [][]core.ClientDist
 }
 
 // BenchmarkMeridian times one call of each solve of a perfbench
 // solve-meridian operation, in its order (ns, lfb, greedy, dg, then the
-// four capacitated), and the uncached lower bound, on its instance with
-// the clients permuted by seed 1. Run it in two trees and compare:
+// four capacitated), the build of Greedy's lists alone (greedy_lists)
+// and the uncached lower bound, on its instance with the clients
+// permuted by seed 1. An instance caches Greedy's lists after their
+// first use, so every timed call runs on a fresh instance, built
+// outside the timer: each solve pays what it pays on a new instance.
+// Run it in two trees and compare:
 //
 //	go test ./internal/assign -run '^$' -bench Meridian -count 5
 func BenchmarkMeridian(b *testing.B) {
-	in, caps := meridianInstance(b, true)
+	_, caps := meridianInstance(b, true)
+	// fresh times fn on a new instance per iteration.
+	fresh := func(b *testing.B, fn func(in *core.Instance)) {
+		b.StopTimer()
+		for n := 0; n < b.N; n++ {
+			in, _ := meridianInstance(b, true)
+			b.StartTimer()
+			fn(in)
+			b.StopTimer()
+		}
+	}
 	algs := All()
 	for i, key := range []string{"ns", "lfb", "greedy", "dg", "ns_cap", "lfb_cap", "greedy_cap", "dg_cap"} {
 		alg := algs[i%len(algs)]
@@ -71,18 +86,19 @@ func BenchmarkMeridian(b *testing.B) {
 			c = caps
 		}
 		b.Run(key, func(b *testing.B) {
-			for n := 0; n < b.N; n++ {
+			fresh(b, func(in *core.Instance) {
 				a, err := alg.Assign(in, c)
 				if err != nil {
 					b.Fatal(err)
 				}
 				benchSink.a = a
-			}
+			})
 		})
 	}
+	b.Run("greedy_lists", func(b *testing.B) {
+		fresh(b, func(in *core.Instance) { benchSink.lists = in.ServerLists() })
+	})
 	b.Run("lower_bound", func(b *testing.B) {
-		for n := 0; n < b.N; n++ {
-			benchSink.lb = in.LowerBoundUncached()
-		}
+		fresh(b, func(in *core.Instance) { benchSink.lb = in.LowerBoundUncached() })
 	})
 }

@@ -37,7 +37,10 @@ var ErrInvalidAssignment = errors.New("core: invalid assignment")
 // objective reads only client-to-server and server-to-server latency, so
 // an instance keeps exactly those two tables, precomputed for the hot
 // loops of the assignment algorithms. Instances are immutable after
-// construction.
+// construction. Two derived values are computed on first use, once per
+// instance, and cached on it: the lower bound (LowerBound) and the
+// per-server client lists Greedy walks (ServerLists), which then hold
+// 16·|C|·|S| bytes for the instance's lifetime.
 type Instance struct {
 	servers []int
 	clients []int
@@ -55,6 +58,9 @@ type Instance struct {
 
 	lbOnce     sync.Once // guards the lazily computed lower bound
 	lowerBound float64
+
+	listsOnce sync.Once // guards the lazily built server lists
+	lists     [][]ClientDist
 }
 
 // NewInstance validates the inputs and builds an instance. The latency
@@ -141,7 +147,8 @@ func newInstance(n int, dist func(u, v int) float64, servers, clients []int) (*I
 // (instance-local indices, distinct, non-empty) in the given order: it
 // copies their client-to-server rows and shares the server set and the
 // server-to-server table, which immutability makes safe. Client i of the
-// result is client idx[i] of in.
+// result is client idx[i] of in. The result computes its own lower bound
+// and server lists; it inherits neither.
 func (in *Instance) Restrict(idx []int) *Instance {
 	sub := &Instance{
 		servers: in.servers,
@@ -369,35 +376,61 @@ func (in *Instance) computeLowerBound() {
 // LowerBoundUncached recomputes the lower bound from scratch, bypassing
 // the per-instance cache; cmd/diabench times it against
 // LowerBoundReference, whose value it returns bit for bit. It runs on
-// the calling goroutine in two phases, each with an exact prune.
+// the calling goroutine and keeps one |S| row of
+// B[i][l] = min over k of d(i,k) + d(k,l), not the |C|×|S| table.
 //
-// Phase one computes B[i][l] = min over k of d(i,k) + d(k,l). It walks
-// server row l in ascending d(l,k), sorted once per call, and stops once
-// d(i,nᵢ) + d(l,k) reaches the running minimum, where nᵢ is client i's
-// nearest server. Phase two computes the max over pairs i ≤ j of
-// min over l of B[i][l] + d(j,l). With R[l] the largest nearest-server
-// distance among the clients whose nearest server is l, row i cannot
-// exceed Uᵢ = max over l of B[i][l] + R[l]. Rows are visited in
-// descending Uᵢ until Uᵢ ≤ the running bound, and each visited row is
-// folded by the early-abandoning perfkit.MaxMinPlus.
+// The bound is the max over pairs i ≤ j of min over l of
+// B[i][l] + d(j,l). With nᵢ client i's nearest server and R[l] the
+// largest nearest-server distance among the clients whose nearest
+// server is l (−Inf where there is none), pair (i,j) is at most its
+// l = nⱼ candidate, so row i cannot exceed Uᵢ = max over l of
+// B[i][l] + R[l]. Rows are visited in descending
+// d(i,nᵢ) + max over l of (d(nᵢ,l) + R[l]), an order that raises the
+// running bound lb early, and each row goes through two exact steps:
 //
-// Why it is exact: min and max do not depend on order, and IEEE addition
-// is monotone in each operand (a ≤ a' and b ≤ b' give a+b ≤ a'+b' after
-// rounding). In phase one every server k the walk skips has
-// d(i,k) ≥ d(i,nᵢ) and d(l,k) at least the d(l,k) that stopped it, so its
-// sum is at least the running minimum and cannot lower it. In phase two
-// pair (i,j) is at most its l = nⱼ candidate, B[i][nⱼ] + d(j,nⱼ) ≤
-// B[i][nⱼ] + R[nⱼ] ≤ Uᵢ, so a skipped row cannot raise the running
-// maximum. Every candidate that is computed is the sum
-// LowerBoundReference adds (d(l,k) = d(k,l): the server table is
-// symmetric, a latency.Matrix invariant), so the result is
-// bit-identical. When nothing prunes, the cost is the reference's
-// additions plus O(|S|² log |S| + |C| log |C|) of sorting.
+//   - Witness. Row i is cleared, Uᵢ ≤ lb, once every column l with
+//     R[l] > −Inf has a server k with (d(i,k) + d(l,k)) + R[l] ≤ lb, for
+//     B[i][l] ≤ d(i,k) + d(l,k). The walk of column l visits k in
+//     ascending d(l,k), sorted once per call, and gives up on the row
+//     once (d(i,nᵢ) + d(l,k)) + R[l] > lb: every later k has
+//     d(i,k) ≥ d(i,nᵢ) and a d(l,k) at least as large. A row given up
+//     on has B[i][l] + R[l] > lb for that column, so Uᵢ > lb.
+//   - Fold. Such a row gets its exact B row, walking column l in the
+//     same order until d(i,nᵢ) + d(l,k) reaches the running minimum,
+//     and is folded over j ≥ i. Pair (i,j) is skipped when its l = nⱼ
+//     candidate B[i][nⱼ] + d(j,nⱼ) ≤ lb; otherwise its min-plus loop
+//     runs and abandons the pair once its running minimum falls to lb.
+//
+// Why it is exact: min and max do not depend on order, and IEEE
+// addition is monotone in each operand (a ≤ a' and b ≤ b' give
+// a+b ≤ a'+b' after rounding), so every test bounds the reference's
+// sum on the correct side, and lb only grows. Every B entry and pair
+// candidate that is computed is the sum LowerBoundReference adds
+// (d(l,k) = d(k,l): the server table is symmetric, a latency.Matrix
+// invariant), so the result is bit-identical. The order key adds
+// d(i,nᵢ) to a precomputed max, a different association than the
+// candidate sum, so it can exceed a row's bound by one ulp: it orders
+// the rows and never prunes one.
 func (in *Instance) LowerBoundUncached() float64 {
 	nc, ns := len(in.clients), len(in.servers)
 	nearest := make([]int, nc)
 	perfkit.NearestInto(in.csF, nearest)
 
+	reach := make([]float64, ns) // R[l]
+	for l := range reach {
+		reach[l] = math.Inf(-1)
+	}
+	for i, k := range nearest {
+		if d := in.cs[i][k]; d > reach[k] {
+			reach[k] = d
+		}
+	}
+	live := make([]int, 0, ns) // the columns l with R[l] > -Inf
+	for l, r := range reach {
+		if !math.IsInf(r, -1) {
+			live = append(live, l)
+		}
+	}
 	// byDist[l] lists every server k in ascending d(l,k).
 	byDist := make([][]int, ns)
 	for l, ssRow := range in.ss {
@@ -408,9 +441,34 @@ func (in *Instance) LowerBoundUncached() float64 {
 		slices.SortFunc(order, func(x, y int) int { return cmp.Compare(ssRow[x], ssRow[y]) })
 		byDist[l] = order
 	}
-	b := perfkit.NewFlatMatrix(nc, ns)
-	for i, csRow := range in.cs {
-		bRow, near := b.Row(i), csRow[nearest[i]]
+
+	// reachFrom[k] = max over l of d(k,l) + R[l], so that row i's order
+	// key is d(i,nᵢ) + reachFrom[nᵢ].
+	reachFrom := make([]float64, ns)
+	for k, ssRow := range in.ss {
+		f := math.Inf(-1)
+		for _, l := range live {
+			if v := ssRow[l] + reach[l]; v > f {
+				f = v
+			}
+		}
+		reachFrom[k] = f
+	}
+	key := make([]float64, nc)
+	rows := make([]int, nc)
+	for i, k := range nearest {
+		key[i], rows[i] = in.cs[i][k]+reachFrom[k], i
+	}
+	slices.SortFunc(rows, func(x, y int) int { return cmp.Or(cmp.Compare(key[y], key[x]), cmp.Compare(x, y)) })
+
+	bRow := make([]float64, ns)
+	var lb float64
+	for _, i := range rows {
+		csRow := in.cs[i]
+		near := csRow[nearest[i]]
+		if in.witnessed(csRow, near, live, reach, byDist, lb) {
+			continue
+		}
 		for l, order := range byDist {
 			ssRow := in.ss[l]
 			best := math.Inf(1)
@@ -424,37 +482,48 @@ func (in *Instance) LowerBoundUncached() float64 {
 			}
 			bRow[l] = best
 		}
-	}
-
-	reach := make([]float64, ns) // R[l]; -Inf where no client is nearest to l
-	for l := range reach {
-		reach[l] = math.Inf(-1)
-	}
-	for i, k := range nearest {
-		if d := in.cs[i][k]; d > reach[k] {
-			reach[k] = d
-		}
-	}
-	upper := make([]float64, nc) // Uᵢ
-	rows := make([]int, nc)
-	for i := range upper {
-		u := math.Inf(-1)
-		for l, x := range b.Row(i) {
-			if v := x + reach[l]; v > u {
-				u = v
+		for j := i; j < nc; j++ {
+			cj := in.cs[j][:ns]
+			if n := nearest[j]; bRow[n]+cj[n] <= lb {
+				continue
+			}
+			best := math.Inf(1)
+			for l, x := range bRow {
+				if v := x + cj[l]; v < best {
+					best = v
+					if best <= lb {
+						break
+					}
+				}
+			}
+			if best > lb {
+				lb = best
 			}
 		}
-		upper[i], rows[i] = u, i
-	}
-	slices.SortFunc(rows, func(x, y int) int { return cmp.Compare(upper[y], upper[x]) })
-	var lb float64
-	for _, i := range rows {
-		if upper[i] <= lb {
-			break
-		}
-		lb = perfkit.MaxMinPlus(b.Row(i), in.csF, i, lb)
 	}
 	return lb
+}
+
+// witnessed reports whether every column l in live has a server k with
+// (csRow[k] + d(l,k)) + reach[l] ≤ lb, walking k in byDist[l]'s order
+// and giving up once (near + d(l,k)) + reach[l] > lb: near is the
+// smallest entry of csRow, so no later k can pass.
+func (in *Instance) witnessed(csRow []float64, near float64, live []int, reach []float64, byDist [][]int, lb float64) bool {
+columns:
+	for _, l := range live {
+		r, ssRow := reach[l], in.ss[l]
+		for _, k := range byDist[l] {
+			dk := ssRow[k]
+			if (near+dk)+r > lb {
+				return false
+			}
+			if (csRow[k]+dk)+r <= lb {
+				continue columns
+			}
+		}
+		return false
+	}
+	return true
 }
 
 // LowerBoundReference is the retained naive reference for LowerBound:

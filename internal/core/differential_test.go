@@ -188,6 +188,94 @@ func TestDifferentialTies(t *testing.T) {
 	checkInstance(t, in, 5)
 }
 
+// TestDifferentialWitnessPrune pins the lower bound's row order and
+// witness walk on an instance built so that each of them matters. The
+// servers are nodes 0–2 and the clients I (client 0) and J (client 1):
+//
+//   - server 2 is 50 from every node, so no client is nearest to it and
+//     R[2] = −Inf;
+//   - J is visited first, with order key 0.3 + (0.2 + 0.1), but its one
+//     pair, (J, J) = 0.3 + 0.3 = 0.6, does not realize the bound;
+//   - at lb = 0.6, I has a witness for server 0 and none for server 1,
+//     its last column with R > −Inf: (0.1 + 0.2) + 0.3 > 0.6, while
+//     without the R[1] = 0.3 term server 0 would witness it;
+//   - I's order key 0.1 + (0.2 + 0.3) is 0.6, the running bound, one ulp
+//     below the bound (0.1 + 0.2) + 0.3 of pair (I, J), so a loop that
+//     stopped on the key would return 0.6.
+func TestDifferentialWitnessPrune(t *testing.T) {
+	a, b, c := 0.1, 0.2, 0.3
+	if (a+b)+c == a+(b+c) {
+		t.Fatalf("(%v + %v) + %v rounds like %v + (%v + %v); the instance needs them one ulp apart", a, b, c, a, b, c)
+	}
+	m := latency.NewMatrix(5)
+	set := func(u, v int, d float64) { m[u][v], m[v][u] = d, d }
+	set(0, 1, b)
+	set(0, 2, 50)
+	set(1, 2, 50)
+	set(3, 0, a)
+	set(3, 1, 10)
+	set(3, 2, 50)
+	set(4, 0, 10)
+	set(4, 1, c)
+	set(4, 2, 50)
+	set(3, 4, 10)
+	in, err := core.NewInstance(m, []int{0, 1, 2}, []int{3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < in.NumClients(); i++ {
+		if d := in.ClientServerDist(i, 2); d <= in.ClientServerDist(i, 0) || d <= in.ClientServerDist(i, 1) {
+			t.Fatalf("client %d is nearest to server 2", i)
+		}
+	}
+	checkBitsEqual(t, "LowerBoundReference", in.LowerBoundReference(), (a+b)+c)
+	checkBitsEqual(t, "LowerBoundUncached", in.LowerBoundUncached(), (a+b)+c)
+	checkInstance(t, in, 3)
+}
+
+// TestDifferentialLowerBoundSweep checks the lower bound bit for bit on
+// many small seeded instances: integer latencies 1–4 (ties on every
+// stopping boundary) alternating with real-valued ones, up to 12
+// servers among 5–40 nodes, so that some servers are no client's
+// nearest, and clients that include the server nodes or not.
+func TestDifferentialLowerBoundSweep(t *testing.T) {
+	trials := 3000
+	if testing.Short() {
+		trials = 300
+	}
+	rng := rand.New(rand.NewSource(53))
+	for trial := 0; trial < trials; trial++ {
+		n := 5 + rng.Intn(36)
+		var m latency.Matrix
+		if trial%2 == 0 {
+			m = latency.NewMatrix(n)
+			for i := 0; i < n; i++ {
+				for j := i + 1; j < n; j++ {
+					v := float64(1 + rng.Intn(4))
+					m[i][j], m[j][i] = v, v
+				}
+			}
+		} else {
+			m = latency.ScaledLike(n, int64(trial))
+		}
+		perm := rng.Perm(n)
+		ns := 1 + rng.Intn(min(12, n-1))
+		clients := perm[ns:]
+		if trial%3 == 0 {
+			clients = perm
+		}
+		in, err := core.NewInstanceTrusted(m, perm[:ns], clients)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := in.LowerBoundUncached(), in.LowerBoundReference()
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d (%d nodes, %d servers, %d clients): LowerBoundUncached %v, reference %v",
+				trial, n, ns, len(clients), got, want)
+		}
+	}
+}
+
 // TestDifferentialMeridianScale exercises the hot paths at the paper's
 // full Meridian scale (1796 nodes, 80 servers) — the regime
 // cmd/diabench benchmarks — so tiling bugs that only appear past the

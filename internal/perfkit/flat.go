@@ -9,9 +9,11 @@
 // loops (a kernel may reorder comparisons and skip candidates that
 // cannot win, but adds the same operands in the same pairings, so the
 // produced bits never change). The one kernel that beats its loop,
-// MaxMinPlus's early abandon, is gated end to end by cmd/diabench's
-// lower_bound/mit pair (core.LowerBoundUncached vs
-// core.LowerBoundReference).
+// MaxMinPlus, by its early abandon, folds the lower bound of
+// perfbench's quality check. core.LowerBoundUncached folds its rows
+// itself, testing each pair's nearest-server candidate first, and is
+// gated end to end by cmd/diabench's lower_bound/mit pair
+// (core.LowerBoundUncached vs core.LowerBoundReference).
 //
 // perfkit deliberately depends on nothing in the repo: kernels consume
 // plain slices and FlatMatrix values, and internal/core adapts its

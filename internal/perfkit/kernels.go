@@ -5,8 +5,10 @@ import "math"
 // Kernel contracts
 //
 // Every kernel here is one body; none keeps a ...Ref twin. MaxMinPlus
-// is the one kernel that beats the plain loop, by its early abandon, and
-// diabench measures it end to end as core.LowerBoundUncached against
+// is the one kernel that beats the plain loop, by its early abandon;
+// perfbench's quality check folds its lower bound with it.
+// core.LowerBoundUncached runs the same fold inline, after a
+// nearest-server pre-test per pair, and diabench measures it against
 // core.LowerBoundReference (lower_bound/mit). A kernel is free to
 // reorder *comparisons* (min/max are order-independent) and to skip
 // elements that provably cannot win, but it must combine operands in
