@@ -45,11 +45,56 @@ const (
 	JournalSuppressed = "suppressed"
 )
 
-// planeMetrics resolves the plane's instruments once at construction.
-// A nil registry yields a nil planeMetrics, and every method is
-// nil-safe, so the plane works unmetered.
+// planeOp indexes the op label values of the event counter.
+type planeOp int
+
+const (
+	opJoin planeOp = iota
+	opLeave
+	opMigrate
+	opKill
+	opRestart
+	opDrift
+	opResolve
+)
+
+// opLabels are the op label values, indexed by planeOp.
+var opLabels = [...]string{
+	opJoin:    "join",
+	opLeave:   "leave",
+	opMigrate: "migrate",
+	opKill:    "kill",
+	opRestart: "restart",
+	opDrift:   "drift",
+	opResolve: "resolve",
+}
+
+// rejectReason indexes the reason label values of the rejection
+// counter.
+type rejectReason int
+
+const (
+	rejUnknownClient rejectReason = iota
+	rejNoCapacity
+	rejConflict
+	rejServerDown
+)
+
+// reasonLabels are the reason label values, indexed by rejectReason.
+var reasonLabels = [...]string{
+	rejUnknownClient: "unknown_client",
+	rejNoCapacity:    "no_capacity",
+	rejConflict:      "conflict",
+	rejServerDown:    "server_down",
+}
+
+// planeMetrics resolves the plane's instruments once at construction,
+// the labelled counters included, so a write pays no label rendering
+// or series lookup. A nil registry yields a nil planeMetrics, and every
+// method is nil-safe, so the plane works unmetered.
 type planeMetrics struct {
-	reg        *obs.Registry
+	events     [len(opLabels)]*obs.Counter
+	rejects    [len(reasonLabels)]*obs.Counter
 	epoch      *obs.Gauge
 	dms        *obs.Gauge
 	certified  *obs.Gauge
@@ -63,7 +108,6 @@ func newPlaneMetrics(reg *obs.Registry) *planeMetrics {
 		return nil
 	}
 	m := &planeMetrics{
-		reg:        reg,
 		epoch:      reg.Gauge(nShardEpoch, hShardEpoch),
 		dms:        reg.Gauge(nShardD, hShardD),
 		certified:  reg.Gauge(nShardCertifiedD, hShardCertifiedD),
@@ -71,7 +115,20 @@ func newPlaneMetrics(reg *obs.Registry) *planeMetrics {
 		publish:    reg.Histogram(nShardPublish, hShardPublish, obs.SecondsBuckets),
 		staleReads: reg.Counter(nShardStaleReads, hShardStaleReads),
 	}
+	m.events, m.rejects = registerCounters(reg)
 	return m
+}
+
+// registerCounters resolves the event counter of every op label and the
+// rejection counter of every reason label.
+func registerCounters(reg *obs.Registry) (events [len(opLabels)]*obs.Counter, rejects [len(reasonLabels)]*obs.Counter) {
+	for op, l := range opLabels {
+		events[op] = reg.Counter(nShardEvents, hShardEvents, obs.L("op", l))
+	}
+	for r, l := range reasonLabels {
+		rejects[r] = reg.Counter(nShardRejected, hShardRejected, obs.L("reason", l))
+	}
+	return events, rejects
 }
 
 // Preregister registers every shard metric, including each op label of
@@ -80,12 +137,7 @@ func Preregister(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	for _, op := range []string{"join", "leave", "migrate", "kill", "restart", "drift", "resolve"} {
-		reg.Counter(nShardEvents, hShardEvents, obs.L("op", op))
-	}
-	for _, reason := range []string{"unknown_client", "no_capacity", "conflict", "server_down"} {
-		reg.Counter(nShardRejected, hShardRejected, obs.L("reason", reason))
-	}
+	registerCounters(reg)
 	reg.Gauge(nShardEpoch, hShardEpoch)
 	reg.Gauge(nShardD, hShardD)
 	reg.Gauge(nShardCertifiedD, hShardCertifiedD)
@@ -94,18 +146,18 @@ func Preregister(reg *obs.Registry) {
 	reg.Counter(nShardStaleReads, hShardStaleReads)
 }
 
-func (m *planeMetrics) event(op string) {
+func (m *planeMetrics) event(op planeOp) {
 	if m == nil {
 		return
 	}
-	m.reg.Counter(nShardEvents, hShardEvents, obs.L("op", op)).Inc()
+	m.events[op].Inc()
 }
 
-func (m *planeMetrics) rejected(reason string) {
+func (m *planeMetrics) rejected(r rejectReason) {
 	if m == nil {
 		return
 	}
-	m.reg.Counter(nShardRejected, hShardRejected, obs.L("reason", reason)).Inc()
+	m.rejects[r].Inc()
 }
 
 // published records the post-publish gauges and the publish latency.

@@ -47,31 +47,50 @@ func (p *Plane) begin(sp *obs.Span) func() {
 func (p *Plane) Join(ctx context.Context, c int) (OpResult, error) {
 	sid, err := p.ShardOf(c)
 	if err != nil {
-		p.met.rejected("unknown_client")
+		p.met.rejected(rejUnknownClient)
 		return OpResult{}, err
 	}
-	ctx, sp := obs.Child(ctx, "plane.join")
+	ctx, sp := p.opSpan(ctx, "plane.join", c, sid)
 	defer sp.End()
-	sp.SetAttr(obs.Int("client", c), obs.Int("shard", sid))
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	defer p.begin(sp)()
 	sh := p.shards[sid]
 	local := p.clientLocal[c]
 	if sh.ev.ServerOf(local) != core.Unassigned {
-		p.met.rejected("conflict")
+		p.met.rejected(rejConflict)
 		return OpResult{}, fmt.Errorf("%w: client %d", core.ErrAlreadyAssigned, c)
 	}
 	p.refreshCaps(sh)
 	s, err := p.place(sh, local, c)
 	if err != nil {
-		p.met.rejected("no_capacity")
+		p.met.rejected(rejNoCapacity)
 		return OpResult{}, err
 	}
-	p.met.event("join")
-	r := p.opResult(ctx, sid, s)
-	sp.SetAttr(obs.Int("server", s), obs.Uint("epoch", r.Epoch), obs.F64("d", r.D))
-	return r, nil
+	p.met.event(opJoin)
+	return p.clientResult(ctx, sp, sid, s), nil
+}
+
+// opSpan opens a client operation's child span with its client and
+// shard attributes. The attributes are rendered only for a traced
+// request: every span method is nil-safe, but arguments are built
+// eagerly and every write passes through here.
+func (p *Plane) opSpan(ctx context.Context, name string, c, shard int) (context.Context, *obs.Span) {
+	ctx, sp := obs.Child(ctx, name)
+	if sp != nil {
+		sp.SetAttr(obs.Int("client", c), obs.Int("shard", shard))
+	}
+	return ctx, sp
+}
+
+// clientResult publishes a client operation's epoch and, for a traced
+// request, records the client's server, the epoch and D on its span.
+func (p *Plane) clientResult(ctx context.Context, sp *obs.Span, shard, server int) OpResult {
+	r := p.opResult(ctx, shard, server)
+	if sp != nil {
+		sp.SetAttr(obs.Int("server", server), obs.Uint("epoch", r.Epoch), obs.F64("d", r.D))
+	}
+	return r
 }
 
 // place runs the shard strategy's join path for local client against
@@ -93,7 +112,7 @@ func (p *Plane) place(sh *shardState, local, global int) (int, error) {
 	if _, err := sh.ev.ApplyJoin(local, s); err != nil {
 		return -1, err
 	}
-	sh.noteAssign(p.clientCell[global], s, +1)
+	p.noteAssign(sh, global, s, +1)
 	return s, nil
 }
 
@@ -102,12 +121,11 @@ func (p *Plane) place(sh *shardState, local, global int) (int, error) {
 func (p *Plane) Leave(ctx context.Context, c int) (OpResult, error) {
 	sid, err := p.ShardOf(c)
 	if err != nil {
-		p.met.rejected("unknown_client")
+		p.met.rejected(rejUnknownClient)
 		return OpResult{}, err
 	}
-	ctx, sp := obs.Child(ctx, "plane.leave")
+	ctx, sp := p.opSpan(ctx, "plane.leave", c, sid)
 	defer sp.End()
-	sp.SetAttr(obs.Int("client", c), obs.Int("shard", sid))
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	defer p.begin(sp)()
@@ -115,14 +133,12 @@ func (p *Plane) Leave(ctx context.Context, c int) (OpResult, error) {
 	local := p.clientLocal[c]
 	old := sh.ev.ServerOf(local)
 	if _, err := sh.ev.ApplyLeave(local); err != nil {
-		p.met.rejected("conflict")
+		p.met.rejected(rejConflict)
 		return OpResult{}, err
 	}
-	sh.noteAssign(p.clientCell[c], old, -1)
-	p.met.event("leave")
-	r := p.opResult(ctx, sid, old)
-	sp.SetAttr(obs.Int("server", old), obs.Uint("epoch", r.Epoch), obs.F64("d", r.D))
-	return r, nil
+	p.noteAssign(sh, c, old, -1)
+	p.met.event(opLeave)
+	return p.clientResult(ctx, sp, sid, old), nil
 }
 
 // Migrate moves active client c to server target; target < 0 asks the
@@ -134,12 +150,14 @@ func (p *Plane) Leave(ctx context.Context, c int) (OpResult, error) {
 func (p *Plane) Migrate(ctx context.Context, c, target int) (OpResult, error) {
 	sid, err := p.ShardOf(c)
 	if err != nil {
-		p.met.rejected("unknown_client")
+		p.met.rejected(rejUnknownClient)
 		return OpResult{}, err
 	}
-	ctx, sp := obs.Child(ctx, "plane.migrate")
+	ctx, sp := p.opSpan(ctx, "plane.migrate", c, sid)
 	defer sp.End()
-	sp.SetAttr(obs.Int("client", c), obs.Int("shard", sid), obs.Int("target", target))
+	if sp != nil {
+		sp.SetAttr(obs.Int("target", target))
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	defer p.begin(sp)()
@@ -147,7 +165,7 @@ func (p *Plane) Migrate(ctx context.Context, c, target int) (OpResult, error) {
 	local := p.clientLocal[c]
 	old := sh.ev.ServerOf(local)
 	if old == core.Unassigned {
-		p.met.rejected("conflict")
+		p.met.rejected(rejConflict)
 		return OpResult{}, fmt.Errorf("%w: migrate of client %d", core.ErrNotAssigned, c)
 	}
 	p.refreshCaps(sh)
@@ -156,43 +174,39 @@ func (p *Plane) Migrate(ctx context.Context, c, target int) (OpResult, error) {
 			return OpResult{}, fmt.Errorf("shard: server %d out of range [0,%d)", target, len(p.alive))
 		}
 		if !p.alive[target] {
-			p.met.rejected("server_down")
+			p.met.rejected(rejServerDown)
 			return OpResult{}, fmt.Errorf("%w: server %d", ErrServerDown, target)
 		}
 		if target != old && sh.effCaps != nil && sh.ev.Load(target) >= sh.effCaps[target] {
-			p.met.rejected("no_capacity")
+			p.met.rejected(rejNoCapacity)
 			return OpResult{}, fmt.Errorf("%w: server %d is saturated", ErrNoCapacity, target)
 		}
 		if _, err := sh.ev.ApplyMove(local, target); err != nil {
 			return OpResult{}, err
 		}
 		if target != old {
-			sh.noteAssign(p.clientCell[c], old, -1)
-			sh.noteAssign(p.clientCell[c], target, +1)
+			p.noteAssign(sh, c, old, -1)
+			p.noteAssign(sh, c, target, +1)
 		}
-		p.met.event("migrate")
-		r := p.opResult(ctx, sid, target)
-		sp.SetAttr(obs.Int("server", target), obs.Uint("epoch", r.Epoch), obs.F64("d", r.D))
-		return r, nil
+		p.met.event(opMigrate)
+		return p.clientResult(ctx, sp, sid, target), nil
 	}
 	// Strategy re-placement: lift the client out, ask the strategy, and
 	// restore the old seat if nothing has room.
 	if _, err := sh.ev.ApplyLeave(local); err != nil {
 		return OpResult{}, err
 	}
-	sh.noteAssign(p.clientCell[c], old, -1)
+	p.noteAssign(sh, c, old, -1)
 	s, err := p.place(sh, local, c)
 	if err != nil {
 		if _, rerr := sh.ev.ApplyJoin(local, old); rerr != nil {
 			return OpResult{}, errors.Join(err, rerr)
 		}
-		sh.noteAssign(p.clientCell[c], old, +1)
+		p.noteAssign(sh, c, old, +1)
 		return OpResult{}, err
 	}
-	p.met.event("migrate")
-	r := p.opResult(ctx, sid, s)
-	sp.SetAttr(obs.Int("server", s), obs.Uint("epoch", r.Epoch), obs.F64("d", r.D))
-	return r, nil
+	p.met.event(opMigrate)
+	return p.clientResult(ctx, sp, sid, s), nil
 }
 
 // KillServer marks server k dead and evacuates its clients shard by
@@ -209,7 +223,9 @@ func (p *Plane) KillServer(ctx context.Context, k int) (OpResult, int, error) {
 	}
 	ctx, sp := obs.Child(ctx, "plane.kill")
 	defer sp.End()
-	sp.SetAttr(obs.Int("server", k))
+	if sp != nil {
+		sp.SetAttr(obs.Int("server", k))
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	defer p.begin(sp)()
@@ -223,7 +239,9 @@ func (p *Plane) KillServer(ctx context.Context, k int) (OpResult, int, error) {
 	p.rebuildEffCaps()
 	evacuated := 0
 	finish := func(r OpResult, evacuated int, failed bool) {
-		sp.SetAttr(obs.Int("evacuated", evacuated), obs.Uint("epoch", r.Epoch))
+		if sp != nil {
+			sp.SetAttr(obs.Int("evacuated", evacuated), obs.Uint("epoch", r.Epoch))
+		}
 		p.jFailover.Record("kill", sp.TraceID(),
 			obs.Int("server", k),
 			obs.Int("evacuated", evacuated),
@@ -242,9 +260,9 @@ func (p *Plane) KillServer(ctx context.Context, k int) (OpResult, int, error) {
 			if _, err := sh.ev.ApplyLeave(local); err != nil {
 				return OpResult{}, evacuated, err
 			}
-			sh.noteAssign(p.clientCell[global], k, -1)
+			p.noteAssign(sh, global, k, -1)
 			if _, err := p.place(sh, local, global); err != nil {
-				p.met.event("kill")
+				p.met.event(opKill)
 				r := p.opResult(ctx, -1, k)
 				finish(r, evacuated, true)
 				return r, evacuated, err
@@ -252,7 +270,7 @@ func (p *Plane) KillServer(ctx context.Context, k int) (OpResult, int, error) {
 			evacuated++
 		}
 	}
-	p.met.event("kill")
+	p.met.event(opKill)
 	r := p.opResult(ctx, -1, k)
 	finish(r, evacuated, false)
 	return r, evacuated, nil
@@ -274,7 +292,7 @@ func (p *Plane) RestartServer(ctx context.Context, k int) (OpResult, error) {
 		p.alive[k] = true
 		p.dead--
 		p.rebuildEffCaps()
-		p.met.event("restart")
+		p.met.event(opRestart)
 		p.jFailover.Record("restart", sp.TraceID(),
 			obs.Int("server", k), obs.Int("dead", p.dead))
 	}
@@ -297,8 +315,8 @@ func (p *Plane) rebuildEffCaps() {
 
 // refreshCaps hands a capacitated plane's shard sh the world's pool
 // before its decision: per live server, sh's load plus the room left,
-// the capacity minus every shard evaluator's load; 0 per dead server.
-// sh's own placements leave it valid. Callers hold p.mu.
+// the capacity minus the world's load; 0 per dead server. sh's own
+// placements leave it valid. Callers hold p.mu.
 func (p *Plane) refreshCaps(sh *shardState) {
 	caps := p.opts.Capacities
 	if caps == nil {
@@ -309,11 +327,7 @@ func (p *Plane) refreshCaps(sh *shardState) {
 			sh.effCaps[k] = 0
 			continue
 		}
-		room := c
-		for _, o := range p.shards {
-			room -= o.ev.Load(k)
-		}
-		sh.effCaps[k] = sh.ev.Load(k) + room
+		sh.effCaps[k] = sh.ev.Load(k) + (c - p.loads[k])
 	}
 }
 
@@ -339,7 +353,7 @@ func (p *Plane) RepairShard(ctx context.Context, id int, now float64) (int, erro
 	moves := sh.strat.Repair(sh.ev, sh.effCaps, now)
 	sp.SetAttr(obs.Int("moves", moves))
 	if moves != 0 {
-		sh.reconcileCells(p, before)
+		p.reconcileCells(sh, before)
 		p.publishLocked(ctx)
 	}
 	return moves, nil
@@ -385,41 +399,69 @@ func (p *Plane) Resolve(ctx context.Context, algName string, seed int64) (OpResu
 				moved++
 			}
 		}
-		sh.reconcileCells(p, before)
+		p.reconcileCells(sh, before)
 	}
-	p.met.event("resolve")
+	p.met.event(opResolve)
 	r := p.opResult(ctx, -1, core.Unassigned)
 	sp.SetAttr(obs.Int("moved", moved), obs.Uint("epoch", r.Epoch), obs.F64("d", r.D))
 	return r, moved, nil
 }
 
-// noteAssign maintains the shard's cell-level occupancy and active
-// count after one client's (de)assignment on server s.
-func (sh *shardState) noteAssign(cell, s, delta int) {
+// noteAssign records that client c of shard sh joined (delta +1) or
+// left (delta -1) server s, after the shard's evaluator did. It is the
+// one place the world changes: the assignment and loads publish copies,
+// the shard's active count, its cell occupancy, and its certified bound
+// on s. The bound rises when a (cell, s) count moves 0 → 1 and is
+// rescanned over the shard's cells only when the cell that empties is
+// one that realizes it; any other cell leaving keeps the max. A move is
+// a -1 on the old server, then a +1 on the new.
+func (p *Plane) noteAssign(sh *shardState, c, s, delta int) {
 	if s == core.Unassigned {
 		return
 	}
-	row := sh.cellLoad[cell]
-	if row == nil {
-		row = make([]int, sh.in.NumServers())
-		sh.cellLoad[cell] = row
+	if delta > 0 {
+		p.assign[c] = s
+	} else {
+		p.assign[c] = core.Unassigned
 	}
-	row[s] += delta
+	p.loads[s] += delta
 	sh.active += delta
 	sh.dirty = true
+	j := p.clientCell[c]
+	ns := len(p.loads)
+	p.cellLoad[j*ns+s] += int32(delta)
+	switch n, v := p.cellLoad[j*ns+s], p.certDist[j][s]; {
+	case n == 1 && delta > 0 && v > sh.bound[s]:
+		sh.bound[s] = v
+	case n == 0 && v >= sh.bound[s]:
+		sh.bound[s] = p.boundOf(sh, s)
+	}
 }
 
-// reconcileCells rebuilds the cell-level occupancy from the assignment
-// diff after a strategy or solver mutated the evaluator directly.
-func (sh *shardState) reconcileCells(p *Plane, before core.Assignment) {
+// boundOf folds shard sh's certified bound on server s from scratch:
+// the max of certDist[j][s] over its cells j with clients on s, or -1.
+func (p *Plane) boundOf(sh *shardState, s int) float64 {
+	ns := len(p.loads)
+	b := -1.0
+	for _, j := range sh.cells {
+		if p.cellLoad[j*ns+s] > 0 {
+			b = max(b, p.certDist[j][s])
+		}
+	}
+	return b
+}
+
+// reconcileCells brings the world up to date with the assignment diff
+// after a strategy or solver mutated the evaluator directly.
+func (p *Plane) reconcileCells(sh *shardState, before core.Assignment) {
 	for local, prev := range before {
 		cur := sh.ev.ServerOf(local)
 		if cur == prev {
 			continue
 		}
-		cell := p.clientCell[sh.clients[local]]
-		sh.noteAssign(cell, prev, -1)
-		sh.noteAssign(cell, cur, +1)
+		c := sh.clients[local]
+		p.noteAssign(sh, c, prev, -1)
+		p.noteAssign(sh, c, cur, +1)
 	}
 }
 

@@ -51,6 +51,8 @@ func (p *Plane) ApplyDrift(ctx context.Context, cs []latency.Coord) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	defer p.begin(sp)()
+	// The cached pair scans read the server table drift replaces.
+	p.dScan.valid, p.certScan.valid = false, false
 	for _, sh := range p.shards {
 		in, err := p.shardInstance(cs, sh.clients)
 		if err != nil {
@@ -66,7 +68,7 @@ func (p *Plane) ApplyDrift(ctx context.Context, cs []latency.Coord) error {
 		p.installHooks(sh)
 	}
 	p.drifted = true
-	p.met.event("drift")
+	p.met.event(opDrift)
 	s := p.publishLocked(ctx)
 	sp.SetAttr(obs.Uint("epoch", s.Epoch), obs.F64("d", s.D))
 	return nil

@@ -123,14 +123,32 @@ type Plane struct {
 	clientShard []int
 	clientLocal []int
 	clientCell  []int
-	// repDist[j][k] is the certified distance bound base: latency from
-	// cell j's representative to server k.
-	repDist [][]float64
-	maxRho  float64
+	// certDist[j][k] bounds the distance from every member of cell j to
+	// server k: the (floored) latency from the cell's representative to
+	// k plus the cell radius ρ.
+	certDist [][]float64
+	maxRho   float64
 
 	shards []*shardState
 	alive  []bool
 	dead   int
+
+	// The world as the next snapshot publishes it, kept up to date by
+	// noteAssign: assign[c] is client c's server (core.Unassigned when
+	// inactive) and loads[k] counts the clients on server k. cellLoad
+	// [j·|S| + k] counts the active clients of cell j on server k; the
+	// owning shard's certified bound is a max over its nonzero entries.
+	assign   []int
+	loads    []int
+	cellLoad []int32
+	// eccBuf and boundBuf are publish's scratch for the merged vectors;
+	// dScan and certScan cache the pair scans over them.
+	eccBuf, boundBuf []float64
+	dScan, certScan  pairScan
+	// dAttr is the epoch journal's rendered "d" for the D whose bits are
+	// dAttrBits.
+	dAttr     obs.Attr
+	dAttrBits uint64
 
 	// serverNodes/clientNodes map server and client ids to node ids of
 	// the plane's node space, numNodes coordinates long: [servers ∥
@@ -176,10 +194,12 @@ type shardState struct {
 	effCaps core.Capacities
 	strat   dynamic.Strategy
 	active  int
-	// cellLoad[j][k] counts active clients of plane cell j assigned to
-	// server k — the cell-level summary behind the certified bound.
-	// Only cells owned by this shard have rows.
-	cellLoad map[int][]int
+	// cells are the plane cells this shard owns, ascending.
+	cells []int
+	// bound[k] is the shard's certified bound on server k: the max of
+	// certDist[j][k] over its cells j with clients on k (-1 when none).
+	// noteAssign keeps it current.
+	bound []float64
 	// dirty marks that the shard's summary must be rebuilt at the next
 	// publish.
 	dirty bool
@@ -270,8 +290,13 @@ func newPlane(opts Options, cs []latency.Coord, serverNodes, clientNodes []int) 
 		serverNodes: serverNodes,
 		clientNodes: clientNodes,
 		numNodes:    len(cs),
-		repDist:     make([][]float64, len(cells)),
+		certDist:    make([][]float64, len(cells)),
 		alive:       make([]bool, len(opts.Servers)),
+		assign:      make([]int, len(opts.Clients)),
+		loads:       make([]int, len(opts.Servers)),
+		cellLoad:    make([]int32, len(cells)*len(opts.Servers)),
+		eccBuf:      make([]float64, len(opts.Servers)),
+		boundBuf:    make([]float64, len(opts.Servers)),
 		met:         newPlaneMetrics(opts.Metrics),
 		tracer:      opts.Tracer,
 		flight:      opts.Flight,
@@ -284,6 +309,9 @@ func newPlane(opts Options, cs []latency.Coord, serverNodes, clientNodes []int) 
 	for k := range p.alive {
 		p.alive[k] = true
 	}
+	for c := range p.assign {
+		p.assign[c] = core.Unassigned
+	}
 	for j, cell := range cells {
 		row := make([]float64, len(opts.Servers))
 		for k, sc := range opts.Servers {
@@ -291,9 +319,9 @@ func newPlane(opts Options, cs []latency.Coord, serverNodes, clientNodes []int) 
 			// bound rep→server + ρ dominates the (floored)
 			// member→server distances even for coincident
 			// coordinates.
-			row[k] = max(cell.Rep.LatencyTo(sc), 1e-9)
+			row[k] = max(cell.Rep.LatencyTo(sc), 1e-9) + cell.Rho
 		}
-		p.repDist[j] = row
+		p.certDist[j] = row
 		if cell.Rho > p.maxRho {
 			p.maxRho = cell.Rho
 		}
@@ -356,6 +384,10 @@ func (p *Plane) buildShards(cs []latency.Coord) error {
 		p.clientLocal[c] = len(members[s])
 		members[s] = append(members[s], c)
 	}
+	owned := make([][]int, p.opts.Shards)
+	for j, s := range p.cellShard {
+		owned[s] = append(owned[s], j)
+	}
 
 	for s := 0; s < p.opts.Shards; s++ {
 		in, err := p.shardInstance(cs, members[s])
@@ -366,15 +398,20 @@ func (p *Plane) buildShards(cs []latency.Coord) error {
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", s, err)
 		}
+		bound := make([]float64, len(p.opts.Servers))
+		for k := range bound {
+			bound[k] = -1
+		}
 		p.shards[s] = &shardState{
-			id:       s,
-			clients:  members[s],
-			in:       in,
-			ev:       ev,
-			effCaps:  slices.Clone(p.opts.Capacities),
-			strat:    p.opts.Strategy(in),
-			cellLoad: make(map[int][]int),
-			dirty:    true,
+			id:      s,
+			clients: members[s],
+			in:      in,
+			ev:      ev,
+			effCaps: slices.Clone(p.opts.Capacities),
+			strat:   p.opts.Strategy(in),
+			cells:   owned[s],
+			bound:   bound,
+			dirty:   true,
 		}
 		p.installHooks(p.shards[s])
 	}

@@ -4,9 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
-	"diacap/internal/core"
 	"diacap/internal/obs"
 	"diacap/internal/perfkit"
 )
@@ -100,55 +100,45 @@ func (p *Plane) Epoch() uint64 { return p.snap.Load().Epoch }
 
 // publishLocked rebuilds dirty shard summaries, reconciles the global
 // state, and atomically swaps in the next snapshot. Callers hold p.mu.
-// The reconciliation is recorded as a plane.publish child span of the
-// context's span (if traced) and every epoch bump lands in the flight
-// recorder's epoch journal.
+// The assignment and loads are copies of the world noteAssign keeps, a
+// dirty shard's summary copies its evaluator's eccentricities and its
+// incremental bound, and each pair scan reruns only when its merged
+// vector changed. The reconciliation is recorded as a plane.publish
+// child span of the context's span (if traced) and every epoch bump
+// lands in the flight recorder's epoch journal.
 func (p *Plane) publishLocked(ctx context.Context) *Snapshot {
 	start := time.Now()
 	_, sp := obs.Child(ctx, "plane.publish")
 	defer sp.End()
-	ns := len(p.opts.Servers)
 	p.epoch++
-	dirty := 0
-	for _, sh := range p.shards {
-		if sh.dirty {
-			dirty++
-		}
-	}
 	snap := &Snapshot{
 		Epoch:      p.epoch,
-		Assignment: make([]int, len(p.opts.Clients)),
-		Loads:      make([]int, ns),
+		Assignment: slices.Clone(p.assign),
+		Loads:      slices.Clone(p.loads),
 		MaxRho:     p.maxRho,
 		Shards:     make([]ShardSummary, len(p.shards)),
-		Alive:      append([]bool(nil), p.alive...),
+		Alive:      slices.Clone(p.alive),
 	}
 
 	// Merged eccentricities: a server's true eccentricity over the
 	// whole population is the max of its per-shard values, because the
 	// shards partition the clients (max over a disjoint union = max of
 	// per-part maxima, exactly, in floats as in reals).
-	ecc := make([]float64, ns)
-	bound := make([]float64, ns)
+	ecc, bound := p.eccBuf, p.boundBuf
 	for k := range ecc {
 		ecc[k], bound[k] = -1, -1
 	}
+	dirty := 0
 	for _, sh := range p.shards {
 		if sh.dirty {
+			dirty++
 			sh.rebuildSummary(p)
 			sh.dirty = false
 			sh.summaryEpoch = p.epoch
 		}
 		snap.Shards[sh.id] = sh.summary
 		snap.Active += sh.summary.Active
-		for i, c := range sh.clients {
-			s := sh.ev.ServerOf(i)
-			snap.Assignment[c] = s
-			if s != core.Unassigned {
-				snap.Loads[s]++
-			}
-		}
-		for k := 0; k < ns; k++ {
+		for k := range ecc {
 			if v := sh.summary.Ecc[k]; v > ecc[k] {
 				ecc[k] = v
 			}
@@ -159,8 +149,8 @@ func (p *Plane) publishLocked(ctx context.Context) *Snapshot {
 	}
 	// Every shard holds the same server-server table, bit for bit.
 	ss := p.shards[0].in.FlatServerServer()
-	snap.D = perfkit.MaxPathEcc(ss, ecc)
-	snap.CertifiedD = perfkit.MaxPathEcc(ss, bound)
+	snap.D = p.dScan.eval(ss, ecc)
+	snap.CertifiedD = p.certScan.eval(ss, bound)
 	p.snap.Store(snap)
 	p.met.published(snap, time.Since(start).Seconds())
 	// Guarded so an uninstrumented publish skips attr rendering: both
@@ -172,12 +162,39 @@ func (p *Plane) publishLocked(ctx context.Context) *Snapshot {
 			obs.Int("active", snap.Active))
 	}
 	if p.jEpoch != nil {
+		if b := math.Float64bits(snap.D); b != p.dAttrBits || p.dAttr.Key == "" {
+			p.dAttr, p.dAttrBits = obs.F64("d", snap.D), b
+		}
 		p.jEpoch.Record("publish", sp.TraceID(),
 			obs.Uint("epoch", snap.Epoch), obs.Int("dirty", dirty),
-			obs.F64("d", snap.D), obs.Int("active", snap.Active))
+			p.dAttr, obs.Int("active", snap.Active))
 	}
 	return snap
 }
+
+// pairScan caches one perfkit.MaxPathEcc result with the vector it was
+// computed from. D is a pure function of the vector and the server
+// table, so an unchanged vector (bit for bit) reuses the last value;
+// a new server table (ApplyDrift) must reset the cache.
+type pairScan struct {
+	vec   []float64
+	val   float64
+	valid bool
+}
+
+// eval returns perfkit.MaxPathEcc(ss, vec), rerunning the scan only
+// when vec differs from the cached vector in some bit.
+func (c *pairScan) eval(ss *perfkit.FlatMatrix, vec []float64) float64 {
+	if c.valid && slices.EqualFunc(vec, c.vec, sameBits) {
+		return c.val
+	}
+	c.val = perfkit.MaxPathEcc(ss, vec)
+	c.vec = append(c.vec[:0], vec...)
+	c.valid = true
+	return c.val
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // ShardHealth is one shard's health line as exposed by /healthz: its
 // current summary epoch (the plane epoch at which the summary was last
@@ -209,45 +226,27 @@ func (p *Plane) Health() []ShardHealth {
 }
 
 // rebuildSummary refreshes one shard's published summary from its
-// evaluator (exact eccentricities) and its cell-level loads (certified
-// bounds).
+// evaluator (exact eccentricities) and its incremental cell-level bound.
+// A summary is published as is, so it gets fresh vectors.
 func (sh *shardState) rebuildSummary(p *Plane) {
 	ns := len(p.opts.Servers)
+	vecs := make([]float64, 2*ns)
 	sum := ShardSummary{
 		Shard:    sh.id,
 		Active:   sh.active,
 		D:        sh.ev.D(),
-		Ecc:      make([]float64, ns),
-		BoundEcc: make([]float64, ns),
+		Ecc:      vecs[:ns:ns],
+		BoundEcc: vecs[ns:],
 	}
 	for k := 0; k < ns; k++ {
 		sum.Ecc[k] = sh.ev.Eccentricity(k)
-		sum.BoundEcc[k] = -1
 	}
 	// After coordinate drift the cell geometry no longer describes the
 	// live metric, so the only honest certificate is the exact value.
 	if p.drifted {
 		copy(sum.BoundEcc, sum.Ecc)
-		sh.summary = sum
-		return
-	}
-	// Cell-level certified bound: for every occupied (cell, server)
-	// pair, rep-to-server latency plus the cell radius dominates every
-	// member's true distance by the coordinate triangle inequality.
-	// Iteration order over the map cannot affect the result — max is
-	// order-independent — but the summary itself is fully determined by
-	// the (cell, server) occupancy, which is deterministic.
-	//lint:ignore dialint/map-iter-order pure max fold; max is commutative and associative, so iteration order cannot reach the summary
-	for j, row := range sh.cellLoad {
-		rd := p.repDist[j]
-		rho := p.cells[j].Rho
-		for k, n := range row {
-			if n > 0 {
-				if v := rd[k] + rho; v > sum.BoundEcc[k] {
-					sum.BoundEcc[k] = v
-				}
-			}
-		}
+	} else {
+		copy(sum.BoundEcc, sh.bound)
 	}
 	sh.summary = sum
 }
