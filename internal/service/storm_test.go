@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"fmt"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -54,17 +55,21 @@ func TestResolveStormAtomicity(t *testing.T) {
 
 	// The control-plane storm: kill and restart every server but one in
 	// a tight loop. Each op republishes the snapshot and bumps the
-	// epoch, so in-flight batches keep racing snapshot swaps. KillServer
-	// legitimately refuses when the survivors lack capacity; errors are
-	// expected, orphaned state is not.
+	// epoch, so in-flight batches keep racing snapshot swaps. The plane
+	// is uncapacitated and server 0 never dies, so every write must
+	// succeed: the storm stops at the first error and fails the test.
 	stormCtx, stopStorm := context.WithCancel(context.Background())
 	var stormDone sync.WaitGroup
+	var stormErr error
 	stormDone.Add(1)
 	go func() {
 		defer stormDone.Done()
-		for k := 1; stormCtx.Err() == nil; k = 1 + k%3 {
-			_, _, _ = p.KillServer(stormCtx, k)
-			_, _ = p.RestartServer(stormCtx, k)
+		for k := 1; stormCtx.Err() == nil && stormErr == nil; k = 1 + k%3 {
+			if _, _, err := p.KillServer(stormCtx, k); err != nil {
+				stormErr = fmt.Errorf("kill of server %d: %w", k, err)
+			} else if _, err := p.RestartServer(stormCtx, k); err != nil {
+				stormErr = fmt.Errorf("restart of server %d: %w", k, err)
+			}
 		}
 	}()
 
@@ -84,6 +89,9 @@ func TestResolveStormAtomicity(t *testing.T) {
 	stormDone.Wait()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if stormErr != nil {
+		t.Fatalf("control-plane storm: %v", stormErr)
 	}
 
 	ps := res.Phases[0]

@@ -55,7 +55,6 @@ const (
 	opKill
 	opRestart
 	opDrift
-	opResolve
 )
 
 // opLabels are the op label values, indexed by planeOp.
@@ -66,7 +65,6 @@ var opLabels = [...]string{
 	opKill:    "kill",
 	opRestart: "restart",
 	opDrift:   "drift",
-	opResolve: "resolve",
 }
 
 // rejectReason indexes the reason label values of the rejection

@@ -1,12 +1,13 @@
 package shard
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
-	"diacap/internal/assign"
 	"diacap/internal/core"
 	"diacap/internal/dynamic"
 	"diacap/internal/obs"
@@ -212,10 +213,10 @@ func (p *Plane) Migrate(ctx context.Context, c, target int) (OpResult, error) {
 // KillServer marks server k dead and evacuates its clients shard by
 // shard through each shard's strategy (ascending shard id, ascending
 // client order — deterministic), each shard against the room the
-// earlier ones left. Killing a dead server is idempotent.
-// If an evacuation cannot be placed the plane returns the typed
-// capacity error with the world left capacity-consistent (every client
-// either has a live seat or is detached). A kill is a failover: it is
+// earlier ones left. Every evacuee either gets a live seat or is
+// detached (made inactive; a later Join re-seats it) and named in the
+// returned *EvacuationError; either way the kill publishes one epoch.
+// Killing a dead server is idempotent. A kill is a failover: it is
 // journaled in the flight recorder and triggers a recorder dump.
 func (p *Plane) KillServer(ctx context.Context, k int) (OpResult, int, error) {
 	if k < 0 || k >= len(p.alive) {
@@ -238,18 +239,8 @@ func (p *Plane) KillServer(ctx context.Context, k int) (OpResult, int, error) {
 	p.dead++
 	p.rebuildEffCaps()
 	evacuated := 0
-	finish := func(r OpResult, evacuated int, failed bool) {
-		if sp != nil {
-			sp.SetAttr(obs.Int("evacuated", evacuated), obs.Uint("epoch", r.Epoch))
-		}
-		p.jFailover.Record("kill", sp.TraceID(),
-			obs.Int("server", k),
-			obs.Int("evacuated", evacuated),
-			obs.Int("dead", p.dead),
-			obs.Uint("epoch", r.Epoch),
-			obs.Str("evacuation_failed", fmt.Sprintf("%t", failed)))
-		p.flight.Dump("server-kill")
-	}
+	var detached []int
+	var fault error // the first refusal that is not a lack of room
 	for _, sh := range p.shards {
 		p.refreshCaps(sh)
 		for local := 0; local < len(sh.clients); local++ {
@@ -258,22 +249,41 @@ func (p *Plane) KillServer(ctx context.Context, k int) (OpResult, int, error) {
 			}
 			global := sh.clients[local]
 			if _, err := sh.ev.ApplyLeave(local); err != nil {
-				return OpResult{}, evacuated, err
+				fault = cmp.Or(fault, err)
+				continue
 			}
 			p.noteAssign(sh, global, k, -1)
 			if _, err := p.place(sh, local, global); err != nil {
-				p.met.event(opKill)
-				r := p.opResult(ctx, -1, k)
-				finish(r, evacuated, true)
-				return r, evacuated, err
+				if !errors.Is(err, ErrNoCapacity) {
+					fault = cmp.Or(fault, err)
+				}
+				detached = append(detached, global)
+				continue
 			}
 			evacuated++
 		}
 	}
 	p.met.event(opKill)
 	r := p.opResult(ctx, -1, k)
-	finish(r, evacuated, false)
-	return r, evacuated, nil
+	if sp != nil {
+		sp.SetAttr(obs.Int("evacuated", evacuated), obs.Uint("epoch", r.Epoch))
+	}
+	p.jFailover.Record("kill", sp.TraceID(),
+		obs.Int("server", k),
+		obs.Int("evacuated", evacuated),
+		obs.Int("dead", p.dead),
+		obs.Uint("epoch", r.Epoch),
+		obs.Int("detached", len(detached)))
+	p.flight.Dump("server-kill")
+	var err error
+	if detached != nil {
+		slices.Sort(detached)
+		err = &EvacuationError{Server: k, Detached: detached}
+	}
+	if fault != nil {
+		err = errors.Join(err, fault)
+	}
+	return r, evacuated, err
 }
 
 // RestartServer brings server k back. Restarting a live server is
@@ -357,54 +367,6 @@ func (p *Plane) RepairShard(ctx context.Context, id int, now float64) (int, erro
 		p.publishLocked(ctx)
 	}
 	return moves, nil
-}
-
-// Resolve re-solves every shard's active sub-instance from scratch with
-// the named assignment algorithm (seeded) and applies the result — the
-// per-shard batch solver counterpart of the online strategies. Shards
-// re-solve in ascending id, each against the room the earlier ones
-// left. It returns the total number of clients that moved.
-func (p *Plane) Resolve(ctx context.Context, algName string, seed int64) (OpResult, int, error) {
-	alg, err := assign.ByNameSeeded(algName, seed)
-	if err != nil {
-		return OpResult{}, 0, err
-	}
-	ctx, sp := obs.Child(ctx, "plane.resolve")
-	defer sp.End()
-	sp.SetAttr(obs.Str("algorithm", algName))
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	defer p.begin(sp)()
-	moved := 0
-	for _, sh := range p.shards {
-		if sh.active == 0 {
-			continue
-		}
-		activeLocal := make([]int, 0, sh.active)
-		for local := range sh.clients {
-			if sh.ev.ServerOf(local) != core.Unassigned {
-				activeLocal = append(activeLocal, local)
-			}
-		}
-		sub := sh.in.Restrict(activeLocal)
-		p.refreshCaps(sh)
-		a, err := alg.Assign(sub, sh.effCaps)
-		if err != nil {
-			return OpResult{}, moved, fmt.Errorf("shard %d: %s: %w", sh.id, algName, err)
-		}
-		before := sh.ev.Assignment()
-		for i, local := range activeLocal {
-			if sh.ev.ServerOf(local) != a[i] {
-				sh.ev.Move(local, a[i])
-				moved++
-			}
-		}
-		p.reconcileCells(sh, before)
-	}
-	p.met.event(opResolve)
-	r := p.opResult(ctx, -1, core.Unassigned)
-	sp.SetAttr(obs.Int("moved", moved), obs.Uint("epoch", r.Epoch), obs.F64("d", r.D))
-	return r, moved, nil
 }
 
 // noteAssign records that client c of shard sh joined (delta +1) or

@@ -61,7 +61,8 @@ func referenceSnapshot(t testing.TB, p *Plane) *Snapshot {
 			j := p.clientCell[c]
 			occupancy[j*ns+s]++
 			cell := p.cells[j]
-			if v := max(cell.Rep.LatencyTo(p.opts.Servers[s]), 1e-9) + cell.Rho; v > sum.BoundEcc[s] {
+			sc := p.opts.Servers[s]
+			if v := max(cell.Rep.LatencyTo(sc), sc.LatencyTo(cell.Rep), 1e-9) + cell.Rho; v > sum.BoundEcc[s] {
 				sum.BoundEcc[s] = v
 			}
 		}
@@ -140,18 +141,54 @@ func checkPublished(t testing.TB, p *Plane, label string) {
 	}
 }
 
+// checkWrite checks the write rule after one op that returned err,
+// given the snapshot published before it. The op published at most one
+// epoch: none if it was refused (an error other than an
+// *EvacuationError), one if it detached clients, and an op that
+// published none left the snapshot pointer alone. Either way the
+// published state must be bit-equal to the from-scratch reference (so
+// an op that published nothing left the evaluators alone), with no
+// client on a dead server, no load over its capacity and D ≤
+// CertifiedD ≤ D + 4·MaxRho.
+func checkWrite(t testing.TB, p *Plane, label string, before *Snapshot, err error) {
+	t.Helper()
+	after := p.Current()
+	var evac *EvacuationError
+	refused := err != nil && !errors.As(err, &evac)
+	switch n := after.Epoch - before.Epoch; {
+	case n > 1:
+		t.Fatalf("%s: published epochs %d to %d", label, before.Epoch+1, after.Epoch)
+	case n == 1 && refused:
+		t.Fatalf("%s: refused (%v) but published epoch %d", label, err, after.Epoch)
+	case n == 0 && evac != nil:
+		t.Fatalf("%s: detached clients without publishing: %v", label, err)
+	case n == 0 && after != before:
+		t.Fatalf("%s: swapped the snapshot without a new epoch", label)
+	}
+	checkPublished(t, p, label)
+	if err := dynamic.CheckServers(func(k int) int { return after.Loads[k] }, after.Alive, p.opts.Capacities); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if after.CertifiedD < after.D || after.CertifiedD > after.D+4*after.MaxRho+1e-9 {
+		t.Fatalf("%s: CertifiedD %v outside [D, D + 4·MaxRho] = [%v, %v]",
+			label, after.CertifiedD, after.D, after.D+4*after.MaxRho)
+	}
+}
+
 // repairing is the differential tapes' strategy: GreedyJoin placements
 // plus repair moves, so RepairShard mutates evaluators directly.
 func repairing(in *core.Instance) dynamic.Strategy { return dynamic.NewGreedyJoinRepair(in, 2) }
 
 // TestPlanePublishDifferential replays seeded tapes of every plane
-// write on 1, 4 and 16 shards, capacitated and not, and checks after
-// every operation that the published snapshot is bit-equal to the
-// from-scratch reference. Each tape mixes joins, leaves, explicit,
-// strategy and no-op migrates, repairs, kills, restarts, re-solves and
-// rejected writes; then fills the plane and kills servers until one
-// evacuation fails (capacitated) or one server is left, restarts them,
-// drifts the coordinates and runs more of the mix.
+// write on 1, 4 and 16 shards, capacitated and not, and checks the write
+// rule after every operation (checkWrite): at most one epoch, none for
+// a refusal, and a published state bit-equal to the from-scratch
+// reference. Each tape mixes joins, leaves, explicit, strategy and
+// no-op migrates, repairs, kills, restarts and refused writes; then
+// fills the plane and kills servers until one evacuation detaches
+// clients (capacitated) or one server is left, restarts them, rejoins
+// the detached clients, drifts the coordinates and runs more of the
+// mix.
 func TestPlanePublishDifferential(t *testing.T) {
 	for _, shards := range []int{1, 4, 16} {
 		for _, capped := range []bool{false, true} {
@@ -210,119 +247,137 @@ func publishTape(t *testing.T, shards int, capped bool) {
 		}
 		return n
 	}
-	// roomWithout reports whether the live servers other than s have
-	// room for s's clients.
-	roomWithout := func(s int) bool {
-		if caps == nil {
-			return true
+	// evacuation returns a kill's *EvacuationError, or nil; any other
+	// error fails t, and so does a detach on an uncapacitated plane.
+	evacuation := func(label string, err error) *EvacuationError {
+		t.Helper()
+		var evac *EvacuationError
+		if err != nil && (caps == nil || !errors.As(err, &evac)) {
+			t.Fatalf("%s: %v", label, err)
 		}
-		snap := p.Current()
-		room := 0
-		for k, up := range snap.Alive {
-			if up && k != s {
-				room += caps[k] - snap.Loads[k]
-			}
-		}
-		return room >= snap.Loads[s]
+		return evac
 	}
-	// step runs one random write and names it. A write may be refused
-	// (no room, a dead target, a capped migrate); checkPublished then
-	// verifies that it left the published state alone, so step ignores
-	// the refusals it expects.
-	step := func(i int) string {
+	// step runs one random write, names it and returns its error. Many
+	// writes are refused (no room, a dead target, a capped migrate, an
+	// inactive client); checkWrite verifies that a refusal published
+	// nothing.
+	step := func(i int) (string, error) {
 		switch k := rng.Intn(100); {
 		case k < 35:
 			if c := pick(false); c >= 0 {
-				p.Join(ctx, c)
-				return fmt.Sprintf("join %d", c)
+				_, err := p.Join(ctx, c)
+				return fmt.Sprintf("join %d", c), err
 			}
 		case k < 50:
 			if c := pick(true); c >= 0 {
-				p.Leave(ctx, c)
-				return fmt.Sprintf("leave %d", c)
+				_, err := p.Leave(ctx, c)
+				return fmt.Sprintf("leave %d", c), err
 			}
 		case k < 60:
 			if c := pick(true); c >= 0 {
 				s := rng.Intn(ns)
-				p.Migrate(ctx, c, s)
-				return fmt.Sprintf("migrate %d to %d", c, s)
+				_, err := p.Migrate(ctx, c, s)
+				return fmt.Sprintf("migrate %d to %d", c, s), err
 			}
 		case k < 70:
 			if c := pick(true); c >= 0 {
-				p.Migrate(ctx, c, -1)
-				return fmt.Sprintf("strategy migrate %d", c)
+				_, err := p.Migrate(ctx, c, -1)
+				return fmt.Sprintf("strategy migrate %d", c), err
 			}
 		case k < 74:
 			if c := pick(true); c >= 0 {
-				p.Migrate(ctx, c, p.Current().Assignment[c])
-				return fmt.Sprintf("no-op migrate %d", c)
+				_, err := p.Migrate(ctx, c, p.Current().Assignment[c])
+				return fmt.Sprintf("no-op migrate %d", c), err
 			}
 		case k < 84:
 			s := rng.Intn(p.NumShards())
 			if _, err := p.RepairShard(ctx, s, float64(i)); err != nil {
 				t.Fatal(err)
 			}
-			return fmt.Sprintf("repair shard %d", s)
+			return fmt.Sprintf("repair shard %d", s), nil
 		case k < 88:
-			// A kill here must evacuate: a failed evacuation strands the
-			// rest of the server's clients on it until it restarts, and
-			// a Resolve over such a shard fails.
-			if s := rng.Intn(ns); liveCount() > 2 && roomWithout(s) {
-				if _, _, err := p.KillServer(ctx, s); err != nil {
-					t.Fatal(err)
-				}
-				return fmt.Sprintf("kill %d", s)
+			if s := rng.Intn(ns); liveCount() > 2 {
+				label := fmt.Sprintf("kill %d", s)
+				_, _, err := p.KillServer(ctx, s)
+				evacuation(label, err)
+				return label, err
 			}
 		case k < 94:
 			s := rng.Intn(ns)
 			if _, err := p.RestartServer(ctx, s); err != nil {
 				t.Fatal(err)
 			}
-			return fmt.Sprintf("restart %d", s)
-		case k < 97:
-			if _, _, err := p.Resolve(ctx, "Greedy", int64(i)); err != nil {
-				t.Fatal(err)
-			}
-			return "resolve"
+			return fmt.Sprintf("restart %d", s), nil
 		default:
 			c := pick(false)
-			if _, err := p.Leave(ctx, c); err == nil {
-				t.Fatalf("leave of inactive client %d succeeded", c)
+			_, leaveErr := p.Leave(ctx, c)
+			_, joinErr := p.Join(ctx, nc)
+			bad := slices.Clone(cs)
+			bad[rng.Intn(len(bad))].H = -1
+			driftErr := p.ApplyDrift(ctx, bad)
+			if leaveErr == nil || !errors.Is(joinErr, ErrUnknownClient) || driftErr == nil {
+				t.Fatalf("leave of inactive client %d: %v; join of an unknown client: %v; drift to a negative height: %v",
+					c, leaveErr, joinErr, driftErr)
 			}
-			if _, err := p.Join(ctx, nc); !errors.Is(err, ErrUnknownClient) {
-				t.Fatalf("join of unknown client: %v", err)
-			}
-			return fmt.Sprintf("rejected writes on %d", c)
+			return fmt.Sprintf("refused writes on %d", c), errors.Join(leaveErr, joinErr, driftErr)
 		}
-		return "skip"
+		return "skip", nil
+	}
+	// write runs op, checks the write rule after it and returns its
+	// error.
+	write := func(label string, op func() error) error {
+		t.Helper()
+		before := p.Current()
+		err := op()
+		checkWrite(t, p, label, before, err)
+		return err
 	}
 	for i := range 500 {
-		what := step(i)
-		checkPublished(t, p, fmt.Sprintf("op %d (%s)", i, what))
+		before := p.Current()
+		what, err := step(i)
+		checkWrite(t, p, fmt.Sprintf("op %d (%s)", i, what), before, err)
 	}
 
-	for k := range ns {
-		p.RestartServer(ctx, k)
-		checkPublished(t, p, fmt.Sprintf("restart %d", k))
-	}
-	for c := range nc {
-		if p.Current().Assignment[c] == core.Unassigned {
-			p.Join(ctx, c)
-			checkPublished(t, p, fmt.Sprintf("fill join %d", c))
+	restartAll := func() {
+		for k := range ns {
+			label := fmt.Sprintf("restart %d", k)
+			if err := write(label, func() error { _, err := p.RestartServer(ctx, k); return err }); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
 		}
 	}
-	failed := false
-	for k := 0; k < ns-1 && !failed; k++ {
-		_, _, err := p.KillServer(ctx, k)
-		failed = err != nil
-		checkPublished(t, p, fmt.Sprintf("kill %d (err %v)", k, err))
+	join := func(label string, c int) {
+		if err := write(label, func() error { _, err := p.Join(ctx, c); return err }); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
 	}
-	if capped != failed {
-		t.Fatalf("capacitated %t, but an evacuation failed: %t", capped, failed)
+	restartAll()
+	for c := range nc {
+		if p.Current().Assignment[c] == core.Unassigned {
+			join(fmt.Sprintf("fill join %d", c), c)
+		}
 	}
-	for k := range ns {
-		p.RestartServer(ctx, k)
-		checkPublished(t, p, fmt.Sprintf("restart %d", k))
+	var evac *EvacuationError
+	for k := 0; k < ns-1 && evac == nil; k++ {
+		label := fmt.Sprintf("kill %d", k)
+		load := p.Current().Loads[k]
+		evac = evacuation(label, write(label, func() error { _, _, err := p.KillServer(ctx, k); return err }))
+		if evac == nil {
+			continue
+		}
+		if active := p.Current().Active; evac.Server != k || len(evac.Detached) == 0 || len(evac.Detached) > load ||
+			!slices.IsSorted(evac.Detached) || active != nc-len(evac.Detached) {
+			t.Fatalf("%s: %v, with %d of %d clients active after it", label, evac, active, nc)
+		}
+	}
+	if capped != (evac != nil) {
+		t.Fatalf("capacitated %t, but an evacuation detached clients: %v", capped, evac)
+	}
+	restartAll()
+	if evac != nil {
+		for _, c := range evac.Detached {
+			join(fmt.Sprintf("rejoin of detached client %d", c), c)
+		}
 	}
 
 	moved := slices.Clone(cs)
@@ -330,13 +385,13 @@ func publishTape(t *testing.T, shards int, capped bool) {
 		moved[i].X += 10 * rng.NormFloat64()
 		moved[i].Y += 10 * rng.NormFloat64()
 	}
-	if err := p.ApplyDrift(ctx, moved); err != nil {
+	if err := write("drift", func() error { return p.ApplyDrift(ctx, moved) }); err != nil {
 		t.Fatal(err)
 	}
-	checkPublished(t, p, "drift")
 	for i := range 150 {
-		what := step(500 + i)
-		checkPublished(t, p, fmt.Sprintf("post-drift op %d (%s)", i, what))
+		before := p.Current()
+		what, err := step(500 + i)
+		checkWrite(t, p, fmt.Sprintf("post-drift op %d (%s)", i, what), before, err)
 	}
 }
 
@@ -452,12 +507,12 @@ func TestPlaneDriftRescansPairs(t *testing.T) {
 }
 
 // FuzzPlaneOps decodes a short op tape over a small plane and checks
-// every epoch against the from-scratch reference. Five header bytes
-// shape the plane: clients (2–40), servers (1–6), shards (1–4) and a
+// the write rule after every op (checkWrite). Five header bytes shape
+// the plane: clients (2–40), servers (1–6), shards (1–4) and a
 // repairing strategy, capacities (1–8 per server) and the cell budget
 // (1–16 cells), and the coordinate seed. Each further byte pair is one
 // operation and its argument; many are refused, and a refused write
-// must leave the published state alone.
+// must publish nothing.
 func FuzzPlaneOps(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 5 {
@@ -492,41 +547,37 @@ func FuzzPlaneOps(f *testing.F) {
 		for i := 0; i+1 < len(ops); i += 2 {
 			kind, arg := ops[i]%10, int(ops[i+1])
 			c, s := arg%nc, arg%ns
+			before := p.Current()
 			switch kind {
 			case 0, 1:
-				p.Join(ctx, c)
+				_, err = p.Join(ctx, c)
 			case 2:
-				p.Leave(ctx, c)
+				_, err = p.Leave(ctx, c)
 			case 3:
-				p.Migrate(ctx, c, -1)
+				_, err = p.Migrate(ctx, c, -1)
 			case 4:
-				p.Migrate(ctx, c, (arg/nc)%ns)
+				_, err = p.Migrate(ctx, c, (arg/nc)%ns)
 			case 5:
-				p.KillServer(ctx, s)
+				_, _, err = p.KillServer(ctx, s)
 			case 6:
-				p.RestartServer(ctx, s)
+				_, err = p.RestartServer(ctx, s)
 			case 7:
-				p.RepairShard(ctx, arg%p.NumShards(), float64(i))
+				_, err = p.RepairShard(ctx, arg%p.NumShards(), float64(i))
 			case 8:
-				if _, _, err := p.Resolve(ctx, "Greedy", int64(arg)); err != nil {
-					// A shard that fails to re-solve returns before the
-					// publish, leaving the moves of the shards before it
-					// for the next epoch; publish them here.
-					p.mu.Lock()
-					p.publishLocked(ctx)
-					p.mu.Unlock()
-				}
+				// A migrate to the client's own server: a no-op that
+				// publishes, or a refusal for an inactive client.
+				_, err = p.Migrate(ctx, c, before.Assignment[c])
 			case 9:
 				// Move one node by a whole number of ms along X and Y.
 				n := arg % (nc + ns)
 				cs = slices.Clone(cs)
 				cs[n].X += float64(arg%7 - 3)
 				cs[n].Y += float64(arg%5 - 2)
-				if err := p.ApplyDrift(ctx, cs); err != nil {
+				if err = p.ApplyDrift(ctx, cs); err != nil {
 					t.Fatal(err)
 				}
 			}
-			checkPublished(t, p, fmt.Sprintf("op %d (kind %d, arg %d)", i/2, kind, arg))
+			checkWrite(t, p, fmt.Sprintf("op %d (kind %d, arg %d)", i/2, kind, arg), before, err)
 		}
 	})
 }

@@ -41,10 +41,17 @@ func NewFromPopulation(pop *dynamic.Population, opts Options) (*Plane, error) {
 // NewFromPopulation), preserving assignments. Each shard gets a fresh
 // incremental evaluator over the new geometry; the certified bound
 // degrades to the exact eccentricities from here on, because the cell
-// radii no longer describe the live metric.
+// radii no longer describe the live metric. A drift with coordinates
+// that New would refuse (a wrong count, a non-finite component, a
+// negative height) is refused before any shard changes.
 func (p *Plane) ApplyDrift(ctx context.Context, cs []latency.Coord) error {
 	if len(cs) != p.numNodes {
 		return fmt.Errorf("shard: drift has %d coordinates, plane has %d nodes", len(cs), p.numNodes)
+	}
+	for n, c := range cs {
+		if err := c.Valid(); err != nil {
+			return fmt.Errorf("shard: drift: node %d: %w", n, err)
+		}
 	}
 	ctx, sp := obs.Child(ctx, "plane.drift")
 	defer sp.End()

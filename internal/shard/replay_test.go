@@ -2,8 +2,13 @@ package shard_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"regexp"
+	"slices"
+	"strings"
 	"testing"
 
 	"diacap/internal/core"
@@ -46,7 +51,12 @@ func TestReplayOneShardMatchesSimulate(t *testing.T) {
 
 // TestReplayOneShardCapacitated repeats the anchor under binding
 // capacities, exercising the capacity-split and effective-capacity
-// paths against the simulator's.
+// paths against the simulator's. Then it runs both targets out of
+// room: storm's kill of server 0 at seed 1 under NearestJoin and 17
+// seats per server must stop both at the same event, the plane's
+// first detached client must be the one the simulator could not
+// place, and the plane's last epoch must hold no client on a dead
+// server.
 func TestReplayOneShardCapacitated(t *testing.T) {
 	sc, err := dynamic.BuildScenario("flashcrowd", 7)
 	if err != nil {
@@ -69,6 +79,41 @@ func TestReplayOneShardCapacitated(t *testing.T) {
 		t.Fatal(err)
 	}
 	compareReplay(t, got, want)
+
+	if sc, err = dynamic.BuildScenario("storm", 1); err != nil {
+		t.Fatal(err)
+	}
+	caps = core.UniformCapacities(len(sc.Pop.Servers), 17)
+	nearest := func(in *core.Instance) dynamic.Strategy { return dynamic.NewNearestJoin(in) }
+	_, simErr := dynamic.SimulateScenario(sc, caps, nearest(sc.Pop.Instance))
+	if p, err = shard.NewFromPopulation(sc.Pop, shard.Options{Shards: 1, Capacities: caps, Strategy: nearest}); err != nil {
+		t.Fatal(err)
+	}
+	_, planeErr := p.Replay(context.Background(), sc)
+	for _, err := range []error{simErr, planeErr} {
+		if !errors.Is(err, dynamic.ErrCapacityExhausted) {
+			t.Fatalf("want both targets out of room, got simulator %v, plane %v", simErr, planeErr)
+		}
+	}
+	m := regexp.MustCompile(`forced rejoin of client (\d+) (at t=[0-9.]+)`).FindStringSubmatch(simErr.Error())
+	if m == nil || !strings.Contains(planeErr.Error(), m[2]+":") {
+		t.Fatalf("the simulator stopped with %v, the plane with %v", simErr, planeErr)
+	}
+	var evac *shard.EvacuationError
+	if !errors.As(planeErr, &evac) || fmt.Sprint(evac.Detached[0]) != m[1] {
+		t.Fatalf("the plane stopped with %v; the simulator could not place client %s", planeErr, m[1])
+	}
+	s := p.Current()
+	for c, k := range s.Assignment {
+		if k != core.Unassigned && !s.Alive[k] {
+			t.Fatalf("epoch %d: client %d on dead server %d", s.Epoch, c, k)
+		}
+	}
+	for _, c := range evac.Detached {
+		if s.Assignment[c] != core.Unassigned {
+			t.Fatalf("epoch %d: detached client %d sits on server %d", s.Epoch, c, s.Assignment[c])
+		}
+	}
 }
 
 func compareReplay(t *testing.T, got *shard.ReplayResult, want *dynamic.ScenarioResult) {
@@ -204,10 +249,22 @@ func TestApplyDriftCoordinatePlane(t *testing.T) {
 				moved[i].X += 20 * rng.NormFloat64()
 				moved[i].Y += 20 * rng.NormFloat64()
 			}
-			if err := p.ApplyDrift(ctx, moved[1:]); err == nil {
-				t.Fatal("drift with one coordinate missing succeeded")
-			}
+			// A drift New would refuse publishes nothing.
 			before := p.Current()
+			nan, sunk := slices.Clone(moved), slices.Clone(moved)
+			nan[ns+3].X = math.NaN()
+			sunk[1].H = -1
+			for _, bad := range []struct {
+				what string
+				cs   []latency.Coord
+			}{{"one coordinate missing", moved[1:]}, {"a NaN client X", nan}, {"a negative server height", sunk}} {
+				if err := p.ApplyDrift(ctx, bad.cs); err == nil {
+					t.Fatalf("drift with %s succeeded", bad.what)
+				}
+				if p.Current() != before {
+					t.Fatalf("refused drift with %s published epoch %d", bad.what, p.Current().Epoch)
+				}
+			}
 			if err := p.ApplyDrift(ctx, moved); err != nil {
 				t.Fatal(err)
 			}

@@ -57,9 +57,9 @@ func TestResolveIntoMatchesScalarScan(t *testing.T) {
 	}
 }
 
-// Dead servers must never be chosen — the control plane keeps at least
-// one server alive (KillServer refuses to orphan clients), so kill all
-// but the last and check every resolution lands on a live one.
+// Dead servers must never be chosen: kill all servers but the last,
+// whose room takes every evacuee, and check every resolution lands on
+// a live one.
 func TestResolveIntoMasksDeadServers(t *testing.T) {
 	p, servers, clients := resolvePlane(t, nil)
 	queries := clients[20:25]

@@ -53,6 +53,23 @@ var (
 	ErrServerDown = errors.New("shard: server is down")
 )
 
+// EvacuationError reports a kill that committed with clients it had no
+// room for: Detached holds their ids, ascending, and each is inactive.
+// It wraps ErrNoCapacity and dynamic.ErrCapacityExhausted.
+type EvacuationError struct {
+	Server   int
+	Detached []int
+}
+
+func (e *EvacuationError) Error() string {
+	return fmt.Sprintf("%v: the evacuation of server %d detached clients %v: %v",
+		ErrNoCapacity, e.Server, e.Detached, dynamic.ErrCapacityExhausted)
+}
+
+func (e *EvacuationError) Unwrap() []error {
+	return []error{ErrNoCapacity, dynamic.ErrCapacityExhausted}
+}
+
 // StrategyFactory builds one online strategy per shard. Each shard gets
 // its own instance so stateful strategies (hysteresis budgets, periodic
 // clocks) stay shard-local; in is the shard's sub-instance.
@@ -113,6 +130,16 @@ func (o *Options) fill() {
 
 // Plane is the sharded control plane. Mutations are serialized by an
 // internal mutex; snapshot reads are lock-free (Current / At).
+//
+// Every write is all-or-nothing: it publishes exactly one epoch, or it
+// publishes none and changes nothing (the same snapshot; every
+// evaluator's assignment, loads, eccentricities and D). A refused
+// write, a kill of a dead server and a repair that moves nobody
+// publish none; a restart of a live server and a no-op migrate publish
+// one. A kill of a live server is never refused: it publishes one
+// epoch, and its *EvacuationError names the clients it detached. Every
+// published epoch has no client on a dead server, no load above its
+// capacity, and D ≤ CertifiedD ≤ D + 4·MaxRho.
 type Plane struct {
 	opts  Options
 	cells []scale.Cell
@@ -315,11 +342,12 @@ func newPlane(opts Options, cs []latency.Coord, serverNodes, clientNodes []int) 
 	for j, cell := range cells {
 		row := make([]float64, len(opts.Servers))
 		for k, sc := range opts.Servers {
-			// Floored like latency.CoordLatency entries, so the
-			// bound rep→server + ρ dominates the (floored)
-			// member→server distances even for coincident
-			// coordinates.
-			row[k] = max(cell.Rep.LatencyTo(sc), 1e-9) + cell.Rho
+			// Floored like latency.CoordLatency entries, and the
+			// larger of LatencyTo's argument orders (it adds the
+			// heights in order; an entry takes the lower node id
+			// first), so rep→server + ρ dominates every member's
+			// entry bit for bit, even in a singleton cell (ρ = 0).
+			row[k] = max(cell.Rep.LatencyTo(sc), sc.LatencyTo(cell.Rep), 1e-9) + cell.Rho
 		}
 		p.certDist[j] = row
 		if cell.Rho > p.maxRho {

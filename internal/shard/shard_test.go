@@ -344,35 +344,6 @@ func TestPlaneKillRestart(t *testing.T) {
 	}
 }
 
-// TestPlaneResolve runs the per-shard batch solver and checks it never
-// worsens D and leaves an exact snapshot.
-func TestPlaneResolve(t *testing.T) {
-	servers, clients := testCoords(t, 120, 8, 7)
-	p, err := shard.New(shard.Options{
-		Shards: 4, Servers: servers, Clients: clients,
-		// Nearest placement first, so the Greedy resolve has room to win.
-		Strategy: func(*core.Instance) dynamic.Strategy { return &dynamic.NearestJoin{} },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := 0; c < len(clients); c++ {
-		if _, err := p.Join(context.Background(), c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := p.Current().D
-	r, moved, err := p.Resolve(context.Background(), "Greedy", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.D > before+1e-9 {
-		t.Fatalf("resolve worsened D: %v -> %v (moved %d)", before, r.D, moved)
-	}
-	s := p.Current()
-	bitsEq(t, "post-resolve snapshot D", s.D, globalD(t, servers, clients, s.Assignment))
-}
-
 // TestPlaneLockFreeReads hammers Current/At from readers while a writer
 // mutates — the race detector certifies the lock-free read claim.
 func TestPlaneLockFreeReads(t *testing.T) {
