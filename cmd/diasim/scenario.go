@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"diacap/internal/core"
 	"diacap/internal/dia"
@@ -98,11 +99,10 @@ func scenarioCaps(sc *dynamic.Scenario) core.Capacities {
 }
 
 // newScenarioPlane builds the control plane over the scenario's
-// population: the -strategy policy on every shard and the -cap
-// capacities as one pool.
+// population: the -strategy policy and the -cap capacities.
 func newScenarioPlane(sc *dynamic.Scenario, shards int, reg *obs.Registry) (*shard.Plane, error) {
-	label := *scenarioStrategy
-	if _, err := buildScenarioStrategy(label, sc.Pop.Instance); err != nil {
+	strat, err := buildScenarioStrategy(*scenarioStrategy, sc.Pop.Instance)
+	if err != nil {
 		return nil, err
 	}
 	if reg != nil {
@@ -112,21 +112,15 @@ func newScenarioPlane(sc *dynamic.Scenario, shards int, reg *obs.Registry) (*sha
 		Shards:     shards,
 		Capacities: scenarioCaps(sc),
 		Metrics:    reg,
-		Strategy: func(in *core.Instance) dynamic.Strategy {
-			strat, err := buildScenarioStrategy(label, in)
-			if err != nil {
-				panic(err) // label validated above
-			}
-			return strat
-		},
+		Strategy:   strat,
 	})
 }
 
-// runScenarioSharded replays the scenario through the sharded
-// assignment control plane: churn routes to per-cell shards, D is
-// reconciled exactly from per-shard eccentricity summaries, and every
-// event publishes a fresh epoch. One shard reproduces the unsharded
-// simulator bit-for-bit.
+// runScenarioSharded replays the scenario through the assignment
+// control plane: every event publishes a fresh epoch, and the shards
+// group the clients by cell for the event spread. The plane decides
+// what the simulator decides, so the lines both print match at every
+// shard count.
 func runScenarioSharded(sc *dynamic.Scenario, reg *obs.Registry) error {
 	p, err := newScenarioPlane(sc, *scenarioShards, reg)
 	if err != nil {
@@ -164,12 +158,23 @@ func runScenarioSim(sc *dynamic.Scenario) error {
 	return nil
 }
 
-// scenarioError names a capacity exhaustion as the refusal it is.
+// scenarioError names a capacity exhaustion by what ran out of room: a
+// kill the plane committed with clients it had to detach, an
+// evacuation the simulator could not finish, or a refused join.
 func scenarioError(err error) error {
-	if errors.Is(err, dynamic.ErrCapacityExhausted) {
+	if !errors.Is(err, dynamic.ErrCapacityExhausted) {
+		return err
+	}
+	var evac *shard.EvacuationError
+	switch {
+	case errors.As(err, &evac):
+		return fmt.Errorf("capacity exhausted mid-scenario (no panic, no overload — the kill of server %d committed and detached %d clients): %w",
+			evac.Server, len(evac.Detached), err)
+	case strings.Contains(err.Error(), "forced rejoin"): // the simulator's word for an evacuee
+		return fmt.Errorf("capacity exhausted mid-scenario (no panic, no overload — a killed server's client found no seat): %w", err)
+	default:
 		return fmt.Errorf("capacity exhausted mid-scenario (no panic, no overload — the join was refused): %w", err)
 	}
-	return err
 }
 
 // printScenarioReport prints the outcome of a scenario replay: the

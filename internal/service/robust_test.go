@@ -170,7 +170,7 @@ func TestServerPanicRouteRecovered(t *testing.T) {
 
 // oneShardServer fronts a one-shard plane, built with strategy (nil =
 // the plane's default), with a service under RequestTimeout d.
-func oneShardServer(t *testing.T, d time.Duration, strategy shard.StrategyFactory) (*Server, *shard.Plane) {
+func oneShardServer(t *testing.T, d time.Duration, strategy dynamic.Strategy) (*Server, *shard.Plane) {
 	t.Helper()
 	cs, err := latency.GenerateCoords(latency.DefaultConfig(44), 21)
 	if err != nil {
@@ -216,8 +216,8 @@ func TestRequestTimeoutScope(t *testing.T) {
 	}
 }
 
-// parkedRepair is a shard strategy whose Repair parks, holding the plane
-// lock RepairShard took, until release is closed.
+// parkedRepair is a plane strategy whose Repair parks, holding the
+// plane lock Repair took, until release is closed.
 type parkedRepair struct {
 	dynamic.Strategy
 	entered, release chan struct{}
@@ -233,23 +233,18 @@ func (p *parkedRepair) Repair(*core.Evaluator, core.Capacities, float64) int {
 // longer than RequestTimeout still commits, so its answer must be the
 // epoch it published, never a 503 for a write that happened.
 func TestShardWriteNotReportedTimedOut(t *testing.T) {
-	parked := &parkedRepair{entered: make(chan struct{}), release: make(chan struct{})}
-	s, p := oneShardServer(t, 50*time.Millisecond, func(in *core.Instance) dynamic.Strategy {
-		parked.Strategy = dynamic.NewGreedyJoin(in)
-		return parked
-	})
-	repaired := make(chan error, 1)
+	parked := &parkedRepair{Strategy: dynamic.NewGreedyJoin(nil), entered: make(chan struct{}), release: make(chan struct{})}
+	s, p := oneShardServer(t, 50*time.Millisecond, parked)
+	repaired := make(chan struct{})
 	go func() {
-		_, err := p.RepairShard(context.Background(), 0, 0)
-		repaired <- err
+		p.Repair(context.Background(), 0)
+		close(repaired)
 	}()
 	<-parked.entered
 	time.AfterFunc(200*time.Millisecond, func() { close(parked.release) })
 
 	rec := postJSON(t, s, "/v1/shard/assign", ShardAssignRequest{Op: "join", Client: 7})
-	if err := <-repaired; err != nil {
-		t.Fatal(err)
-	}
+	<-repaired
 	if rec.Code != http.StatusOK {
 		t.Fatalf("join behind a held plane lock: status %d, want 200: %s", rec.Code, rec.Body.String())
 	}

@@ -42,16 +42,16 @@ type ShardAssignResponse struct {
 
 // ShardSnapshotResponse is the published world state at one epoch.
 type ShardSnapshotResponse struct {
-	Epoch      uint64    `json:"epoch"`
-	Active     int       `json:"active"`
-	D          float64   `json:"d"`
-	CertifiedD float64   `json:"certifiedD"`
-	MaxRho     float64   `json:"maxRho"`
-	Assignment []int     `json:"assignment"`
-	Loads      []int     `json:"loads"`
-	Alive      []bool    `json:"alive"`
-	ShardLoad  []int     `json:"shardLoad"`
-	ShardD     []float64 `json:"shardD"`
+	Epoch      uint64  `json:"epoch"`
+	Active     int     `json:"active"`
+	D          float64 `json:"d"`
+	CertifiedD float64 `json:"certifiedD"`
+	MaxRho     float64 `json:"maxRho"`
+	Assignment []int   `json:"assignment"`
+	Loads      []int   `json:"loads"`
+	Alive      []bool  `json:"alive"`
+	// ShardLoad[i] counts the active clients grouped into shard i.
+	ShardLoad []int `json:"shardLoad"`
 }
 
 // shardOpError maps plane rejections onto the service's status
@@ -149,11 +149,9 @@ func (s *Server) handleShardSnapshot(w http.ResponseWriter, r *http.Request) {
 		Loads:      snap.Loads,
 		Alive:      snap.Alive,
 		ShardLoad:  make([]int, len(snap.Shards)),
-		ShardD:     make([]float64, len(snap.Shards)),
 	}
 	for i, sum := range snap.Shards {
 		resp.ShardLoad[i] = sum.Active
-		resp.ShardD[i] = sum.D
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -41,9 +41,9 @@ func TestSnapshotReadZeroAlloc(t *testing.T) {
 }
 
 // TestNewRetainedHeap pins what a plane keeps alive at perfbench's
-// serving shape (32 servers, 4800 clients, 4 shards): each shard's
-// client-server and server-server tables (~1.2 MB in all), not the
-// node×node matrices they were once copied out of (~50 MB).
+// serving shape (32 servers, 4800 clients, 4 shards): the instance's
+// client-server and server-server tables (~1.2 MB), not the node×node
+// matrices they were once copied out of (~50 MB).
 func TestNewRetainedHeap(t *testing.T) {
 	if testkit.RaceEnabled {
 		t.Skip("the race detector changes what the heap retains")

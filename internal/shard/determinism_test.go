@@ -79,15 +79,13 @@ func driveScript(t *testing.T, p *shard.Plane, seed int64) []byte {
 
 // TestShardedDeterminism (regression for the determinism contract): the
 // same op script produces a byte-identical published state across
-// repeated runs and across GOMAXPROCS settings, for shard counts 1, 4,
-// and 16. Different shard counts legitimately produce different
-// assignments (each shard's strategy minimizes its local D), so
-// fingerprints are only compared within a shard count.
+// repeated runs, across GOMAXPROCS settings, and across shard counts
+// 1, 4 and 16 — the shards only group clients for reporting.
 func TestShardedDeterminism(t *testing.T) {
 	servers, clients := testCoords(t, 200, 12, 11)
+	var want []byte
 	for _, shards := range []int{1, 4, 16} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			var want []byte
 			for _, procs := range []int{1, 8} {
 				prev := runtime.GOMAXPROCS(procs)
 				for run := 0; run < 2; run++ {
@@ -101,7 +99,7 @@ func TestShardedDeterminism(t *testing.T) {
 						want = fp
 					} else if string(fp) != string(want) {
 						runtime.GOMAXPROCS(prev)
-						t.Fatalf("GOMAXPROCS=%d run %d: fingerprint diverged", procs, run)
+						t.Fatalf("GOMAXPROCS=%d run %d: fingerprint diverged from the first one-shard run's", procs, run)
 					}
 				}
 				runtime.GOMAXPROCS(prev)
@@ -111,18 +109,12 @@ func TestShardedDeterminism(t *testing.T) {
 }
 
 // TestShardOneMatchesUnsharded replays the same join/leave/migrate
-// script through a one-shard plane and through a hand-rolled unsharded
-// world (global evaluator plus the same strategy), and demands
+// script through planes of 1, 4 and 16 shards and through a hand-rolled
+// world (one evaluator plus the same strategy), and demands
 // bit-identical D and identical assignments at every step. This pins
-// that sharding is a pure decomposition: one shard adds nothing and
-// loses nothing.
+// that the shards add nothing and lose nothing.
 func TestShardOneMatchesUnsharded(t *testing.T) {
 	servers, clients := testCoords(t, 150, 9, 13)
-	p, err := shard.New(shard.Options{Shards: 1, Servers: servers, Clients: clients})
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	coords := append(append([]latency.Coord(nil), servers...), clients...)
 	sidx := make([]int, len(servers))
 	cidx := make([]int, len(clients))
@@ -136,54 +128,58 @@ func TestShardOneMatchesUnsharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	empty := make([]int, len(clients))
-	for i := range empty {
-		empty[i] = core.Unassigned
-	}
-	ev, err := in.NewEvaluator(empty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	strat := dynamic.NewGreedyJoin(in)
+	for _, shards := range []int{1, 4, 16} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			p, err := shard.New(shard.Options{Shards: shards, Servers: servers, Clients: clients})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ev, err := in.NewEvaluator(core.NewAssignment(len(clients)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			strat := dynamic.NewGreedyJoin(in)
 
-	rng := rand.New(rand.NewSource(17))
-	activeSet := make([]bool, len(clients))
-	for op := 0; op < 500; op++ {
-		c := rng.Intn(len(clients))
-		switch {
-		case !activeSet[c]:
-			if _, err := p.Join(context.Background(), c); err != nil {
-				t.Fatalf("op %d: plane join: %v", op, err)
+			rng := rand.New(rand.NewSource(17))
+			activeSet := make([]bool, len(clients))
+			for op := 0; op < 500; op++ {
+				c := rng.Intn(len(clients))
+				switch {
+				case !activeSet[c]:
+					if _, err := p.Join(context.Background(), c); err != nil {
+						t.Fatalf("op %d: plane join: %v", op, err)
+					}
+					ev.Move(c, strat.PlaceJoin(ev, nil, c))
+					activeSet[c] = true
+				case rng.Intn(3) == 0:
+					if _, err := p.Leave(context.Background(), c); err != nil {
+						t.Fatalf("op %d: plane leave: %v", op, err)
+					}
+					ev.Move(c, core.Unassigned)
+					activeSet[c] = false
+				default:
+					target := -1
+					if rng.Intn(2) == 0 {
+						target = rng.Intn(len(servers))
+					}
+					if _, err := p.Migrate(context.Background(), c, target); err != nil {
+						t.Fatalf("op %d: plane migrate: %v", op, err)
+					}
+					if target < 0 {
+						// The plane's strategic migration is leave-then-place.
+						ev.Move(c, core.Unassigned)
+						target = strat.PlaceJoin(ev, nil, c)
+					}
+					ev.Move(c, target)
+				}
+				s := p.Current()
+				bitsEq(t, fmt.Sprintf("op %d: plane vs hand-rolled D", op), s.D, ev.D())
+				for i := range clients {
+					if s.Assignment[i] != ev.ServerOf(i) {
+						t.Fatalf("op %d: client %d assigned to %d by the plane, %d by hand", op, i, s.Assignment[i], ev.ServerOf(i))
+					}
+				}
 			}
-			ev.Move(c, strat.PlaceJoin(ev, nil, c))
-			activeSet[c] = true
-		case rng.Intn(3) == 0:
-			if _, err := p.Leave(context.Background(), c); err != nil {
-				t.Fatalf("op %d: plane leave: %v", op, err)
-			}
-			ev.Move(c, core.Unassigned)
-			activeSet[c] = false
-		default:
-			target := -1
-			if rng.Intn(2) == 0 {
-				target = rng.Intn(len(servers))
-			}
-			if _, err := p.Migrate(context.Background(), c, target); err != nil {
-				t.Fatalf("op %d: plane migrate: %v", op, err)
-			}
-			if target < 0 {
-				// The plane's strategic migration is leave-then-place.
-				ev.Move(c, core.Unassigned)
-				target = strat.PlaceJoin(ev, nil, c)
-			}
-			ev.Move(c, target)
-		}
-		s := p.Current()
-		bitsEq(t, fmt.Sprintf("op %d: sharded vs unsharded D", op), s.D, ev.D())
-		for i := range clients {
-			if s.Assignment[i] != ev.ServerOf(i) {
-				t.Fatalf("op %d: client %d assigned to %d sharded, %d unsharded", op, i, s.Assignment[i], ev.ServerOf(i))
-			}
-		}
+		})
 	}
 }

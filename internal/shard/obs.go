@@ -18,13 +18,13 @@ const (
 	hShardD = "Exact global D of the published snapshot, in ms."
 
 	nShardCertifiedD = "diacap_shard_certified_d_ms"
-	hShardCertifiedD = "Certified upper bound on D from cell-level summaries, in ms."
+	hShardCertifiedD = "Certified upper bound on D from cell-level state, in ms."
 
 	nShardActive = "diacap_shard_active_clients"
 	hShardActive = "Active (assigned) clients across all shards."
 
 	nShardPublish = "diacap_shard_publish_seconds"
-	hShardPublish = "Wall time to rebuild summaries and publish a snapshot."
+	hShardPublish = "Wall time to publish a snapshot."
 
 	nShardStaleReads = "diacap_shard_stale_reads_total"
 	hShardStaleReads = "Snapshot reads that named a retired epoch."
@@ -38,7 +38,7 @@ const (
 	// "restart") with the evacuation outcome.
 	JournalFailover = "failover"
 	// JournalEpoch records every snapshot publication (kind "publish")
-	// with the new epoch and reconciled D.
+	// with the new epoch and D.
 	JournalEpoch = "epoch"
 	// JournalSuppressed records hysteresis-gated repair proposals; the
 	// event kind is the gate reason ("gain" or "budget").

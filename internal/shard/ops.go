@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"diacap/internal/core"
@@ -17,8 +16,8 @@ import (
 type OpResult struct {
 	// Epoch is the snapshot epoch this mutation published.
 	Epoch uint64
-	// Shard is the shard that absorbed the mutation (-1 for
-	// whole-plane operations).
+	// Shard is the shard of the mutation's client (-1 for whole-plane
+	// operations).
 	Shard int
 	// Server is the client's server after the mutation (join/migrate),
 	// or its former server (leave); core.Unassigned otherwise.
@@ -41,10 +40,10 @@ func (p *Plane) begin(sp *obs.Span) func() {
 	return func() { p.curSpan = nil }
 }
 
-// Join activates client c, placing it through the owning shard's
-// strategy. Fails with ErrUnknownClient, core.ErrAlreadyAssigned, or
-// ErrNoCapacity. The context carries the request's trace span, if any;
-// the plane's work is recorded as a plane.join child span.
+// Join activates client c, placing it through the strategy. Fails with
+// ErrUnknownClient, core.ErrAlreadyAssigned, or ErrNoCapacity. The
+// context carries the request's trace span, if any; the plane's work is
+// recorded as a plane.join child span.
 func (p *Plane) Join(ctx context.Context, c int) (OpResult, error) {
 	sid, err := p.ShardOf(c)
 	if err != nil {
@@ -56,14 +55,11 @@ func (p *Plane) Join(ctx context.Context, c int) (OpResult, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	defer p.begin(sp)()
-	sh := p.shards[sid]
-	local := p.clientLocal[c]
-	if sh.ev.ServerOf(local) != core.Unassigned {
+	if p.ev.ServerOf(c) != core.Unassigned {
 		p.met.rejected(rejConflict)
 		return OpResult{}, fmt.Errorf("%w: client %d", core.ErrAlreadyAssigned, c)
 	}
-	p.refreshCaps(sh)
-	s, err := p.place(sh, local, c)
+	s, err := p.place(c)
 	if err != nil {
 		p.met.rejected(rejNoCapacity)
 		return OpResult{}, err
@@ -94,26 +90,26 @@ func (p *Plane) clientResult(ctx context.Context, sp *obs.Span, shard, server in
 	return r
 }
 
-// place runs the shard strategy's join path for local client against
-// sh.effCaps and applies the placement. A negative, dead or saturated
-// answer from the strategy is an error, never a placement. Callers
-// hold p.mu and have refreshed sh.effCaps (refreshCaps).
-func (p *Plane) place(sh *shardState, local, global int) (int, error) {
-	s := sh.strat.PlaceJoin(sh.ev, sh.effCaps, local)
+// place runs the strategy's join path for the unassigned client c
+// against p.eff and applies the placement. A negative, dead or
+// saturated answer from the strategy is an error, never a placement.
+// Callers hold p.mu.
+func (p *Plane) place(c int) (int, error) {
+	s := p.strat.PlaceJoin(p.ev, p.eff, c)
 	if s < 0 {
 		return -1, fmt.Errorf("%w: client %d (shard %d): %w",
-			ErrNoCapacity, global, sh.id, dynamic.ErrCapacityExhausted)
+			ErrNoCapacity, c, p.clientShard[c], dynamic.ErrCapacityExhausted)
 	}
 	if s >= len(p.alive) || !p.alive[s] {
-		return -1, fmt.Errorf("shard: strategy %s returned unusable server %d", sh.strat.Name(), s)
+		return -1, fmt.Errorf("shard: strategy %s returned unusable server %d", p.strat.Name(), s)
 	}
-	if sh.effCaps != nil && sh.ev.Load(s) >= sh.effCaps[s] {
-		return -1, fmt.Errorf("shard: strategy %s placed a client on saturated server %d", sh.strat.Name(), s)
+	if p.eff != nil && p.ev.Load(s) >= p.eff[s] {
+		return -1, fmt.Errorf("shard: strategy %s placed a client on saturated server %d", p.strat.Name(), s)
 	}
-	if _, err := sh.ev.ApplyJoin(local, s); err != nil {
+	if _, err := p.ev.ApplyJoin(c, s); err != nil {
 		return -1, err
 	}
-	p.noteAssign(sh, global, s, +1)
+	p.noteAssign(c, s, +1)
 	return s, nil
 }
 
@@ -130,24 +126,21 @@ func (p *Plane) Leave(ctx context.Context, c int) (OpResult, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	defer p.begin(sp)()
-	sh := p.shards[sid]
-	local := p.clientLocal[c]
-	old := sh.ev.ServerOf(local)
-	if _, err := sh.ev.ApplyLeave(local); err != nil {
+	old := p.ev.ServerOf(c)
+	if _, err := p.ev.ApplyLeave(c); err != nil {
 		p.met.rejected(rejConflict)
 		return OpResult{}, err
 	}
-	p.noteAssign(sh, c, old, -1)
+	p.noteAssign(c, old, -1)
 	p.met.event(opLeave)
 	return p.clientResult(ctx, sp, sid, old), nil
 }
 
 // Migrate moves active client c to server target; target < 0 asks the
-// owning shard's strategy to re-place the client (the client keeps its
-// old server if no better placement has room). An explicit target must
-// be below its capacity in the world's load. Fails with
-// ErrUnknownClient, core.ErrNotAssigned, ErrServerDown, or
-// ErrNoCapacity.
+// strategy to re-place the client (the client keeps its old server if
+// no better placement has room). An explicit target must be below its
+// capacity. Fails with ErrUnknownClient, core.ErrNotAssigned,
+// ErrServerDown, or ErrNoCapacity.
 func (p *Plane) Migrate(ctx context.Context, c, target int) (OpResult, error) {
 	sid, err := p.ShardOf(c)
 	if err != nil {
@@ -162,14 +155,11 @@ func (p *Plane) Migrate(ctx context.Context, c, target int) (OpResult, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	defer p.begin(sp)()
-	sh := p.shards[sid]
-	local := p.clientLocal[c]
-	old := sh.ev.ServerOf(local)
+	old := p.ev.ServerOf(c)
 	if old == core.Unassigned {
 		p.met.rejected(rejConflict)
 		return OpResult{}, fmt.Errorf("%w: migrate of client %d", core.ErrNotAssigned, c)
 	}
-	p.refreshCaps(sh)
 	if target >= 0 {
 		if target >= len(p.alive) {
 			return OpResult{}, fmt.Errorf("shard: server %d out of range [0,%d)", target, len(p.alive))
@@ -178,46 +168,45 @@ func (p *Plane) Migrate(ctx context.Context, c, target int) (OpResult, error) {
 			p.met.rejected(rejServerDown)
 			return OpResult{}, fmt.Errorf("%w: server %d", ErrServerDown, target)
 		}
-		if target != old && sh.effCaps != nil && sh.ev.Load(target) >= sh.effCaps[target] {
+		if target != old && p.eff != nil && p.ev.Load(target) >= p.eff[target] {
 			p.met.rejected(rejNoCapacity)
 			return OpResult{}, fmt.Errorf("%w: server %d is saturated", ErrNoCapacity, target)
 		}
-		if _, err := sh.ev.ApplyMove(local, target); err != nil {
+		if _, err := p.ev.ApplyMove(c, target); err != nil {
 			return OpResult{}, err
 		}
 		if target != old {
-			p.noteAssign(sh, c, old, -1)
-			p.noteAssign(sh, c, target, +1)
+			p.noteAssign(c, old, -1)
+			p.noteAssign(c, target, +1)
 		}
 		p.met.event(opMigrate)
 		return p.clientResult(ctx, sp, sid, target), nil
 	}
 	// Strategy re-placement: lift the client out, ask the strategy, and
 	// restore the old seat if nothing has room.
-	if _, err := sh.ev.ApplyLeave(local); err != nil {
+	if _, err := p.ev.ApplyLeave(c); err != nil {
 		return OpResult{}, err
 	}
-	p.noteAssign(sh, c, old, -1)
-	s, err := p.place(sh, local, c)
+	p.noteAssign(c, old, -1)
+	s, err := p.place(c)
 	if err != nil {
-		if _, rerr := sh.ev.ApplyJoin(local, old); rerr != nil {
+		if _, rerr := p.ev.ApplyJoin(c, old); rerr != nil {
 			return OpResult{}, errors.Join(err, rerr)
 		}
-		p.noteAssign(sh, c, old, +1)
+		p.noteAssign(c, old, +1)
 		return OpResult{}, err
 	}
 	p.met.event(opMigrate)
 	return p.clientResult(ctx, sp, sid, s), nil
 }
 
-// KillServer marks server k dead and evacuates its clients shard by
-// shard through each shard's strategy (ascending shard id, ascending
-// client order — deterministic), each shard against the room the
-// earlier ones left. Every evacuee either gets a live seat or is
-// detached (made inactive; a later Join re-seats it) and named in the
-// returned *EvacuationError; either way the kill publishes one epoch.
-// Killing a dead server is idempotent. A kill is a failover: it is
-// journaled in the flight recorder and triggers a recorder dump.
+// KillServer marks server k dead and evacuates its clients in
+// ascending client id through the strategy, as dynamic.Evacuate does.
+// Every evacuee either gets a live seat or is detached (made inactive;
+// a later Join re-seats it) and named in the returned
+// *EvacuationError; either way the kill publishes one epoch. Killing a
+// dead server is idempotent. A kill is a failover: it is journaled in
+// the flight recorder and triggers a recorder dump.
 func (p *Plane) KillServer(ctx context.Context, k int) (OpResult, int, error) {
 	if k < 0 || k >= len(p.alive) {
 		return OpResult{}, 0, fmt.Errorf("shard: server %d out of range [0,%d)", k, len(p.alive))
@@ -235,33 +224,27 @@ func (p *Plane) KillServer(ctx context.Context, k int) (OpResult, int, error) {
 		s := p.snap.Load()
 		return OpResult{Epoch: s.Epoch, Shard: -1, Server: k, D: s.D, CertifiedD: s.CertifiedD}, 0, nil
 	}
-	p.alive[k] = false
-	p.dead++
-	p.rebuildEffCaps()
+	p.setAlive(k, false)
 	evacuated := 0
-	var detached []int
-	var fault error // the first refusal that is not a lack of room
-	for _, sh := range p.shards {
-		p.refreshCaps(sh)
-		for local := 0; local < len(sh.clients); local++ {
-			if sh.ev.ServerOf(local) != k {
-				continue
-			}
-			global := sh.clients[local]
-			if _, err := sh.ev.ApplyLeave(local); err != nil {
-				fault = cmp.Or(fault, err)
-				continue
-			}
-			p.noteAssign(sh, global, k, -1)
-			if _, err := p.place(sh, local, global); err != nil {
-				if !errors.Is(err, ErrNoCapacity) {
-					fault = cmp.Or(fault, err)
-				}
-				detached = append(detached, global)
-				continue
-			}
-			evacuated++
+	var detached []int // ascending, as the evacuation visits them
+	var fault error    // the first refusal that is not a lack of room
+	for c := range p.NumClients() {
+		if p.ev.ServerOf(c) != k {
+			continue
 		}
+		if _, err := p.ev.ApplyLeave(c); err != nil {
+			fault = cmp.Or(fault, err)
+			continue
+		}
+		p.noteAssign(c, k, -1)
+		if _, err := p.place(c); err != nil {
+			if !errors.Is(err, ErrNoCapacity) {
+				fault = cmp.Or(fault, err)
+			}
+			detached = append(detached, c)
+			continue
+		}
+		evacuated++
 	}
 	p.met.event(opKill)
 	r := p.opResult(ctx, -1, k)
@@ -277,7 +260,6 @@ func (p *Plane) KillServer(ctx context.Context, k int) (OpResult, int, error) {
 	p.flight.Dump("server-kill")
 	var err error
 	if detached != nil {
-		slices.Sort(detached)
 		err = &EvacuationError{Server: k, Detached: detached}
 	}
 	if fault != nil {
@@ -299,9 +281,7 @@ func (p *Plane) RestartServer(ctx context.Context, k int) (OpResult, error) {
 	defer p.mu.Unlock()
 	defer p.begin(sp)()
 	if !p.alive[k] {
-		p.alive[k] = true
-		p.dead--
-		p.rebuildEffCaps()
+		p.setAlive(k, true)
 		p.met.event(opRestart)
 		p.jFailover.Record("restart", sp.TraceID(),
 			obs.Int("server", k), obs.Int("dead", p.dead))
@@ -311,135 +291,89 @@ func (p *Plane) RestartServer(ctx context.Context, k int) (OpResult, error) {
 	return r, nil
 }
 
-// rebuildEffCaps refreshes an uncapacitated plane's effective capacity
-// vectors after a liveness change (dynamic.EffectiveCaps over each
-// shard's own client count), its only capacity work. Callers hold p.mu.
-func (p *Plane) rebuildEffCaps() {
-	if p.opts.Capacities != nil {
-		return
+// setAlive marks server k up or down and recomputes what the strategy
+// decides against, dynamic.EffectiveCaps under the new liveness.
+// Callers hold p.mu.
+func (p *Plane) setAlive(k int, up bool) {
+	p.alive[k] = up
+	if up {
+		p.dead--
+	} else {
+		p.dead++
 	}
-	for _, sh := range p.shards {
-		sh.effCaps = dynamic.EffectiveCaps(nil, p.alive, len(sh.clients))
-	}
+	p.eff = dynamic.EffectiveCaps(p.opts.Capacities, p.alive, p.NumClients())
 }
 
-// refreshCaps hands a capacitated plane's shard sh the world's pool
-// before its decision: per live server, sh's load plus the room left,
-// the capacity minus the world's load; 0 per dead server. sh's own
-// placements leave it valid. Callers hold p.mu.
-func (p *Plane) refreshCaps(sh *shardState) {
-	caps := p.opts.Capacities
-	if caps == nil {
-		return
-	}
-	for k, c := range caps {
-		if !p.alive[k] {
-			sh.effCaps[k] = 0
-			continue
-		}
-		sh.effCaps[k] = sh.ev.Load(k) + (c - p.loads[k])
-	}
-}
-
-// RepairShard runs one shard's strategy repair at virtual time now and
-// returns the number of migrations it performed. The strategy mutates
-// the evaluator directly, so the cell-level summary is reconciled from
-// the assignment diff afterwards.
-func (p *Plane) RepairShard(ctx context.Context, id int, now float64) (int, error) {
-	if id < 0 || id >= len(p.shards) {
-		return 0, fmt.Errorf("shard: id %d out of range [0,%d)", id, len(p.shards))
-	}
+// Repair runs the strategy's repair pass at virtual time now and
+// returns the number of migrations it performed. The strategy moves
+// clients through the evaluator directly, so the cell-level state is
+// reconciled from the assignment diff afterwards; a repair that moved
+// anyone publishes one epoch.
+func (p *Plane) Repair(ctx context.Context, now float64) int {
 	ctx, sp := obs.Child(ctx, "plane.repair")
 	defer sp.End()
-	sp.SetAttr(obs.Int("shard", id))
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	defer p.begin(sp)()
-	sh := p.shards[id]
 	//lint:ignore dialint/wallclock-determinism lastRepair feeds only the health endpoint's staleness display, never a replayed decision
-	sh.lastRepair = time.Now()
-	before := sh.ev.Assignment()
-	p.refreshCaps(sh)
-	moves := sh.strat.Repair(sh.ev, sh.effCaps, now)
+	p.lastRepair = time.Now()
+	before := p.ev.Assignment()
+	moves := p.strat.Repair(p.ev, p.eff, now)
 	sp.SetAttr(obs.Int("moves", moves))
 	if moves != 0 {
-		p.reconcileCells(sh, before)
+		for c, prev := range before {
+			if cur := p.ev.ServerOf(c); cur != prev {
+				p.noteAssign(c, prev, -1)
+				p.noteAssign(c, cur, +1)
+			}
+		}
 		p.publishLocked(ctx)
 	}
-	return moves, nil
+	return moves
 }
 
-// noteAssign records that client c of shard sh joined (delta +1) or
-// left (delta -1) server s, after the shard's evaluator did. It is the
-// one place the world changes: the assignment and loads publish copies,
-// the shard's active count, its cell occupancy, and its certified bound
-// on s. The bound rises when a (cell, s) count moves 0 → 1 and is
-// rescanned over the shard's cells only when the cell that empties is
-// one that realizes it; any other cell leaving keeps the max. A move is
-// a -1 on the old server, then a +1 on the new.
-func (p *Plane) noteAssign(sh *shardState, c, s, delta int) {
+// noteAssign records that client c joined (delta +1) or left (delta -1)
+// server s, after the evaluator did. It keeps what the evaluator does
+// not: the active count of c's shard, the cell occupancy, and the
+// certified bound on s. The bound rises when a (cell, s) count moves
+// 0 → 1 and is rescanned over every cell only when the cell that
+// empties is one that realizes it; any other cell leaving keeps the
+// max. A move is a -1 on the old server, then a +1 on the new.
+func (p *Plane) noteAssign(c, s, delta int) {
 	if s == core.Unassigned {
 		return
 	}
-	if delta > 0 {
-		p.assign[c] = s
-	} else {
-		p.assign[c] = core.Unassigned
-	}
-	p.loads[s] += delta
+	sh := &p.shards[p.clientShard[c]]
 	sh.active += delta
 	sh.dirty = true
 	j := p.clientCell[c]
-	ns := len(p.loads)
+	ns := len(p.bound)
 	p.cellLoad[j*ns+s] += int32(delta)
 	switch n, v := p.cellLoad[j*ns+s], p.certDist[j][s]; {
-	case n == 1 && delta > 0 && v > sh.bound[s]:
-		sh.bound[s] = v
-	case n == 0 && v >= sh.bound[s]:
-		sh.bound[s] = p.boundOf(sh, s)
+	case n == 1 && delta > 0 && v > p.bound[s]:
+		p.bound[s] = v
+	case n == 0 && v >= p.bound[s]:
+		p.bound[s] = p.boundOf(s)
 	}
 }
 
-// boundOf folds shard sh's certified bound on server s from scratch:
-// the max of certDist[j][s] over its cells j with clients on s, or -1.
-func (p *Plane) boundOf(sh *shardState, s int) float64 {
-	ns := len(p.loads)
+// boundOf folds the certified bound on server s from scratch: the max
+// of certDist[j][s] over the cells j with clients on s, or -1.
+func (p *Plane) boundOf(s int) float64 {
+	ns := len(p.bound)
 	b := -1.0
-	for _, j := range sh.cells {
+	for j, row := range p.certDist {
 		if p.cellLoad[j*ns+s] > 0 {
-			b = max(b, p.certDist[j][s])
+			b = max(b, row[s])
 		}
 	}
 	return b
 }
 
-// reconcileCells brings the world up to date with the assignment diff
-// after a strategy or solver mutated the evaluator directly.
-func (p *Plane) reconcileCells(sh *shardState, before core.Assignment) {
-	for local, prev := range before {
-		cur := sh.ev.ServerOf(local)
-		if cur == prev {
-			continue
-		}
-		c := sh.clients[local]
-		p.noteAssign(sh, c, prev, -1)
-		p.noteAssign(sh, c, cur, +1)
-	}
-}
-
-// EvaluatorStats sums the per-shard evaluator work counters — tests use
-// it to prove the plane never fell back to O(world) repair.
+// EvaluatorStats returns the evaluator's work counters — tests use them
+// to prove the plane never fell back to O(world) repair.
 func (p *Plane) EvaluatorStats() core.EvaluatorStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var total core.EvaluatorStats
-	for _, sh := range p.shards {
-		st := sh.ev.Stats()
-		total.Recomputes += st.Recomputes
-		total.EccScans += st.EccScans
-		total.HeapOps += st.HeapOps
-		total.PairTouches += st.PairTouches
-		total.PairRescans += st.PairRescans
-	}
-	return total
+	return p.ev.Stats()
 }

@@ -16,12 +16,13 @@ import (
 )
 
 // referenceSnapshot recomputes from scratch every value publishLocked
-// publishes: the assignment, loads and active counts by walking every
-// shard's clients through its evaluator, each shard's certified bound by
-// folding its clients' (cell, server) occupancy over distances rebuilt
+// publishes: the assignment, loads and per-shard active counts by
+// walking every client through the evaluator, the certified bound by
+// folding the clients' (cell, server) occupancy over distances rebuilt
 // from the cell geometry, and D and CertifiedD by fresh pair scans over
-// the merged vectors. Along the way it checks the plane's own cell
-// counts and incremental bounds against the walk, drifted or not.
+// Instance.Eccentricities and that bound. Along the way it checks the
+// plane's own cell counts and incremental bound against the walk,
+// drifted or not.
 func referenceSnapshot(t testing.TB, p *Plane) *Snapshot {
 	t.Helper()
 	ns := len(p.opts.Servers)
@@ -33,60 +34,44 @@ func referenceSnapshot(t testing.TB, p *Plane) *Snapshot {
 		Shards:     make([]ShardSummary, len(p.shards)),
 		Alive:      slices.Clone(p.alive),
 	}
-	occupancy := make([]int32, len(p.cells)*ns)
-	ecc := make([]float64, ns)
-	bound := make([]float64, ns)
-	for k := range ecc {
-		ecc[k], bound[k] = -1, -1
+	for i := range snap.Shards {
+		snap.Shards[i].Shard = i
 	}
-	for _, sh := range p.shards {
-		sum := ShardSummary{
-			Shard:    sh.id,
-			D:        sh.ev.D(),
-			Ecc:      make([]float64, ns),
-			BoundEcc: make([]float64, ns),
+	occupancy := make([]int32, len(p.cells)*ns)
+	bound := make([]float64, ns)
+	for k := range bound {
+		bound[k] = -1
+	}
+	for c := range snap.Assignment {
+		s := p.ev.ServerOf(c)
+		snap.Assignment[c] = s
+		if s == core.Unassigned {
+			continue
 		}
-		for k := 0; k < ns; k++ {
-			sum.Ecc[k] = sh.ev.Eccentricity(k)
-			sum.BoundEcc[k] = -1
-		}
-		for i, c := range sh.clients {
-			s := sh.ev.ServerOf(i)
-			snap.Assignment[c] = s
-			if s == core.Unassigned {
-				continue
-			}
-			snap.Loads[s]++
-			sum.Active++
-			j := p.clientCell[c]
-			occupancy[j*ns+s]++
-			cell := p.cells[j]
-			sc := p.opts.Servers[s]
-			if v := max(cell.Rep.LatencyTo(sc), sc.LatencyTo(cell.Rep), 1e-9) + cell.Rho; v > sum.BoundEcc[s] {
-				sum.BoundEcc[s] = v
-			}
-		}
-		for k, v := range sum.BoundEcc {
-			if math.Float64bits(v) != math.Float64bits(sh.bound[k]) {
-				t.Fatalf("shard %d: incremental bound on server %d is %v, the fold gives %v", sh.id, k, sh.bound[k], v)
-			}
-		}
-		if p.drifted {
-			copy(sum.BoundEcc, sum.Ecc)
-		}
-		snap.Shards[sh.id] = sum
-		snap.Active += sum.Active
-		for k := 0; k < ns; k++ {
-			ecc[k] = max(ecc[k], sum.Ecc[k])
-			bound[k] = max(bound[k], sum.BoundEcc[k])
+		snap.Loads[s]++
+		snap.Active++
+		snap.Shards[p.clientShard[c]].Active++
+		j := p.clientCell[c]
+		occupancy[j*ns+s]++
+		cell := p.cells[j]
+		sc := p.opts.Servers[s]
+		bound[s] = max(bound[s], max(cell.Rep.LatencyTo(sc), sc.LatencyTo(cell.Rep), 1e-9)+cell.Rho)
+	}
+	for k, v := range bound {
+		if math.Float64bits(v) != math.Float64bits(p.bound[k]) {
+			t.Fatalf("incremental bound on server %d is %v, the fold gives %v", k, p.bound[k], v)
 		}
 	}
 	if !slices.Equal(occupancy, p.cellLoad) {
-		t.Fatalf("cell occupancy drifted from the evaluators' assignment")
+		t.Fatalf("cell occupancy drifted from the evaluator's assignment")
 	}
-	ss := p.shards[0].in.FlatServerServer()
-	snap.D = perfkit.MaxPathEcc(ss, ecc)
+	in := p.ev.Instance()
+	ss := in.FlatServerServer()
+	snap.D = perfkit.MaxPathEcc(ss, in.Eccentricities(snap.Assignment))
 	snap.CertifiedD = perfkit.MaxPathEcc(ss, bound)
+	if p.drifted {
+		snap.CertifiedD = snap.D
+	}
 	return snap
 }
 
@@ -94,9 +79,6 @@ func referenceSnapshot(t testing.TB, p *Plane) *Snapshot {
 // comparing every float by its bits, or returns "".
 func snapshotDiff(got, want *Snapshot) string {
 	bits := math.Float64bits
-	eqF := func(a, b []float64) bool {
-		return slices.EqualFunc(a, b, func(x, y float64) bool { return bits(x) == bits(y) })
-	}
 	switch {
 	case got.Epoch != want.Epoch:
 		return fmt.Sprintf("epoch %d, want %d", got.Epoch, want.Epoch)
@@ -114,20 +96,8 @@ func snapshotDiff(got, want *Snapshot) string {
 		return fmt.Sprintf("CertifiedD %v, want %v", got.CertifiedD, want.CertifiedD)
 	case bits(got.MaxRho) != bits(want.MaxRho):
 		return fmt.Sprintf("MaxRho %v, want %v", got.MaxRho, want.MaxRho)
-	case len(got.Shards) != len(want.Shards):
-		return fmt.Sprintf("%d shard summaries, want %d", len(got.Shards), len(want.Shards))
-	}
-	for i, g := range got.Shards {
-		w := want.Shards[i]
-		switch {
-		case g.Shard != w.Shard || g.Active != w.Active || bits(g.D) != bits(w.D):
-			return fmt.Sprintf("shard %d summary (shard %d, active %d, D %v), want (%d, %d, %v)",
-				i, g.Shard, g.Active, g.D, w.Shard, w.Active, w.D)
-		case !eqF(g.Ecc, w.Ecc):
-			return fmt.Sprintf("shard %d Ecc %v, want %v", i, g.Ecc, w.Ecc)
-		case !eqF(g.BoundEcc, w.BoundEcc):
-			return fmt.Sprintf("shard %d BoundEcc %v, want %v", i, g.BoundEcc, w.BoundEcc)
-		}
+	case !slices.Equal(got.Shards, want.Shards):
+		return fmt.Sprintf("shard summaries %v, want %v", got.Shards, want.Shards)
 	}
 	return ""
 }
@@ -147,7 +117,7 @@ func checkPublished(t testing.TB, p *Plane, label string) {
 // *EvacuationError), one if it detached clients, and an op that
 // published none left the snapshot pointer alone. Either way the
 // published state must be bit-equal to the from-scratch reference (so
-// an op that published nothing left the evaluators alone), with no
+// an op that published nothing left the evaluator alone), with no
 // client on a dead server, no load over its capacity and D ≤
 // CertifiedD ≤ D + 4·MaxRho.
 func checkWrite(t testing.TB, p *Plane, label string, before *Snapshot, err error) {
@@ -176,8 +146,8 @@ func checkWrite(t testing.TB, p *Plane, label string, before *Snapshot, err erro
 }
 
 // repairing is the differential tapes' strategy: GreedyJoin placements
-// plus repair moves, so RepairShard mutates evaluators directly.
-func repairing(in *core.Instance) dynamic.Strategy { return dynamic.NewGreedyJoinRepair(in, 2) }
+// plus repair moves, so Repair mutates the evaluator directly.
+func repairing() dynamic.Strategy { return dynamic.NewGreedyJoinRepair(nil, 2) }
 
 // TestPlanePublishDifferential replays seeded tapes of every plane
 // write on 1, 4 and 16 shards, capacitated and not, and checks the write
@@ -213,7 +183,7 @@ func publishTape(t *testing.T, shards int, capped bool) {
 		}
 	}
 	p, err := New(Options{Shards: shards, Servers: cs[:ns], Clients: cs[ns:], Capacities: caps,
-		MaxCells: 120, Strategy: repairing})
+		MaxCells: 120, Strategy: repairing()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,11 +260,8 @@ func publishTape(t *testing.T, shards int, capped bool) {
 				return fmt.Sprintf("no-op migrate %d", c), err
 			}
 		case k < 84:
-			s := rng.Intn(p.NumShards())
-			if _, err := p.RepairShard(ctx, s, float64(i)); err != nil {
-				t.Fatal(err)
-			}
-			return fmt.Sprintf("repair shard %d", s), nil
+			p.Repair(ctx, float64(i))
+			return "repair", nil
 		case k < 88:
 			if s := rng.Intn(ns); liveCount() > 2 {
 				label := fmt.Sprintf("kill %d", s)
@@ -423,14 +390,14 @@ func boundPlane(t *testing.T, clients []latency.Coord) *Plane {
 	return p
 }
 
-// boundStep runs one write and checks the published bound on server 0.
+// boundStep runs one write and checks the plane's bound on server 0.
 func boundStep(t *testing.T, p *Plane, label string, op func() error, want float64) {
 	t.Helper()
 	if err := op(); err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
 	checkPublished(t, p, label)
-	if got := p.Current().Shards[0].BoundEcc[0]; got != want {
+	if got := p.bound[0]; got != want {
 		t.Fatalf("%s: bound on server 0 is %v, want %v", label, got, want)
 	}
 }
@@ -469,10 +436,10 @@ func TestPlaneBoundTie(t *testing.T) {
 	boundStep(t, p, "the other tied cell leaves", leave(2), 10)
 }
 
-// TestPlaneDriftRescansPairs pins the pair-scan cache reset on drift: a
-// drift that moves server 1 and its one client by the same exact offset
-// leaves every eccentricity's bits unchanged but moves the server-server
-// distance, and so D.
+// TestPlaneDriftRescansPairs pins that a drift re-derives D from the
+// new server table: a drift that moves server 1 and its one client by
+// the same exact offset leaves every eccentricity's bits unchanged but
+// moves the server-server distance, and so D.
 func TestPlaneDriftRescansPairs(t *testing.T) {
 	servers := []latency.Coord{{}, {X: 100}}
 	clients := []latency.Coord{{X: -3}, {X: 104}}
@@ -490,15 +457,16 @@ func TestPlaneDriftRescansPairs(t *testing.T) {
 		}
 	}
 	before := p.Current()
+	ecc := []float64{p.ev.Eccentricity(0), p.ev.Eccentricity(1)}
 	moved := []latency.Coord{servers[0], {X: 200}, clients[0], {X: 204}}
 	if err := p.ApplyDrift(ctx, moved); err != nil {
 		t.Fatal(err)
 	}
 	checkPublished(t, p, "drift")
 	after := p.Current()
-	for k, v := range after.Shards[0].Ecc {
-		if math.Float64bits(v) != math.Float64bits(before.Shards[0].Ecc[k]) {
-			t.Fatalf("drift moved server %d's eccentricity %v → %v; the case needs it fixed", k, before.Shards[0].Ecc[k], v)
+	for k, v := range ecc {
+		if got := p.ev.Eccentricity(k); math.Float64bits(got) != math.Float64bits(v) {
+			t.Fatalf("drift moved server %d's eccentricity %v → %v; the case needs it fixed", k, v, got)
 		}
 	}
 	if after.D == before.D {
@@ -521,7 +489,7 @@ func FuzzPlaneOps(f *testing.F) {
 		nc, ns := 2+int(data[0])%39, 1+int(data[1])%6
 		opts := Options{Shards: 1 + int(data[2])%4, MaxCells: 1 + int(data[3]>>4)}
 		if data[2]&0x80 != 0 {
-			opts.Strategy = repairing
+			opts.Strategy = repairing()
 		}
 		if data[3]&1 != 0 {
 			opts.Capacities = make(core.Capacities, ns)
@@ -562,7 +530,8 @@ func FuzzPlaneOps(f *testing.F) {
 			case 6:
 				_, err = p.RestartServer(ctx, s)
 			case 7:
-				_, err = p.RepairShard(ctx, arg%p.NumShards(), float64(i))
+				p.Repair(ctx, float64(i))
+				err = nil
 			case 8:
 				// A migrate to the client's own server: a no-op that
 				// publishes, or a refusal for an inactive client.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 
+	"diacap/internal/core"
 	"diacap/internal/dynamic"
 	"diacap/internal/latency"
 	"diacap/internal/obs"
@@ -14,10 +15,10 @@ import (
 // NewFromPopulation builds a plane over a scenario population: the
 // population's coordinates become the plane's server and client
 // coordinates, and the plane's node space is the population's own node
-// order, so every sub-instance entry is bit-identical to the
-// corresponding pop.Instance entry and drift snapshots apply in the
-// same node space. opts.Servers and opts.Clients are derived from pop
-// and must be left nil.
+// order, so every instance entry is bit-identical to the corresponding
+// pop.Instance entry and drift snapshots apply in the same node space.
+// opts.Servers and opts.Clients are derived from pop and must be left
+// nil.
 func NewFromPopulation(pop *dynamic.Population, opts Options) (*Plane, error) {
 	if pop == nil || pop.Instance == nil {
 		return nil, errors.New("shard: nil population")
@@ -36,14 +37,13 @@ func NewFromPopulation(pop *dynamic.Population, opts Options) (*Plane, error) {
 	return newPlane(opts, pop.Coords, append([]int(nil), pop.Servers...), append([]int(nil), pop.Clients...))
 }
 
-// ApplyDrift rebuilds every shard's sub-instance from drifted
-// coordinates in the plane's node space (see New and
-// NewFromPopulation), preserving assignments. Each shard gets a fresh
-// incremental evaluator over the new geometry; the certified bound
-// degrades to the exact eccentricities from here on, because the cell
-// radii no longer describe the live metric. A drift with coordinates
-// that New would refuse (a wrong count, a non-finite component, a
-// negative height) is refused before any shard changes.
+// ApplyDrift rebuilds the instance from drifted coordinates in the
+// plane's node space (see New and NewFromPopulation), preserving the
+// assignment, and gives it a fresh incremental evaluator. The certified
+// bound degrades to the exact D from here on, because the cell radii no
+// longer describe the live metric. A drift with coordinates that New
+// would refuse (a wrong count, a non-finite component, a negative
+// height) is refused before anything changes.
 func (p *Plane) ApplyDrift(ctx context.Context, cs []latency.Coord) error {
 	if len(cs) != p.numNodes {
 		return fmt.Errorf("shard: drift has %d coordinates, plane has %d nodes", len(cs), p.numNodes)
@@ -58,22 +58,17 @@ func (p *Plane) ApplyDrift(ctx context.Context, cs []latency.Coord) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	defer p.begin(sp)()
-	// The cached pair scans read the server table drift replaces.
-	p.dScan.valid, p.certScan.valid = false, false
-	for _, sh := range p.shards {
-		in, err := p.shardInstance(cs, sh.clients)
-		if err != nil {
-			return fmt.Errorf("shard %d: drift: %w", sh.id, err)
-		}
-		ev, err := in.NewEvaluator(sh.ev.Assignment())
-		if err != nil {
-			return fmt.Errorf("shard %d: drift: %w", sh.id, err)
-		}
-		sh.in, sh.ev = in, ev
-		sh.dirty = true
-		// The fresh evaluator dropped the previous delta hook; reattach.
-		p.installHooks(sh)
+	in, err := core.NewInstanceCoords(cs, p.serverNodes, p.clientNodes)
+	if err != nil {
+		return fmt.Errorf("shard: drift: %w", err)
 	}
+	ev, err := in.NewEvaluator(p.ev.Assignment())
+	if err != nil {
+		return fmt.Errorf("shard: drift: %w", err)
+	}
+	p.ev = ev
+	// The fresh evaluator dropped the previous delta hook; reattach.
+	p.installDeltaHook()
 	p.drifted = true
 	p.met.event(opDrift)
 	s := p.publishLocked(ctx)
@@ -90,26 +85,27 @@ type ReplayResult struct {
 	FinalCertifiedD float64
 	// MaxCertGap is the largest observed CertifiedD - D over the run.
 	MaxCertGap float64
-	// ShardEvents[s] counts join/leave/migrate events shard s absorbed.
+	// ShardEvents[s] counts the joins and leaves of shard s's clients.
 	ShardEvents []int
 }
 
 // Replay drives a finalized scenario through the plane: it runs
 // dynamic.RunTape over the scenario's tape with the plane as the
-// target. Churn routes to the owning shards' strategies, kills
-// evacuate through the plane, drift rebuilds every sub-instance from
-// the snapshot's coordinates (so the plane must be built by
-// NewFromPopulation over the scenario's population), and after every
-// event the affected shards repair and the world's capacity invariant
-// is re-checked on the published snapshot. The tape, its tie order,
-// the horizon cut-off and the D bookkeeping are the simulator's own,
-// so a one-shard replay reproduces dynamic.SimulateScenario
-// bit-for-bit.
+// target. Churn goes through Join and Leave, kills evacuate through
+// the plane, drift rebuilds the instance from the snapshot's
+// coordinates (so the plane must be built by NewFromPopulation over the
+// scenario's population), and after every event the strategy repairs
+// once and the world's capacity invariant is re-checked on the
+// published snapshot. The tape, its tie order, the horizon cut-off and
+// the D bookkeeping are the simulator's own, and the plane decides
+// with one evaluator and one strategy as the simulator does, so a
+// replay at any shard count reproduces dynamic.SimulateScenario
+// bit for bit.
 //
 // When the plane has a tracer, every tape event is stamped with its own
 // root span (replay.join, replay.leave, replay.kill, replay.restart,
 // replay.drift) whose children are the plane operation and the repair
-// passes it triggered. With a seeded tracer at sample rate 1 the
+// pass it triggered. With a seeded tracer at sample rate 1 the
 // resulting span forest is deterministic: same scenario, same seed,
 // same tree.
 func (p *Plane) Replay(ctx context.Context, sc *dynamic.Scenario) (*ReplayResult, error) {
@@ -133,17 +129,13 @@ func (p *Plane) Replay(ctx context.Context, sc *dynamic.Scenario) (*ReplayResult
 		return nil, err
 	}
 	res.ScenarioResult = sr
-	res.Strategy = p.shards[0].strat.Name()
+	res.Strategy = p.strat.Name()
+	if h, ok := p.strat.(*dynamic.Hysteresis); ok {
+		res.SuppressedProposals, res.SuppressedMoves = h.Suppressed()
+	}
 	final := p.Current()
 	res.FinalEpoch = final.Epoch
 	res.FinalCertifiedD = final.CertifiedD
-	for _, sh := range p.shards {
-		if h, ok := sh.strat.(*dynamic.Hysteresis); ok {
-			prop, moves := h.Suppressed()
-			res.SuppressedProposals += prop
-			res.SuppressedMoves += moves
-		}
-	}
 	return res, nil
 }
 
@@ -168,14 +160,13 @@ var replaySpans = [...]string{
 func (t *replayTarget) D() float64 { return t.p.Current().D }
 
 // Apply implements dynamic.Target. The event's root span encloses the
-// plane operation, the repair passes and the invariant check.
+// plane operation, the repair pass and the invariant check.
 func (t *replayTarget) Apply(ctx context.Context, e dynamic.TapeEvent) (dynamic.Step, error) {
 	p := t.p
 	ctx, sp := p.tracer.Root(ctx, replaySpans[e.Kind])
 	defer sp.End()
 	sp.SetAttr(obs.F64("time", e.Time))
 	var st dynamic.Step
-	only := -1 // a join or leave repairs its own shard; the rest repair all
 	switch e.Kind {
 	case dynamic.TapeJoin, dynamic.TapeLeave:
 		op, verb := p.Join, "join"
@@ -188,7 +179,6 @@ func (t *replayTarget) Apply(ctx context.Context, e dynamic.TapeEvent) (dynamic.
 		}
 		t.res.ShardEvents[r.Shard]++
 		sp.SetAttr(obs.Int("client", e.ID), obs.Int("shard", r.Shard))
-		only = r.Shard
 	case dynamic.TapeKill:
 		wasAlive := p.ServerAlive(e.ID)
 		_, evacuated, err := p.KillServer(ctx, e.ID)
@@ -210,16 +200,7 @@ func (t *replayTarget) Apply(ctx context.Context, e dynamic.TapeEvent) (dynamic.
 			return st, fmt.Errorf("shard: drift at t=%.1f: %w", snap.Time, err)
 		}
 	}
-	for s := range p.shards {
-		if only >= 0 && s != only {
-			continue
-		}
-		moves, err := p.RepairShard(ctx, s, e.Time)
-		if err != nil {
-			return st, err
-		}
-		st.Repairs += moves
-	}
+	st.Repairs = p.Repair(ctx, e.Time)
 	if err := p.checkInvariant(e.Time); err != nil {
 		return st, err
 	}

@@ -17,10 +17,27 @@ import (
 	"diacap/internal/shard"
 )
 
-// TestReplayOneShardMatchesSimulate is the decomposition anchor for the
-// scenario path: a one-shard plane replaying a scenario must reproduce
-// dynamic.SimulateScenario bit-for-bit — same counters, same Timeline,
-// same FinalD/MaxD/TimeAvgD down to the last bit.
+// replayStrategies names the anchor's four online strategies, with
+// diasim's labels. A plane owns its strategy, and hysteresis and
+// periodic strategies keep state, so every run builds a fresh one.
+var replayStrategies = []struct {
+	name string
+	make func() dynamic.Strategy
+}{
+	{"greedy", func() dynamic.Strategy { return dynamic.NewGreedyJoin(nil) }},
+	{"greedy+repair", func() dynamic.Strategy { return dynamic.NewGreedyJoinRepair(nil, 2) }},
+	{"nearest", func() dynamic.Strategy { return dynamic.NewNearestJoin(nil) }},
+	{"hysteresis", func() dynamic.Strategy {
+		return dynamic.NewHysteresis(dynamic.NewPeriodicReoptimize(nil, 1e-6), 1, 0.05, dynamic.NewMigrationBudget(3, 6))
+	}},
+}
+
+// TestReplayOneShardMatchesSimulate is the anchor for the scenario
+// path: a one-shard plane replaying a scenario must reproduce
+// dynamic.SimulateScenario bit for bit — same counters, same Timeline,
+// same FinalD/MaxD/TimeAvgD down to the last bit — for every preset,
+// under each of replayStrategies, uncapacitated and with 24 seats per
+// server.
 func TestReplayOneShardMatchesSimulate(t *testing.T) {
 	kinds := dynamic.ScenarioKinds()
 	if testing.Short() {
@@ -32,45 +49,63 @@ func TestReplayOneShardMatchesSimulate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := dynamic.SimulateScenario(sc, nil, dynamic.NewGreedyJoin(sc.Pop.Instance))
-			if err != nil {
-				t.Fatal(err)
+			for _, seats := range []int{0, 24} {
+				for _, strat := range replayStrategies {
+					t.Run(fmt.Sprintf("%s/cap=%d", strat.name, seats), func(t *testing.T) {
+						checkReplay(t, sc, seats, strat.make, 1)
+					})
+				}
 			}
-			p, err := shard.NewFromPopulation(sc.Pop, shard.Options{Shards: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := p.Replay(context.Background(), sc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			compareReplay(t, got, want)
 		})
 	}
 }
 
-// TestReplayOneShardCapacitated repeats the anchor under binding
-// capacities, exercising the capacity-split and effective-capacity
-// paths against the simulator's. Then it runs both targets out of
-// room: storm's kill of server 0 at seed 1 under NearestJoin and 17
-// seats per server must stop both at the same event, the plane's
-// first detached client must be the one the simulator could not
-// place, and the plane's last epoch must hold no client on a dead
-// server.
-func TestReplayOneShardCapacitated(t *testing.T) {
-	sc, err := dynamic.BuildScenario("flashcrowd", 7)
+// TestReplayMultiShard repeats the anchor at 4 and 16 shards: the
+// shards only group clients for reporting, so every shard count must
+// reproduce SimulateScenario bit for bit too.
+func TestReplayMultiShard(t *testing.T) {
+	kinds := dynamic.ScenarioKinds()
+	if testing.Short() {
+		kinds = []string{"storm", "drift"}
+	}
+	for _, kind := range kinds {
+		sc, err := dynamic.BuildScenario(kind, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, shards := range []int{4, 16} {
+			for _, seats := range []int{0, 24} {
+				name := fmt.Sprintf("%s/shards=%d", kind, shards)
+				if seats > 0 {
+					name += fmt.Sprintf("/cap=%d", seats)
+				}
+				t.Run(name, func(t *testing.T) {
+					for _, strat := range replayStrategies {
+						t.Run(strat.name, func(t *testing.T) { checkReplay(t, sc, seats, strat.make, shards) })
+					}
+				})
+			}
+		}
+	}
+}
+
+// checkReplay replays sc through a plane of the given shard count and
+// strategy, with seats per server (0: uncapacitated), and compares it
+// with SimulateScenario under a fresh strategy of the same kind. The
+// plane's own outputs must hold too: the per-shard event counts sum to
+// the joins and leaves, and the certified gap stays within 4·MaxRho.
+func checkReplay(t *testing.T, sc *dynamic.Scenario, seats int, strategy func() dynamic.Strategy, shards int) {
+	t.Helper()
+	var caps core.Capacities
+	if seats > 0 {
+		caps = core.UniformCapacities(len(sc.Pop.Servers), seats)
+	}
+	want, err := dynamic.SimulateScenario(sc, caps, strategy())
 	if err != nil {
 		t.Fatal(err)
 	}
-	caps := make(core.Capacities, len(sc.Pop.Servers))
-	for k := range caps {
-		caps[k] = sc.Pop.Instance.NumClients()/len(caps) + 4
-	}
-	want, err := dynamic.SimulateScenario(sc, caps, dynamic.NewGreedyJoin(sc.Pop.Instance))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := shard.NewFromPopulation(sc.Pop, shard.Options{Shards: 1, Capacities: caps})
+	p, err := shard.NewFromPopulation(sc.Pop, shard.Options{
+		Shards: shards, MaxCells: 24, Capacities: caps, Strategy: strategy()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,39 +114,93 @@ func TestReplayOneShardCapacitated(t *testing.T) {
 		t.Fatal(err)
 	}
 	compareReplay(t, got, want)
+	events := 0
+	for _, n := range got.ShardEvents {
+		events += n
+	}
+	if len(got.ShardEvents) != p.NumShards() || events != got.Joins+got.Leaves {
+		t.Fatalf("shard event counts %v sum to %d, want %d joins+leaves over %d shards",
+			got.ShardEvents, events, got.Joins+got.Leaves, p.NumShards())
+	}
+	if maxRho := p.Current().MaxRho; got.MaxCertGap > 4*maxRho+1e-9 {
+		t.Fatalf("certified gap %v exceeded 4·maxρ = %v", got.MaxCertGap, 4*maxRho)
+	}
+}
+
+// TestReplayCapacitatedMatchesSimulate repeats the anchor under binding
+// capacities, four seats above an even split, under each of
+// replayStrategies at 1, 4 and 16 shards.
+// Then it runs both targets out of room: storm's kill of server 0 at
+// seed 1 under NearestJoin and 17 seats per server must stop both at
+// the same event at every shard count, the plane's first detached
+// client must be the one the simulator could not place, every shard
+// count must detach the same clients, and the plane's last epoch must
+// hold no client on a dead server.
+func TestReplayCapacitatedMatchesSimulate(t *testing.T) {
+	sc, err := dynamic.BuildScenario("flashcrowd", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	caps := make(core.Capacities, len(sc.Pop.Servers))
+	for k := range caps {
+		caps[k] = sc.Pop.Instance.NumClients()/len(caps) + 4
+	}
+	for _, strat := range replayStrategies {
+		want, err := dynamic.SimulateScenario(sc, caps, strat.make())
+		if err != nil {
+			t.Fatalf("%s: %v", strat.name, err)
+		}
+		for _, shards := range []int{1, 4, 16} {
+			p, err := shard.NewFromPopulation(sc.Pop, shard.Options{Shards: shards, Capacities: caps, Strategy: strat.make()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := p.Replay(context.Background(), sc)
+			if err != nil {
+				t.Fatalf("%s, %d shards: %v", strat.name, shards, err)
+			}
+			compareReplay(t, got, want)
+		}
+	}
 
 	if sc, err = dynamic.BuildScenario("storm", 1); err != nil {
 		t.Fatal(err)
 	}
 	caps = core.UniformCapacities(len(sc.Pop.Servers), 17)
-	nearest := func(in *core.Instance) dynamic.Strategy { return dynamic.NewNearestJoin(in) }
-	_, simErr := dynamic.SimulateScenario(sc, caps, nearest(sc.Pop.Instance))
-	if p, err = shard.NewFromPopulation(sc.Pop, shard.Options{Shards: 1, Capacities: caps, Strategy: nearest}); err != nil {
-		t.Fatal(err)
+	_, simErr := dynamic.SimulateScenario(sc, caps, dynamic.NewNearestJoin(nil))
+	m := regexp.MustCompile(`forced rejoin of client (\d+) (at t=[0-9.]+)`).FindStringSubmatch(fmt.Sprint(simErr))
+	if !errors.Is(simErr, dynamic.ErrCapacityExhausted) || m == nil {
+		t.Fatalf("the simulator stopped with %v, want a failed forced rejoin", simErr)
 	}
-	_, planeErr := p.Replay(context.Background(), sc)
-	for _, err := range []error{simErr, planeErr} {
-		if !errors.Is(err, dynamic.ErrCapacityExhausted) {
-			t.Fatalf("want both targets out of room, got simulator %v, plane %v", simErr, planeErr)
+	var detached []int
+	for _, shards := range []int{1, 4, 16} {
+		p, err := shard.NewFromPopulation(sc.Pop, shard.Options{Shards: shards, Capacities: caps, Strategy: dynamic.NewNearestJoin(nil)})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	m := regexp.MustCompile(`forced rejoin of client (\d+) (at t=[0-9.]+)`).FindStringSubmatch(simErr.Error())
-	if m == nil || !strings.Contains(planeErr.Error(), m[2]+":") {
-		t.Fatalf("the simulator stopped with %v, the plane with %v", simErr, planeErr)
-	}
-	var evac *shard.EvacuationError
-	if !errors.As(planeErr, &evac) || fmt.Sprint(evac.Detached[0]) != m[1] {
-		t.Fatalf("the plane stopped with %v; the simulator could not place client %s", planeErr, m[1])
-	}
-	s := p.Current()
-	for c, k := range s.Assignment {
-		if k != core.Unassigned && !s.Alive[k] {
-			t.Fatalf("epoch %d: client %d on dead server %d", s.Epoch, c, k)
+		_, planeErr := p.Replay(context.Background(), sc)
+		if !errors.Is(planeErr, dynamic.ErrCapacityExhausted) || !strings.Contains(planeErr.Error(), m[2]+":") {
+			t.Fatalf("%d shards: the simulator stopped with %v, the plane with %v", shards, simErr, planeErr)
 		}
-	}
-	for _, c := range evac.Detached {
-		if s.Assignment[c] != core.Unassigned {
-			t.Fatalf("epoch %d: detached client %d sits on server %d", s.Epoch, c, s.Assignment[c])
+		var evac *shard.EvacuationError
+		if !errors.As(planeErr, &evac) || fmt.Sprint(evac.Detached[0]) != m[1] {
+			t.Fatalf("%d shards: the plane stopped with %v; the simulator could not place client %s", shards, planeErr, m[1])
+		}
+		if detached == nil {
+			detached = evac.Detached
+		} else if !slices.Equal(evac.Detached, detached) {
+			t.Fatalf("%d shards detached %v, one shard %v", shards, evac.Detached, detached)
+		}
+		s := p.Current()
+		for c, k := range s.Assignment {
+			if k != core.Unassigned && !s.Alive[k] {
+				t.Fatalf("%d shards, epoch %d: client %d on dead server %d", shards, s.Epoch, c, k)
+			}
+		}
+		for _, c := range evac.Detached {
+			if s.Assignment[c] != core.Unassigned {
+				t.Fatalf("%d shards, epoch %d: detached client %d sits on server %d", shards, s.Epoch, c, s.Assignment[c])
+			}
 		}
 	}
 }
@@ -132,6 +221,10 @@ func compareReplay(t *testing.T, got *shard.ReplayResult, want *dynamic.Scenario
 		t.Fatalf("move counters: got %d/%d, want %d/%d",
 			got.ForcedMoves, got.RepairMoves, want.ForcedMoves, want.RepairMoves)
 	}
+	if got.SuppressedProposals != want.SuppressedProposals || got.SuppressedMoves != want.SuppressedMoves {
+		t.Fatalf("suppressed counters: got %d/%d, want %d/%d",
+			got.SuppressedProposals, got.SuppressedMoves, want.SuppressedProposals, want.SuppressedMoves)
+	}
 	bitsEq(t, "FinalD", got.FinalD, want.FinalD)
 	bitsEq(t, "MaxD", got.MaxD, want.MaxD)
 	bitsEq(t, "TimeAvgD", got.TimeAvgD, want.TimeAvgD)
@@ -146,88 +239,11 @@ func compareReplay(t *testing.T, got *shard.ReplayResult, want *dynamic.Scenario
 	}
 }
 
-// TestReplayMultiShard replays failure-storm and drift scenarios
-// through 4- and 16-shard planes, uncapacitated and with 24 seats per
-// server: the run must complete (Replay checks the world's capacity
-// invariant after every event), the published D must stay exact
-// against an oracle evaluator over the population instance, and the
-// certified gap must respect the 4ρ envelope while cell geometry is
-// valid.
-func TestReplayMultiShard(t *testing.T) {
-	for _, kind := range []string{"storm", "drift"} {
-		for _, shards := range []int{4, 16} {
-			for _, seats := range []int{0, 24} {
-				name := fmt.Sprintf("%s/shards=%d", kind, shards)
-				if seats > 0 {
-					name += fmt.Sprintf("/cap=%d", seats)
-				}
-				t.Run(name, func(t *testing.T) { replayMultiShard(t, kind, shards, seats) })
-			}
-		}
-	}
-}
-
-func replayMultiShard(t *testing.T, kind string, shards, seats int) {
-	sc, err := dynamic.BuildScenario(kind, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var caps core.Capacities
-	if seats > 0 {
-		caps = core.UniformCapacities(len(sc.Pop.Servers), seats)
-	}
-	p, err := shard.NewFromPopulation(sc.Pop, shard.Options{Shards: shards, MaxCells: 24, Capacities: caps})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.Replay(context.Background(), sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	final := p.Current()
-	if final.Epoch != res.FinalEpoch {
-		t.Fatalf("final epoch %d, result says %d", final.Epoch, res.FinalEpoch)
-	}
-	// Oracle: a single evaluator over the live geometry — the population
-	// instance, or the last drift snapshot's re-materialized instance
-	// once coordinates have moved.
-	oracle := sc.Pop.Instance
-	if res.DriftSteps > 0 {
-		oracle = sc.Snapshots[len(sc.Snapshots)-1].Instance
-	}
-	ev, err := oracle.NewEvaluator(final.Assignment)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bitsEq(t, "final sharded D vs oracle", final.D, ev.D())
-	if final.CertifiedD < final.D {
-		t.Fatalf("certified bound %v below exact D %v", final.CertifiedD, final.D)
-	}
-	if res.MaxCertGap > 4*final.MaxRho+1e-9 {
-		t.Fatalf("certified gap %v exceeded 4·maxρ = %v", res.MaxCertGap, 4*final.MaxRho)
-	}
-	events := 0
-	for _, n := range res.ShardEvents {
-		events += n
-	}
-	if events != res.Joins+res.Leaves {
-		t.Fatalf("shard event counts sum to %d, want %d joins+leaves", events, res.Joins+res.Leaves)
-	}
-	if st := p.EvaluatorStats(); st.Recomputes != 0 || st.EccScans != 0 {
-		t.Fatalf("replay fell back to O(world) repair: %+v", st)
-	}
-	for k, load := range final.Loads {
-		if (caps != nil && load > caps[k]) || (!final.Alive[k] && load > 0) {
-			t.Fatalf("server %d (alive %t) holds %d clients", k, final.Alive[k], load)
-		}
-	}
-}
-
 // TestApplyDriftCoordinatePlane drifts a shard.New plane: ApplyDrift
 // takes moved [servers ∥ clients] coordinates, and the published D must
 // equal, bit for bit, an evaluator over the matrix-built instance of
 // the moved world at the published assignment — after the drift and
-// after a join on the rebuilt evaluators.
+// after a join on the rebuilt evaluator.
 func TestApplyDriftCoordinatePlane(t *testing.T) {
 	servers, clients := testCoords(t, 160, 6, 4)
 	ns := len(servers)

@@ -3,8 +3,8 @@ package shard
 // The serving read path: answering "which server should this client
 // attach to" for prospective clients, straight from the published
 // snapshot. This is the request-path complement of the mutating
-// control-plane ops — it never takes p.mu, never touches per-shard
-// state, and costs one atomic snapshot load per batch no matter how
+// control-plane ops — it never takes p.mu, never touches the
+// evaluator, and costs one atomic snapshot load per batch no matter how
 // many query points ride the request. The per-point work is one
 // coordinate-predicted latency row plus a perfkit nearest-server argmin,
 // so a broker can resolve thousands of prospective clients against one

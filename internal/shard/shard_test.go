@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -27,9 +28,9 @@ func testCoords(t testing.TB, n, ns int, seed int64) (servers, clients []latency
 	return cs[:ns], cs[ns:]
 }
 
-// globalD rebuilds the unpartitioned world from a snapshot assignment
-// and returns its exact D — the oracle every published snapshot must
-// bit-match.
+// globalD rebuilds the world from a snapshot assignment over the
+// node×node matrix and returns its exact D — the oracle every published
+// snapshot must bit-match.
 func globalD(t testing.TB, servers, clients []latency.Coord, a []int) float64 {
 	t.Helper()
 	coords := append(append([]latency.Coord(nil), servers...), clients...)
@@ -61,8 +62,8 @@ func bitsEq(t *testing.T, label string, got, want float64) {
 }
 
 // TestPlaneSnapshotExactD drives random churn through a 4-shard plane
-// and checks, at every publish, that the reconciled D is bit-identical
-// to a single evaluator over the unpartitioned world and that the
+// and checks, at every publish, that the published D is bit-identical
+// to a fresh evaluator over the matrix-built world and that the
 // certified bound brackets it.
 func TestPlaneSnapshotExactD(t *testing.T) {
 	servers, clients := testCoords(t, 180, 10, 1)
@@ -171,7 +172,10 @@ func TestPlaneEpochProtocol(t *testing.T) {
 	}
 }
 
-// TestPlaneOpErrors covers the typed rejection surface.
+// TestPlaneOpErrors covers the typed rejection surface. Errors name
+// clients by id: the last client of a multi-shard plane is not the last
+// of its shard, so an error that named an index inside the shard would
+// name another client.
 func TestPlaneOpErrors(t *testing.T) {
 	servers, clients := testCoords(t, 30, 3, 4)
 	caps := make(core.Capacities, len(servers))
@@ -187,6 +191,11 @@ func TestPlaneOpErrors(t *testing.T) {
 	}
 	if _, err := p.Leave(context.Background(), 5); !errors.Is(err, core.ErrNotAssigned) {
 		t.Fatalf("leave of inactive client: %v", err)
+	}
+	last := len(clients) - 1
+	_, err = p.Leave(context.Background(), last)
+	if want := fmt.Sprintf("leave of client %d", last); p.NumShards() < 2 || err == nil || !strings.HasSuffix(err.Error(), want) {
+		t.Fatalf("leave of inactive client %d on %d shards: %v, want it named", last, p.NumShards(), err)
 	}
 	if _, err := p.Migrate(context.Background(), 5, 0); !errors.Is(err, core.ErrNotAssigned) {
 		t.Fatalf("migrate of inactive client: %v", err)
@@ -386,30 +395,4 @@ func TestPlaneLockFreeReads(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-}
-
-// TestPlaneRouter checks coordinate routing agrees with the static
-// client partition.
-func TestPlaneRouter(t *testing.T) {
-	servers, clients := testCoords(t, 100, 6, 9)
-	p, err := shard.New(shard.Options{Shards: 4, Servers: servers, Clients: clients, MaxCells: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	agree := 0
-	for c := range clients {
-		want, err := p.ShardOf(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, _ := p.Route(clients[c]); got == want {
-			agree++
-		}
-	}
-	// Lloyd refinement can move a member across a cell boundary after
-	// assignment, so routing is nearest-representative, not exact
-	// membership; the overwhelming majority must still agree.
-	if agree < len(clients)*9/10 {
-		t.Fatalf("router agrees with partition on only %d/%d clients", agree, len(clients))
-	}
 }

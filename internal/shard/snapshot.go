@@ -26,26 +26,13 @@ func (e *ErrStaleEpoch) Error() string {
 	return fmt.Sprintf("shard: stale epoch %d (current %d)", e.Requested, e.Current)
 }
 
-// ShardSummary is one shard's contribution to the reconciled world
-// state: per-server eccentricities (exact) and certified cell-level
-// bounds. Summaries are what crosses the shard boundary — O(U) per
-// shard, never O(clients).
+// ShardSummary is one shard's line in a snapshot: how many of the
+// clients grouped into it are active.
 type ShardSummary struct {
 	// Shard is the shard id.
 	Shard int
 	// Active is the shard's active client count.
 	Active int
-	// D is the shard-local max interaction path (over this shard's
-	// clients only; informational — the global D is reconciled from
-	// eccentricities, not from shard-local Ds).
-	D float64
-	// Ecc[k] is the exact eccentricity of server k over this shard's
-	// active clients (-1 when none).
-	Ecc []float64
-	// BoundEcc[k] over-approximates Ecc[k] from cell-level state: the
-	// max over occupied cells of rep-to-server latency plus the cell
-	// radius ρ (-1 when server k is empty in this shard).
-	BoundEcc []float64
 }
 
 // Snapshot is the immutable published world state. Readers obtain it
@@ -59,18 +46,16 @@ type Snapshot struct {
 	Loads []int
 	// Active is the number of assigned clients.
 	Active int
-	// D is the exact global max interaction path, reconciled from the
-	// merged per-shard eccentricities — bit-identical to a single
-	// evaluator over the whole population.
+	// D is the exact global max interaction path, maintained by the
+	// plane's evaluator over the whole population.
 	D float64
-	// CertifiedD is the certified upper bound reconciled from the
-	// cell-level summaries: D ≤ CertifiedD ≤ D + 4·MaxRho (each
-	// endpoint eccentricity of the pair scan can overshoot its exact
-	// value by at most 2·MaxRho).
+	// CertifiedD is the certified upper bound from cell-level state:
+	// D ≤ CertifiedD ≤ D + 4·MaxRho (each endpoint eccentricity of the
+	// pair scan can overshoot its exact value by at most 2·MaxRho).
 	CertifiedD float64
 	// MaxRho is the largest cell radius; CertifiedD - D ≤ 4·MaxRho.
 	MaxRho float64
-	// Shards holds the per-shard summaries the reconciliation consumed.
+	// Shards holds each shard's active count.
 	Shards []ShardSummary
 	// Alive[k] reports whether server k is up.
 	Alive []bool
@@ -98,14 +83,12 @@ func (p *Plane) At(epoch uint64) (*Snapshot, error) {
 //dialint:hotpath
 func (p *Plane) Epoch() uint64 { return p.snap.Load().Epoch }
 
-// publishLocked rebuilds dirty shard summaries, reconciles the global
-// state, and atomically swaps in the next snapshot. Callers hold p.mu.
-// The assignment and loads are copies of the world noteAssign keeps, a
-// dirty shard's summary copies its evaluator's eccentricities and its
-// incremental bound, and each pair scan reruns only when its merged
-// vector changed. The reconciliation is recorded as a plane.publish
-// child span of the context's span (if traced) and every epoch bump
-// lands in the flight recorder's epoch journal.
+// publishLocked atomically swaps in the next snapshot of the world.
+// Callers hold p.mu. The assignment, loads and D are the evaluator's,
+// CertifiedD is the pair scan over the incremental bound noteAssign
+// keeps, rerun only when that vector changed. The publish is recorded
+// as a plane.publish child span of the context's span (if traced) and
+// every epoch bump lands in the flight recorder's epoch journal.
 func (p *Plane) publishLocked(ctx context.Context) *Snapshot {
 	start := time.Now()
 	_, sp := obs.Child(ctx, "plane.publish")
@@ -113,44 +96,34 @@ func (p *Plane) publishLocked(ctx context.Context) *Snapshot {
 	p.epoch++
 	snap := &Snapshot{
 		Epoch:      p.epoch,
-		Assignment: slices.Clone(p.assign),
-		Loads:      slices.Clone(p.loads),
+		Assignment: p.ev.Assignment(),
+		Loads:      make([]int, len(p.alive)),
+		D:          p.ev.D(),
 		MaxRho:     p.maxRho,
 		Shards:     make([]ShardSummary, len(p.shards)),
 		Alive:      slices.Clone(p.alive),
 	}
-
-	// Merged eccentricities: a server's true eccentricity over the
-	// whole population is the max of its per-shard values, because the
-	// shards partition the clients (max over a disjoint union = max of
-	// per-part maxima, exactly, in floats as in reals).
-	ecc, bound := p.eccBuf, p.boundBuf
-	for k := range ecc {
-		ecc[k], bound[k] = -1, -1
+	for k := range snap.Loads {
+		snap.Loads[k] = p.ev.Load(k)
+		snap.Active += snap.Loads[k]
 	}
 	dirty := 0
-	for _, sh := range p.shards {
+	for i := range p.shards {
+		sh := &p.shards[i]
 		if sh.dirty {
 			dirty++
-			sh.rebuildSummary(p)
 			sh.dirty = false
 			sh.summaryEpoch = p.epoch
 		}
-		snap.Shards[sh.id] = sh.summary
-		snap.Active += sh.summary.Active
-		for k := range ecc {
-			if v := sh.summary.Ecc[k]; v > ecc[k] {
-				ecc[k] = v
-			}
-			if v := sh.summary.BoundEcc[k]; v > bound[k] {
-				bound[k] = v
-			}
-		}
+		snap.Shards[i] = ShardSummary{Shard: i, Active: sh.active}
 	}
-	// Every shard holds the same server-server table, bit for bit.
-	ss := p.shards[0].in.FlatServerServer()
-	snap.D = p.dScan.eval(ss, ecc)
-	snap.CertifiedD = p.certScan.eval(ss, bound)
+	// After coordinate drift the cell geometry no longer describes the
+	// live metric, so the only honest certificate is the exact value.
+	if p.drifted {
+		snap.CertifiedD = snap.D
+	} else {
+		snap.CertifiedD = p.certScan.eval(p.ev.Instance().FlatServerServer(), p.bound)
+	}
 	p.snap.Store(snap)
 	p.met.published(snap, time.Since(start).Seconds())
 	// Guarded so an uninstrumented publish skips attr rendering: both
@@ -173,9 +146,10 @@ func (p *Plane) publishLocked(ctx context.Context) *Snapshot {
 }
 
 // pairScan caches one perfkit.MaxPathEcc result with the vector it was
-// computed from. D is a pure function of the vector and the server
-// table, so an unchanged vector (bit for bit) reuses the last value;
-// a new server table (ApplyDrift) must reset the cache.
+// computed from. The scan is a pure function of the vector and the
+// server table, so an unchanged vector (bit for bit) reuses the last
+// value. A drifted plane stops reading it, so the server table never
+// changes under it.
 type pairScan struct {
 	vec   []float64
 	val   float64
@@ -197,10 +171,10 @@ func (c *pairScan) eval(ss *perfkit.FlatMatrix, vec []float64) float64 {
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // ShardHealth is one shard's health line as exposed by /healthz: its
-// current summary epoch (the plane epoch at which the summary was last
-// rebuilt — a lagging value marks a quiet shard, not a broken one),
-// active client count, and last repair-pass wall time (zero until the
-// first RepairShard).
+// current summary epoch (the plane epoch at which a client of the shard
+// last changed seats — a lagging value marks a quiet shard, not a
+// broken one), active client count, and the wall time of the plane's
+// last repair pass (zero until the first Repair).
 type ShardHealth struct {
 	Shard        int       `json:"shard"`
 	SummaryEpoch uint64    `json:"summaryEpoch"`
@@ -216,39 +190,13 @@ func (p *Plane) Health() []ShardHealth {
 	out := make([]ShardHealth, len(p.shards))
 	for i, sh := range p.shards {
 		out[i] = ShardHealth{
-			Shard:        sh.id,
+			Shard:        i,
 			SummaryEpoch: sh.summaryEpoch,
 			Active:       sh.active,
-			LastRepair:   sh.lastRepair,
+			LastRepair:   p.lastRepair,
 		}
 	}
 	return out
-}
-
-// rebuildSummary refreshes one shard's published summary from its
-// evaluator (exact eccentricities) and its incremental cell-level bound.
-// A summary is published as is, so it gets fresh vectors.
-func (sh *shardState) rebuildSummary(p *Plane) {
-	ns := len(p.opts.Servers)
-	vecs := make([]float64, 2*ns)
-	sum := ShardSummary{
-		Shard:    sh.id,
-		Active:   sh.active,
-		D:        sh.ev.D(),
-		Ecc:      vecs[:ns:ns],
-		BoundEcc: vecs[ns:],
-	}
-	for k := 0; k < ns; k++ {
-		sum.Ecc[k] = sh.ev.Eccentricity(k)
-	}
-	// After coordinate drift the cell geometry no longer describes the
-	// live metric, so the only honest certificate is the exact value.
-	if p.drifted {
-		copy(sum.BoundEcc, sum.Ecc)
-	} else {
-		copy(sum.BoundEcc, sh.bound)
-	}
-	sh.summary = sum
 }
 
 // CertGap returns the published certified-bound slack CertifiedD - D,

@@ -200,8 +200,8 @@ func TestPlaneJournals(t *testing.T) {
 }
 
 // TestPlaneHealth pins the per-shard health surface: every shard
-// reports its own summary epoch and active count, and RepairShard
-// stamps lastRepair.
+// reports its own summary epoch and active count, and Repair stamps the
+// plane's lastRepair on every shard's line.
 func TestPlaneHealth(t *testing.T) {
 	servers, clients := testCoords(t, 90, 5, 41)
 	p, err := shard.New(shard.Options{Shards: 3, Servers: servers, Clients: clients})
@@ -223,19 +223,17 @@ func TestPlaneHealth(t *testing.T) {
 			t.Fatalf("health[%d].Shard = %d", i, h.Shard)
 		}
 		if !h.LastRepair.IsZero() {
-			t.Fatalf("shard %d reports a repair before any RepairShard", i)
+			t.Fatalf("shard %d reports a repair before any Repair", i)
 		}
 		active += h.Active
 	}
 	if active != 30 {
 		t.Fatalf("per-shard active sums to %d, want 30", active)
 	}
-	target := hs[0].Shard
-	if _, err := p.RepairShard(context.Background(), target, 0); err != nil {
-		t.Fatal(err)
-	}
-	hs = p.Health()
-	if hs[target].LastRepair.IsZero() {
-		t.Fatal("RepairShard did not stamp lastRepair")
+	p.Repair(context.Background(), 0)
+	for _, h := range p.Health() {
+		if h.LastRepair.IsZero() {
+			t.Fatalf("Repair did not stamp shard %d's lastRepair", h.Shard)
+		}
 	}
 }
