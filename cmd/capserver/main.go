@@ -164,7 +164,7 @@ func main() {
 		}
 		opts.Shard = plane
 		logger.Info("sharded control plane ready",
-			"shards", plane.NumShards(), "cells", plane.NumCells(),
+			"shards", plane.NumShards(),
 			"servers", plane.NumServers(), "clients", plane.NumClients())
 	}
 	svc := service.New(opts)

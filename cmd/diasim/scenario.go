@@ -118,7 +118,7 @@ func newScenarioPlane(sc *dynamic.Scenario, shards int, reg *obs.Registry) (*sha
 
 // runScenarioSharded replays the scenario through the assignment
 // control plane: every event publishes a fresh epoch, and the shards
-// group the clients by cell for the event spread. The plane decides
+// group the clients round-robin for the event spread. The plane decides
 // what the simulator decides, so the lines both print match at every
 // shard count.
 func runScenarioSharded(sc *dynamic.Scenario, reg *obs.Registry) error {
@@ -126,8 +126,7 @@ func runScenarioSharded(sc *dynamic.Scenario, reg *obs.Registry) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("strategy: %s, %d shards over %d cells\n\n",
-		*scenarioStrategy, p.NumShards(), p.NumCells())
+	fmt.Printf("strategy: %s, %d shards\n\n", *scenarioStrategy, p.NumShards())
 
 	res, err := p.Replay(context.Background(), sc)
 	if err != nil {
@@ -135,9 +134,7 @@ func runScenarioSharded(sc *dynamic.Scenario, reg *obs.Registry) error {
 	}
 	printScenarioReport(&res.ScenarioResult,
 		fmt.Sprintf("shard event spread:       %v", res.ShardEvents),
-		fmt.Sprintf("published epochs:         %d", res.FinalEpoch),
-		fmt.Sprintf("certified D bound:        final %.3f ms (max observed gap %.3f ms)",
-			res.FinalCertifiedD, res.MaxCertGap))
+		fmt.Sprintf("published epochs:         %d", res.FinalEpoch))
 	return nil
 }
 
@@ -226,7 +223,7 @@ func runScenarioChaos(sc *dynamic.Scenario, seed int64, deltaFactor float64, num
 		return err
 	}
 	delta := off.D * deltaFactor
-	fmt.Printf("strategy: %s, %d shards over %d cells\n", *scenarioStrategy, p.NumShards(), p.NumCells())
+	fmt.Printf("strategy: %s, %d shards\n", *scenarioStrategy, p.NumShards())
 
 	const warmup = 100.0 // virtual ms before the first issue
 	plan := &live.FaultPlan{

@@ -23,8 +23,9 @@ type ShardAssignRequest struct {
 	Op string `json:"op"`
 	// Client is the global client index.
 	Client int `json:"client"`
-	// Server is the migration target; omitted or -1 lets the owning
-	// shard's strategy choose. Ignored for join and leave.
+	// Server is the migration target; omitted or -1 lets the plane's
+	// strategy choose, and any other negative id is a 400. Ignored for
+	// join and leave.
 	Server *int `json:"server,omitempty"`
 }
 
@@ -35,8 +36,10 @@ type ShardAssignResponse struct {
 	Shard int    `json:"shard"`
 	// Server is the client's server after a join or migrate, and the
 	// vacated server after a leave.
-	Server     int     `json:"server"`
-	D          float64 `json:"d"`
+	Server int     `json:"server"`
+	D      float64 `json:"d"`
+	// CertifiedD certifies D from above; the plane's D is exact, so it
+	// is D.
 	CertifiedD float64 `json:"certifiedD"`
 }
 
@@ -46,7 +49,6 @@ type ShardSnapshotResponse struct {
 	Active     int     `json:"active"`
 	D          float64 `json:"d"`
 	CertifiedD float64 `json:"certifiedD"`
-	MaxRho     float64 `json:"maxRho"`
 	Assignment []int   `json:"assignment"`
 	Loads      []int   `json:"loads"`
 	Alive      []bool  `json:"alive"`
@@ -58,7 +60,7 @@ type ShardSnapshotResponse struct {
 // conventions: unknown input 400, state conflicts 409, capacity 422.
 func shardOpError(err error) error {
 	switch {
-	case errors.Is(err, shard.ErrUnknownClient):
+	case errors.Is(err, shard.ErrUnknownClient), errors.Is(err, shard.ErrUnknownServer):
 		return badRequest("%v", err)
 	case errors.Is(err, core.ErrAlreadyAssigned),
 		errors.Is(err, core.ErrNotAssigned),
@@ -91,6 +93,10 @@ func (s *Server) handleShardAssign(w http.ResponseWriter, r *http.Request) {
 		if req.Server != nil {
 			target = *req.Server
 		}
+		if target < -1 {
+			s.fail(w, r, badRequest("server %d: want a server id, or -1 to let the strategy choose", target))
+			return
+		}
 		res, err = p.Migrate(r.Context(), req.Client, target)
 	default:
 		s.fail(w, r, badRequest("unknown op %q (want join, leave, or migrate)", req.Op))
@@ -107,7 +113,7 @@ func (s *Server) handleShardAssign(w http.ResponseWriter, r *http.Request) {
 		Shard:      res.Shard,
 		Server:     res.Server,
 		D:          res.D,
-		CertifiedD: res.CertifiedD,
+		CertifiedD: res.D,
 	})
 }
 
@@ -144,7 +150,6 @@ func (s *Server) handleShardSnapshot(w http.ResponseWriter, r *http.Request) {
 		Active:     snap.Active,
 		D:          snap.D,
 		CertifiedD: snap.CertifiedD,
-		MaxRho:     snap.MaxRho,
 		Assignment: snap.Assignment,
 		Loads:      snap.Loads,
 		Alive:      snap.Alive,

@@ -2,25 +2,31 @@ package service
 
 import (
 	"context"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"diacap/internal/latency"
+	"diacap/internal/obs"
 	"diacap/internal/shard"
 )
 
+// shardServer serves a 2-shard plane over 4 servers and 40 clients,
+// plane and service sharing one metrics registry.
 func shardServer(t *testing.T) (*Server, *shard.Plane) {
 	t.Helper()
 	cs, err := latency.GenerateCoords(latency.DefaultConfig(44), 21)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := shard.New(shard.Options{Shards: 2, Servers: cs[:4], Clients: cs[4:]})
+	reg := obs.NewRegistry()
+	p, err := shard.New(shard.Options{Shards: 2, Servers: cs[:4], Clients: cs[4:], Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(Options{Shard: p}), p
+	return New(Options{Shard: p, Metrics: reg}), p
 }
 
 func TestShardAssignLifecycle(t *testing.T) {
@@ -37,8 +43,8 @@ func TestShardAssignLifecycle(t *testing.T) {
 	if got := rec.Header().Get(epochHeader); got != "2" {
 		t.Fatalf("join %s header = %q", epochHeader, got)
 	}
-	if resp.CertifiedD < resp.D {
-		t.Fatalf("certified %v below exact %v", resp.CertifiedD, resp.D)
+	if math.Float64bits(resp.CertifiedD) != math.Float64bits(resp.D) {
+		t.Fatalf("certifiedD %v, want d %v", resp.CertifiedD, resp.D)
 	}
 
 	// Double join conflicts without burning an epoch.
@@ -98,6 +104,18 @@ func TestShardAssignErrors(t *testing.T) {
 	rec := postJSON(t, s, "/v1/shard/assign", ShardAssignRequest{Op: "migrate", Client: 0, Server: ptr(2)})
 	if rec.Code != http.StatusConflict {
 		t.Fatalf("migrate to dead server: status %d: %s", rec.Code, rec.Body.String())
+	}
+	// A target past the last server is bad input that the plane refuses
+	// and counts; a negative one other than -1 never reaches the plane.
+	for _, target := range []int{4, -7} {
+		rec := postJSON(t, s, "/v1/shard/assign", ShardAssignRequest{Op: "migrate", Client: 0, Server: ptr(target)})
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("migrate to server %d: status %d: %s", target, rec.Code, rec.Body.String())
+		}
+	}
+	rec = get(t, s, "/metrics")
+	if body := rec.Body.String(); !strings.Contains(body, `diacap_shard_rejected_total{reason="unknown_server"} 1`+"\n") {
+		t.Fatalf("/metrics does not count one unknown_server rejection:\n%s", body)
 	}
 }
 

@@ -17,9 +17,6 @@ const (
 	nShardD = "diacap_shard_d_ms"
 	hShardD = "Exact global D of the published snapshot, in ms."
 
-	nShardCertifiedD = "diacap_shard_certified_d_ms"
-	hShardCertifiedD = "Certified upper bound on D from cell-level state, in ms."
-
 	nShardActive = "diacap_shard_active_clients"
 	hShardActive = "Active (assigned) clients across all shards."
 
@@ -76,6 +73,7 @@ const (
 	rejNoCapacity
 	rejConflict
 	rejServerDown
+	rejUnknownServer
 )
 
 // reasonLabels are the reason label values, indexed by rejectReason.
@@ -84,6 +82,7 @@ var reasonLabels = [...]string{
 	rejNoCapacity:    "no_capacity",
 	rejConflict:      "conflict",
 	rejServerDown:    "server_down",
+	rejUnknownServer: "unknown_server",
 }
 
 // planeMetrics resolves the plane's instruments once at construction,
@@ -95,7 +94,6 @@ type planeMetrics struct {
 	rejects    [len(reasonLabels)]*obs.Counter
 	epoch      *obs.Gauge
 	dms        *obs.Gauge
-	certified  *obs.Gauge
 	active     *obs.Gauge
 	publish    *obs.Histogram
 	staleReads *obs.Counter
@@ -108,7 +106,6 @@ func newPlaneMetrics(reg *obs.Registry) *planeMetrics {
 	m := &planeMetrics{
 		epoch:      reg.Gauge(nShardEpoch, hShardEpoch),
 		dms:        reg.Gauge(nShardD, hShardD),
-		certified:  reg.Gauge(nShardCertifiedD, hShardCertifiedD),
 		active:     reg.Gauge(nShardActive, hShardActive),
 		publish:    reg.Histogram(nShardPublish, hShardPublish, obs.SecondsBuckets),
 		staleReads: reg.Counter(nShardStaleReads, hShardStaleReads),
@@ -138,7 +135,6 @@ func Preregister(reg *obs.Registry) {
 	registerCounters(reg)
 	reg.Gauge(nShardEpoch, hShardEpoch)
 	reg.Gauge(nShardD, hShardD)
-	reg.Gauge(nShardCertifiedD, hShardCertifiedD)
 	reg.Gauge(nShardActive, hShardActive)
 	reg.Histogram(nShardPublish, hShardPublish, obs.SecondsBuckets)
 	reg.Counter(nShardStaleReads, hShardStaleReads)
@@ -169,7 +165,6 @@ func (m *planeMetrics) published(s *Snapshot, seconds float64) {
 	}
 	m.epoch.Set(float64(s.Epoch))
 	m.dms.Set(s.D)
-	m.certified.Set(s.CertifiedD)
 	m.active.Set(float64(s.Active))
 	m.publish.Observe(seconds)
 }

@@ -22,13 +22,13 @@ type OpResult struct {
 	// Server is the client's server after the mutation (join/migrate),
 	// or its former server (leave); core.Unassigned otherwise.
 	Server int
-	// D and CertifiedD are the published global values.
-	D, CertifiedD float64
+	// D is the published global D.
+	D float64
 }
 
 func (p *Plane) opResult(ctx context.Context, shard, server int) OpResult {
 	s := p.publishLocked(ctx)
-	return OpResult{Epoch: s.Epoch, Shard: shard, Server: server, D: s.D, CertifiedD: s.CertifiedD}
+	return OpResult{Epoch: s.Epoch, Shard: shard, Server: server, D: s.D}
 }
 
 // begin opens the per-mutation span and parks it in p.curSpan so the
@@ -98,7 +98,7 @@ func (p *Plane) place(c int) (int, error) {
 	s := p.strat.PlaceJoin(p.ev, p.eff, c)
 	if s < 0 {
 		return -1, fmt.Errorf("%w: client %d (shard %d): %w",
-			ErrNoCapacity, c, p.clientShard[c], dynamic.ErrCapacityExhausted)
+			ErrNoCapacity, c, p.shardOf(c), dynamic.ErrCapacityExhausted)
 	}
 	if s >= len(p.alive) || !p.alive[s] {
 		return -1, fmt.Errorf("shard: strategy %s returned unusable server %d", p.strat.Name(), s)
@@ -109,7 +109,7 @@ func (p *Plane) place(c int) (int, error) {
 	if _, err := p.ev.ApplyJoin(c, s); err != nil {
 		return -1, err
 	}
-	p.noteAssign(c, s, +1)
+	p.noteAssign(c, +1)
 	return s, nil
 }
 
@@ -131,7 +131,7 @@ func (p *Plane) Leave(ctx context.Context, c int) (OpResult, error) {
 		p.met.rejected(rejConflict)
 		return OpResult{}, err
 	}
-	p.noteAssign(c, old, -1)
+	p.noteAssign(c, -1)
 	p.met.event(opLeave)
 	return p.clientResult(ctx, sp, sid, old), nil
 }
@@ -140,7 +140,7 @@ func (p *Plane) Leave(ctx context.Context, c int) (OpResult, error) {
 // strategy to re-place the client (the client keeps its old server if
 // no better placement has room). An explicit target must be below its
 // capacity. Fails with ErrUnknownClient, core.ErrNotAssigned,
-// ErrServerDown, or ErrNoCapacity.
+// ErrUnknownServer, ErrServerDown, or ErrNoCapacity.
 func (p *Plane) Migrate(ctx context.Context, c, target int) (OpResult, error) {
 	sid, err := p.ShardOf(c)
 	if err != nil {
@@ -161,8 +161,8 @@ func (p *Plane) Migrate(ctx context.Context, c, target int) (OpResult, error) {
 		return OpResult{}, fmt.Errorf("%w: migrate of client %d", core.ErrNotAssigned, c)
 	}
 	if target >= 0 {
-		if target >= len(p.alive) {
-			return OpResult{}, fmt.Errorf("shard: server %d out of range [0,%d)", target, len(p.alive))
+		if err := p.checkServer(target); err != nil {
+			return OpResult{}, err
 		}
 		if !p.alive[target] {
 			p.met.rejected(rejServerDown)
@@ -176,8 +176,7 @@ func (p *Plane) Migrate(ctx context.Context, c, target int) (OpResult, error) {
 			return OpResult{}, err
 		}
 		if target != old {
-			p.noteAssign(c, old, -1)
-			p.noteAssign(c, target, +1)
+			p.noteAssign(c, 0)
 		}
 		p.met.event(opMigrate)
 		return p.clientResult(ctx, sp, sid, target), nil
@@ -187,13 +186,13 @@ func (p *Plane) Migrate(ctx context.Context, c, target int) (OpResult, error) {
 	if _, err := p.ev.ApplyLeave(c); err != nil {
 		return OpResult{}, err
 	}
-	p.noteAssign(c, old, -1)
+	p.noteAssign(c, -1)
 	s, err := p.place(c)
 	if err != nil {
 		if _, rerr := p.ev.ApplyJoin(c, old); rerr != nil {
 			return OpResult{}, errors.Join(err, rerr)
 		}
-		p.noteAssign(c, old, +1)
+		p.noteAssign(c, +1)
 		return OpResult{}, err
 	}
 	p.met.event(opMigrate)
@@ -208,8 +207,8 @@ func (p *Plane) Migrate(ctx context.Context, c, target int) (OpResult, error) {
 // dead server is idempotent. A kill is a failover: it is journaled in
 // the flight recorder and triggers a recorder dump.
 func (p *Plane) KillServer(ctx context.Context, k int) (OpResult, int, error) {
-	if k < 0 || k >= len(p.alive) {
-		return OpResult{}, 0, fmt.Errorf("shard: server %d out of range [0,%d)", k, len(p.alive))
+	if err := p.checkServer(k); err != nil {
+		return OpResult{}, 0, err
 	}
 	ctx, sp := obs.Child(ctx, "plane.kill")
 	defer sp.End()
@@ -222,7 +221,7 @@ func (p *Plane) KillServer(ctx context.Context, k int) (OpResult, int, error) {
 	if !p.alive[k] {
 		// Idempotent double kill: no state change, no new epoch.
 		s := p.snap.Load()
-		return OpResult{Epoch: s.Epoch, Shard: -1, Server: k, D: s.D, CertifiedD: s.CertifiedD}, 0, nil
+		return OpResult{Epoch: s.Epoch, Shard: -1, Server: k, D: s.D}, 0, nil
 	}
 	p.setAlive(k, false)
 	evacuated := 0
@@ -236,7 +235,7 @@ func (p *Plane) KillServer(ctx context.Context, k int) (OpResult, int, error) {
 			fault = cmp.Or(fault, err)
 			continue
 		}
-		p.noteAssign(c, k, -1)
+		p.noteAssign(c, -1)
 		if _, err := p.place(c); err != nil {
 			if !errors.Is(err, ErrNoCapacity) {
 				fault = cmp.Or(fault, err)
@@ -271,8 +270,8 @@ func (p *Plane) KillServer(ctx context.Context, k int) (OpResult, int, error) {
 // RestartServer brings server k back. Restarting a live server is
 // idempotent.
 func (p *Plane) RestartServer(ctx context.Context, k int) (OpResult, error) {
-	if k < 0 || k >= len(p.alive) {
-		return OpResult{}, fmt.Errorf("shard: server %d out of range [0,%d)", k, len(p.alive))
+	if err := p.checkServer(k); err != nil {
+		return OpResult{}, err
 	}
 	ctx, sp := obs.Child(ctx, "plane.restart")
 	defer sp.End()
@@ -291,6 +290,15 @@ func (p *Plane) RestartServer(ctx context.Context, k int) (OpResult, error) {
 	return r, nil
 }
 
+// checkServer refuses, and counts, a server id outside [0, |S|).
+func (p *Plane) checkServer(k int) error {
+	if k < 0 || k >= len(p.alive) {
+		p.met.rejected(rejUnknownServer)
+		return fmt.Errorf("%w: server %d out of range [0,%d)", ErrUnknownServer, k, len(p.alive))
+	}
+	return nil
+}
+
 // setAlive marks server k up or down and recomputes what the strategy
 // decides against, dynamic.EffectiveCaps under the new liveness.
 // Callers hold p.mu.
@@ -305,10 +313,13 @@ func (p *Plane) setAlive(k int, up bool) {
 }
 
 // Repair runs the strategy's repair pass at virtual time now and
-// returns the number of migrations it performed. The strategy moves
-// clients through the evaluator directly, so the cell-level state is
-// reconciled from the assignment diff afterwards; a repair that moved
-// anyone publishes one epoch.
+// returns the number of migrations it performed; a repair that moved
+// anyone publishes one epoch. The strategy moves clients through the
+// evaluator directly. Since every write is all-or-nothing, the
+// evaluator matched the published snapshot when the lock was taken, so
+// the clients whose seat differs from the snapshot's are the ones the
+// repair moved. A move keeps its client active in its shard, so the
+// diff only marks shards dirty.
 func (p *Plane) Repair(ctx context.Context, now float64) int {
 	ctx, sp := obs.Child(ctx, "plane.repair")
 	defer sp.End()
@@ -317,14 +328,12 @@ func (p *Plane) Repair(ctx context.Context, now float64) int {
 	defer p.begin(sp)()
 	//lint:ignore dialint/wallclock-determinism lastRepair feeds only the health endpoint's staleness display, never a replayed decision
 	p.lastRepair = time.Now()
-	before := p.ev.Assignment()
 	moves := p.strat.Repair(p.ev, p.eff, now)
 	sp.SetAttr(obs.Int("moves", moves))
 	if moves != 0 {
-		for c, prev := range before {
-			if cur := p.ev.ServerOf(c); cur != prev {
-				p.noteAssign(c, prev, -1)
-				p.noteAssign(c, cur, +1)
+		for c, prev := range p.snap.Load().Assignment {
+			if p.ev.ServerOf(c) != prev {
+				p.noteAssign(c, 0)
 			}
 		}
 		p.publishLocked(ctx)
@@ -332,42 +341,14 @@ func (p *Plane) Repair(ctx context.Context, now float64) int {
 	return moves
 }
 
-// noteAssign records that client c joined (delta +1) or left (delta -1)
-// server s, after the evaluator did. It keeps what the evaluator does
-// not: the active count of c's shard, the cell occupancy, and the
-// certified bound on s. The bound rises when a (cell, s) count moves
-// 0 → 1 and is rescanned over every cell only when the cell that
-// empties is one that realizes it; any other cell leaving keeps the
-// max. A move is a -1 on the old server, then a +1 on the new.
-func (p *Plane) noteAssign(c, s, delta int) {
-	if s == core.Unassigned {
-		return
-	}
-	sh := &p.shards[p.clientShard[c]]
+// noteAssign records, after the evaluator did, that client c changed
+// seats and its activity by delta: +1 for a join, -1 for a leave, 0
+// for a move. It keeps what the evaluator does not: the active count
+// of c's shard and the shard's dirty flag.
+func (p *Plane) noteAssign(c, delta int) {
+	sh := &p.shards[p.shardOf(c)]
 	sh.active += delta
 	sh.dirty = true
-	j := p.clientCell[c]
-	ns := len(p.bound)
-	p.cellLoad[j*ns+s] += int32(delta)
-	switch n, v := p.cellLoad[j*ns+s], p.certDist[j][s]; {
-	case n == 1 && delta > 0 && v > p.bound[s]:
-		p.bound[s] = v
-	case n == 0 && v >= p.bound[s]:
-		p.bound[s] = p.boundOf(s)
-	}
-}
-
-// boundOf folds the certified bound on server s from scratch: the max
-// of certDist[j][s] over the cells j with clients on s, or -1.
-func (p *Plane) boundOf(s int) float64 {
-	ns := len(p.bound)
-	b := -1.0
-	for j, row := range p.certDist {
-		if p.cellLoad[j*ns+s] > 0 {
-			b = max(b, row[s])
-		}
-	}
-	return b
 }
 
 // EvaluatorStats returns the evaluator's work counters — tests use them

@@ -17,30 +17,19 @@ import (
 
 // referenceSnapshot recomputes from scratch every value publishLocked
 // publishes: the assignment, loads and per-shard active counts by
-// walking every client through the evaluator, the certified bound by
-// folding the clients' (cell, server) occupancy over distances rebuilt
-// from the cell geometry, and D and CertifiedD by fresh pair scans over
-// Instance.Eccentricities and that bound. Along the way it checks the
-// plane's own cell counts and incremental bound against the walk,
-// drifted or not.
-func referenceSnapshot(t testing.TB, p *Plane) *Snapshot {
-	t.Helper()
-	ns := len(p.opts.Servers)
+// walking every client through the evaluator (client c counts in shard
+// c mod S), and D by a fresh pair scan over Instance.Eccentricities.
+// CertifiedD is that D.
+func referenceSnapshot(p *Plane) *Snapshot {
 	snap := &Snapshot{
 		Epoch:      p.epoch,
 		Assignment: make([]int, len(p.opts.Clients)),
-		Loads:      make([]int, ns),
-		MaxRho:     p.maxRho,
+		Loads:      make([]int, len(p.opts.Servers)),
 		Shards:     make([]ShardSummary, len(p.shards)),
 		Alive:      slices.Clone(p.alive),
 	}
 	for i := range snap.Shards {
 		snap.Shards[i].Shard = i
-	}
-	occupancy := make([]int32, len(p.cells)*ns)
-	bound := make([]float64, ns)
-	for k := range bound {
-		bound[k] = -1
 	}
 	for c := range snap.Assignment {
 		s := p.ev.ServerOf(c)
@@ -50,28 +39,11 @@ func referenceSnapshot(t testing.TB, p *Plane) *Snapshot {
 		}
 		snap.Loads[s]++
 		snap.Active++
-		snap.Shards[p.clientShard[c]].Active++
-		j := p.clientCell[c]
-		occupancy[j*ns+s]++
-		cell := p.cells[j]
-		sc := p.opts.Servers[s]
-		bound[s] = max(bound[s], max(cell.Rep.LatencyTo(sc), sc.LatencyTo(cell.Rep), 1e-9)+cell.Rho)
-	}
-	for k, v := range bound {
-		if math.Float64bits(v) != math.Float64bits(p.bound[k]) {
-			t.Fatalf("incremental bound on server %d is %v, the fold gives %v", k, p.bound[k], v)
-		}
-	}
-	if !slices.Equal(occupancy, p.cellLoad) {
-		t.Fatalf("cell occupancy drifted from the evaluator's assignment")
+		snap.Shards[c%len(snap.Shards)].Active++
 	}
 	in := p.ev.Instance()
-	ss := in.FlatServerServer()
-	snap.D = perfkit.MaxPathEcc(ss, in.Eccentricities(snap.Assignment))
-	snap.CertifiedD = perfkit.MaxPathEcc(ss, bound)
-	if p.drifted {
-		snap.CertifiedD = snap.D
-	}
+	snap.D = perfkit.MaxPathEcc(in.FlatServerServer(), in.Eccentricities(snap.Assignment))
+	snap.CertifiedD = snap.D
 	return snap
 }
 
@@ -94,8 +66,6 @@ func snapshotDiff(got, want *Snapshot) string {
 		return fmt.Sprintf("D %v, want %v", got.D, want.D)
 	case bits(got.CertifiedD) != bits(want.CertifiedD):
 		return fmt.Sprintf("CertifiedD %v, want %v", got.CertifiedD, want.CertifiedD)
-	case bits(got.MaxRho) != bits(want.MaxRho):
-		return fmt.Sprintf("MaxRho %v, want %v", got.MaxRho, want.MaxRho)
 	case !slices.Equal(got.Shards, want.Shards):
 		return fmt.Sprintf("shard summaries %v, want %v", got.Shards, want.Shards)
 	}
@@ -106,7 +76,7 @@ func snapshotDiff(got, want *Snapshot) string {
 // the from-scratch reference of the plane's current state.
 func checkPublished(t testing.TB, p *Plane, label string) {
 	t.Helper()
-	if d := snapshotDiff(p.Current(), referenceSnapshot(t, p)); d != "" {
+	if d := snapshotDiff(p.Current(), referenceSnapshot(p)); d != "" {
 		t.Fatalf("%s: %s", label, d)
 	}
 }
@@ -118,8 +88,9 @@ func checkPublished(t testing.TB, p *Plane, label string) {
 // published none left the snapshot pointer alone. Either way the
 // published state must be bit-equal to the from-scratch reference (so
 // an op that published nothing left the evaluator alone), with no
-// client on a dead server, no load over its capacity and D ≤
-// CertifiedD ≤ D + 4·MaxRho.
+// client on a dead server, no load over its capacity, CertifiedD
+// bit-equal to D, and the shard of every client that changed seats
+// marked dirty: its summary epoch is the new epoch.
 func checkWrite(t testing.TB, p *Plane, label string, before *Snapshot, err error) {
 	t.Helper()
 	after := p.Current()
@@ -139,9 +110,14 @@ func checkWrite(t testing.TB, p *Plane, label string, before *Snapshot, err erro
 	if err := dynamic.CheckServers(func(k int) int { return after.Loads[k] }, after.Alive, p.opts.Capacities); err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	if after.CertifiedD < after.D || after.CertifiedD > after.D+4*after.MaxRho+1e-9 {
-		t.Fatalf("%s: CertifiedD %v outside [D, D + 4·MaxRho] = [%v, %v]",
-			label, after.CertifiedD, after.D, after.D+4*after.MaxRho)
+	if math.Float64bits(after.CertifiedD) != math.Float64bits(after.D) {
+		t.Fatalf("%s: CertifiedD %v, want D %v", label, after.CertifiedD, after.D)
+	}
+	for c, s := range after.Assignment {
+		if sh := c % len(p.shards); s != before.Assignment[c] && p.shards[sh].summaryEpoch != after.Epoch {
+			t.Fatalf("%s: client %d moved from server %d to %d, but shard %d's summary epoch is %d, not %d",
+				label, c, before.Assignment[c], s, sh, p.shards[sh].summaryEpoch, after.Epoch)
+		}
 	}
 }
 
@@ -183,7 +159,7 @@ func publishTape(t *testing.T, shards int, capped bool) {
 		}
 	}
 	p, err := New(Options{Shards: shards, Servers: cs[:ns], Clients: cs[ns:], Capacities: caps,
-		MaxCells: 120, Strategy: repairing()})
+		Strategy: repairing()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,80 +338,6 @@ func publishTape(t *testing.T, shards int, capped bool) {
 	}
 }
 
-// boundPlane builds a one-shard plane of singleton cells (ρ = 0) over
-// servers at (0,0) and (1000,0) and the given clients, so each client's
-// bound on server 0 is its own distance to the origin.
-func boundPlane(t *testing.T, clients []latency.Coord) *Plane {
-	t.Helper()
-	p, err := New(Options{
-		Servers: []latency.Coord{{}, {X: 1000}},
-		Clients: clients,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.cells) != len(clients) || p.maxRho != 0 {
-		t.Fatalf("want %d singleton cells, got %d (max ρ %v)", len(clients), len(p.cells), p.maxRho)
-	}
-	ctx := context.Background()
-	for c := range clients {
-		if _, err := p.Join(ctx, c); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := p.Migrate(ctx, c, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	checkPublished(t, p, "setup")
-	return p
-}
-
-// boundStep runs one write and checks the plane's bound on server 0.
-func boundStep(t *testing.T, p *Plane, label string, op func() error, want float64) {
-	t.Helper()
-	if err := op(); err != nil {
-		t.Fatalf("%s: %v", label, err)
-	}
-	checkPublished(t, p, label)
-	if got := p.bound[0]; got != want {
-		t.Fatalf("%s: bound on server 0 is %v, want %v", label, got, want)
-	}
-}
-
-// TestPlaneBoundFarthestCellEmpties pins the rescan rule: a cell leaving
-// that does not realize a server's bound keeps it, and the farthest
-// occupied cell emptying drops it to the next farthest, then to -1.
-func TestPlaneBoundFarthestCellEmpties(t *testing.T) {
-	p := boundPlane(t, []latency.Coord{{X: 10}, {X: 20}, {X: 30}})
-	ctx := context.Background()
-	leave := func(c int) func() error {
-		return func() error { _, err := p.Leave(ctx, c); return err }
-	}
-	boundStep(t, p, "inner cell leaves", leave(1), 30)
-	boundStep(t, p, "farthest cell leaves", leave(2), 10)
-	boundStep(t, p, "farthest cell rejoins", func() error {
-		if _, err := p.Join(ctx, 2); err != nil {
-			return err
-		}
-		_, err := p.Migrate(ctx, 2, 0)
-		return err
-	}, 30)
-	boundStep(t, p, "farthest cell moves away", func() error { _, err := p.Migrate(ctx, 2, 1); return err }, 10)
-	boundStep(t, p, "last cell leaves", leave(0), -1)
-}
-
-// TestPlaneBoundTie pins two cells tying for a server's bound: the first
-// to empty leaves the bound to the other, and the second drops it.
-func TestPlaneBoundTie(t *testing.T) {
-	p := boundPlane(t, []latency.Coord{{X: 10}, {X: 30}, {X: -30}})
-	ctx := context.Background()
-	leave := func(c int) func() error {
-		return func() error { _, err := p.Leave(ctx, c); return err }
-	}
-	boundStep(t, p, "one tied cell leaves", leave(1), 30)
-	boundStep(t, p, "the other tied cell leaves", leave(2), 10)
-}
-
 // TestPlaneDriftRescansPairs pins that a drift re-derives D from the
 // new server table: a drift that moves server 1 and its one client by
 // the same exact offset leaves every eccentricity's bits unchanged but
@@ -477,17 +379,17 @@ func TestPlaneDriftRescansPairs(t *testing.T) {
 // FuzzPlaneOps decodes a short op tape over a small plane and checks
 // the write rule after every op (checkWrite). Five header bytes shape
 // the plane: clients (2–40), servers (1–6), shards (1–4) and a
-// repairing strategy, capacities (1–8 per server) and the cell budget
-// (1–16 cells), and the coordinate seed. Each further byte pair is one
-// operation and its argument; many are refused, and a refused write
-// must publish nothing.
+// repairing strategy, capacities (1–8 per server; the byte's high four
+// bits are unused), and the coordinate seed. Each further byte pair is
+// one operation and its argument; many are refused, and a refused
+// write must publish nothing.
 func FuzzPlaneOps(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 5 {
 			return
 		}
 		nc, ns := 2+int(data[0])%39, 1+int(data[1])%6
-		opts := Options{Shards: 1 + int(data[2])%4, MaxCells: 1 + int(data[3]>>4)}
+		opts := Options{Shards: 1 + int(data[2])%4}
 		if data[2]&0x80 != 0 {
 			opts.Strategy = repairing()
 		}

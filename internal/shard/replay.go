@@ -39,11 +39,9 @@ func NewFromPopulation(pop *dynamic.Population, opts Options) (*Plane, error) {
 
 // ApplyDrift rebuilds the instance from drifted coordinates in the
 // plane's node space (see New and NewFromPopulation), preserving the
-// assignment, and gives it a fresh incremental evaluator. The certified
-// bound degrades to the exact D from here on, because the cell radii no
-// longer describe the live metric. A drift with coordinates that New
-// would refuse (a wrong count, a non-finite component, a negative
-// height) is refused before anything changes.
+// assignment, and gives it a fresh incremental evaluator. A drift with
+// coordinates that New would refuse (a wrong count, a non-finite
+// component, a negative height) is refused before anything changes.
 func (p *Plane) ApplyDrift(ctx context.Context, cs []latency.Coord) error {
 	if len(cs) != p.numNodes {
 		return fmt.Errorf("shard: drift has %d coordinates, plane has %d nodes", len(cs), p.numNodes)
@@ -69,7 +67,6 @@ func (p *Plane) ApplyDrift(ctx context.Context, cs []latency.Coord) error {
 	p.ev = ev
 	// The fresh evaluator dropped the previous delta hook; reattach.
 	p.installDeltaHook()
-	p.drifted = true
 	p.met.event(opDrift)
 	s := p.publishLocked(ctx)
 	sp.SetAttr(obs.Uint("epoch", s.Epoch), obs.F64("d", s.D))
@@ -81,10 +78,6 @@ type ReplayResult struct {
 	dynamic.ScenarioResult
 	// FinalEpoch is the published epoch after the last event.
 	FinalEpoch uint64
-	// FinalCertifiedD is the published certified bound at the end.
-	FinalCertifiedD float64
-	// MaxCertGap is the largest observed CertifiedD - D over the run.
-	MaxCertGap float64
 	// ShardEvents[s] counts the joins and leaves of shard s's clients.
 	ShardEvents []int
 }
@@ -133,14 +126,12 @@ func (p *Plane) Replay(ctx context.Context, sc *dynamic.Scenario) (*ReplayResult
 	if h, ok := p.strat.(*dynamic.Hysteresis); ok {
 		res.SuppressedProposals, res.SuppressedMoves = h.Suppressed()
 	}
-	final := p.Current()
-	res.FinalEpoch = final.Epoch
-	res.FinalCertifiedD = final.CertifiedD
+	res.FinalEpoch = p.Epoch()
 	return res, nil
 }
 
 // replayTarget is the plane's world for dynamic.RunTape. It fills the
-// plane-only fields of res: ShardEvents and MaxCertGap.
+// plane-only field of res: ShardEvents.
 type replayTarget struct {
 	p     *Plane
 	snaps []dynamic.DriftSnapshot
@@ -203,9 +194,6 @@ func (t *replayTarget) Apply(ctx context.Context, e dynamic.TapeEvent) (dynamic.
 	st.Repairs = p.Repair(ctx, e.Time)
 	if err := p.checkInvariant(e.Time); err != nil {
 		return st, err
-	}
-	if gap := p.Current().CertGap(); gap > t.res.MaxCertGap {
-		t.res.MaxCertGap = gap
 	}
 	return st, nil
 }

@@ -5,18 +5,14 @@
 // snapshots behind a monotone epoch counter swapped through an atomic
 // pointer — reads on the serving path never take a lock.
 //
-// The clients are grouped into shards along the internal/scale cell
-// decomposition, for reporting only (ShardOf, OpResult.Shard, Health,
-// the per-shard active counts of a snapshot). No decision depends on
-// the grouping, so a plane at any shard count decides what
+// The clients are grouped into shards round-robin, client c into shard
+// c mod S, for reporting only (ShardOf, OpResult.Shard, Health, the
+// per-shard active counts of a snapshot). No decision depends on the
+// grouping, so a plane at any shard count decides what
 // dynamic.SimulateScenario decides, bit for bit.
 //
-// Alongside the exact D the plane maintains a certified upper bound
-// from cell-level state in the style of internal/scale's expansion
-// bound: each client's distance to its server is over-approximated by
-// its cell representative's distance plus the cell radius ρ, so
-// D ≤ CertifiedD ≤ D + 4·max ρ (2·max ρ per pair endpoint) without
-// ever touching per-client state.
+// The published D is exact, so it is its own certificate: CertifiedD
+// is D.
 //
 // A mutation costs O(incremental repair), not O(world): the evaluator
 // runs the incremental D engine of internal/core.
@@ -27,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,7 +31,6 @@ import (
 	"diacap/internal/dynamic"
 	"diacap/internal/latency"
 	"diacap/internal/obs"
-	"diacap/internal/scale"
 )
 
 // Typed control-plane errors.
@@ -48,6 +42,8 @@ var (
 	ErrNoCapacity = errors.New("shard: no capacity")
 	// ErrServerDown reports an operation targeting a killed server.
 	ErrServerDown = errors.New("shard: server is down")
+	// ErrUnknownServer reports a server id outside the plane's servers.
+	ErrUnknownServer = errors.New("shard: unknown server")
 )
 
 // EvacuationError reports a kill that committed with clients it had no
@@ -70,7 +66,8 @@ func (e *EvacuationError) Unwrap() []error {
 // Options configures New.
 type Options struct {
 	// Shards is the number of shards the clients are grouped into for
-	// reporting (default 1). No decision depends on it.
+	// reporting (default 1, at most one per client). No decision
+	// depends on it.
 	Shards int
 	// Servers are the server coordinates (required).
 	Servers []latency.Coord
@@ -79,12 +76,6 @@ type Options struct {
 	Clients []latency.Coord
 	// Capacities are per-server capacities (nil = uncapacitated).
 	Capacities core.Capacities
-	// MaxCells bounds the cell decomposition behind the shards and the
-	// certified bound (default scale.DefaultMaxCells).
-	MaxCells int
-	// KMeansIters refines the cell covering (default 8, matching
-	// internal/scale).
-	KMeansIters int
 	// Strategy places every join, strategy migration and evacuation and
 	// runs every repair (default GreedyJoin: minimize D on every
 	// placement, no repair). The plane owns it: stateful strategies
@@ -108,15 +99,6 @@ func (o *Options) fill() {
 	if o.Shards <= 0 {
 		o.Shards = 1
 	}
-	if o.MaxCells == 0 {
-		o.MaxCells = scale.DefaultMaxCells
-	}
-	if o.KMeansIters == 0 {
-		o.KMeansIters = 8
-	}
-	if o.KMeansIters < 0 {
-		o.KMeansIters = 0
-	}
 	if o.Strategy == nil {
 		o.Strategy = &dynamic.GreedyJoin{}
 	}
@@ -132,20 +114,10 @@ func (o *Options) fill() {
 // publish none; a restart of a live server and a no-op migrate publish
 // one. A kill of a live server is never refused: it publishes one
 // epoch, and its *EvacuationError names the clients it detached. Every
-// published epoch has no client on a dead server, no load above its
-// capacity, and D ≤ CertifiedD ≤ D + 4·MaxRho.
+// published epoch has no client on a dead server and no load above its
+// capacity.
 type Plane struct {
-	opts  Options
-	cells []scale.Cell
-	// clientShard and clientCell map a client id to its shard and its
-	// cell.
-	clientShard []int
-	clientCell  []int
-	// certDist[j][k] bounds the distance from every member of cell j to
-	// server k: the (floored) latency from the cell's representative to
-	// k plus the cell radius ρ.
-	certDist [][]float64
-	maxRho   float64
+	opts Options
 
 	// ev is the world: one evaluator over every server and client,
 	// indexed by server and client id. strat decides against eff, the
@@ -156,17 +128,9 @@ type Plane struct {
 	eff   core.Capacities
 	alive []bool
 	dead  int
-	// shards holds each shard's reporting state.
+	// shards holds each shard's reporting state; client c is grouped
+	// into shard c mod len(shards).
 	shards []shardState
-
-	// cellLoad[j·|S| + k] counts the active clients of cell j on server
-	// k, and bound[k] is the certified bound on server k: the max of
-	// certDist[j][k] over the cells j with clients on k (-1 when none).
-	// noteAssign keeps both current; certScan caches the pair scan over
-	// bound.
-	cellLoad []int32
-	bound    []float64
-	certScan pairScan
 	// dAttr is the epoch journal's rendered "d" for the D whose bits are
 	// dAttrBits.
 	dAttr     obs.Attr
@@ -180,10 +144,6 @@ type Plane struct {
 	serverNodes []int
 	clientNodes []int
 	numNodes    int
-	// drifted marks that the latency space no longer matches the cell
-	// geometry; the certified bound then degrades to the exact D (see
-	// publishLocked).
-	drifted bool
 	// lastRepair is the wall time of the last Repair (zero until the
 	// first).
 	lastRepair time.Time
@@ -218,10 +178,9 @@ type shardState struct {
 	summaryEpoch uint64
 }
 
-// New builds a plane over the client universe: cluster the clients into
-// cells, balance the cells across shards (largest cell first onto the
-// least-loaded shard — deterministic LPT), build the instance over
-// every server and client, and publish the empty epoch-1 snapshot. All
+// New builds a plane over the client universe: build the instance over
+// every server and client, group the clients into min(Shards, |C|)
+// shards round-robin, and publish the empty epoch-1 snapshot. All
 // clients start inactive. The plane's node space is [servers ∥
 // clients]: server k is node k and client i is node len(Servers)+i.
 func New(opts Options) (*Plane, error) {
@@ -262,22 +221,8 @@ func newPlane(opts Options, cs []latency.Coord, serverNodes, clientNodes []int) 
 			return nil, fmt.Errorf("shard: server %d: %w", k, err)
 		}
 	}
-	cells, err := scale.Cluster(opts.Clients, opts.MaxCells, opts.KMeansIters)
-	if err != nil {
-		return nil, err
-	}
-	// Cells are the unit of grouping, so more shards than populated
-	// cells would leave shards empty. Clamp: the LPT pass below then
-	// lands one populated cell on every shard before doubling up.
-	populated := 0
-	for _, cell := range cells {
-		if len(cell.Members) > 0 {
-			populated++
-		}
-	}
-	if opts.Shards > populated {
-		opts.Shards = populated
-	}
+	// More shards than clients would leave shards empty.
+	opts.Shards = min(opts.Shards, len(opts.Clients))
 	// Every entry is latency.CoordLatency over the plane's node ids, so
 	// it is bit-identical to the corresponding entry of any instance
 	// built over the same nodes — a scenario population's included.
@@ -291,20 +236,13 @@ func newPlane(opts Options, cs []latency.Coord, serverNodes, clientNodes []int) 
 	}
 	opts.Capacities = slices.Clone(opts.Capacities)
 
-	ns := len(opts.Servers)
 	p := &Plane{
 		opts:        opts,
-		cells:       cells,
-		clientShard: make([]int, len(opts.Clients)),
-		clientCell:  make([]int, len(opts.Clients)),
-		certDist:    make([][]float64, len(cells)),
 		ev:          ev,
 		strat:       opts.Strategy,
 		eff:         opts.Capacities,
-		alive:       make([]bool, ns),
+		alive:       make([]bool, len(opts.Servers)),
 		shards:      make([]shardState, opts.Shards),
-		cellLoad:    make([]int32, len(cells)*ns),
-		bound:       make([]float64, ns),
 		serverNodes: serverNodes,
 		clientNodes: clientNodes,
 		numNodes:    len(cs),
@@ -319,64 +257,13 @@ func newPlane(opts Options, cs []latency.Coord, serverNodes, clientNodes []int) 
 	}
 	for k := range p.alive {
 		p.alive[k] = true
-		p.bound[k] = -1
 	}
-	for j, cell := range cells {
-		row := make([]float64, ns)
-		for k, sc := range opts.Servers {
-			// Floored like latency.CoordLatency entries, and the
-			// larger of LatencyTo's argument orders (it adds the
-			// heights in order; an entry takes the lower node id
-			// first), so rep→server + ρ dominates every member's
-			// entry bit for bit, even in a singleton cell (ρ = 0).
-			row[k] = max(cell.Rep.LatencyTo(sc), sc.LatencyTo(cell.Rep), 1e-9) + cell.Rho
-		}
-		p.certDist[j] = row
-		if cell.Rho > p.maxRho {
-			p.maxRho = cell.Rho
-		}
-		for _, m := range cell.Members {
-			p.clientCell[m] = j
-		}
-	}
-	p.partition()
 	p.installDeltaHook()
 	p.installSuppressHook()
 	p.mu.Lock()
 	p.publishLocked(context.Background())
 	p.mu.Unlock()
 	return p, nil
-}
-
-// partition groups cells into shards: cells sorted by descending member
-// count (ascending index on ties) go greedily onto the shard with the
-// fewest clients so far (lowest id on ties). Deterministic and
-// balanced within one max-cell size.
-func (p *Plane) partition() {
-	order := make([]int, len(p.cells))
-	for j := range order {
-		order[j] = j
-	}
-	sort.Slice(order, func(x, y int) bool {
-		cx, cy := len(p.cells[order[x]].Members), len(p.cells[order[y]].Members)
-		if cx != cy {
-			return cx > cy
-		}
-		return order[x] < order[y]
-	})
-	loads := make([]int, p.opts.Shards)
-	for _, j := range order {
-		best := 0
-		for s := 1; s < len(loads); s++ {
-			if loads[s] < loads[best] {
-				best = s
-			}
-		}
-		loads[best] += len(p.cells[j].Members)
-		for _, m := range p.cells[j].Members {
-			p.clientShard[m] = best
-		}
-	}
 }
 
 // installDeltaHook attaches the evaluator delta hook, which records
@@ -396,7 +283,7 @@ func (p *Plane) installDeltaHook() {
 			return
 		}
 		p.curSpan.Event("evaluator."+ev.Op,
-			obs.Int("shard", p.clientShard[ev.Client]),
+			obs.Int("shard", p.shardOf(ev.Client)),
 			obs.Int("client", ev.Client),
 			obs.Int("server", ev.Server),
 			obs.F64("d", ev.D),
@@ -436,14 +323,14 @@ func (p *Plane) NumServers() int { return len(p.opts.Servers) }
 // NumClients returns the size of the client universe.
 func (p *Plane) NumClients() int { return len(p.opts.Clients) }
 
-// NumCells returns the number of partition cells.
-func (p *Plane) NumCells() int { return len(p.cells) }
-
-// ShardOf returns the shard client c is grouped into, or an error for
-// ids outside the universe.
+// ShardOf returns the shard client c is grouped into, c mod
+// NumShards(), or an error for ids outside the universe.
 func (p *Plane) ShardOf(c int) (int, error) {
-	if c < 0 || c >= len(p.clientShard) {
-		return 0, fmt.Errorf("%w: id %d (universe size %d)", ErrUnknownClient, c, len(p.clientShard))
+	if c < 0 || c >= p.NumClients() {
+		return 0, fmt.Errorf("%w: id %d (universe size %d)", ErrUnknownClient, c, p.NumClients())
 	}
-	return p.clientShard[c], nil
+	return p.shardOf(c), nil
 }
+
+// shardOf is ShardOf for a client id known to be in the universe.
+func (p *Plane) shardOf(c int) int { return c % len(p.shards) }

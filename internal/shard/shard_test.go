@@ -63,13 +63,11 @@ func bitsEq(t *testing.T, label string, got, want float64) {
 
 // TestPlaneSnapshotExactD drives random churn through a 4-shard plane
 // and checks, at every publish, that the published D is bit-identical
-// to a fresh evaluator over the matrix-built world and that the
-// certified bound brackets it.
+// to a fresh evaluator over the matrix-built world and that CertifiedD
+// is that D.
 func TestPlaneSnapshotExactD(t *testing.T) {
 	servers, clients := testCoords(t, 180, 10, 1)
-	p, err := shard.New(shard.Options{
-		Shards: 4, Servers: servers, Clients: clients, MaxCells: 24,
-	})
+	p, err := shard.New(shard.Options{Shards: 4, Servers: servers, Clients: clients})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,12 +113,7 @@ func TestPlaneSnapshotExactD(t *testing.T) {
 		if op%10 == 0 {
 			bitsEq(t, "snapshot D vs global evaluator", s.D, globalD(t, servers, clients, s.Assignment))
 		}
-		if s.CertifiedD < s.D {
-			t.Fatalf("op %d: certified bound %v below exact D %v", op, s.CertifiedD, s.D)
-		}
-		if s.CertifiedD > s.D+4*s.MaxRho+1e-9 {
-			t.Fatalf("op %d: certified bound %v exceeds D + 4·maxρ = %v", op, s.CertifiedD, s.D+4*s.MaxRho)
-		}
+		bitsEq(t, fmt.Sprintf("op %d: CertifiedD vs D", op), s.CertifiedD, s.D)
 	}
 	s := p.Current()
 	bitsEq(t, "final snapshot D", s.D, globalD(t, servers, clients, s.Assignment))
@@ -202,6 +195,21 @@ func TestPlaneOpErrors(t *testing.T) {
 	}
 	if _, err := p.Join(context.Background(), 5); err != nil {
 		t.Fatal(err)
+	}
+	// A server id outside [0, |S|) is unknown to every write that names
+	// one, and publishes nothing.
+	epoch := p.Epoch()
+	if _, err := p.Migrate(context.Background(), 5, len(servers)); !errors.Is(err, shard.ErrUnknownServer) {
+		t.Fatalf("migrate to server %d of %d: %v", len(servers), len(servers), err)
+	}
+	if _, _, err := p.KillServer(context.Background(), len(servers)); !errors.Is(err, shard.ErrUnknownServer) {
+		t.Fatalf("kill of server %d of %d: %v", len(servers), len(servers), err)
+	}
+	if _, err := p.RestartServer(context.Background(), -1); !errors.Is(err, shard.ErrUnknownServer) {
+		t.Fatalf("restart of server -1: %v", err)
+	}
+	if p.Epoch() != epoch {
+		t.Fatalf("a write naming an unknown server published epoch %d", p.Epoch())
 	}
 	if _, _, err := p.KillServer(context.Background(), 0); err != nil {
 		t.Fatal(err)

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"diacap/internal/obs"
-	"diacap/internal/perfkit"
 )
 
 // ErrStaleEpoch reports a snapshot read that named an epoch other than
@@ -49,12 +48,9 @@ type Snapshot struct {
 	// D is the exact global max interaction path, maintained by the
 	// plane's evaluator over the whole population.
 	D float64
-	// CertifiedD is the certified upper bound from cell-level state:
-	// D ≤ CertifiedD ≤ D + 4·MaxRho (each endpoint eccentricity of the
-	// pair scan can overshoot its exact value by at most 2·MaxRho).
+	// CertifiedD certifies D from above. D is exact, so it is its own
+	// certificate: CertifiedD equals D, bit for bit.
 	CertifiedD float64
-	// MaxRho is the largest cell radius; CertifiedD - D ≤ 4·MaxRho.
-	MaxRho float64
 	// Shards holds each shard's active count.
 	Shards []ShardSummary
 	// Alive[k] reports whether server k is up.
@@ -85,21 +81,22 @@ func (p *Plane) Epoch() uint64 { return p.snap.Load().Epoch }
 
 // publishLocked atomically swaps in the next snapshot of the world.
 // Callers hold p.mu. The assignment, loads and D are the evaluator's,
-// CertifiedD is the pair scan over the incremental bound noteAssign
-// keeps, rerun only when that vector changed. The publish is recorded
-// as a plane.publish child span of the context's span (if traced) and
-// every epoch bump lands in the flight recorder's epoch journal.
+// and the shard summaries are what noteAssign keeps. The publish is
+// recorded as a plane.publish child span of the context's span (if
+// traced) and every epoch bump lands in the flight recorder's epoch
+// journal.
 func (p *Plane) publishLocked(ctx context.Context) *Snapshot {
 	start := time.Now()
 	_, sp := obs.Child(ctx, "plane.publish")
 	defer sp.End()
 	p.epoch++
+	d := p.ev.D()
 	snap := &Snapshot{
 		Epoch:      p.epoch,
 		Assignment: p.ev.Assignment(),
 		Loads:      make([]int, len(p.alive)),
-		D:          p.ev.D(),
-		MaxRho:     p.maxRho,
+		D:          d,
+		CertifiedD: d,
 		Shards:     make([]ShardSummary, len(p.shards)),
 		Alive:      slices.Clone(p.alive),
 	}
@@ -117,13 +114,6 @@ func (p *Plane) publishLocked(ctx context.Context) *Snapshot {
 		}
 		snap.Shards[i] = ShardSummary{Shard: i, Active: sh.active}
 	}
-	// After coordinate drift the cell geometry no longer describes the
-	// live metric, so the only honest certificate is the exact value.
-	if p.drifted {
-		snap.CertifiedD = snap.D
-	} else {
-		snap.CertifiedD = p.certScan.eval(p.ev.Instance().FlatServerServer(), p.bound)
-	}
 	p.snap.Store(snap)
 	p.met.published(snap, time.Since(start).Seconds())
 	// Guarded so an uninstrumented publish skips attr rendering: both
@@ -131,8 +121,7 @@ func (p *Plane) publishLocked(ctx context.Context) *Snapshot {
 	// and every mutation passes through here.
 	if sp != nil {
 		sp.SetAttr(obs.Uint("epoch", snap.Epoch), obs.Int("dirty", dirty),
-			obs.F64("d", snap.D), obs.F64("certifiedD", snap.CertifiedD),
-			obs.Int("active", snap.Active))
+			obs.F64("d", snap.D), obs.Int("active", snap.Active))
 	}
 	if p.jEpoch != nil {
 		if b := math.Float64bits(snap.D); b != p.dAttrBits || p.dAttr.Key == "" {
@@ -144,31 +133,6 @@ func (p *Plane) publishLocked(ctx context.Context) *Snapshot {
 	}
 	return snap
 }
-
-// pairScan caches one perfkit.MaxPathEcc result with the vector it was
-// computed from. The scan is a pure function of the vector and the
-// server table, so an unchanged vector (bit for bit) reuses the last
-// value. A drifted plane stops reading it, so the server table never
-// changes under it.
-type pairScan struct {
-	vec   []float64
-	val   float64
-	valid bool
-}
-
-// eval returns perfkit.MaxPathEcc(ss, vec), rerunning the scan only
-// when vec differs from the cached vector in some bit.
-func (c *pairScan) eval(ss *perfkit.FlatMatrix, vec []float64) float64 {
-	if c.valid && slices.EqualFunc(vec, c.vec, sameBits) {
-		return c.val
-	}
-	c.val = perfkit.MaxPathEcc(ss, vec)
-	c.vec = append(c.vec[:0], vec...)
-	c.valid = true
-	return c.val
-}
-
-func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // ShardHealth is one shard's health line as exposed by /healthz: its
 // current summary epoch (the plane epoch at which a client of the shard
@@ -197,10 +161,4 @@ func (p *Plane) Health() []ShardHealth {
 		}
 	}
 	return out
-}
-
-// CertGap returns the published certified-bound slack CertifiedD - D,
-// clamped at zero (the bound can be tight).
-func (s *Snapshot) CertGap() float64 {
-	return math.Max(0, s.CertifiedD-s.D)
 }

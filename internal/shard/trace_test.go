@@ -199,41 +199,62 @@ func TestPlaneJournals(t *testing.T) {
 	}
 }
 
-// TestPlaneHealth pins the per-shard health surface: every shard
-// reports its own summary epoch and active count, and Repair stamps the
-// plane's lastRepair on every shard's line.
+// TestPlaneHealth pins the grouping and the per-shard health surface:
+// client c is grouped into shard c mod min(S, |C|), at 1, 3, 4 and 16
+// shards and with more shards than clients; every shard reports its own
+// summary epoch and active count, which sum to the snapshot's Active as
+// its shard summaries do; and Repair stamps the plane's lastRepair on
+// every shard's line.
 func TestPlaneHealth(t *testing.T) {
 	servers, clients := testCoords(t, 90, 5, 41)
-	p, err := shard.New(shard.Options{Shards: 3, Servers: servers, Clients: clients})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := 0; c < 30; c++ {
-		if _, err := p.Join(context.Background(), c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	hs := p.Health()
-	if len(hs) != 3 {
-		t.Fatalf("Health() returned %d shards, want 3", len(hs))
-	}
-	active := 0
-	for i, h := range hs {
-		if h.Shard != i {
-			t.Fatalf("health[%d].Shard = %d", i, h.Shard)
-		}
-		if !h.LastRepair.IsZero() {
-			t.Fatalf("shard %d reports a repair before any Repair", i)
-		}
-		active += h.Active
-	}
-	if active != 30 {
-		t.Fatalf("per-shard active sums to %d, want 30", active)
-	}
-	p.Repair(context.Background(), 0)
-	for _, h := range p.Health() {
-		if h.LastRepair.IsZero() {
-			t.Fatalf("Repair did not stamp shard %d's lastRepair", h.Shard)
-		}
+	for _, shards := range []int{1, 3, 4, 16, 2 * len(clients)} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			p, err := shard.New(shard.Options{Shards: shards, Servers: servers, Clients: clients})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := min(shards, len(clients))
+			if p.NumShards() != want {
+				t.Fatalf("plane has %d shards, want %d", p.NumShards(), want)
+			}
+			for c := range clients {
+				if got, err := p.ShardOf(c); err != nil || got != c%want {
+					t.Fatalf("ShardOf(%d) = %d, %v; want %d", c, got, err, c%want)
+				}
+			}
+			for c := 0; c < 30; c++ {
+				if _, err := p.Join(context.Background(), c); err != nil {
+					t.Fatal(err)
+				}
+			}
+			hs := p.Health()
+			if len(hs) != want {
+				t.Fatalf("Health() returned %d shards, want %d", len(hs), want)
+			}
+			health, summaries := 0, 0
+			for i, h := range hs {
+				if h.Shard != i {
+					t.Fatalf("health[%d].Shard = %d", i, h.Shard)
+				}
+				if !h.LastRepair.IsZero() {
+					t.Fatalf("shard %d reports a repair before any Repair", i)
+				}
+				health += h.Active
+			}
+			snap := p.Current()
+			for _, sum := range snap.Shards {
+				summaries += sum.Active
+			}
+			if snap.Active != 30 || health != 30 || summaries != 30 {
+				t.Fatalf("active %d; per-shard health sums to %d, shard summaries to %d; want 30",
+					snap.Active, health, summaries)
+			}
+			p.Repair(context.Background(), 0)
+			for _, h := range p.Health() {
+				if h.LastRepair.IsZero() {
+					t.Fatalf("Repair did not stamp shard %d's lastRepair", h.Shard)
+				}
+			}
+		})
 	}
 }
