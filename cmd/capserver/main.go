@@ -14,14 +14,14 @@
 //	}'
 //	curl -s localhost:9090/metrics
 //
-// With -shards the sharded control plane also mounts the zero-alloc
+// With -plane the assignment control plane also mounts the zero-alloc
 // serving endpoints /v1/assign-one and /v1/assign-batch: lock-free
 // snapshot reads answering "which server should this prospective client
 // attach to", one admission decision and one perfkit evaluation per
 // request no matter how many clients the batch carries (cmd/diaload
 // load-tests them; see DESIGN.md §17 for the protocol):
 //
-//	capserver -shards 4 &
+//	capserver -plane &
 //	curl -s -X POST localhost:8080/v1/assign-batch -d '{
 //	    "coords": [[12.5, 37.25], [40, 80, 1, 0.5]]
 //	}'
@@ -88,7 +88,7 @@ func main() {
 		pprofFlag    = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		logLevel     = flag.String("log-level", "info", "log level: debug | info | warn | error")
 		liveNodes    = flag.Int("live", 0, "boot a demo live cluster over a synthetic n-node matrix (0 = off)")
-		shardCount   = flag.Int("shards", 0, "front a demo sharded assignment control plane with this many shards over a synthetic 8-server/400-client population (0 = off)")
+		planeFlag    = flag.Bool("plane", false, "front a demo assignment control plane over a synthetic 8-server/400-client population")
 		traceSample  = flag.Float64("trace-sample", 0, "fraction of requests to trace (0 = off, 1 = all); span trees at /debug/trace")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "grace period for in-flight requests on SIGTERM/SIGINT")
 	)
@@ -144,7 +144,7 @@ func main() {
 		// a cluster mid-failover.
 		opts.Admission = &service.AdmissionConfig{Health: cluster}
 	}
-	if *shardCount > 0 {
+	if *planeFlag {
 		shard.Preregister(reg)
 		const demoServers, demoClients = 8, 400
 		cs, err := latency.GenerateCoords(latency.DefaultConfig(demoServers+demoClients), 1)
@@ -152,7 +152,6 @@ func main() {
 			fatal(err)
 		}
 		plane, err := shard.New(shard.Options{
-			Shards:  *shardCount,
 			Servers: cs[:demoServers],
 			Clients: cs[demoServers:],
 			Metrics: reg,
@@ -163,8 +162,7 @@ func main() {
 			fatal(err)
 		}
 		opts.Shard = plane
-		logger.Info("sharded control plane ready",
-			"shards", plane.NumShards(),
+		logger.Info("control plane ready",
 			"servers", plane.NumServers(), "clients", plane.NumClients())
 	}
 	svc := service.New(opts)

@@ -314,9 +314,7 @@ func suite() []benchmark {
 	}
 }
 
-// buildInstance places servers on the first ns nodes and a client on
-// every node — the same fixed layout the differential tests use.
-// benchPlane builds a 4-shard control plane (16 servers, 1600 clients,
+// benchPlane builds a control plane (16 servers, 1600 clients,
 // synthetic coordinates — the suite's standard production scale) with
 // every client joined, optionally carrying a tracer and flight recorder.
 // The traced and untraced sides of the obs/ pairs each call this with
@@ -329,7 +327,6 @@ func benchPlane(tr *obs.Tracer, fl *obs.Recorder) *shard.Plane {
 		panic(err)
 	}
 	p, err := shard.New(shard.Options{
-		Shards:  4,
 		Servers: cs[:ns],
 		Clients: cs[ns:],
 		Tracer:  tr,
@@ -372,6 +369,8 @@ func churnTape(nc, ns int, seed int64) (clients, servers []int) {
 	return clients, servers
 }
 
+// buildInstance places servers on the first ns nodes and a client on
+// every node — the same fixed layout the differential tests use.
 func buildInstance(m latency.Matrix, ns int) *core.Instance {
 	servers := make([]int, ns)
 	for i := range servers {

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	capserver -shards 4 &
+//	capserver -plane &
 //	diaload -url http://127.0.0.1:8080 -batch 256 \
 //	        -ramp 5s -steady 20s -overload 5s
 //

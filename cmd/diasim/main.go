@@ -29,12 +29,12 @@
 // D-vs-disruption outcome; -scenario with -chaos deploys the scenario
 // population as a live cluster and replays its kill and partition
 // schedule over real TCP, every placement and evacuation decided by a
-// control plane (-strategy, -cap, -shards) and enacted by the cluster:
+// control plane (-strategy, -cap) and enacted by the cluster:
 //
 //	diasim -scenario flashcrowd -strategy hysteresis
 //	diasim -scenario storm -strategy always-rebalance -cap 30
 //	diasim -scenario flashcrowd -chaos -delta-factor 1.3
-//	diasim -scenario storm -chaos -shards 16 -cap 24
+//	diasim -scenario storm -chaos -cap 24
 //
 // Observability: -trace-algo logs every assignment-algorithm step (the
 // Greedy batch picks, the Distributed-Greedy D trajectory, annealing

@@ -37,8 +37,8 @@ var (
 		`online policy of -scenario runs, and of the plane that decides -scenario -chaos failovers: nearest | greedy+repair | hysteresis | always-rebalance`)
 	scenarioCap = flag.Int("cap", 0,
 		"scenario: uniform per-server client capacity (0 = unlimited)")
-	scenarioShards = flag.Int("shards", 0,
-		"scenario: replay through a sharded control plane with this many shards (0 = unsharded simulator); with -chaos, the shard count of the plane that decides (0 = 1)")
+	scenarioPlane = flag.Bool("plane", false,
+		"scenario: replay through the assignment control plane instead of the simulator (with -chaos a plane always decides)")
 )
 
 // buildScenarioStrategy mirrors the policy ladder of the bench churn
@@ -83,8 +83,8 @@ func runScenario(kind string, seed int64, deltaFactor float64, numOps int, inter
 	if *chaosMode {
 		return runScenarioChaos(sc, seed, deltaFactor, numOps, interval, reg)
 	}
-	if *scenarioShards > 0 {
-		return runScenarioSharded(sc, reg)
+	if *scenarioPlane {
+		return runScenarioPlane(sc, reg)
 	}
 	return runScenarioSim(sc)
 }
@@ -100,7 +100,7 @@ func scenarioCaps(sc *dynamic.Scenario) core.Capacities {
 
 // newScenarioPlane builds the control plane over the scenario's
 // population: the -strategy policy and the -cap capacities.
-func newScenarioPlane(sc *dynamic.Scenario, shards int, reg *obs.Registry) (*shard.Plane, error) {
+func newScenarioPlane(sc *dynamic.Scenario, reg *obs.Registry) (*shard.Plane, error) {
 	strat, err := buildScenarioStrategy(*scenarioStrategy, sc.Pop.Instance)
 	if err != nil {
 		return nil, err
@@ -109,31 +109,27 @@ func newScenarioPlane(sc *dynamic.Scenario, shards int, reg *obs.Registry) (*sha
 		shard.Preregister(reg)
 	}
 	return shard.NewFromPopulation(sc.Pop, shard.Options{
-		Shards:     shards,
 		Capacities: scenarioCaps(sc),
 		Metrics:    reg,
 		Strategy:   strat,
 	})
 }
 
-// runScenarioSharded replays the scenario through the assignment
-// control plane: every event publishes a fresh epoch, and the shards
-// group the clients round-robin for the event spread. The plane decides
-// what the simulator decides, so the lines both print match at every
-// shard count.
-func runScenarioSharded(sc *dynamic.Scenario, reg *obs.Registry) error {
-	p, err := newScenarioPlane(sc, *scenarioShards, reg)
+// runScenarioPlane replays the scenario through the assignment control
+// plane: every event publishes a fresh epoch. The plane decides what
+// the simulator decides, so the lines both print match.
+func runScenarioPlane(sc *dynamic.Scenario, reg *obs.Registry) error {
+	p, err := newScenarioPlane(sc, reg)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("strategy: %s, %d shards\n\n", *scenarioStrategy, p.NumShards())
+	fmt.Printf("strategy: %s, control plane\n\n", *scenarioStrategy)
 
 	res, err := p.Replay(context.Background(), sc)
 	if err != nil {
 		return scenarioError(err)
 	}
 	printScenarioReport(&res.ScenarioResult,
-		fmt.Sprintf("shard event spread:       %v", res.ShardEvents),
 		fmt.Sprintf("published epochs:         %d", res.FinalEpoch))
 	return nil
 }
@@ -199,15 +195,15 @@ func printScenarioReport(res *dynamic.ScenarioResult, planeLines ...string) {
 }
 
 // runScenarioChaos deploys the scenario population as a live TCP
-// cluster and replays its failure schedule. A plane (max(1, -shards)
-// shards) joins the population in ascending id and decides every
-// evacuation: a kill is Kill on the cluster, KillServer on the plane,
-// then Failover onto the plane's assignment. Partition windows become
+// cluster and replays its failure schedule. A plane joins the
+// population in ascending id and decides every evacuation: a kill is
+// Kill on the cluster, KillServer on the plane, then Failover onto the
+// plane's assignment. Partition windows become
 // FaultPlan link cuts. The workload is shifted by the same warmup the
 // classic chaos mode uses so the kill schedule lands inside the run.
 func runScenarioChaos(sc *dynamic.Scenario, seed int64, deltaFactor float64, numOps int, interval float64, reg *obs.Registry) error {
 	in := sc.Pop.Instance
-	p, err := newScenarioPlane(sc, max(1, *scenarioShards), reg)
+	p, err := newScenarioPlane(sc, reg)
 	if err != nil {
 		return err
 	}
@@ -223,7 +219,7 @@ func runScenarioChaos(sc *dynamic.Scenario, seed int64, deltaFactor float64, num
 		return err
 	}
 	delta := off.D * deltaFactor
-	fmt.Printf("strategy: %s, %d shards\n", *scenarioStrategy, p.NumShards())
+	fmt.Printf("strategy: %s, control plane\n", *scenarioStrategy)
 
 	const warmup = 100.0 // virtual ms before the first issue
 	plan := &live.FaultPlan{

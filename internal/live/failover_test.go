@@ -205,7 +205,9 @@ func TestKillMidRunFailover(t *testing.T) {
 // TestFailoverEnactsPlaneDecision deploys a capacitated plane's
 // assignment of storm's population and replays storm's kills: after
 // each, the cluster enacts the plane's published assignment, and its
-// PostD must equal the plane's D bit for bit.
+// PostD must equal the plane's D bit for bit. The clients join group
+// by group, client c in group c mod N for the subtest's N, so each
+// subtest deploys a different assignment; N = 1 is ascending id order.
 func TestFailoverEnactsPlaneDecision(t *testing.T) {
 	sc, err := dynamic.BuildScenario("storm", 1)
 	if err != nil {
@@ -213,16 +215,18 @@ func TestFailoverEnactsPlaneDecision(t *testing.T) {
 	}
 	in := sc.Pop.Instance
 	caps := core.UniformCapacities(in.NumServers(), 24)
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+	for _, groups := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", groups), func(t *testing.T) {
 			ctx := context.Background()
-			p, err := shard.NewFromPopulation(sc.Pop, shard.Options{Shards: shards, Capacities: caps})
+			p, err := shard.NewFromPopulation(sc.Pop, shard.Options{Capacities: caps})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for c := 0; c < in.NumClients(); c++ {
-				if _, err := p.Join(ctx, c); err != nil {
-					t.Fatal(err)
+			for g := range groups {
+				for c := g; c < in.NumClients(); c += groups {
+					if _, err := p.Join(ctx, c); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 			a := p.Current().Assignment

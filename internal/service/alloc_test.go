@@ -78,7 +78,7 @@ func TestServePathZeroAlloc(t *testing.T) {
 	if testkit.RaceEnabled {
 		t.Skip("allocation counts include race-detector bookkeeping")
 	}
-	s, _ := resolveServer(t, 2, Options{})
+	s, _ := resolveServer(t, Options{})
 
 	if avg := serveAllocs(t, "/v1/assign-one",
 		`{"coord":[25,35,1,0.5]}`, s.handleAssignOne); avg != 0 {
@@ -113,7 +113,7 @@ func TestServeChainAllocs(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	PreregisterMetrics(reg)
-	s, _ := resolveServer(t, 2, Options{
+	s, _ := resolveServer(t, Options{
 		Metrics:        reg,
 		Flight:         obs.NewRecorder(0),
 		RequestTimeout: 30 * time.Second,

@@ -18,15 +18,15 @@ import (
 	"diacap/internal/shard"
 )
 
-// resolveServer builds a service over a joined shard plane: 4 servers,
-// 40 clients, the first 10 joined.
-func resolveServer(t testing.TB, shards int, opts Options) (*Server, *shard.Plane) {
+// resolveServer builds a service over a joined plane: 4 servers, 40
+// clients, the first 10 joined.
+func resolveServer(t testing.TB, opts Options) (*Server, *shard.Plane) {
 	t.Helper()
 	cs, err := latency.GenerateCoords(latency.DefaultConfig(44), 21)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := shard.New(shard.Options{Shards: shards, Servers: cs[:4], Clients: cs[4:]})
+	p, err := shard.New(shard.Options{Servers: cs[:4], Clients: cs[4:]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func postRaw(t testing.TB, s *Server, path, body string) *httptest.ResponseRecor
 }
 
 func TestAssignBatchResolvesAgainstSnapshot(t *testing.T) {
-	s, p := resolveServer(t, 2, Options{})
+	s, p := resolveServer(t, Options{})
 	// Mixed arities: [x,y], [x,y,z], [x,y,z,h].
 	body := `{"coords":[[10,20],[30,40,5],[60,10,0,2.5]]}`
 	rec := postRaw(t, s, "/v1/assign-batch", body)
@@ -92,7 +92,7 @@ func TestAssignBatchResolvesAgainstSnapshot(t *testing.T) {
 }
 
 func TestAssignOneMatchesBatchEntry(t *testing.T) {
-	s, _ := resolveServer(t, 2, Options{})
+	s, _ := resolveServer(t, Options{})
 	batch := decodeBody[AssignBatchResponse](t,
 		postRaw(t, s, "/v1/assign-batch", `{"coords":[[25,35,1,0.5]]}`))
 	rec := postRaw(t, s, "/v1/assign-one", `{"coord":[25,35,1,0.5]}`)
@@ -107,7 +107,7 @@ func TestAssignOneMatchesBatchEntry(t *testing.T) {
 }
 
 func TestAssignBatchEpochPinning(t *testing.T) {
-	s, p := resolveServer(t, 2, Options{})
+	s, p := resolveServer(t, Options{})
 	epoch := p.Epoch()
 	rec := postRaw(t, s, "/v1/assign-batch",
 		fmt.Sprintf(`{"coords":[[1,2]],"epoch":%d}`, epoch))
@@ -130,7 +130,7 @@ func TestAssignBatchEpochPinning(t *testing.T) {
 // TestResolveStatusMapping pins the typed-error contract of the serving
 // codec: syntax 400, oversize 413, semantic violations 422, shed 429.
 func TestResolveStatusMapping(t *testing.T) {
-	s, _ := resolveServer(t, 2, Options{MaxBatchClients: 4, MaxBodyBytes: 256})
+	s, _ := resolveServer(t, Options{MaxBatchClients: 4, MaxBodyBytes: 256})
 	cases := []struct {
 		name string
 		path string
@@ -187,7 +187,7 @@ func TestResolveShedsWholeBatch(t *testing.T) {
 		Deliveries: 100, LagSpreadSum: 100 * 1000,
 	}
 	quiet := live.HealthSnapshot{Servers: 4, Clients: 10}
-	s, _ := resolveServer(t, 2, Options{Admission: &AdmissionConfig{
+	s, _ := resolveServer(t, Options{Admission: &AdmissionConfig{
 		Health: &stubHealth{snaps: []live.HealthSnapshot{quiet, sick}},
 		Window: time.Nanosecond,
 	}})
@@ -208,7 +208,7 @@ func TestResolveShedsWholeBatch(t *testing.T) {
 
 // TestAssignBatchDifferential pins bit-identity between one batch call
 // and N sequential unary calls against the same pinned epoch, across
-// GOMAXPROCS and shard counts.
+// GOMAXPROCS settings.
 func TestAssignBatchDifferential(t *testing.T) {
 	cs, err := latency.GenerateCoords(latency.DefaultConfig(64), 7)
 	if err != nil {
@@ -218,32 +218,30 @@ func TestAssignBatchDifferential(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 8} {
 		runtime.GOMAXPROCS(procs)
-		for _, shards := range []int{1, 4} {
-			s, p := resolveServer(t, shards, Options{})
-			epoch := p.Epoch()
-			var batchReq AssignBatchRequest
-			batchReq.Epoch = &epoch
-			for _, q := range queries {
-				batchReq.Coords = append(batchReq.Coords, []float64{q.X, q.Y, q.Z, q.H})
-			}
-			rec := postJSON(t, s, "/v1/assign-batch", batchReq)
+		s, p := resolveServer(t, Options{})
+		epoch := p.Epoch()
+		var batchReq AssignBatchRequest
+		batchReq.Epoch = &epoch
+		for _, q := range queries {
+			batchReq.Coords = append(batchReq.Coords, []float64{q.X, q.Y, q.Z, q.H})
+		}
+		rec := postJSON(t, s, "/v1/assign-batch", batchReq)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("procs %d: batch status %d: %s", procs, rec.Code, rec.Body.String())
+		}
+		batch := decodeBody[AssignBatchResponse](t, rec)
+		for i, q := range queries {
+			rec := postJSON(t, s, "/v1/assign-one", AssignOneRequest{
+				Coord: []float64{q.X, q.Y, q.Z, q.H}, Epoch: &epoch,
+			})
 			if rec.Code != http.StatusOK {
-				t.Fatalf("procs %d shards %d: batch status %d: %s", procs, shards, rec.Code, rec.Body.String())
+				t.Fatalf("procs %d: unary %d status %d: %s", procs, i, rec.Code, rec.Body.String())
 			}
-			batch := decodeBody[AssignBatchResponse](t, rec)
-			for i, q := range queries {
-				rec := postJSON(t, s, "/v1/assign-one", AssignOneRequest{
-					Coord: []float64{q.X, q.Y, q.Z, q.H}, Epoch: &epoch,
-				})
-				if rec.Code != http.StatusOK {
-					t.Fatalf("procs %d shards %d: unary %d status %d: %s", procs, shards, i, rec.Code, rec.Body.String())
-				}
-				one := decodeBody[AssignOneResponse](t, rec)
-				if one.Server != batch.Servers[i] || one.LatencyMs != batch.LatencyMs[i] ||
-					one.Epoch != batch.Epoch || one.D != batch.D || one.CertifiedD != batch.CertifiedD {
-					t.Fatalf("procs %d shards %d: query %d: unary %+v != batch entry (%d, %v) under epoch %d d %v",
-						procs, shards, i, one, batch.Servers[i], batch.LatencyMs[i], batch.Epoch, batch.D)
-				}
+			one := decodeBody[AssignOneResponse](t, rec)
+			if one.Server != batch.Servers[i] || one.LatencyMs != batch.LatencyMs[i] ||
+				one.Epoch != batch.Epoch || one.D != batch.D || one.CertifiedD != batch.CertifiedD {
+				t.Fatalf("procs %d: query %d: unary %+v != batch entry (%d, %v) under epoch %d d %v",
+					procs, i, one, batch.Servers[i], batch.LatencyMs[i], batch.Epoch, batch.D)
 			}
 		}
 	}

@@ -168,15 +168,15 @@ func TestServerPanicRouteRecovered(t *testing.T) {
 	}
 }
 
-// oneShardServer fronts a one-shard plane, built with strategy (nil =
-// the plane's default), with a service under RequestTimeout d.
-func oneShardServer(t *testing.T, d time.Duration, strategy dynamic.Strategy) (*Server, *shard.Plane) {
+// planeServer fronts a plane, built with strategy (nil = the plane's
+// default), with a service under RequestTimeout d.
+func planeServer(t *testing.T, d time.Duration, strategy dynamic.Strategy) (*Server, *shard.Plane) {
 	t.Helper()
 	cs, err := latency.GenerateCoords(latency.DefaultConfig(44), 21)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := shard.New(shard.Options{Shards: 1, Servers: cs[:4], Clients: cs[4:], Strategy: strategy})
+	p, err := shard.New(shard.Options{Servers: cs[:4], Clients: cs[4:], Strategy: strategy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func oneShardServer(t *testing.T, d time.Duration, strategy dynamic.Strategy) (*
 // solver routes answer 503 JSON once it expires, while a plane write
 // and a serving read run inline and answer what they computed.
 func TestRequestTimeoutScope(t *testing.T) {
-	s, _ := oneShardServer(t, time.Nanosecond, nil)
+	s, _ := planeServer(t, time.Nanosecond, nil)
 
 	rec := postJSON(t, s, "/v1/assign", AssignRequest{
 		Matrix: smallMatrix(t), Servers: []int{0, 1}, Algorithm: "Greedy", Seed: ptr[int64](1),
@@ -234,7 +234,7 @@ func (p *parkedRepair) Repair(*core.Evaluator, core.Capacities, float64) int {
 // epoch it published, never a 503 for a write that happened.
 func TestShardWriteNotReportedTimedOut(t *testing.T) {
 	parked := &parkedRepair{Strategy: dynamic.NewGreedyJoin(nil), entered: make(chan struct{}), release: make(chan struct{})}
-	s, p := oneShardServer(t, 50*time.Millisecond, parked)
+	s, p := planeServer(t, 50*time.Millisecond, parked)
 	repaired := make(chan struct{})
 	go func() {
 		p.Repair(context.Background(), 0)
@@ -255,6 +255,43 @@ func TestShardWriteNotReportedTimedOut(t *testing.T) {
 	}
 	if got := snap.Assignment[7]; got != resp.Server {
 		t.Fatalf("client 7 is on server %d, response names %d", got, resp.Server)
+	}
+}
+
+// TestHealthzNotBlockedByPlaneWrite: /healthz answers while a plane
+// write holds the plane lock, because its plane section reads the
+// published snapshot and an atomic, never the lock.
+func TestHealthzNotBlockedByPlaneWrite(t *testing.T) {
+	parked := &parkedRepair{Strategy: dynamic.NewGreedyJoin(nil), entered: make(chan struct{}), release: make(chan struct{})}
+	s, p := planeServer(t, 0, parked)
+	repaired := make(chan struct{})
+	go func() {
+		p.Repair(context.Background(), 0)
+		close(repaired)
+	}()
+	<-parked.entered
+	defer func() {
+		close(parked.release)
+		<-repaired
+	}()
+
+	answered := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+		answered <- rec
+	}()
+	select {
+	case rec := <-answered:
+		if rec.Code != http.StatusOK {
+			t.Fatalf("/healthz: status %d: %s", rec.Code, rec.Body.String())
+		}
+		sh, ok := decodeBody[map[string]any](t, rec)["shard"].(map[string]any)
+		if !ok || sh["epoch"].(float64) != 1 || sh["lastRepair"] == (time.Time{}).Format(time.RFC3339Nano) {
+			t.Fatalf("/healthz shard section %v, want epoch 1 and the parked repair's start", sh)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("/healthz did not answer within 5 s while a plane write held the plane lock")
 	}
 }
 

@@ -20,7 +20,7 @@
 //	POST /v1/assign-batch  resolve a whole batch of prospective clients
 //	                       under one snapshot and one admission decision
 //	                       (Options.Shard; see AssignBatchRequest)
-//	POST /v1/shard/assign  mutate the sharded control plane
+//	POST /v1/shard/assign  mutate the assignment control plane
 //	                       (Options.Shard; see ShardAssignRequest)
 //	GET  /v1/shard/snapshot
 //	                       published shard snapshot, optionally
@@ -90,8 +90,8 @@ type Options struct {
 	// DrainTimeout bounds the in-flight drain of Serve on shutdown
 	// (default 10 s).
 	DrainTimeout time.Duration
-	// Shard, if non-nil, is the sharded assignment control plane this
-	// service fronts; it mounts POST /v1/shard/assign,
+	// Shard, if non-nil, is the assignment control plane this service
+	// fronts; it mounts POST /v1/shard/assign,
 	// GET /v1/shard/snapshot, and the zero-alloc serving endpoints
 	// POST /v1/assign-one and POST /v1/assign-batch.
 	Shard *shard.Plane
@@ -330,13 +330,15 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if p := s.opts.Shard; p != nil {
+		// The published snapshot and an atomic: a probe never waits
+		// behind a plane write.
 		snap := p.Current()
 		resp["shard"] = map[string]any{
 			"epoch":      snap.Epoch,
 			"active":     snap.Active,
 			"d":          snap.D,
 			"certifiedD": snap.CertifiedD,
-			"shards":     p.Health(),
+			"lastRepair": p.LastRepair(),
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)

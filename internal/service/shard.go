@@ -17,7 +17,7 @@ import (
 const epochHeader = "X-Diacap-Epoch"
 
 // ShardAssignRequest is one control-plane mutation routed to the
-// sharded plane.
+// plane.
 type ShardAssignRequest struct {
 	// Op is "join", "leave", or "migrate".
 	Op string `json:"op"`
@@ -33,7 +33,6 @@ type ShardAssignRequest struct {
 // published world state.
 type ShardAssignResponse struct {
 	Epoch uint64 `json:"epoch"`
-	Shard int    `json:"shard"`
 	// Server is the client's server after a join or migrate, and the
 	// vacated server after a leave.
 	Server int     `json:"server"`
@@ -52,8 +51,6 @@ type ShardSnapshotResponse struct {
 	Assignment []int   `json:"assignment"`
 	Loads      []int   `json:"loads"`
 	Alive      []bool  `json:"alive"`
-	// ShardLoad[i] counts the active clients grouped into shard i.
-	ShardLoad []int `json:"shardLoad"`
 }
 
 // shardOpError maps plane rejections onto the service's status
@@ -110,7 +107,6 @@ func (s *Server) handleShardAssign(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(epochHeader, strconv.FormatUint(res.Epoch, 10))
 	writeJSON(w, http.StatusOK, ShardAssignResponse{
 		Epoch:      res.Epoch,
-		Shard:      res.Shard,
 		Server:     res.Server,
 		D:          res.D,
 		CertifiedD: res.D,
@@ -145,7 +141,7 @@ func (s *Server) handleShardSnapshot(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	w.Header().Set(epochHeader, strconv.FormatUint(snap.Epoch, 10))
-	resp := ShardSnapshotResponse{
+	writeJSON(w, http.StatusOK, ShardSnapshotResponse{
 		Epoch:      snap.Epoch,
 		Active:     snap.Active,
 		D:          snap.D,
@@ -153,10 +149,5 @@ func (s *Server) handleShardSnapshot(w http.ResponseWriter, r *http.Request) {
 		Assignment: snap.Assignment,
 		Loads:      snap.Loads,
 		Alive:      snap.Alive,
-		ShardLoad:  make([]int, len(snap.Shards)),
-	}
-	for i, sum := range snap.Shards {
-		resp.ShardLoad[i] = sum.Active
-	}
-	writeJSON(w, http.StatusOK, resp)
+	})
 }

@@ -13,8 +13,8 @@ import (
 	"diacap/internal/shard"
 )
 
-// shardServer serves a 2-shard plane over 4 servers and 40 clients,
-// plane and service sharing one metrics registry.
+// shardServer serves a plane over 4 servers and 40 clients, plane and
+// service sharing one metrics registry.
 func shardServer(t *testing.T) (*Server, *shard.Plane) {
 	t.Helper()
 	cs, err := latency.GenerateCoords(latency.DefaultConfig(44), 21)
@@ -22,7 +22,7 @@ func shardServer(t *testing.T) (*Server, *shard.Plane) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	p, err := shard.New(shard.Options{Shards: 2, Servers: cs[:4], Clients: cs[4:], Metrics: reg})
+	p, err := shard.New(shard.Options{Servers: cs[:4], Clients: cs[4:], Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func TestResolveStormAtomicity(t *testing.T) {
 		Failovers: 50, ReconnectAttempts: 500,
 		Deliveries: 100, LagSpreadSum: 100 * 1000,
 	}
-	s, p := resolveServer(t, 2, Options{Admission: &AdmissionConfig{
+	s, p := resolveServer(t, Options{Admission: &AdmissionConfig{
 		Health: &flapHealth{snaps: []live.HealthSnapshot{quiet, storm}},
 		Window: 500 * time.Microsecond,
 	}})

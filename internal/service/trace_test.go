@@ -26,7 +26,7 @@ func tracedShardServer(t *testing.T) (*Server, *obs.Tracer, *obs.Recorder) {
 	tr := obs.NewTracer(obs.TracerOptions{SampleRate: 1, Seed: 5})
 	fl := obs.NewRecorder(0)
 	p, err := shard.New(shard.Options{
-		Shards: 2, Servers: cs[:4], Clients: cs[4:], Tracer: tr, Flight: fl,
+		Servers: cs[:4], Clients: cs[4:], Tracer: tr, Flight: fl,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -171,38 +171,48 @@ func TestUntracedServerStillServes(t *testing.T) {
 	}
 }
 
-// TestHealthzShardSection pins the per-shard health surface on /healthz:
-// epoch, active count, and one entry per shard.
+// TestHealthzShardSection pins the plane section of /healthz: the
+// published epoch, active count, D and certified D, and one plane-wide
+// last-repair time, zero until the first Repair. The plane has no
+// shards, so the section lists none.
 func TestHealthzShardSection(t *testing.T) {
 	s, p := shardServer(t)
 	if _, err := p.Join(context.Background(), 5); err != nil {
 		t.Fatal(err)
 	}
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("/healthz: status %d", rec.Code)
+	section := func() map[string]any {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("/healthz: status %d", rec.Code)
+		}
+		body := decodeBody[map[string]any](t, rec)
+		sh, ok := body["shard"].(map[string]any)
+		if !ok {
+			t.Fatalf("/healthz has no shard section: %v", body)
+		}
+		return sh
 	}
-	body := decodeBody[map[string]any](t, rec)
-	sh, ok := body["shard"].(map[string]any)
-	if !ok {
-		t.Fatalf("/healthz has no shard section: %v", body)
-	}
+	sh := section()
 	if sh["epoch"].(float64) != 2 || sh["active"].(float64) != 1 {
 		t.Fatalf("shard section epoch/active: %v", sh)
 	}
-	shards, ok := sh["shards"].([]any)
-	if !ok || len(shards) != 2 {
-		t.Fatalf("shard section lists %v, want 2 shards", sh["shards"])
-	}
-	first, ok := shards[0].(map[string]any)
-	if !ok {
-		t.Fatalf("per-shard entry: %v", shards[0])
-	}
-	for _, key := range []string{"shard", "summaryEpoch", "active", "lastRepair"} {
-		if _, ok := first[key]; !ok {
-			t.Fatalf("per-shard health entry missing %q: %v", key, first)
+	for _, key := range []string{"d", "certifiedD", "lastRepair"} {
+		if _, ok := sh[key]; !ok {
+			t.Fatalf("shard section missing %q: %v", key, sh)
 		}
+	}
+	if _, ok := sh["shards"]; ok {
+		t.Fatalf("shard section still lists shards: %v", sh)
+	}
+	if got := sh["lastRepair"]; got != (time.Time{}).Format(time.RFC3339Nano) {
+		t.Fatalf("lastRepair %v before any Repair, want the zero time", got)
+	}
+	p.Repair(context.Background(), 0)
+	last, err := time.Parse(time.RFC3339Nano, section()["lastRepair"].(string))
+	if err != nil || last.IsZero() {
+		t.Fatalf("lastRepair after a Repair: %v, %v", last, err)
 	}
 }
 

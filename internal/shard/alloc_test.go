@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"diacap/internal/core"
 	"diacap/internal/shard"
 	"diacap/internal/testkit"
 )
@@ -18,7 +19,7 @@ func TestSnapshotReadZeroAlloc(t *testing.T) {
 		t.Skip("allocation counts include race-detector bookkeeping")
 	}
 	servers, clients := testCoords(t, 40, 4, 3)
-	p, err := shard.New(shard.Options{Shards: 2, Servers: servers, Clients: clients})
+	p, err := shard.New(shard.Options{Servers: servers, Clients: clients})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestRepairNoMovesZeroAlloc(t *testing.T) {
 		t.Skip("allocation counts include race-detector bookkeeping")
 	}
 	servers, clients := testCoords(t, 40, 4, 3)
-	p, err := shard.New(shard.Options{Shards: 2, Servers: servers, Clients: clients})
+	p, err := shard.New(shard.Options{Servers: servers, Clients: clients})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,8 +68,52 @@ func TestRepairNoMovesZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestPlaneWriteAllocs pins the allocations of one plane write on a
+// servingPlane: a join, a leave, a strategy migrate (Migrate(c, -1))
+// and a no-op migrate each allocate at most 8 times. Lower the ceiling
+// when a write gets cheaper.
+func TestPlaneWriteAllocs(t *testing.T) {
+	if testkit.RaceEnabled {
+		t.Skip("allocation counts include race-detector bookkeeping")
+	}
+	const runs, ceiling = 100, 8
+	p := servingPlane(t)
+	ctx := context.Background()
+	var active, inactive []int
+	for c, s := range p.Current().Assignment {
+		if s == core.Unassigned {
+			inactive = append(inactive, c)
+		} else {
+			active = append(active, c)
+		}
+	}
+	// Each write takes the next client of its pool, so no write repeats
+	// a client and every one succeeds: the leaves take active clients
+	// that the migrates after them do not touch.
+	must := func(_ shard.OpResult, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	seat := p.Current().Assignment
+	var j, l, m, n int
+	for _, w := range []struct {
+		name  string
+		write func()
+	}{
+		{"join", func() { must(p.Join(ctx, inactive[j])); j++ }},
+		{"leave", func() { must(p.Leave(ctx, active[l])); l++ }},
+		{"strategy migrate", func() { must(p.Migrate(ctx, active[runs+1+m], -1)); m++ }},
+		{"no-op migrate", func() { c := active[2*(runs+1)+n]; must(p.Migrate(ctx, c, seat[c])); n++ }},
+	} {
+		if avg := testing.AllocsPerRun(runs, w.write); avg > ceiling {
+			t.Errorf("a %s allocates %.0f times per write, want at most %d", w.name, avg, ceiling)
+		}
+	}
+}
+
 // TestNewRetainedHeap pins what a plane keeps alive at perfbench's
-// serving shape (32 servers, 4800 clients, 4 shards): the instance's
+// serving shape (32 servers, 4800 clients): the instance's
 // client-server and server-server tables (~1.2 MB) and the evaluator,
 // ~1.43 MiB in all, not the node×node matrices they were once copied
 // out of (~50 MB).
@@ -80,7 +125,7 @@ func TestNewRetainedHeap(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	p, err := shard.New(shard.Options{Shards: 4, Servers: servers, Clients: clients})
+	p, err := shard.New(shard.Options{Servers: servers, Clients: clients})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package shard_test
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -11,11 +10,27 @@ import (
 	"diacap/internal/shard"
 )
 
-// BenchmarkPlaneWrite times one plane write at perfbench's serving
-// shape: 32 servers and 4800 clients from latency.GenerateCoords
-// (seed 1), GreedyJoin, a metrics registry and a flight recorder, and
-// three quarters of the clients joined in a seeded order, as churn
-// starts. Each write runs at 1, 4 and 16 shards (perfbench serves 4):
+// servingPlane builds a plane at perfbench's serving shape: 32
+// servers and 4800 clients from latency.GenerateCoords (seed 1),
+// GreedyJoin, a metrics registry and a flight recorder, and three
+// quarters of the clients joined in a seeded order, as churn starts.
+func servingPlane(tb testing.TB) *shard.Plane {
+	servers, clients := testCoords(tb, 4800, 32, 1)
+	p, err := shard.New(shard.Options{Servers: servers, Clients: clients,
+		Metrics: obs.NewRegistry(), Flight: obs.NewRecorder(0)})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	order := rand.New(rand.NewSource(1)).Perm(len(clients))
+	for _, c := range order[:len(order)*3/4] {
+		if _, err := p.Join(context.Background(), c); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return p
+}
+
+// BenchmarkPlaneWrite times one plane write on a servingPlane:
 //
 //   - join: an inactive client joins;
 //   - leave: an active client leaves;
@@ -24,36 +39,16 @@ import (
 //     nothing but still publishes an epoch.
 //
 // join and leave undo each window of 256 writes with the timer stopped,
-// so the plane stays near its starting state. One plane per shard count
-// is built on first use and shared by the four writes.
+// so the plane stays near its starting state. One plane is built on
+// first use and shared by the four writes.
 func BenchmarkPlaneWrite(b *testing.B) {
-	servers, clients := testCoords(b, 4800, 32, 1)
-	order := rand.New(rand.NewSource(1)).Perm(len(clients))
-	planes := map[int]*shard.Plane{}
-	plane := func(b *testing.B, shards int) *shard.Plane {
-		if p := planes[shards]; p != nil {
-			return p
-		}
-		p, err := shard.New(shard.Options{Shards: shards, Servers: servers, Clients: clients,
-			Metrics: obs.NewRegistry(), Flight: obs.NewRecorder(0)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, c := range order[:len(order)*3/4] {
-			if _, err := p.Join(context.Background(), c); err != nil {
-				b.Fatal(err)
-			}
-		}
-		planes[shards] = p
-		return p
-	}
+	var p *shard.Plane
 	for _, op := range []string{"join", "leave", "migrate", "noop"} {
 		b.Run(op, func(b *testing.B) {
-			for _, shards := range []int{1, 4, 16} {
-				b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-					benchWrite(b, plane(b, shards), op)
-				})
+			if p == nil {
+				p = servingPlane(b)
 			}
+			benchWrite(b, p, op)
 		})
 	}
 }

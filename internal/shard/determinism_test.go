@@ -16,10 +16,11 @@ import (
 )
 
 // driveScript applies a fixed seeded op sequence (joins, leaves,
-// migrations, one kill/restart pair) to the plane and returns a
-// fingerprint of every published observable: epoch, assignment, loads,
-// and the raw bits of D and CertifiedD.
-func driveScript(t *testing.T, p *shard.Plane, seed int64) []byte {
+// migrations, one kill/restart pair) to the plane, naming the client
+// of each op through order (a permutation of the client ids), and
+// returns a fingerprint of every published observable: epoch,
+// assignment, loads, and the raw bits of D and CertifiedD.
+func driveScript(t *testing.T, p *shard.Plane, seed int64, order []int) []byte {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	n := p.NumClients()
@@ -27,7 +28,7 @@ func driveScript(t *testing.T, p *shard.Plane, seed int64) []byte {
 	activeSet := make([]bool, n)
 	dead0 := false
 	for op := 0; op < 400; op++ {
-		c := rng.Intn(n)
+		c := order[rng.Intn(n)]
 		switch {
 		case !activeSet[c]:
 			if _, err := p.Join(context.Background(), c); err != nil {
@@ -79,27 +80,29 @@ func driveScript(t *testing.T, p *shard.Plane, seed int64) []byte {
 
 // TestShardedDeterminism (regression for the determinism contract): the
 // same op script produces a byte-identical published state across
-// repeated runs, across GOMAXPROCS settings, and across shard counts
-// 1, 4 and 16 — the shards only group clients for reporting.
+// repeated runs and GOMAXPROCS settings. Each subtest names its
+// script's clients in the round-robin order of its group count
+// (roundRobin), so the three subtests run three scripts.
 func TestShardedDeterminism(t *testing.T) {
 	servers, clients := testCoords(t, 200, 12, 11)
-	var want []byte
-	for _, shards := range []int{1, 4, 16} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+	for _, groups := range []int{1, 4, 16} {
+		t.Run(fmt.Sprintf("shards=%d", groups), func(t *testing.T) {
+			order := roundRobin(len(clients), groups)
+			var want []byte
 			for _, procs := range []int{1, 8} {
 				prev := runtime.GOMAXPROCS(procs)
 				for run := 0; run < 2; run++ {
-					p, err := shard.New(shard.Options{Shards: shards, Servers: servers, Clients: clients})
+					p, err := shard.New(shard.Options{Servers: servers, Clients: clients})
 					if err != nil {
 						runtime.GOMAXPROCS(prev)
 						t.Fatal(err)
 					}
-					fp := driveScript(t, p, 42)
+					fp := driveScript(t, p, 42, order)
 					if want == nil {
 						want = fp
 					} else if string(fp) != string(want) {
 						runtime.GOMAXPROCS(prev)
-						t.Fatalf("GOMAXPROCS=%d run %d: fingerprint diverged from the first one-shard run's", procs, run)
+						t.Fatalf("GOMAXPROCS=%d run %d: fingerprint diverged from the first run's", procs, run)
 					}
 				}
 				runtime.GOMAXPROCS(prev)
@@ -108,11 +111,13 @@ func TestShardedDeterminism(t *testing.T) {
 	}
 }
 
-// TestShardOneMatchesUnsharded replays the same join/leave/migrate
-// script through planes of 1, 4 and 16 shards and through a hand-rolled
-// world (one evaluator plus the same strategy), and demands
-// bit-identical D and identical assignments at every step. This pins
-// that the shards add nothing and lose nothing.
+// TestShardOneMatchesUnsharded replays a join/leave/migrate script
+// through a plane and through a hand-rolled world (one evaluator plus
+// the same strategy), and demands bit-identical D and identical
+// assignments at every step: the plane adds nothing and loses nothing.
+// Each subtest names its script's clients in the round-robin order of
+// its group count (roundRobin), so the three subtests run three
+// scripts.
 func TestShardOneMatchesUnsharded(t *testing.T) {
 	servers, clients := testCoords(t, 150, 9, 13)
 	coords := append(append([]latency.Coord(nil), servers...), clients...)
@@ -128,9 +133,10 @@ func TestShardOneMatchesUnsharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{1, 4, 16} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			p, err := shard.New(shard.Options{Shards: shards, Servers: servers, Clients: clients})
+	for _, groups := range []int{1, 4, 16} {
+		t.Run(fmt.Sprintf("shards=%d", groups), func(t *testing.T) {
+			order := roundRobin(len(clients), groups)
+			p, err := shard.New(shard.Options{Servers: servers, Clients: clients})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,7 +149,7 @@ func TestShardOneMatchesUnsharded(t *testing.T) {
 			rng := rand.New(rand.NewSource(17))
 			activeSet := make([]bool, len(clients))
 			for op := 0; op < 500; op++ {
-				c := rng.Intn(len(clients))
+				c := order[rng.Intn(len(clients))]
 				switch {
 				case !activeSet[c]:
 					if _, err := p.Join(context.Background(), c); err != nil {

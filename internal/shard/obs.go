@@ -5,8 +5,8 @@ import "diacap/internal/obs"
 // Metric names and help strings, declared as package-level consts per
 // the obs-preregister discipline: the exposed schema is this block.
 const (
-	nShardEvents = "diacap_shard_events_total"
-	hShardEvents = "Control-plane mutations processed, by operation."
+	nShardOps = "diacap_shard_events_total"
+	hShardOps = "Control-plane mutations processed, by operation."
 
 	nShardRejected = "diacap_shard_rejected_total"
 	hShardRejected = "Control-plane mutations rejected, by reason."
@@ -18,7 +18,7 @@ const (
 	hShardD = "Exact global D of the published snapshot, in ms."
 
 	nShardActive = "diacap_shard_active_clients"
-	hShardActive = "Active (assigned) clients across all shards."
+	hShardActive = "Active (assigned) clients of the published snapshot."
 
 	nShardPublish = "diacap_shard_publish_seconds"
 	hShardPublish = "Wall time to publish a snapshot."
@@ -118,7 +118,7 @@ func newPlaneMetrics(reg *obs.Registry) *planeMetrics {
 // rejection counter of every reason label.
 func registerCounters(reg *obs.Registry) (events [len(opLabels)]*obs.Counter, rejects [len(reasonLabels)]*obs.Counter) {
 	for op, l := range opLabels {
-		events[op] = reg.Counter(nShardEvents, hShardEvents, obs.L("op", l))
+		events[op] = reg.Counter(nShardOps, hShardOps, obs.L("op", l))
 	}
 	for r, l := range reasonLabels {
 		rejects[r] = reg.Counter(nShardRejected, hShardRejected, obs.L("reason", l))

@@ -16,9 +16,6 @@ import (
 type OpResult struct {
 	// Epoch is the snapshot epoch this mutation published.
 	Epoch uint64
-	// Shard is the shard of the mutation's client (-1 for whole-plane
-	// operations).
-	Shard int
 	// Server is the client's server after the mutation (join/migrate),
 	// or its former server (leave); core.Unassigned otherwise.
 	Server int
@@ -26,9 +23,9 @@ type OpResult struct {
 	D float64
 }
 
-func (p *Plane) opResult(ctx context.Context, shard, server int) OpResult {
+func (p *Plane) opResult(ctx context.Context, server int) OpResult {
 	s := p.publishLocked(ctx)
-	return OpResult{Epoch: s.Epoch, Shard: shard, Server: server, D: s.D}
+	return OpResult{Epoch: s.Epoch, Server: server, D: s.D}
 }
 
 // begin opens the per-mutation span and parks it in p.curSpan so the
@@ -45,12 +42,10 @@ func (p *Plane) begin(sp *obs.Span) func() {
 // context carries the request's trace span, if any; the plane's work is
 // recorded as a plane.join child span.
 func (p *Plane) Join(ctx context.Context, c int) (OpResult, error) {
-	sid, err := p.ShardOf(c)
-	if err != nil {
-		p.met.rejected(rejUnknownClient)
+	if err := p.checkClient(c); err != nil {
 		return OpResult{}, err
 	}
-	ctx, sp := p.opSpan(ctx, "plane.join", c, sid)
+	ctx, sp := p.opSpan(ctx, "plane.join", c)
 	defer sp.End()
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -65,25 +60,25 @@ func (p *Plane) Join(ctx context.Context, c int) (OpResult, error) {
 		return OpResult{}, err
 	}
 	p.met.event(opJoin)
-	return p.clientResult(ctx, sp, sid, s), nil
+	return p.clientResult(ctx, sp, s), nil
 }
 
-// opSpan opens a client operation's child span with its client and
-// shard attributes. The attributes are rendered only for a traced
-// request: every span method is nil-safe, but arguments are built
-// eagerly and every write passes through here.
-func (p *Plane) opSpan(ctx context.Context, name string, c, shard int) (context.Context, *obs.Span) {
+// opSpan opens a client operation's child span with its client
+// attribute. The attribute is rendered only for a traced request:
+// every span method is nil-safe, but arguments are built eagerly and
+// every write passes through here.
+func (p *Plane) opSpan(ctx context.Context, name string, c int) (context.Context, *obs.Span) {
 	ctx, sp := obs.Child(ctx, name)
 	if sp != nil {
-		sp.SetAttr(obs.Int("client", c), obs.Int("shard", shard))
+		sp.SetAttr(obs.Int("client", c))
 	}
 	return ctx, sp
 }
 
 // clientResult publishes a client operation's epoch and, for a traced
 // request, records the client's server, the epoch and D on its span.
-func (p *Plane) clientResult(ctx context.Context, sp *obs.Span, shard, server int) OpResult {
-	r := p.opResult(ctx, shard, server)
+func (p *Plane) clientResult(ctx context.Context, sp *obs.Span, server int) OpResult {
+	r := p.opResult(ctx, server)
 	if sp != nil {
 		sp.SetAttr(obs.Int("server", server), obs.Uint("epoch", r.Epoch), obs.F64("d", r.D))
 	}
@@ -97,8 +92,7 @@ func (p *Plane) clientResult(ctx context.Context, sp *obs.Span, shard, server in
 func (p *Plane) place(c int) (int, error) {
 	s := p.strat.PlaceJoin(p.ev, p.eff, c)
 	if s < 0 {
-		return -1, fmt.Errorf("%w: client %d (shard %d): %w",
-			ErrNoCapacity, c, p.shardOf(c), dynamic.ErrCapacityExhausted)
+		return -1, fmt.Errorf("%w: client %d: %w", ErrNoCapacity, c, dynamic.ErrCapacityExhausted)
 	}
 	if s >= len(p.alive) || !p.alive[s] {
 		return -1, fmt.Errorf("shard: strategy %s returned unusable server %d", p.strat.Name(), s)
@@ -109,19 +103,16 @@ func (p *Plane) place(c int) (int, error) {
 	if _, err := p.ev.ApplyJoin(c, s); err != nil {
 		return -1, err
 	}
-	p.noteAssign(c, +1)
 	return s, nil
 }
 
 // Leave deactivates client c. Fails with ErrUnknownClient or
 // core.ErrNotAssigned.
 func (p *Plane) Leave(ctx context.Context, c int) (OpResult, error) {
-	sid, err := p.ShardOf(c)
-	if err != nil {
-		p.met.rejected(rejUnknownClient)
+	if err := p.checkClient(c); err != nil {
 		return OpResult{}, err
 	}
-	ctx, sp := p.opSpan(ctx, "plane.leave", c, sid)
+	ctx, sp := p.opSpan(ctx, "plane.leave", c)
 	defer sp.End()
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -131,9 +122,8 @@ func (p *Plane) Leave(ctx context.Context, c int) (OpResult, error) {
 		p.met.rejected(rejConflict)
 		return OpResult{}, err
 	}
-	p.noteAssign(c, -1)
 	p.met.event(opLeave)
-	return p.clientResult(ctx, sp, sid, old), nil
+	return p.clientResult(ctx, sp, old), nil
 }
 
 // Migrate moves active client c to server target; target < 0 asks the
@@ -142,12 +132,10 @@ func (p *Plane) Leave(ctx context.Context, c int) (OpResult, error) {
 // capacity. Fails with ErrUnknownClient, core.ErrNotAssigned,
 // ErrUnknownServer, ErrServerDown, or ErrNoCapacity.
 func (p *Plane) Migrate(ctx context.Context, c, target int) (OpResult, error) {
-	sid, err := p.ShardOf(c)
-	if err != nil {
-		p.met.rejected(rejUnknownClient)
+	if err := p.checkClient(c); err != nil {
 		return OpResult{}, err
 	}
-	ctx, sp := p.opSpan(ctx, "plane.migrate", c, sid)
+	ctx, sp := p.opSpan(ctx, "plane.migrate", c)
 	defer sp.End()
 	if sp != nil {
 		sp.SetAttr(obs.Int("target", target))
@@ -175,28 +163,23 @@ func (p *Plane) Migrate(ctx context.Context, c, target int) (OpResult, error) {
 		if _, err := p.ev.ApplyMove(c, target); err != nil {
 			return OpResult{}, err
 		}
-		if target != old {
-			p.noteAssign(c, 0)
-		}
 		p.met.event(opMigrate)
-		return p.clientResult(ctx, sp, sid, target), nil
+		return p.clientResult(ctx, sp, target), nil
 	}
 	// Strategy re-placement: lift the client out, ask the strategy, and
 	// restore the old seat if nothing has room.
 	if _, err := p.ev.ApplyLeave(c); err != nil {
 		return OpResult{}, err
 	}
-	p.noteAssign(c, -1)
 	s, err := p.place(c)
 	if err != nil {
 		if _, rerr := p.ev.ApplyJoin(c, old); rerr != nil {
 			return OpResult{}, errors.Join(err, rerr)
 		}
-		p.noteAssign(c, +1)
 		return OpResult{}, err
 	}
 	p.met.event(opMigrate)
-	return p.clientResult(ctx, sp, sid, s), nil
+	return p.clientResult(ctx, sp, s), nil
 }
 
 // KillServer marks server k dead and evacuates its clients in
@@ -221,7 +204,7 @@ func (p *Plane) KillServer(ctx context.Context, k int) (OpResult, int, error) {
 	if !p.alive[k] {
 		// Idempotent double kill: no state change, no new epoch.
 		s := p.snap.Load()
-		return OpResult{Epoch: s.Epoch, Shard: -1, Server: k, D: s.D}, 0, nil
+		return OpResult{Epoch: s.Epoch, Server: k, D: s.D}, 0, nil
 	}
 	p.setAlive(k, false)
 	evacuated := 0
@@ -235,7 +218,6 @@ func (p *Plane) KillServer(ctx context.Context, k int) (OpResult, int, error) {
 			fault = cmp.Or(fault, err)
 			continue
 		}
-		p.noteAssign(c, -1)
 		if _, err := p.place(c); err != nil {
 			if !errors.Is(err, ErrNoCapacity) {
 				fault = cmp.Or(fault, err)
@@ -246,7 +228,7 @@ func (p *Plane) KillServer(ctx context.Context, k int) (OpResult, int, error) {
 		evacuated++
 	}
 	p.met.event(opKill)
-	r := p.opResult(ctx, -1, k)
+	r := p.opResult(ctx, k)
 	if sp != nil {
 		sp.SetAttr(obs.Int("evacuated", evacuated), obs.Uint("epoch", r.Epoch))
 	}
@@ -285,9 +267,18 @@ func (p *Plane) RestartServer(ctx context.Context, k int) (OpResult, error) {
 		p.jFailover.Record("restart", sp.TraceID(),
 			obs.Int("server", k), obs.Int("dead", p.dead))
 	}
-	r := p.opResult(ctx, -1, k)
+	r := p.opResult(ctx, k)
 	sp.SetAttr(obs.Uint("epoch", r.Epoch))
 	return r, nil
+}
+
+// checkClient refuses, and counts, a client id outside [0, |C|).
+func (p *Plane) checkClient(c int) error {
+	if c < 0 || c >= p.NumClients() {
+		p.met.rejected(rejUnknownClient)
+		return fmt.Errorf("%w: id %d (universe size %d)", ErrUnknownClient, c, p.NumClients())
+	}
+	return nil
 }
 
 // checkServer refuses, and counts, a server id outside [0, |S|).
@@ -315,11 +306,7 @@ func (p *Plane) setAlive(k int, up bool) {
 // Repair runs the strategy's repair pass at virtual time now and
 // returns the number of migrations it performed; a repair that moved
 // anyone publishes one epoch. The strategy moves clients through the
-// evaluator directly. Since every write is all-or-nothing, the
-// evaluator matched the published snapshot when the lock was taken, so
-// the clients whose seat differs from the snapshot's are the ones the
-// repair moved. A move keeps its client active in its shard, so the
-// diff only marks shards dirty.
+// evaluator directly, and the publish reads them from it.
 func (p *Plane) Repair(ctx context.Context, now float64) int {
 	ctx, sp := obs.Child(ctx, "plane.repair")
 	defer sp.End()
@@ -327,28 +314,24 @@ func (p *Plane) Repair(ctx context.Context, now float64) int {
 	defer p.mu.Unlock()
 	defer p.begin(sp)()
 	//lint:ignore dialint/wallclock-determinism lastRepair feeds only the health endpoint's staleness display, never a replayed decision
-	p.lastRepair = time.Now()
+	p.lastRepair.Store(time.Now().UnixNano())
 	moves := p.strat.Repair(p.ev, p.eff, now)
 	sp.SetAttr(obs.Int("moves", moves))
 	if moves != 0 {
-		for c, prev := range p.snap.Load().Assignment {
-			if p.ev.ServerOf(c) != prev {
-				p.noteAssign(c, 0)
-			}
-		}
 		p.publishLocked(ctx)
 	}
 	return moves
 }
 
-// noteAssign records, after the evaluator did, that client c changed
-// seats and its activity by delta: +1 for a join, -1 for a leave, 0
-// for a move. It keeps what the evaluator does not: the active count
-// of c's shard and the shard's dirty flag.
-func (p *Plane) noteAssign(c, delta int) {
-	sh := &p.shards[p.shardOf(c)]
-	sh.active += delta
-	sh.dirty = true
+// LastRepair returns the wall time of the last Repair, or the zero time
+// before the first. It takes no lock, so a health probe never waits
+// behind a write.
+func (p *Plane) LastRepair() time.Time {
+	n := p.lastRepair.Load()
+	if n == 0 {
+		return time.Time{}
+	}
+	return time.Unix(0, n)
 }
 
 // EvaluatorStats returns the evaluator's work counters — tests use them

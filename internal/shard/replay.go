@@ -78,8 +78,6 @@ type ReplayResult struct {
 	dynamic.ScenarioResult
 	// FinalEpoch is the published epoch after the last event.
 	FinalEpoch uint64
-	// ShardEvents[s] counts the joins and leaves of shard s's clients.
-	ShardEvents []int
 }
 
 // Replay drives a finalized scenario through the plane: it runs
@@ -92,8 +90,7 @@ type ReplayResult struct {
 // published snapshot. The tape, its tie order, the horizon cut-off and
 // the D bookkeeping are the simulator's own, and the plane decides
 // with one evaluator and one strategy as the simulator does, so a
-// replay at any shard count reproduces dynamic.SimulateScenario
-// bit for bit.
+// replay reproduces dynamic.SimulateScenario bit for bit.
 //
 // When the plane has a tracer, every tape event is stamped with its own
 // root span (replay.join, replay.leave, replay.kill, replay.restart,
@@ -115,13 +112,12 @@ func (p *Plane) Replay(ctx context.Context, sc *dynamic.Scenario) (*ReplayResult
 	if len(sc.Snapshots) > 0 && !(slices.Equal(p.serverNodes, sc.Pop.Servers) && slices.Equal(p.clientNodes, sc.Pop.Clients)) {
 		return nil, errors.New("shard: drift snapshots are in the population's node space; build the plane with NewFromPopulation")
 	}
-	res := &ReplayResult{ShardEvents: make([]int, p.NumShards())}
 	sr, err := dynamic.RunTape(ctx, dynamic.ScenarioTape(sc), sc.Horizon,
-		&replayTarget{p: p, snaps: sc.Snapshots, res: res})
+		&replayTarget{p: p, snaps: sc.Snapshots})
 	if err != nil {
 		return nil, err
 	}
-	res.ScenarioResult = sr
+	res := &ReplayResult{ScenarioResult: sr}
 	res.Strategy = p.strat.Name()
 	if h, ok := p.strat.(*dynamic.Hysteresis); ok {
 		res.SuppressedProposals, res.SuppressedMoves = h.Suppressed()
@@ -130,12 +126,10 @@ func (p *Plane) Replay(ctx context.Context, sc *dynamic.Scenario) (*ReplayResult
 	return res, nil
 }
 
-// replayTarget is the plane's world for dynamic.RunTape. It fills the
-// plane-only field of res: ShardEvents.
+// replayTarget is the plane's world for dynamic.RunTape.
 type replayTarget struct {
 	p     *Plane
 	snaps []dynamic.DriftSnapshot
-	res   *ReplayResult
 }
 
 // replaySpans names the root span of each tape event kind.
@@ -164,12 +158,10 @@ func (t *replayTarget) Apply(ctx context.Context, e dynamic.TapeEvent) (dynamic.
 		if e.Kind == dynamic.TapeLeave {
 			op, verb = p.Leave, "leave"
 		}
-		r, err := op(ctx, e.ID)
-		if err != nil {
+		if _, err := op(ctx, e.ID); err != nil {
 			return st, fmt.Errorf("shard: %s of client %d at t=%.1f: %w", verb, e.ID, e.Time, err)
 		}
-		t.res.ShardEvents[r.Shard]++
-		sp.SetAttr(obs.Int("client", e.ID), obs.Int("shard", r.Shard))
+		sp.SetAttr(obs.Int("client", e.ID))
 	case dynamic.TapeKill:
 		wasAlive := p.ServerAlive(e.ID)
 		_, evacuated, err := p.KillServer(ctx, e.ID)

@@ -33,7 +33,7 @@ var replayStrategies = []struct {
 }
 
 // TestReplayOneShardMatchesSimulate is the anchor for the scenario
-// path: a one-shard plane replaying a scenario must reproduce
+// path: a plane replaying a scenario must reproduce
 // dynamic.SimulateScenario bit for bit — same counters, same Timeline,
 // same FinalD/MaxD/TimeAvgD down to the last bit — for every preset,
 // under each of replayStrategies, uncapacitated and with 24 seats per
@@ -52,7 +52,7 @@ func TestReplayOneShardMatchesSimulate(t *testing.T) {
 			for _, seats := range []int{0, 24} {
 				for _, strat := range replayStrategies {
 					t.Run(fmt.Sprintf("%s/cap=%d", strat.name, seats), func(t *testing.T) {
-						checkReplay(t, sc, seats, strat.make, 1)
+						checkReplay(t, sc, seats, strat.make)
 					})
 				}
 			}
@@ -60,28 +60,30 @@ func TestReplayOneShardMatchesSimulate(t *testing.T) {
 	}
 }
 
-// TestReplayMultiShard repeats the anchor at 4 and 16 shards: the
-// shards only group clients for reporting, so every shard count must
-// reproduce SimulateScenario bit for bit too.
+// TestReplayMultiShard repeats the anchor on two more draws of every
+// preset, scenario seeds 4 and 16. The subtests keep the names of the
+// shard counts they once ran at, and the count is now the seed; the
+// plane has no shards, so a seed is what can still tell two cases
+// apart.
 func TestReplayMultiShard(t *testing.T) {
 	kinds := dynamic.ScenarioKinds()
 	if testing.Short() {
 		kinds = []string{"storm", "drift"}
 	}
 	for _, kind := range kinds {
-		sc, err := dynamic.BuildScenario(kind, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, shards := range []int{4, 16} {
+		for _, seed := range []int64{4, 16} {
+			sc, err := dynamic.BuildScenario(kind, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, seats := range []int{0, 24} {
-				name := fmt.Sprintf("%s/shards=%d", kind, shards)
+				name := fmt.Sprintf("%s/shards=%d", kind, seed)
 				if seats > 0 {
 					name += fmt.Sprintf("/cap=%d", seats)
 				}
 				t.Run(name, func(t *testing.T) {
 					for _, strat := range replayStrategies {
-						t.Run(strat.name, func(t *testing.T) { checkReplay(t, sc, seats, strat.make, shards) })
+						t.Run(strat.name, func(t *testing.T) { checkReplay(t, sc, seats, strat.make) })
 					}
 				})
 			}
@@ -89,12 +91,10 @@ func TestReplayMultiShard(t *testing.T) {
 	}
 }
 
-// checkReplay replays sc through a plane of the given shard count and
-// strategy, with seats per server (0: uncapacitated), and compares it
-// with SimulateScenario under a fresh strategy of the same kind. The
-// plane's own output must hold too: the per-shard event counts sum to
-// the joins and leaves.
-func checkReplay(t *testing.T, sc *dynamic.Scenario, seats int, strategy func() dynamic.Strategy, shards int) {
+// checkReplay replays sc through a plane of the given strategy, with
+// seats per server (0: uncapacitated), and compares it with
+// SimulateScenario under a fresh strategy of the same kind.
+func checkReplay(t *testing.T, sc *dynamic.Scenario, seats int, strategy func() dynamic.Strategy) {
 	t.Helper()
 	var caps core.Capacities
 	if seats > 0 {
@@ -104,8 +104,7 @@ func checkReplay(t *testing.T, sc *dynamic.Scenario, seats int, strategy func() 
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := shard.NewFromPopulation(sc.Pop, shard.Options{
-		Shards: shards, Capacities: caps, Strategy: strategy()})
+	p, err := shard.NewFromPopulation(sc.Pop, shard.Options{Capacities: caps, Strategy: strategy()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,25 +113,16 @@ func checkReplay(t *testing.T, sc *dynamic.Scenario, seats int, strategy func() 
 		t.Fatal(err)
 	}
 	compareReplay(t, got, want)
-	events := 0
-	for _, n := range got.ShardEvents {
-		events += n
-	}
-	if len(got.ShardEvents) != p.NumShards() || events != got.Joins+got.Leaves {
-		t.Fatalf("shard event counts %v sum to %d, want %d joins+leaves over %d shards",
-			got.ShardEvents, events, got.Joins+got.Leaves, p.NumShards())
-	}
 }
 
 // TestReplayCapacitatedMatchesSimulate repeats the anchor under binding
 // capacities, four seats above an even split, under each of
-// replayStrategies at 1, 4 and 16 shards.
-// Then it runs both targets out of room: storm's kill of server 0 at
-// seed 1 under NearestJoin and 17 seats per server must stop both at
-// the same event at every shard count, the plane's first detached
-// client must be the one the simulator could not place, every shard
-// count must detach the same clients, and the plane's last epoch must
-// hold no client on a dead server.
+// replayStrategies. Then it runs both targets out of room: storm's kill
+// of server 0 at seed 1 under NearestJoin and 17 seats per server must
+// stop both at the same event, the plane's first detached client must
+// be the one the simulator could not place, and the plane's last epoch
+// must hold no client on a dead server and none of the detached
+// clients.
 func TestReplayCapacitatedMatchesSimulate(t *testing.T) {
 	sc, err := dynamic.BuildScenario("flashcrowd", 7)
 	if err != nil {
@@ -147,17 +137,15 @@ func TestReplayCapacitatedMatchesSimulate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", strat.name, err)
 		}
-		for _, shards := range []int{1, 4, 16} {
-			p, err := shard.NewFromPopulation(sc.Pop, shard.Options{Shards: shards, Capacities: caps, Strategy: strat.make()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := p.Replay(context.Background(), sc)
-			if err != nil {
-				t.Fatalf("%s, %d shards: %v", strat.name, shards, err)
-			}
-			compareReplay(t, got, want)
+		p, err := shard.NewFromPopulation(sc.Pop, shard.Options{Capacities: caps, Strategy: strat.make()})
+		if err != nil {
+			t.Fatal(err)
 		}
+		got, err := p.Replay(context.Background(), sc)
+		if err != nil {
+			t.Fatalf("%s: %v", strat.name, err)
+		}
+		compareReplay(t, got, want)
 	}
 
 	if sc, err = dynamic.BuildScenario("storm", 1); err != nil {
@@ -169,35 +157,27 @@ func TestReplayCapacitatedMatchesSimulate(t *testing.T) {
 	if !errors.Is(simErr, dynamic.ErrCapacityExhausted) || m == nil {
 		t.Fatalf("the simulator stopped with %v, want a failed forced rejoin", simErr)
 	}
-	var detached []int
-	for _, shards := range []int{1, 4, 16} {
-		p, err := shard.NewFromPopulation(sc.Pop, shard.Options{Shards: shards, Capacities: caps, Strategy: dynamic.NewNearestJoin(nil)})
-		if err != nil {
-			t.Fatal(err)
+	p, err := shard.NewFromPopulation(sc.Pop, shard.Options{Capacities: caps, Strategy: dynamic.NewNearestJoin(nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, planeErr := p.Replay(context.Background(), sc)
+	if !errors.Is(planeErr, dynamic.ErrCapacityExhausted) || !strings.Contains(planeErr.Error(), m[2]+":") {
+		t.Fatalf("the simulator stopped with %v, the plane with %v", simErr, planeErr)
+	}
+	var evac *shard.EvacuationError
+	if !errors.As(planeErr, &evac) || fmt.Sprint(evac.Detached[0]) != m[1] {
+		t.Fatalf("the plane stopped with %v; the simulator could not place client %s", planeErr, m[1])
+	}
+	s := p.Current()
+	for c, k := range s.Assignment {
+		if k != core.Unassigned && !s.Alive[k] {
+			t.Fatalf("epoch %d: client %d on dead server %d", s.Epoch, c, k)
 		}
-		_, planeErr := p.Replay(context.Background(), sc)
-		if !errors.Is(planeErr, dynamic.ErrCapacityExhausted) || !strings.Contains(planeErr.Error(), m[2]+":") {
-			t.Fatalf("%d shards: the simulator stopped with %v, the plane with %v", shards, simErr, planeErr)
-		}
-		var evac *shard.EvacuationError
-		if !errors.As(planeErr, &evac) || fmt.Sprint(evac.Detached[0]) != m[1] {
-			t.Fatalf("%d shards: the plane stopped with %v; the simulator could not place client %s", shards, planeErr, m[1])
-		}
-		if detached == nil {
-			detached = evac.Detached
-		} else if !slices.Equal(evac.Detached, detached) {
-			t.Fatalf("%d shards detached %v, one shard %v", shards, evac.Detached, detached)
-		}
-		s := p.Current()
-		for c, k := range s.Assignment {
-			if k != core.Unassigned && !s.Alive[k] {
-				t.Fatalf("%d shards, epoch %d: client %d on dead server %d", shards, s.Epoch, c, k)
-			}
-		}
-		for _, c := range evac.Detached {
-			if s.Assignment[c] != core.Unassigned {
-				t.Fatalf("%d shards, epoch %d: detached client %d sits on server %d", shards, s.Epoch, c, s.Assignment[c])
-			}
+	}
+	for _, c := range evac.Detached {
+		if s.Assignment[c] != core.Unassigned {
+			t.Fatalf("epoch %d: detached client %d sits on server %d", s.Epoch, c, s.Assignment[c])
 		}
 	}
 }
@@ -240,18 +220,23 @@ func compareReplay(t *testing.T, got *shard.ReplayResult, want *dynamic.Scenario
 // takes moved [servers ∥ clients] coordinates, and the published D must
 // equal, bit for bit, an evaluator over the matrix-built instance of
 // the moved world at the published assignment — after the drift and
-// after a join on the rebuilt evaluator.
+// after a join on the rebuilt evaluator. The even clients join first,
+// in the round-robin order of the subtest's group count
+// (roundRobin), so each subtest drifts a different assignment.
 func TestApplyDriftCoordinatePlane(t *testing.T) {
 	servers, clients := testCoords(t, 160, 6, 4)
 	ns := len(servers)
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			p, err := shard.New(shard.Options{Shards: shards, Servers: servers, Clients: clients})
+	for _, groups := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", groups), func(t *testing.T) {
+			p, err := shard.New(shard.Options{Servers: servers, Clients: clients})
 			if err != nil {
 				t.Fatal(err)
 			}
 			ctx := context.Background()
-			for c := 0; c < len(clients); c += 2 {
+			for _, c := range roundRobin(len(clients), groups) {
+				if c%2 != 0 {
+					continue
+				}
 				if _, err := p.Join(ctx, c); err != nil {
 					t.Fatal(err)
 				}
@@ -306,7 +291,7 @@ func TestReplayPopulationMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := shard.NewFromPopulation(pop, shard.Options{Shards: 2})
+	p, err := shard.NewFromPopulation(pop, shard.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +306,7 @@ func TestReplayPopulationMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := shard.Options{Shards: 2}
+	var opts shard.Options
 	for _, n := range sc.Pop.Servers {
 		opts.Servers = append(opts.Servers, sc.Pop.Coords[n])
 	}

@@ -16,7 +16,7 @@ import (
 func resolvePlane(t testing.TB, caps core.Capacities) (*shard.Plane, []latency.Coord, []latency.Coord) {
 	t.Helper()
 	servers, clients := testCoords(t, 40, 4, 3)
-	p, err := shard.New(shard.Options{Shards: 2, Servers: servers, Clients: clients, Capacities: caps})
+	p, err := shard.New(shard.Options{Servers: servers, Clients: clients, Capacities: caps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestResolveIntoMasksDeadServers(t *testing.T) {
 func TestResolveIntoAllBlocked(t *testing.T) {
 	servers, clients := testCoords(t, 40, 4, 3)
 	caps := core.Capacities{10, 10, 10, 10}
-	p, err := shard.New(shard.Options{Shards: 2, Servers: servers, Clients: clients, Capacities: caps})
+	p, err := shard.New(shard.Options{Servers: servers, Clients: clients, Capacities: caps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestResolveIntoRespectsCapacity(t *testing.T) {
 	caps2 := core.Capacities{40, 40, 40, 40}
 	caps2[loaded] = snap.Loads[loaded]
 	servers2, clients2 := testCoords(t, 40, 4, 3)
-	p3, err := shard.New(shard.Options{Shards: 2, Servers: servers2, Clients: clients2, Capacities: caps2})
+	p3, err := shard.New(shard.Options{Servers: servers2, Clients: clients2, Capacities: caps2})
 	if err != nil {
 		t.Fatal(err)
 	}

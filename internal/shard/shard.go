@@ -5,11 +5,11 @@
 // snapshots behind a monotone epoch counter swapped through an atomic
 // pointer — reads on the serving path never take a lock.
 //
-// The clients are grouped into shards round-robin, client c into shard
-// c mod S, for reporting only (ShardOf, OpResult.Shard, Health, the
-// per-shard active counts of a snapshot). No decision depends on the
-// grouping, so a plane at any shard count decides what
-// dynamic.SimulateScenario decides, bit for bit.
+// The plane has no shards. The objective D is a maximum over every
+// pair of clients, so no subset of the clients can decide alone: one
+// world decides every write, as dynamic.SimulateScenario does, bit for
+// bit. The package keeps its name, which the /v1/shard/* routes and
+// the diacap_shard_* metrics share.
 //
 // The published D is exact, so it is its own certificate: CertifiedD
 // is D.
@@ -25,7 +25,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"diacap/internal/core"
 	"diacap/internal/dynamic"
@@ -65,9 +64,10 @@ func (e *EvacuationError) Unwrap() []error {
 
 // Options configures New.
 type Options struct {
-	// Shards is the number of shards the clients are grouped into for
-	// reporting (default 1, at most one per client). No decision
-	// depends on it.
+	// Shards is ignored: a plane has no shards. The field stays only so
+	// that callers that still set it keep building.
+	//
+	// Deprecated: leave it unset; a plane ignores it.
 	Shards int
 	// Servers are the server coordinates (required).
 	Servers []latency.Coord
@@ -96,9 +96,6 @@ type Options struct {
 }
 
 func (o *Options) fill() {
-	if o.Shards <= 0 {
-		o.Shards = 1
-	}
 	if o.Strategy == nil {
 		o.Strategy = &dynamic.GreedyJoin{}
 	}
@@ -128,9 +125,6 @@ type Plane struct {
 	eff   core.Capacities
 	alive []bool
 	dead  int
-	// shards holds each shard's reporting state; client c is grouped
-	// into shard c mod len(shards).
-	shards []shardState
 	// dAttr is the epoch journal's rendered "d" for the D whose bits are
 	// dAttrBits.
 	dAttr     obs.Attr
@@ -144,9 +138,10 @@ type Plane struct {
 	serverNodes []int
 	clientNodes []int
 	numNodes    int
-	// lastRepair is the wall time of the last Repair (zero until the
-	// first).
-	lastRepair time.Time
+	// lastRepair is the wall time of the last Repair in Unix
+	// nanoseconds (0 until the first). It is atomic so that a health
+	// probe reads it without the writer lock.
+	lastRepair atomic.Int64
 
 	mu    sync.Mutex
 	epoch uint64
@@ -166,21 +161,8 @@ type Plane struct {
 	curSpan *obs.Span
 }
 
-// shardState is one shard's reporting state.
-type shardState struct {
-	// active counts the shard's active clients.
-	active int
-	// dirty marks that a client of the shard changed seats since the
-	// last publish; summaryEpoch is the epoch of the last publish that
-	// found it dirty (a quiet shard shows an old value here while the
-	// plane epoch keeps advancing).
-	dirty        bool
-	summaryEpoch uint64
-}
-
 // New builds a plane over the client universe: build the instance over
-// every server and client, group the clients into min(Shards, |C|)
-// shards round-robin, and publish the empty epoch-1 snapshot. All
+// every server and client, and publish the empty epoch-1 snapshot. All
 // clients start inactive. The plane's node space is [servers ∥
 // clients]: server k is node k and client i is node len(Servers)+i.
 func New(opts Options) (*Plane, error) {
@@ -221,8 +203,6 @@ func newPlane(opts Options, cs []latency.Coord, serverNodes, clientNodes []int) 
 			return nil, fmt.Errorf("shard: server %d: %w", k, err)
 		}
 	}
-	// More shards than clients would leave shards empty.
-	opts.Shards = min(opts.Shards, len(opts.Clients))
 	// Every entry is latency.CoordLatency over the plane's node ids, so
 	// it is bit-identical to the corresponding entry of any instance
 	// built over the same nodes — a scenario population's included.
@@ -242,7 +222,6 @@ func newPlane(opts Options, cs []latency.Coord, serverNodes, clientNodes []int) 
 		strat:       opts.Strategy,
 		eff:         opts.Capacities,
 		alive:       make([]bool, len(opts.Servers)),
-		shards:      make([]shardState, opts.Shards),
 		serverNodes: serverNodes,
 		clientNodes: clientNodes,
 		numNodes:    len(cs),
@@ -283,7 +262,6 @@ func (p *Plane) installDeltaHook() {
 			return
 		}
 		p.curSpan.Event("evaluator."+ev.Op,
-			obs.Int("shard", p.shardOf(ev.Client)),
 			obs.Int("client", ev.Client),
 			obs.Int("server", ev.Server),
 			obs.F64("d", ev.D),
@@ -314,23 +292,8 @@ func (p *Plane) installSuppressHook() {
 	}
 }
 
-// NumShards returns the shard count.
-func (p *Plane) NumShards() int { return len(p.shards) }
-
 // NumServers returns the server count.
 func (p *Plane) NumServers() int { return len(p.opts.Servers) }
 
 // NumClients returns the size of the client universe.
 func (p *Plane) NumClients() int { return len(p.opts.Clients) }
-
-// ShardOf returns the shard client c is grouped into, c mod
-// NumShards(), or an error for ids outside the universe.
-func (p *Plane) ShardOf(c int) (int, error) {
-	if c < 0 || c >= p.NumClients() {
-		return 0, fmt.Errorf("%w: id %d (universe size %d)", ErrUnknownClient, c, p.NumClients())
-	}
-	return p.shardOf(c), nil
-}
-
-// shardOf is ShardOf for a client id known to be in the universe.
-func (p *Plane) shardOf(c int) int { return c % len(p.shards) }

@@ -28,6 +28,21 @@ func testCoords(t testing.TB, n, ns int, seed int64) (servers, clients []latency
 	return cs[:ns], cs[ns:]
 }
 
+// roundRobin lists the clients 0..n-1 group by group, client c in
+// group c mod groups, ascending within each group. Tests that once ran
+// a plane at several shard counts drive their clients in these orders
+// instead, so each of their shards=N subtests still exercises its own
+// case: N = 1 is ascending id order.
+func roundRobin(n, groups int) []int {
+	order := make([]int, 0, n)
+	for g := range groups {
+		for c := g; c < n; c += groups {
+			order = append(order, c)
+		}
+	}
+	return order
+}
+
 // globalD rebuilds the world from a snapshot assignment over the
 // node×node matrix and returns its exact D — the oracle every published
 // snapshot must bit-match.
@@ -61,13 +76,13 @@ func bitsEq(t *testing.T, label string, got, want float64) {
 	}
 }
 
-// TestPlaneSnapshotExactD drives random churn through a 4-shard plane
-// and checks, at every publish, that the published D is bit-identical
+// TestPlaneSnapshotExactD drives random churn through a plane and
+// checks, at every publish, that the published D is bit-identical
 // to a fresh evaluator over the matrix-built world and that CertifiedD
 // is that D.
 func TestPlaneSnapshotExactD(t *testing.T) {
 	servers, clients := testCoords(t, 180, 10, 1)
-	p, err := shard.New(shard.Options{Shards: 4, Servers: servers, Clients: clients})
+	p, err := shard.New(shard.Options{Servers: servers, Clients: clients})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +145,7 @@ func TestPlaneSnapshotExactD(t *testing.T) {
 // carrying both epochs otherwise.
 func TestPlaneEpochProtocol(t *testing.T) {
 	servers, clients := testCoords(t, 40, 4, 3)
-	p, err := shard.New(shard.Options{Shards: 2, Servers: servers, Clients: clients})
+	p, err := shard.New(shard.Options{Servers: servers, Clients: clients})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,16 +181,14 @@ func TestPlaneEpochProtocol(t *testing.T) {
 }
 
 // TestPlaneOpErrors covers the typed rejection surface. Errors name
-// clients by id: the last client of a multi-shard plane is not the last
-// of its shard, so an error that named an index inside the shard would
-// name another client.
+// clients by id.
 func TestPlaneOpErrors(t *testing.T) {
 	servers, clients := testCoords(t, 30, 3, 4)
 	caps := make(core.Capacities, len(servers))
 	for k := range caps {
 		caps[k] = 30
 	}
-	p, err := shard.New(shard.Options{Shards: 2, Servers: servers, Clients: clients, Capacities: caps})
+	p, err := shard.New(shard.Options{Servers: servers, Clients: clients, Capacities: caps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,8 +200,8 @@ func TestPlaneOpErrors(t *testing.T) {
 	}
 	last := len(clients) - 1
 	_, err = p.Leave(context.Background(), last)
-	if want := fmt.Sprintf("leave of client %d", last); p.NumShards() < 2 || err == nil || !strings.HasSuffix(err.Error(), want) {
-		t.Fatalf("leave of inactive client %d on %d shards: %v, want it named", last, p.NumShards(), err)
+	if want := fmt.Sprintf("leave of client %d", last); err == nil || !strings.HasSuffix(err.Error(), want) {
+		t.Fatalf("leave of inactive client %d: %v, want it named", last, err)
 	}
 	if _, err := p.Migrate(context.Background(), 5, 0); !errors.Is(err, core.ErrNotAssigned) {
 		t.Fatalf("migrate of inactive client: %v", err)
@@ -226,23 +239,22 @@ func TestPlaneOpErrors(t *testing.T) {
 }
 
 // TestPlaneCapacityExhaustion fills the world's two seats and checks
-// the typed rejection after them. The seats are one pool at any shard
-// count: the last shard's clients join first, and every join succeeds
-// exactly when the published view still admits a server.
+// the typed rejection after them. The clients join group by group, as
+// in roundRobin but the last group first, and the seats
+// are one pool in either order: every join succeeds exactly when the
+// published view still admits a server.
 func TestPlaneCapacityExhaustion(t *testing.T) {
 	servers, clients := testCoords(t, 20, 2, 5)
-	for _, shards := range []int{1, 2} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			p, err := shard.New(shard.Options{Shards: shards, Servers: servers, Clients: clients, Capacities: core.Capacities{1, 1}})
+	for _, groups := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", groups), func(t *testing.T) {
+			p, err := shard.New(shard.Options{Servers: servers, Clients: clients, Capacities: core.Capacities{1, 1}})
 			if err != nil {
 				t.Fatal(err)
 			}
 			var order []int
-			for s := p.NumShards() - 1; s >= 0; s-- {
-				for c := range clients {
-					if owner, _ := p.ShardOf(c); owner == s {
-						order = append(order, c)
-					}
+			for g := groups - 1; g >= 0; g-- {
+				for c := g; c < len(clients); c += groups {
+					order = append(order, c)
 				}
 			}
 			joined := 0
@@ -269,28 +281,29 @@ func TestPlaneCapacityExhaustion(t *testing.T) {
 // TestPlaneKillsEvacuateIntoWorldRoom is the serving shape (32
 // servers, 4800 clients, 173 seats per server, GreedyJoin) with
 // servers 0–3 killed in turn: 28 × 173 = 4844 seats remain for 4800
-// clients, so every evacuation fits the world and must succeed at
-// every shard count, leaving no server over its capacity. Seed 1 runs
-// at 1, 4 and 16 shards; seeds 2 and 3 only at 16, where a per-shard
-// split of the seats refused the third kill.
+// clients, so every evacuation fits the world and must succeed,
+// leaving no server over its capacity. The clients join in the
+// round-robin order of the case's group count: seed 1 in 1, 4 and 16
+// groups, seeds 2 and 3 in 16, where a per-shard split of the seats
+// once refused the third kill.
 func TestPlaneKillsEvacuateIntoWorldRoom(t *testing.T) {
 	cases := []struct {
 		seed   int64
-		shards int
+		groups int
 	}{{1, 1}, {1, 4}, {1, 16}, {2, 16}, {3, 16}}
 	if testing.Short() {
 		cases = cases[:3]
 	}
 	for _, tc := range cases {
-		t.Run(fmt.Sprintf("seed=%d/shards=%d", tc.seed, tc.shards), func(t *testing.T) {
+		t.Run(fmt.Sprintf("seed=%d/shards=%d", tc.seed, tc.groups), func(t *testing.T) {
 			ctx := context.Background()
 			servers, clients := testCoords(t, 4800, 32, tc.seed)
 			caps := core.UniformCapacities(len(servers), 173)
-			p, err := shard.New(shard.Options{Shards: tc.shards, Servers: servers, Clients: clients, Capacities: caps})
+			p, err := shard.New(shard.Options{Servers: servers, Clients: clients, Capacities: caps})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for c := range clients {
+			for _, c := range roundRobin(len(clients), tc.groups) {
 				if _, err := p.Join(ctx, c); err != nil {
 					t.Fatal(err)
 				}
@@ -317,7 +330,7 @@ func TestPlaneKillsEvacuateIntoWorldRoom(t *testing.T) {
 // consistent exact snapshot, and restarts it.
 func TestPlaneKillRestart(t *testing.T) {
 	servers, clients := testCoords(t, 90, 6, 6)
-	p, err := shard.New(shard.Options{Shards: 3, Servers: servers, Clients: clients})
+	p, err := shard.New(shard.Options{Servers: servers, Clients: clients})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,13 +374,14 @@ func TestPlaneKillRestart(t *testing.T) {
 	}
 }
 
-// TestPlaneLockFreeReads hammers Current/At from readers while a writer
-// mutates — the race detector certifies the lock-free read claim.
+// TestPlaneLockFreeReads hammers Current/At and LastRepair from readers
+// while a writer mutates and repairs — the race detector certifies the
+// lock-free read claim.
 func TestPlaneLockFreeReads(t *testing.T) {
 	servers, clients := testCoords(t, 60, 4, 8)
 	reg := obs.NewRegistry()
 	shard.Preregister(reg)
-	p, err := shard.New(shard.Options{Shards: 2, Servers: servers, Clients: clients, Metrics: reg})
+	p, err := shard.New(shard.Options{Servers: servers, Clients: clients, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,6 +402,7 @@ func TestPlaneLockFreeReads(t *testing.T) {
 					panic("negative D")
 				}
 				_, _ = p.At(s.Epoch)
+				_ = p.LastRepair()
 			}
 		}()
 	}
@@ -400,6 +415,7 @@ func TestPlaneLockFreeReads(t *testing.T) {
 		if _, err := p.Migrate(context.Background(), c, -1); err != nil {
 			t.Fatal(err)
 		}
+		p.Repair(context.Background(), float64(c))
 	}
 	close(stop)
 	wg.Wait()

@@ -25,15 +25,6 @@ func (e *ErrStaleEpoch) Error() string {
 	return fmt.Sprintf("shard: stale epoch %d (current %d)", e.Requested, e.Current)
 }
 
-// ShardSummary is one shard's line in a snapshot: how many of the
-// clients grouped into it are active.
-type ShardSummary struct {
-	// Shard is the shard id.
-	Shard int
-	// Active is the shard's active client count.
-	Active int
-}
-
 // Snapshot is the immutable published world state. Readers obtain it
 // lock-free through Current/At and must not mutate it.
 type Snapshot struct {
@@ -51,8 +42,6 @@ type Snapshot struct {
 	// CertifiedD certifies D from above. D is exact, so it is its own
 	// certificate: CertifiedD equals D, bit for bit.
 	CertifiedD float64
-	// Shards holds each shard's active count.
-	Shards []ShardSummary
 	// Alive[k] reports whether server k is up.
 	Alive []bool
 }
@@ -80,9 +69,8 @@ func (p *Plane) At(epoch uint64) (*Snapshot, error) {
 func (p *Plane) Epoch() uint64 { return p.snap.Load().Epoch }
 
 // publishLocked atomically swaps in the next snapshot of the world.
-// Callers hold p.mu. The assignment, loads and D are the evaluator's,
-// and the shard summaries are what noteAssign keeps. The publish is
-// recorded as a plane.publish child span of the context's span (if
+// Callers hold p.mu. The assignment, loads and D are the evaluator's.
+// The publish is recorded as a plane.publish child span of the context's span (if
 // traced) and every epoch bump lands in the flight recorder's epoch
 // journal.
 func (p *Plane) publishLocked(ctx context.Context) *Snapshot {
@@ -97,22 +85,11 @@ func (p *Plane) publishLocked(ctx context.Context) *Snapshot {
 		Loads:      make([]int, len(p.alive)),
 		D:          d,
 		CertifiedD: d,
-		Shards:     make([]ShardSummary, len(p.shards)),
 		Alive:      slices.Clone(p.alive),
 	}
 	for k := range snap.Loads {
 		snap.Loads[k] = p.ev.Load(k)
 		snap.Active += snap.Loads[k]
-	}
-	dirty := 0
-	for i := range p.shards {
-		sh := &p.shards[i]
-		if sh.dirty {
-			dirty++
-			sh.dirty = false
-			sh.summaryEpoch = p.epoch
-		}
-		snap.Shards[i] = ShardSummary{Shard: i, Active: sh.active}
 	}
 	p.snap.Store(snap)
 	p.met.published(snap, time.Since(start).Seconds())
@@ -120,45 +97,14 @@ func (p *Plane) publishLocked(ctx context.Context) *Snapshot {
 	// calls are nil-safe no-ops, but their arguments are built eagerly
 	// and every mutation passes through here.
 	if sp != nil {
-		sp.SetAttr(obs.Uint("epoch", snap.Epoch), obs.Int("dirty", dirty),
-			obs.F64("d", snap.D), obs.Int("active", snap.Active))
+		sp.SetAttr(obs.Uint("epoch", snap.Epoch), obs.F64("d", snap.D), obs.Int("active", snap.Active))
 	}
 	if p.jEpoch != nil {
 		if b := math.Float64bits(snap.D); b != p.dAttrBits || p.dAttr.Key == "" {
 			p.dAttr, p.dAttrBits = obs.F64("d", snap.D), b
 		}
 		p.jEpoch.Record("publish", sp.TraceID(),
-			obs.Uint("epoch", snap.Epoch), obs.Int("dirty", dirty),
-			p.dAttr, obs.Int("active", snap.Active))
+			obs.Uint("epoch", snap.Epoch), p.dAttr, obs.Int("active", snap.Active))
 	}
 	return snap
-}
-
-// ShardHealth is one shard's health line as exposed by /healthz: its
-// current summary epoch (the plane epoch at which a client of the shard
-// last changed seats — a lagging value marks a quiet shard, not a
-// broken one), active client count, and the wall time of the plane's
-// last repair pass (zero until the first Repair).
-type ShardHealth struct {
-	Shard        int       `json:"shard"`
-	SummaryEpoch uint64    `json:"summaryEpoch"`
-	Active       int       `json:"active"`
-	LastRepair   time.Time `json:"lastRepair"`
-}
-
-// Health reports per-shard health for liveness endpoints: one entry per
-// shard, ascending shard id.
-func (p *Plane) Health() []ShardHealth {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]ShardHealth, len(p.shards))
-	for i, sh := range p.shards {
-		out[i] = ShardHealth{
-			Shard:        i,
-			SummaryEpoch: sh.summaryEpoch,
-			Active:       sh.active,
-			LastRepair:   p.lastRepair,
-		}
-	}
-	return out
 }

@@ -43,7 +43,7 @@ func TestReplaySpanTreeDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		tr := obs.NewTracer(obs.TracerOptions{SampleRate: 1, Capacity: 1 << 14, Seed: 99})
-		p, err := shard.NewFromPopulation(sc.Pop, shard.Options{Shards: 4, Tracer: tr})
+		p, err := shard.NewFromPopulation(sc.Pop, shard.Options{Tracer: tr})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,11 +82,12 @@ func TestReplaySpanTreeDeterministic(t *testing.T) {
 
 // TestPlaneOpSpanShape drives one traced Join and checks the span's
 // identity and payload end to end: child of the caller's root, carrying
-// client/shard/server/epoch/d attrs and at least one evaluator event.
+// client/server/epoch/d attrs (and no shard) and at least one evaluator
+// event.
 func TestPlaneOpSpanShape(t *testing.T) {
 	servers, clients := testCoords(t, 80, 6, 21)
 	tr := obs.NewTracer(obs.TracerOptions{SampleRate: 1, Seed: 7})
-	p, err := shard.New(shard.Options{Shards: 2, Servers: servers, Clients: clients, Tracer: tr})
+	p, err := shard.New(shard.Options{Servers: servers, Clients: clients, Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,10 +120,13 @@ func TestPlaneOpSpanShape(t *testing.T) {
 	for _, a := range join.Attrs {
 		attrs[a.Key] = a.Value
 	}
-	for _, key := range []string{"client", "shard", "server", "epoch", "d"} {
+	for _, key := range []string{"client", "server", "epoch", "d"} {
 		if _, ok := attrs[key]; !ok {
 			t.Fatalf("plane.join span missing attr %q; attrs: %v", key, join.Attrs)
 		}
+	}
+	if _, ok := attrs["shard"]; ok {
+		t.Fatalf("plane.join span has a shard attr; attrs: %v", join.Attrs)
 	}
 	if attrs["client"] != "3" {
 		t.Fatalf("plane.join client attr = %q, want 3", attrs["client"])
@@ -140,13 +144,14 @@ func TestPlaneOpSpanShape(t *testing.T) {
 
 // TestPlaneJournals checks the flight-recorder side: kills and restarts
 // land in the failover journal under the caller's trace, every publish
-// lands in the epoch journal, and a kill triggers an automatic
-// "server-kill" dump that contains the triggering trace ID.
+// lands in the epoch journal with its epoch, d and active count, and a
+// kill triggers an automatic "server-kill" dump that contains the
+// triggering trace ID.
 func TestPlaneJournals(t *testing.T) {
 	servers, clients := testCoords(t, 100, 6, 31)
 	tr := obs.NewTracer(obs.TracerOptions{SampleRate: 1, Seed: 11})
 	fl := obs.NewRecorder(0)
-	p, err := shard.New(shard.Options{Shards: 2, Servers: servers, Clients: clients, Tracer: tr, Flight: fl})
+	p, err := shard.New(shard.Options{Servers: servers, Clients: clients, Tracer: tr, Flight: fl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,12 +185,17 @@ func TestPlaneJournals(t *testing.T) {
 		t.Fatal("epoch journal empty after joins and a kill")
 	}
 	cur := p.Current()
+	var keys []string
 	last := map[string]string{}
 	for _, a := range ep[len(ep)-1].Attrs {
+		keys = append(keys, a.Key)
 		last[a.Key] = a.Value
 	}
 	if got, want := last["epoch"], fmt.Sprint(cur.Epoch); got != want {
 		t.Fatalf("latest epoch journal event epoch = %q, want %q", got, want)
+	}
+	if got := fmt.Sprint(keys); got != "[epoch d active]" {
+		t.Fatalf("epoch journal attrs %s, want [epoch d active]", got)
 	}
 
 	// The kill auto-dumped: its snapshot machinery must agree with what
@@ -199,62 +209,33 @@ func TestPlaneJournals(t *testing.T) {
 	}
 }
 
-// TestPlaneHealth pins the grouping and the per-shard health surface:
-// client c is grouped into shard c mod min(S, |C|), at 1, 3, 4 and 16
-// shards and with more shards than clients; every shard reports its own
-// summary epoch and active count, which sum to the snapshot's Active as
-// its shard summaries do; and Repair stamps the plane's lastRepair on
-// every shard's line.
+// TestPlaneHealth pins the plane-wide health surface: LastRepair is
+// the zero time until the first Repair and the wall time of the last
+// Repair after it, whether or not the repair moved anyone.
 func TestPlaneHealth(t *testing.T) {
 	servers, clients := testCoords(t, 90, 5, 41)
-	for _, shards := range []int{1, 3, 4, 16, 2 * len(clients)} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			p, err := shard.New(shard.Options{Shards: shards, Servers: servers, Clients: clients})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := min(shards, len(clients))
-			if p.NumShards() != want {
-				t.Fatalf("plane has %d shards, want %d", p.NumShards(), want)
-			}
-			for c := range clients {
-				if got, err := p.ShardOf(c); err != nil || got != c%want {
-					t.Fatalf("ShardOf(%d) = %d, %v; want %d", c, got, err, c%want)
-				}
-			}
-			for c := 0; c < 30; c++ {
-				if _, err := p.Join(context.Background(), c); err != nil {
-					t.Fatal(err)
-				}
-			}
-			hs := p.Health()
-			if len(hs) != want {
-				t.Fatalf("Health() returned %d shards, want %d", len(hs), want)
-			}
-			health, summaries := 0, 0
-			for i, h := range hs {
-				if h.Shard != i {
-					t.Fatalf("health[%d].Shard = %d", i, h.Shard)
-				}
-				if !h.LastRepair.IsZero() {
-					t.Fatalf("shard %d reports a repair before any Repair", i)
-				}
-				health += h.Active
-			}
-			snap := p.Current()
-			for _, sum := range snap.Shards {
-				summaries += sum.Active
-			}
-			if snap.Active != 30 || health != 30 || summaries != 30 {
-				t.Fatalf("active %d; per-shard health sums to %d, shard summaries to %d; want 30",
-					snap.Active, health, summaries)
-			}
-			p.Repair(context.Background(), 0)
-			for _, h := range p.Health() {
-				if h.LastRepair.IsZero() {
-					t.Fatalf("Repair did not stamp shard %d's lastRepair", h.Shard)
-				}
-			}
-		})
+	p, err := shard.New(shard.Options{Servers: servers, Clients: clients})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := 0; c < 30; c++ {
+		if _, err := p.Join(context.Background(), c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := p.LastRepair(); !got.IsZero() {
+		t.Fatalf("LastRepair() = %v before any Repair", got)
+	}
+	for range 2 {
+		before := time.Now()
+		if moves := p.Repair(context.Background(), 0); moves != 0 {
+			t.Fatalf("GreedyJoin's repair moved %d clients", moves)
+		}
+		if got := p.LastRepair(); got.Before(before.Truncate(0)) || got.After(time.Now()) {
+			t.Fatalf("LastRepair() = %v, want a time after %v", got, before)
+		}
+	}
+	if s := p.Current(); s.Active != 30 {
+		t.Fatalf("active %d, want 30", s.Active)
 	}
 }
