@@ -50,7 +50,8 @@
 //	               so the diacap_live_* telemetry and the /healthz
 //	               cluster section carry real values; the assignment
 //	               endpoints are then admission-gated on cluster health
-//	               (stale snapshots / 429 + Retry-After under churn)
+//	               (429 + Retry-After under churn, a fresh answer
+//	               otherwise)
 //	-drain-timeout grace period for in-flight requests on shutdown:
 //	               SIGTERM/SIGINT closes the listener immediately and
 //	               drains what is already being handled
@@ -138,11 +139,10 @@ func main() {
 		}
 		defer stopWorkload()
 		defer cluster.Close()
+		// Fronting a real cluster also gates assignment work on its
+		// health, so a churn storm sheds load instead of piling fresh
+		// computations onto a cluster mid-failover.
 		opts.Live = cluster
-		// Fronting a real cluster: gate assignment work on its health so a
-		// churn storm sheds load instead of piling fresh computations onto
-		// a cluster mid-failover.
-		opts.Admission = &service.AdmissionConfig{Health: cluster}
 	}
 	if *planeFlag {
 		shard.Preregister(reg)

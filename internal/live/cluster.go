@@ -258,7 +258,8 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 func (cl *Cluster) Clock() Clock { return cl.clock }
 
 // NumServers returns the configured server count (dead or alive). With
-// DeadServers it satisfies the service package's LiveStatus view.
+// DeadServers and HealthSnapshot it satisfies the service package's
+// LiveStatus view.
 func (cl *Cluster) NumServers() int { return len(cl.servers) }
 
 // Client returns a launched client by instance index (nil if absent).

@@ -42,6 +42,10 @@ import (
 // 500 members per cell.
 const DefaultMaxCells = 2000
 
+// lloydRounds is the number of Lloyd refinement rounds after the greedy
+// covering.
+const lloydRounds = 8
+
 // Options configures AssignCoords.
 type Options struct {
 	// Servers are the server coordinates (required). PlaceServers can
@@ -54,9 +58,6 @@ type Options struct {
 	// With MaxCells ≥ len(clients) every client is its own cell and the
 	// pipeline degenerates to a direct solve.
 	MaxCells int
-	// KMeansIters is the number of Lloyd refinement rounds after the
-	// greedy covering (0 = 8; negative disables refinement).
-	KMeansIters int
 	// Algorithms names the solvers for the reduced instance; each must
 	// be a WeightedAlgorithm (default: Nearest-Server,
 	// Longest-First-Batch, Greedy).
@@ -82,12 +83,6 @@ type Options struct {
 func (o *Options) fill() {
 	if o.MaxCells == 0 {
 		o.MaxCells = DefaultMaxCells
-	}
-	if o.KMeansIters == 0 {
-		o.KMeansIters = 8
-	}
-	if o.KMeansIters < 0 {
-		o.KMeansIters = 0
 	}
 	if len(o.Algorithms) == 0 {
 		o.Algorithms = []string{"Nearest-Server", "Longest-First-Batch", "Greedy"}
@@ -162,7 +157,7 @@ func AssignCoords(clients []latency.Coord, opts Options) (*Result, error) {
 	}
 
 	start := time.Now()
-	cells, err := Cluster(clients, opts.MaxCells, opts.KMeansIters)
+	cells, err := Cluster(clients, opts.MaxCells, lloydRounds)
 	if err != nil {
 		return nil, err
 	}

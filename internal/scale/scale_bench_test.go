@@ -57,7 +57,7 @@ func BenchmarkCluster10k(b *testing.B) {
 	clients := benchPopulation(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cells, err := Cluster(clients, DefaultMaxCells, 8)
+		cells, err := Cluster(clients, DefaultMaxCells, lloydRounds)
 		if err != nil {
 			b.Fatal(err)
 		}

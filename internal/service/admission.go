@@ -1,26 +1,24 @@
 package service
 
 // Admission control for the assignment endpoints. When the service
-// fronts a live cluster, a churn event (failure storm, reconnect
-// stampede, partition) makes fresh assignments both expensive and
-// short-lived: the optimal move is often to answer brokers with the
-// last known-good assignment — or to push back outright — until the
-// cluster stabilizes. The controller scores cluster health from the
-// always-on resilience telemetry (live.HealthSnapshot) and walks a
-// three-state machine:
+// fronts a live cluster (Options.Live), a churn event (failure storm,
+// reconnect stampede, partition) makes fresh assignments both expensive
+// and short-lived, so the service pushes back until the cluster
+// stabilizes. The controller scores cluster health from the always-on
+// resilience telemetry (live.HealthSnapshot) and walks a two-state
+// machine:
 //
-//	accept   → compute fresh assignments as usual
-//	degraded → serve the cached last-good response with an
-//	           X-Diacap-Stale header (compute on cache miss)
-//	shed     → 429 + Retry-After, no computation at all
+//	accept → every request computes its own answer
+//	shed   → 429 + Retry-After, before the body is read
 //
-// State exits require the score to drop an ExitMargin below the entry
-// threshold, so a score oscillating around a threshold cannot flap the
-// service between modes — the same hysteresis idea the dynamic layer
-// applies to reassignment.
+// A request is answered for its own body or refused; it is never
+// answered with another request's result. Leaving shed requires the
+// score to drop shedExitMargin below the shed threshold, so a score
+// oscillating around the threshold cannot flap the service between
+// modes — the same hysteresis idea the dynamic layer applies to
+// reassignment.
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -31,75 +29,33 @@ import (
 	"diacap/internal/obs"
 )
 
-// HealthSource yields live-cluster resilience telemetry; *live.Cluster
-// satisfies it.
-type HealthSource interface {
-	HealthSnapshot() live.HealthSnapshot
-}
-
-// AdmissionState is the controller's current mode.
+// AdmissionState is the controller's current mode; its value is what
+// the diacap_admission_state gauge reads. Shed is 2, the value the gauge
+// has always read for it, so an alert on == 2 keeps firing.
 type AdmissionState int
 
 const (
-	AdmissionAccept AdmissionState = iota
-	AdmissionDegraded
-	AdmissionShed
+	AdmissionAccept AdmissionState = 0
+	AdmissionShed   AdmissionState = 2
 )
 
 func (s AdmissionState) String() string {
 	switch s {
 	case AdmissionAccept:
 		return "accept"
-	case AdmissionDegraded:
-		return "degraded"
 	case AdmissionShed:
 		return "shed"
 	}
 	return fmt.Sprintf("AdmissionState(%d)", int(s))
 }
 
-// AdmissionConfig tunes the controller. Zero values take the defaults.
-type AdmissionConfig struct {
-	// Health provides the cluster telemetry; required.
-	Health HealthSource
-	// Window is the minimum wall-clock spacing between telemetry
-	// refreshes; successive snapshots are diffed into rates over it
-	// (default 1 s).
-	Window time.Duration
-	// DegradedScore and ShedScore are the state entry thresholds on the
-	// health score in [0, 1] (defaults 0.25 and 0.6).
-	DegradedScore float64
-	ShedScore     float64
-	// ExitMargin is the hysteresis band: leaving a state requires the
-	// score to drop ExitMargin below its entry threshold (default 0.05).
-	ExitMargin float64
-	// RetryAfter is the backoff advertised on 429 responses (default 2 s).
-	RetryAfter time.Duration
-	// StaleTTL bounds the age of a cached response served in degraded
-	// mode; older entries force a fresh computation (default 5 min).
-	StaleTTL time.Duration
-}
-
-func (c *AdmissionConfig) fill() {
-	if c.Window <= 0 {
-		c.Window = time.Second
-	}
-	if c.DegradedScore <= 0 {
-		c.DegradedScore = 0.25
-	}
-	if c.ShedScore <= 0 {
-		c.ShedScore = 0.6
-	}
-	if c.ExitMargin <= 0 {
-		c.ExitMargin = 0.05
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = 2 * time.Second
-	}
-	if c.StaleTTL <= 0 {
-		c.StaleTTL = 5 * time.Minute
-	}
-}
+const (
+	// shedExitMargin is the hysteresis band: shedding stops only once
+	// the score drops this far below the shed threshold.
+	shedExitMargin = 0.05
+	// retryAfter is the backoff advertised on 429 responses.
+	retryAfter = 2 * time.Second
+)
 
 // healthScore maps a telemetry delta onto [0, 1]. Components and their
 // saturation scales, weights summing to 1:
@@ -109,10 +65,10 @@ func (c *AdmissionConfig) fill() {
 //	0.20  reconnect dials per client per second, saturating at 1
 //	0.15  mean lag spread per delivery, saturating at 50 virtual ms
 //
-// The dead fraction alone cannot shed at the default 0.6 threshold: a
-// stably degraded cluster that still meets its δ keeps serving, and
-// only active churn (failovers, reconnect storms, lag blowout) pushes
-// the service into load shedding.
+// The dead fraction alone cannot shed at the 0.6 threshold: a stably
+// degraded cluster that still meets its δ keeps serving, and only
+// active churn (failovers, reconnect storms, lag blowout) pushes the
+// service into load shedding.
 func healthScore(prev, cur live.HealthSnapshot, elapsedSec float64) float64 {
 	parts := healthParts(prev, cur, elapsedSec)
 	return saturate(parts[0] + parts[1] + parts[2] + parts[3])
@@ -167,42 +123,28 @@ func saturate(x float64) float64 {
 	return x
 }
 
-// nextState advances the admission state machine for one score reading.
-// Entry uses the configured thresholds; exit requires dropping
-// ExitMargin below them.
-func (c *AdmissionConfig) nextState(state AdmissionState, score float64) AdmissionState {
-	switch state {
-	case AdmissionShed:
-		if score >= c.ShedScore-c.ExitMargin {
-			return AdmissionShed
-		}
-		if score >= c.DegradedScore {
-			return AdmissionDegraded
-		}
-		return AdmissionAccept
-	case AdmissionDegraded:
-		if score >= c.ShedScore {
-			return AdmissionShed
-		}
-		if score >= c.DegradedScore-c.ExitMargin {
-			return AdmissionDegraded
-		}
-		return AdmissionAccept
-	default:
-		if score >= c.ShedScore {
-			return AdmissionShed
-		}
-		if score >= c.DegradedScore {
-			return AdmissionDegraded
-		}
-		return AdmissionAccept
+// nextState advances the admission state machine for one score
+// reading: shed is entered at shedScore and left below shedScore −
+// shedExitMargin.
+func (a *admission) nextState(state AdmissionState, score float64) AdmissionState {
+	enter := a.shedScore
+	if state == AdmissionShed {
+		enter -= shedExitMargin
 	}
+	if score >= enter {
+		return AdmissionShed
+	}
+	return AdmissionAccept
 }
 
 // admission is the runtime controller instance.
 type admission struct {
-	cfg AdmissionConfig
-	now func() time.Time // wall clock; tests substitute a fake
+	health LiveStatus
+	// window is the minimum wall-clock spacing between telemetry
+	// refreshes; successive snapshots are diffed into rates over it.
+	window time.Duration
+	// shedScore is the health score in [0, 1] at which shedding starts.
+	shedScore float64
 
 	mu       sync.Mutex
 	haveBase bool
@@ -213,31 +155,24 @@ type admission struct {
 	// dominant names the health component contributing most to the
 	// latest score (see dominantComponent).
 	dominant string
-	stale    map[string]staleEntry // endpoint → last-good response
 }
 
-type staleEntry struct {
-	body   []byte
-	stored time.Time
+func newAdmission(health LiveStatus) *admission {
+	return &admission{health: health, window: time.Second, shedScore: 0.6, dominant: "none"}
 }
 
-func newAdmission(cfg AdmissionConfig) *admission {
-	cfg.fill()
-	return &admission{cfg: cfg, now: time.Now, dominant: "none", stale: make(map[string]staleEntry)}
-}
-
-// refresh re-scores the cluster at most once per Window and returns the
+// refresh re-scores the cluster at most once per window and returns the
 // current state, score, the state before this reading (prev != state
 // marks a transition, attributable to the calling request), and the
 // dominant score component.
 func (a *admission) refresh() (state AdmissionState, score float64, prev AdmissionState, dominant string) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	now := a.now()
-	if a.haveBase && now.Sub(a.baseAt) < a.cfg.Window {
+	now := time.Now()
+	if a.haveBase && now.Sub(a.baseAt) < a.window {
 		return a.state, a.score, a.state, a.dominant
 	}
-	snap := a.cfg.Health.HealthSnapshot()
+	snap := a.health.HealthSnapshot()
 	var parts [4]float64
 	if !a.haveBase {
 		// First reading: no rate base yet, only the instantaneous
@@ -250,42 +185,20 @@ func (a *admission) refresh() (state AdmissionState, score float64, prev Admissi
 	a.score = saturate(parts[0] + parts[1] + parts[2] + parts[3])
 	a.dominant = dominantComponent(parts)
 	prev = a.state
-	a.state = a.cfg.nextState(a.state, a.score)
+	a.state = a.nextState(a.state, a.score)
 	a.base, a.baseAt = snap, now
 	return a.state, a.score, prev, a.dominant
 }
 
-// storeStale caches a successful response for degraded-mode serving.
-func (a *admission) storeStale(endpoint string, v any) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return
-	}
-	a.mu.Lock()
-	a.stale[endpoint] = staleEntry{body: body, stored: a.now()}
-	a.mu.Unlock()
-}
-
-// staleFor returns the cached response for endpoint if it is within the
-// TTL, with its age.
-func (a *admission) staleFor(endpoint string) ([]byte, time.Duration, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	e, ok := a.stale[endpoint]
-	if !ok {
-		return nil, 0, false
-	}
-	age := a.now().Sub(e.stored)
-	if age > a.cfg.StaleTTL {
-		return nil, 0, false
-	}
-	return e.body, age, true
-}
-
-// admit gates one assignment request. It returns true when the request
-// was fully answered here (stale snapshot or shed) and the handler must
-// not compute.
+// admit gates one assignment request before its body is read: a method
+// other than POST gets 405, and a request the controller sheds gets 429
+// + Retry-After. It returns true when it answered the request, which
+// the handler must then neither read nor compute.
 func (s *Server) admit(w http.ResponseWriter, r *http.Request, endpoint string) bool {
+	if r.Method != http.MethodPost {
+		s.fail(w, r, &httpError{status: http.StatusMethodNotAllowed, msg: "POST required"})
+		return true
+	}
 	a := s.admission
 	if a == nil {
 		return false
@@ -307,34 +220,18 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, endpoint string) 
 			s.opts.Flight.Dump("admission-shed")
 		}
 	}
-	switch state {
-	case AdmissionShed:
-		s.countAdmission("shed", state, score)
-		if reg := s.opts.Metrics; reg != nil {
-			reg.Counter(nAdmShedComp, hAdmShedComp, obs.L("component", dominant)).Inc()
-		}
-		s.log.Warn("admission: shedding assignment load",
-			"endpoint", endpoint, "score", score, "dominant", dominant)
-		w.Header().Set("Retry-After",
-			strconv.Itoa(int((a.cfg.RetryAfter+time.Second-1)/time.Second)))
-		writeJSON(w, http.StatusTooManyRequests, map[string]string{
-			"error": fmt.Sprintf("cluster health score %.2f: assignment load shed, retry later", score),
-		})
-		return true
-	case AdmissionDegraded:
-		if body, age, ok := a.staleFor(endpoint); ok {
-			s.countAdmission("stale", state, score)
-			w.Header().Set("Content-Type", "application/json")
-			w.Header().Set("X-Diacap-Stale", strconv.FormatFloat(age.Seconds(), 'f', 0, 64))
-			w.WriteHeader(http.StatusOK)
-			_, _ = w.Write(body)
-			return true
-		}
-		// Cache miss: compute once so there is a snapshot to serve.
-		s.countAdmission("accept", state, score)
-		return false
-	default:
-		s.countAdmission("accept", state, score)
+	s.countAdmission(state, score)
+	if state != AdmissionShed {
 		return false
 	}
+	if reg := s.opts.Metrics; reg != nil {
+		reg.Counter(nAdmShedComp, hAdmShedComp, obs.L("component", dominant)).Inc()
+	}
+	s.log.Warn("admission: shedding assignment load",
+		"endpoint", endpoint, "score", score, "dominant", dominant)
+	w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter/time.Second)))
+	writeJSON(w, http.StatusTooManyRequests, map[string]string{
+		"error": fmt.Sprintf("cluster health score %.2f: assignment load shed, retry later", score),
+	})
+	return true
 }

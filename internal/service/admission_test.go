@@ -1,21 +1,29 @@
 package service
 
 import (
+	"io"
 	"math"
+	"math/rand"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"diacap/internal/dynamic"
+	"diacap/internal/latency"
 	"diacap/internal/live"
 	"diacap/internal/obs"
 )
 
 // stubHealth serves scripted snapshots: each HealthSnapshot call pops
-// the next one (the last repeats).
+// the next one (the last repeats). The embedded stubLive completes
+// LiveStatus for /healthz, which these tests do not read.
 type stubHealth struct {
+	stubLive
 	mu    sync.Mutex
 	snaps []live.HealthSnapshot
 	i     int
@@ -62,30 +70,91 @@ func TestHealthScoreComponents(t *testing.T) {
 	}
 }
 
-// TestAdmissionStateMachineHysteresis pins the exit margins: a score
-// oscillating just below an entry threshold cannot flap the state.
+// TestAdmissionStateMachineHysteresis pins the exit margin: a score
+// oscillating just below the entry threshold cannot flap the state.
 func TestAdmissionStateMachineHysteresis(t *testing.T) {
-	cfg := AdmissionConfig{DegradedScore: 0.25, ShedScore: 0.6, ExitMargin: 0.05}
+	a := newAdmission(nil)
 	steps := []struct {
 		score float64
 		want  AdmissionState
 	}{
 		{0.1, AdmissionAccept},
-		{0.24, AdmissionAccept}, // below entry
-		{0.30, AdmissionDegraded},
-		{0.22, AdmissionDegraded}, // inside the exit band: holds
-		{0.19, AdmissionAccept},   // below entry − margin: exits
-		{0.70, AdmissionShed},     // straight from accept to shed
-		{0.57, AdmissionShed},     // inside the shed exit band: holds
-		{0.54, AdmissionDegraded}, // below shed − margin, above degraded
+		{0.24, AdmissionAccept},
+		{0.70, AdmissionShed},   // straight from accept to shed
+		{0.57, AdmissionShed},   // inside the shed exit band: holds
+		{0.54, AdmissionAccept}, // below shed − margin: exits
 		{0.61, AdmissionShed},
 		{0.10, AdmissionAccept}, // collapse all the way down
 	}
 	state := AdmissionAccept
 	for i, st := range steps {
-		state = cfg.nextState(state, st.score)
+		state = a.nextState(state, st.score)
 		if state != st.want {
 			t.Fatalf("step %d (score %v): state = %v, want %v", i, st.score, state, st.want)
+		}
+	}
+}
+
+// threeStateNext is the reference for the admission rule: a three-state
+// machine with a degraded state between accept and shed, entered at
+// 0.25 and 0.6 and left 0.05 below each, whose degraded state answered
+// from a cache instead of computing. The two-state machine must shed
+// exactly when this one does.
+func threeStateNext(state AdmissionState, score float64) AdmissionState {
+	const degraded AdmissionState = 1
+	degradedScore, shedScore, exitMargin := 0.25, 0.6, 0.05
+	switch state {
+	case AdmissionShed:
+		if score >= shedScore-exitMargin {
+			return AdmissionShed
+		}
+		if score >= degradedScore {
+			return degraded
+		}
+		return AdmissionAccept
+	case degraded:
+		if score >= shedScore {
+			return AdmissionShed
+		}
+		if score >= degradedScore-exitMargin {
+			return degraded
+		}
+		return AdmissionAccept
+	default:
+		if score >= shedScore {
+			return AdmissionShed
+		}
+		if score >= degradedScore {
+			return degraded
+		}
+		return AdmissionAccept
+	}
+}
+
+// TestAdmissionShedsWhereThreeStateRuleSheds drives both machines over
+// random score sequences, thresholds and their neighbouring floats
+// included, and requires the same shed decision at every step.
+func TestAdmissionShedsWhereThreeStateRuleSheds(t *testing.T) {
+	a := newAdmission(nil)
+	shedScore, exitMargin := 0.6, 0.05
+	var edges []float64
+	for _, e := range []float64{0.2, 0.25, 0.55, shedScore - exitMargin, 0.6} {
+		edges = append(edges, math.Nextafter(e, 0), e, math.Nextafter(e, 1))
+	}
+	rng := rand.New(rand.NewSource(1))
+	for seq := 0; seq < 2000; seq++ {
+		ref, got := AdmissionAccept, AdmissionAccept
+		for step := 0; step < 200; step++ {
+			score := rng.Float64()
+			if rng.Intn(2) == 0 {
+				score = edges[rng.Intn(len(edges))]
+			}
+			ref = threeStateNext(ref, score)
+			got = a.nextState(got, score)
+			if (ref == AdmissionShed) != (got == AdmissionShed) {
+				t.Fatalf("sequence %d step %d (score %v): state %v, three-state rule %v",
+					seq, step, score, got, ref)
+			}
 		}
 	}
 }
@@ -94,14 +163,9 @@ func TestAdmissionStateMachineHysteresis(t *testing.T) {
 // scripted snapshots with zero refresh spacing (every request re-scores).
 func admissionServer(t *testing.T, reg *obs.Registry, snaps ...live.HealthSnapshot) *Server {
 	t.Helper()
-	return New(Options{
-		MaxNodes: 256,
-		Metrics:  reg,
-		Admission: &AdmissionConfig{
-			Health: &stubHealth{snaps: snaps},
-			Window: time.Nanosecond,
-		},
-	})
+	s := New(Options{MaxNodes: 256, Metrics: reg, Live: &stubHealth{snaps: snaps}})
+	s.admission.window = time.Nanosecond
+	return s
 }
 
 func TestAdmissionShedsWith429AndRetryAfter(t *testing.T) {
@@ -145,63 +209,69 @@ func TestAdmissionShedsWith429AndRetryAfter(t *testing.T) {
 	}
 }
 
-func TestAdmissionDegradedServesStaleSnapshot(t *testing.T) {
-	reg := obs.NewRegistry()
-	quiet := live.HealthSnapshot{Servers: 4, Clients: 10}
-	// 2 of 4 dead and a mild reconnect trickle: degraded, not shed.
-	limping := live.HealthSnapshot{Servers: 4, DeadServers: 2, Clients: 10, ReconnectAttempts: 40}
-	s := admissionServer(t, reg, quiet, limping)
-	req := AssignRequest{
-		Matrix: smallMatrix(t), Servers: []int{0, 1}, Algorithm: "Greedy", Seed: ptr[int64](1),
+// TestAdmissionAnswersEachRequestItself pins that admission never
+// answers a request with another request's result: with the health
+// score below the shed threshold, each /v1/assign response equals what
+// a server without admission returns for the same body.
+func TestAdmissionAnswersEachRequestItself(t *testing.T) {
+	// 3 of 4 servers dead scores 0.3375 on every reading: unhealthy,
+	// but below shedding.
+	limping := live.HealthSnapshot{Servers: 4, DeadServers: 3, Clients: 10}
+	s := admissionServer(t, nil, limping)
+	plain := testServer()
+	reqs := []AssignRequest{
+		{Matrix: smallMatrix(t), Servers: []int{0, 1}, Algorithm: "Greedy", Seed: ptr[int64](1)},
+		{Matrix: [][]float64(latency.ScaledLike(60, 2)), Servers: []int{0, 1, 2}, Algorithm: "Nearest-Server"},
 	}
-	// Request 1: quiet → fresh computation, cached as the stale snapshot.
-	rec := postJSON(t, s, "/v1/assign", req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("quiet: status = %d: %s", rec.Code, rec.Body.String())
-	}
-	if rec.Header().Get("X-Diacap-Stale") != "" {
-		t.Fatal("fresh response carries the stale header")
-	}
-	fresh := decodeBody[AssignResponse](t, rec)
-
-	// Request 2: degraded → the cached snapshot, marked stale.
-	rec = postJSON(t, s, "/v1/assign", req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("degraded: status = %d: %s", rec.Code, rec.Body.String())
-	}
-	if rec.Header().Get("X-Diacap-Stale") == "" {
-		t.Fatal("degraded response is missing the X-Diacap-Stale header")
-	}
-	stale := decodeBody[AssignResponse](t, rec)
-	if stale.D != fresh.D || len(stale.Assignment) != len(fresh.Assignment) {
-		t.Fatalf("stale snapshot %v does not match the cached response %v", stale, fresh)
-	}
-	if got := reg.Counter(nAdmDecisions, "", obs.L("decision", "stale")).Value(); got != 1 {
-		t.Errorf("stale decisions = %d, want 1", got)
+	for i, req := range reqs {
+		rec := postJSON(t, s, "/v1/assign", req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("request %d: status = %d: %s", i, rec.Code, rec.Body.String())
+		}
+		if h := rec.Header().Get("X-Diacap-Stale"); h != "" {
+			t.Fatalf("request %d carries X-Diacap-Stale: %s", i, h)
+		}
+		got := decodeBody[AssignResponse](t, rec)
+		want := decodeBody[AssignResponse](t, postJSON(t, plain, "/v1/assign", req))
+		got.ElapsedMs, want.ElapsedMs = 0, 0
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("request %d answered with %s D=%v over %d clients, want its own %s D=%v over %d",
+				i, got.Algorithm, got.D, len(got.Assignment), want.Algorithm, want.D, len(want.Assignment))
+		}
 	}
 }
 
-func TestAdmissionDegradedCacheMissComputes(t *testing.T) {
-	// Degraded from the very first request: no snapshot cached yet, so
-	// the request computes (and seeds the cache) instead of failing.
-	// 3 of 4 dead scores 0.3375 instantaneously — degraded without any
-	// rate components.
-	limping := live.HealthSnapshot{Servers: 4, DeadServers: 3, Clients: 10}
-	s := admissionServer(t, nil, limping)
-	req := AssignRequest{
-		Matrix: smallMatrix(t), Servers: []int{0, 1}, Algorithm: "Greedy", Seed: ptr[int64](1),
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// TestAdmissionShedsBeforeReadingBody pins that a shed request costs no
+// decoding: the 429 comes before the first byte of the body is read, so
+// a large or malformed body gets the same answer as any other.
+func TestAdmissionShedsBeforeReadingBody(t *testing.T) {
+	sick := live.HealthSnapshot{
+		Servers: 4, DeadServers: 4, Clients: 10,
+		Failovers: 100, ReconnectAttempts: 10000,
+		Deliveries: 100, LagSpreadSum: 100 * 1000,
 	}
-	rec := postJSON(t, s, "/v1/assign", req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("cache miss: status = %d: %s", rec.Code, rec.Body.String())
-	}
-	if rec.Header().Get("X-Diacap-Stale") != "" {
-		t.Fatal("computed cache-miss response carries the stale header")
-	}
-	rec = postJSON(t, s, "/v1/assign", req)
-	if rec.Code != http.StatusOK || rec.Header().Get("X-Diacap-Stale") == "" {
-		t.Fatalf("second degraded request: status %d, stale header %q",
-			rec.Code, rec.Header().Get("X-Diacap-Stale"))
+	s := admissionServer(t, nil, sick)
+	s.admission.shedScore = 0.2 // the first reading's dead fraction sheds
+	for _, path := range []string{"/v1/assign", "/v1/assign-coords"} {
+		body := &countingReader{r: strings.NewReader(strings.Repeat("x", 4096))}
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, body))
+		if rec.Code != http.StatusTooManyRequests || body.n != 0 {
+			t.Fatalf("%s: status %d after reading %d body bytes, want 429 after none: %s",
+				path, rec.Code, body.n, rec.Body.String())
+		}
 	}
 }
 
@@ -273,20 +343,11 @@ func TestAdmissionAgainstRealCluster(t *testing.T) {
 	}
 	defer cluster.Close()
 
-	s := New(Options{
-		MaxNodes: 256,
-		Live:     cluster,
-		Admission: &AdmissionConfig{
-			Health: cluster,
-			Window: time.Nanosecond,
-			// Thresholds scaled so that dead servers + failover churn,
-			// which a 4-server fixture can realistically produce, cross
-			// into shedding.
-			DegradedScore: 0.10,
-			ShedScore:     0.20,
-			RetryAfter:    time.Second,
-		},
-	})
+	s := New(Options{MaxNodes: 256, Live: cluster})
+	s.admission.window = time.Nanosecond
+	// A threshold scaled so that dead servers + failover churn, which a
+	// 4-server fixture can realistically produce, cross into shedding.
+	s.admission.shedScore = 0.20
 	req := AssignRequest{
 		Matrix:  [][]float64(m),
 		Servers: servers,
@@ -298,8 +359,8 @@ func TestAdmissionAgainstRealCluster(t *testing.T) {
 	}
 
 	// Kill half the cluster and fail over each orphan to its nearest
-	// survivor: dead fraction 0.5 alone puts the score at 0.225 ≥
-	// ShedScore.
+	// survivor: dead fraction 0.5 alone puts the score at 0.225, above
+	// the 0.20 shed score.
 	if err := cluster.Kill(1); err != nil {
 		t.Fatal(err)
 	}

@@ -92,15 +92,9 @@ func (s *Server) handleAssignBatch(w http.ResponseWriter, r *http.Request) {
 // is resolveRequest, which is annotated and allocation-free at steady
 // state.
 func (s *Server) serveResolve(w http.ResponseWriter, r *http.Request, endpoint string, unary bool) {
-	if r.Method != http.MethodPost {
-		s.fail(w, r, &httpError{status: http.StatusMethodNotAllowed, msg: "POST required"})
-		return
-	}
 	// The request's single admission decision: after this point the
 	// batch is computed and written in full (see the package comment on
-	// atomicity). Degraded mode never has a cached response for these
-	// endpoints — results depend on the request's coordinates — so it
-	// always falls through to a fresh resolve.
+	// atomicity).
 	if s.admit(w, r, endpoint) {
 		return
 	}

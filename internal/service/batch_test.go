@@ -187,10 +187,8 @@ func TestResolveShedsWholeBatch(t *testing.T) {
 		Deliveries: 100, LagSpreadSum: 100 * 1000,
 	}
 	quiet := live.HealthSnapshot{Servers: 4, Clients: 10}
-	s, _ := resolveServer(t, Options{Admission: &AdmissionConfig{
-		Health: &stubHealth{snaps: []live.HealthSnapshot{quiet, sick}},
-		Window: time.Nanosecond,
-	}})
+	s, _ := resolveServer(t, Options{Live: &stubHealth{snaps: []live.HealthSnapshot{quiet, sick}}})
+	s.admission.window = time.Nanosecond
 	// Two requests: the first scores the quiet base, the second diffs
 	// the churn storm against it and sheds.
 	postRaw(t, s, "/v1/assign-batch", `{"coords":[[1,2]]}`)

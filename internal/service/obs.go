@@ -8,17 +8,21 @@ import (
 	"time"
 
 	"diacap/internal/assign"
+	"diacap/internal/live"
 	"diacap/internal/obs"
 )
 
 // LiveStatus is the view of a live server cluster the service fronts.
 // *live.Cluster satisfies it; /healthz reports the dead-server count so
-// an orchestrator probing the HTTP plane sees cluster degradation.
+// an orchestrator probing the HTTP plane sees cluster degradation, and
+// admission control scores the cluster's health.
 type LiveStatus interface {
 	// NumServers is the configured cluster size.
 	NumServers() int
 	// DeadServers lists the indices of servers that have failed.
 	DeadServers() []int
+	// HealthSnapshot is the resilience telemetry admission scores.
+	HealthSnapshot() live.HealthSnapshot
 }
 
 // endpoints is the closed label set for per-endpoint metrics; anything
@@ -94,7 +98,7 @@ const (
 	nAdmScore       = "diacap_admission_health_score"
 	hAdmScore       = "Latest cluster health score in [0,1] driving admission control."
 	nAdmState       = "diacap_admission_state"
-	hAdmState       = "Admission state: 0 accept, 1 degraded (serve stale), 2 shed."
+	hAdmState       = "Admission state: 0 accept, 2 shed (it never reads 1)."
 	nAdmShedComp    = "diacap_admission_shed_component_total"
 	hAdmShedComp    = "Shed (429) responses, by the dominant health-score component that drove the score."
 	nResolveClients = "diacap_resolve_clients_total"
@@ -102,7 +106,7 @@ const (
 )
 
 // admissionDecisions is the closed label set of admission outcomes.
-var admissionDecisions = []string{"accept", "stale", "shed"}
+var admissionDecisions = []string{AdmissionAccept.String(), AdmissionShed.String()}
 
 // healthComponents is the closed label set of health-score components
 // (see healthParts); "none" covers an all-zero score.
@@ -142,14 +146,14 @@ func PreregisterMetrics(reg *obs.Registry) {
 	reg.Gauge(nAdmState, hAdmState)
 }
 
-// countAdmission publishes one admission decision plus the score and
-// state it was made under.
-func (s *Server) countAdmission(decision string, state AdmissionState, score float64) {
+// countAdmission publishes one admission decision (the state it put
+// the request in) plus the score it was made under.
+func (s *Server) countAdmission(state AdmissionState, score float64) {
 	reg := s.opts.Metrics
 	if reg == nil {
 		return
 	}
-	reg.Counter(nAdmDecisions, hAdmDecisions, obs.L("decision", decision)).Inc()
+	reg.Counter(nAdmDecisions, hAdmDecisions, obs.L("decision", state.String())).Inc()
 	reg.Gauge(nAdmScore, hAdmScore).Set(score)
 	reg.Gauge(nAdmState, hAdmState).Set(float64(state))
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"diacap/internal/live"
 	"diacap/internal/obs"
 )
 
@@ -17,6 +18,9 @@ type stubLive struct {
 
 func (s stubLive) NumServers() int    { return s.servers }
 func (s stubLive) DeadServers() []int { return s.dead }
+func (s stubLive) HealthSnapshot() live.HealthSnapshot {
+	return live.HealthSnapshot{Servers: s.servers, DeadServers: len(s.dead)}
+}
 
 func get(t *testing.T, s *Server, path string) *httptest.ResponseRecorder {
 	t.Helper()

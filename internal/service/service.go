@@ -65,8 +65,8 @@ type Options struct {
 	// request-size limit bounds; a request exceeding it receives 503
 	// JSON. The handler stops at its next phase boundary (decode,
 	// solve, lower bound, offsets, placement, metrics, the write) and
-	// records, caches and writes nothing; a phase that has already
-	// started still runs to its end. Every other route runs inline: its
+	// records and writes nothing; a phase that has already started
+	// still runs to its end. Every other route runs inline: its
 	// work is bounded by MaxBodyBytes, MaxBatchClients, the client
 	// universe or one plane write, and a deadline could not stop a plane
 	// write it gave up on. Zero disables the limit.
@@ -79,14 +79,13 @@ type Options struct {
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ (opt-in:
 	// profiles reveal internals and cost CPU to produce).
 	EnablePprof bool
-	// Live, if non-nil, is the live server cluster this service fronts;
-	// /healthz then reports its size and dead-server count.
+	// Live, if non-nil, is the live server cluster this service fronts.
+	// /healthz then reports its size and dead-server count, and its
+	// health gates /v1/assign, /v1/assign-coords, /v1/assign-one and
+	// /v1/assign-batch: while the cluster churns they answer 429 +
+	// Retry-After instead of starting a doomed computation, and
+	// otherwise every request computes its own answer (see admission.go).
 	Live LiveStatus
-	// Admission, if non-nil with a Health source, gates the assignment
-	// endpoints on live-cluster health: degraded clusters get the cached
-	// last-good response (X-Diacap-Stale header), sick clusters get 429 +
-	// Retry-After instead of a doomed computation (see AdmissionConfig).
-	Admission *AdmissionConfig
 	// DrainTimeout bounds the in-flight drain of Serve on shutdown
 	// (default 10 s).
 	DrainTimeout time.Duration
@@ -164,8 +163,8 @@ func New(opts Options) *Server {
 	s := &Server{opts: opts, log: opts.Logger, mux: http.NewServeMux()}
 	s.jRequests = opts.Flight.Journal(JournalRequests, 0)
 	s.jAdmission = opts.Flight.Journal(JournalAdmission, 0)
-	if opts.Admission != nil && opts.Admission.Health != nil {
-		s.admission = newAdmission(*opts.Admission)
+	if opts.Live != nil {
+		s.admission = newAdmission(opts.Live)
 	}
 	s.mux.HandleFunc("/healthz", s.handleHealth)
 	s.mux.HandleFunc("/v1/algorithms", s.handleAlgorithms)
@@ -411,6 +410,9 @@ type AssignResponse struct {
 func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	ctx := r.Context()
+	if ctx.Err() != nil || s.admit(w, r, "/v1/assign") {
+		return
+	}
 	var req AssignRequest
 	if err := s.decode(w, r, &req); err != nil {
 		if ctx.Err() == nil {
@@ -418,7 +420,7 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	if ctx.Err() != nil || s.admit(w, r, "/v1/assign") {
+	if ctx.Err() != nil {
 		return
 	}
 	if s.opts.testHookAssign != nil {
@@ -439,9 +441,6 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 			"algorithm", req.Algorithm,
 			"durationMs", durationMs(time.Since(start)))
 		return
-	}
-	if s.admission != nil {
-		s.admission.storeStale("/v1/assign", resp)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -610,6 +609,9 @@ type AssignCoordsResponse struct {
 func (s *Server) handleAssignCoords(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	ctx := r.Context()
+	if ctx.Err() != nil || s.admit(w, r, "/v1/assign-coords") {
+		return
+	}
 	var req AssignCoordsRequest
 	if err := s.decode(w, r, &req); err != nil {
 		if ctx.Err() == nil {
@@ -617,7 +619,7 @@ func (s *Server) handleAssignCoords(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	if ctx.Err() != nil || s.admit(w, r, "/v1/assign-coords") {
+	if ctx.Err() != nil {
 		return
 	}
 	resp, err := s.doAssignCoords(ctx, &req)
@@ -630,9 +632,6 @@ func (s *Server) handleAssignCoords(w http.ResponseWriter, r *http.Request) {
 			"servers", len(req.Servers),
 			"durationMs", durationMs(time.Since(start)))
 		return
-	}
-	if s.admission != nil {
-		s.admission.storeStale("/v1/assign-coords", resp)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

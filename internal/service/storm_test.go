@@ -16,6 +16,7 @@ import (
 // controller keeps re-scoring a quiet→storm→quiet oscillation and the
 // service flaps between accept and shed for as long as the test runs.
 type flapHealth struct {
+	stubLive
 	mu    sync.Mutex
 	snaps []live.HealthSnapshot
 	i     int
@@ -46,10 +47,8 @@ func TestResolveStormAtomicity(t *testing.T) {
 		Failovers: 50, ReconnectAttempts: 500,
 		Deliveries: 100, LagSpreadSum: 100 * 1000,
 	}
-	s, p := resolveServer(t, Options{Admission: &AdmissionConfig{
-		Health: &flapHealth{snaps: []live.HealthSnapshot{quiet, storm}},
-		Window: 500 * time.Microsecond,
-	}})
+	s, p := resolveServer(t, Options{Live: &flapHealth{snaps: []live.HealthSnapshot{quiet, storm}}})
+	s.admission.window = 500 * time.Microsecond
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 

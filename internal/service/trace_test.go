@@ -237,11 +237,9 @@ func TestShedDumpCarriesTriggeringTrace(t *testing.T) {
 		Metrics:  reg,
 		Tracer:   tr,
 		Flight:   fl,
-		Admission: &AdmissionConfig{
-			Health: &stubHealth{snaps: []live.HealthSnapshot{{Servers: 4, Clients: 10}, sick}},
-			Window: time.Nanosecond,
-		},
+		Live:     &stubHealth{snaps: []live.HealthSnapshot{{Servers: 4, Clients: 10}, sick}},
 	})
+	s.admission.window = time.Nanosecond
 	req := AssignRequest{
 		Matrix: smallMatrix(t), Servers: []int{0, 1}, Algorithm: "Greedy", Seed: ptr[int64](1),
 	}
