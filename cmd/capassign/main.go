@@ -11,8 +11,8 @@
 // With -coords (or -coords-n) it switches to the million-client
 // coordinate pipeline (internal/scale): clients are network coordinates
 // (latgen -coords-out), no pairwise matrix is materialized, and the
-// report includes the certified bound alongside the exact and audited
-// client-level D:
+// report gives the winning cell-level D and the exact client-level D of
+// the assignment:
 //
 //	latgen -coords-out clients.coords -n 1000000
 //	capassign -coords clients.coords -servers 64 -cells 2000
@@ -49,8 +49,6 @@ func main() {
 		coordsN  = flag.Int("coords-n", 0, "coordinate mode: generate this many synthetic client coordinates instead of reading a file")
 		cells    = flag.Int("cells", 0, "coordinate mode: max cluster cells (0 = default 2000)")
 		restarts = flag.Int("restarts", 2, "coordinate mode: seeded weighted-random solver restarts")
-		audit    = flag.Int("audit", 0, "coordinate mode: audited client pairs (0 = default 10000)")
-		workers  = flag.Int("workers", 0, "coordinate mode: solver pool width (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
 
@@ -63,8 +61,6 @@ func main() {
 			capacity: *capacity,
 			cells:    *cells,
 			restarts: *restarts,
-			audit:    *audit,
-			workers:  *workers,
 			loads:    *showLoads,
 		})
 		return
@@ -128,12 +124,11 @@ func main() {
 }
 
 type coordsOptions struct {
-	file                   string
-	n, servers, capacity   int
-	cells, restarts, audit int
-	workers                int
-	seed                   int64
-	loads                  bool
+	file                 string
+	n, servers, capacity int
+	cells, restarts      int
+	seed                 int64
+	loads                bool
 }
 
 // runCoords is the coordinate-mode entry point: ingest (or generate)
@@ -178,8 +173,6 @@ func runCoords(o coordsOptions) {
 		MaxCells:       o.cells,
 		RandomRestarts: o.restarts,
 		Seed:           o.seed,
-		Workers:        o.workers,
-		AuditPairs:     o.audit,
 	})
 	if err != nil {
 		fatal(err)
@@ -190,10 +183,8 @@ func runCoords(o coordsOptions) {
 	fmt.Printf("ingest %v, place %v, cluster %v, solve %v (winner %s), expand %v\n",
 		ingestMs.Round(time.Millisecond), placeMs.Round(time.Millisecond),
 		msDur(res.ClusterMs), msDur(res.SolveMs), res.Algorithm, msDur(res.ExpandMs))
-	fmt.Printf("max cell radius rho: %.3f ms   cell-level D: %.3f ms\n", res.MaxRho, res.DCells)
-	fmt.Printf("certified bound:  D <= %.3f ms\n", res.CertifiedD)
+	fmt.Printf("cell-level D:     %.3f ms\n", res.DCells)
 	fmt.Printf("exact D:          %.3f ms\n", res.ExactD)
-	fmt.Printf("audited D:        %.3f ms (over %d random pairs)\n", res.AuditedD, res.AuditPairs)
 	if o.loads {
 		printLoadsSlice(res.Loads)
 	}

@@ -301,13 +301,13 @@ func suite() []benchmark {
 				if err != nil {
 					panic(err)
 				}
-				opts := scale.Options{Servers: servers, Seed: 17, Workers: 1, AuditPairs: 1000}
+				opts := scale.Options{Servers: servers, Seed: 17}
 				return func() float64 {
 					res, err := scale.AssignCoords(coords, opts)
 					if err != nil {
 						panic(err)
 					}
-					return res.CertifiedD
+					return res.ExactD
 				}, nil
 			},
 		},

@@ -53,8 +53,6 @@ func ExtScale(seed int64, numServers int, sizes, cellCounts []int) (*Figure, err
 				Capacities: caps,
 				MaxCells:   k,
 				Seed:       seed,
-				// Skip the subsample audit: E5 compares exact D only.
-				AuditPairs: -1,
 			})
 			if err != nil {
 				return nil, err

@@ -18,10 +18,11 @@ import (
 //
 // Unlike a measured Matrix, coordinate-predicted latencies form a metric
 // (the triangle inequality holds by construction: heights are
-// non-negative and appear once per endpoint). The million-client
-// pipeline in internal/scale leans on that property for its certified
-// D-inflation bound, so coordinates are the scalable ingestion format:
-// n clients cost O(n) memory instead of the O(n²) of a matrix.
+// non-negative and appear once per endpoint). Any pairwise latency is
+// computed on demand, so the million-client pipeline in internal/scale
+// gets the exact D of an assignment without a matrix, and coordinates
+// are the scalable ingestion format: n clients cost O(n) memory instead
+// of the O(n²) of a matrix.
 type Coord struct {
 	X float64 `json:"x"`
 	Y float64 `json:"y"`
@@ -60,9 +61,8 @@ func (c Coord) Valid() error {
 //
 // The matrix model's pairwise phenomena — transit penalty, lognormal
 // noise, detour inflation — have no per-node representation and are not
-// modeled: the emitted geometry is a metric by construction, which is
-// precisely what the scale pipeline's certificate requires. Streams are
-// deterministic for a given (config, seed).
+// modeled: the emitted geometry is a metric by construction. Streams
+// are deterministic for a given (config, seed).
 type CoordStream struct {
 	cfg     SyntheticConfig
 	rng     *rand.Rand

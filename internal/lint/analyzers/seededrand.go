@@ -20,8 +20,8 @@ var seededRandAllowed = map[string]bool{
 
 // SeededRand forbids the package-level math/rand API in internal
 // packages. The reproduction's headline numbers — heuristic D values,
-// the Distributed-Greedy trajectory, the certified million-client bounds
-// — are only comparable across runs if every random draw comes from an
+// the Distributed-Greedy trajectory, the million-client pipeline's
+// restarts — are only comparable across runs if every random draw comes from an
 // injected seeded *rand.Rand; a stray rand.Intn consults the global
 // generator and silently destroys run-to-run reproducibility (and
 // rand.Seed poisons it process-wide).

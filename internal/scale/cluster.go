@@ -9,20 +9,17 @@ import (
 
 // Cell is one cluster of clients in the reduced instance: its members
 // stand in for each other, represented by Rep (their centroid with the
-// mean access height). Rho is the largest member→Rep latency under the
-// coordinate metric; it is the cell's contribution to the expansion
-// certificate — any member reaches any server within Rho of what Rep
-// does.
+// mean access height). The reduced solve sees only Rep; the exact D of
+// the expansion charges every member its own latency.
 type Cell struct {
 	Rep     latency.Coord
 	Members []int
-	Rho     float64
 }
 
 // geomDist is the pure Euclidean part of the coordinate metric.
 // Clustering groups by geometry only: heights are per-node access delays
 // that no choice of cell boundary can cancel, so they are excluded from
-// the grouping decision and only re-enter through Rho.
+// the grouping decision and re-enter through Rep's mean height.
 func geomDist(a, b latency.Coord) float64 {
 	dx, dy, dz := a.X-b.X, a.Y-b.Y, a.Z-b.Z
 	return math.Sqrt(dx*dx + dy*dy + dz*dz)
@@ -107,11 +104,11 @@ func (g *grid) nearest(c latency.Coord, pts []latency.Coord) int {
 
 // Cluster aggregates clients into at most maxCells cells: a greedy
 // radius-r covering seeds the centers (r grows geometrically until the
-// covering fits), then kmeansIters rounds of Lloyd refinement re-center
+// covering fits), then lloydRounds rounds of Lloyd refinement re-center
 // them. With len(clients) ≤ maxCells every client becomes its own
-// singleton cell (Rho = 0), making the reduced instance identical to the
-// direct one — the k → n convergence case.
-func Cluster(clients []latency.Coord, maxCells, kmeansIters int) ([]Cell, error) {
+// singleton cell (Rep = the client), making the reduced instance
+// identical to the direct one — the k → n convergence case.
+func Cluster(clients []latency.Coord, maxCells int) ([]Cell, error) {
 	n := len(clients)
 	if n == 0 {
 		return nil, fmt.Errorf("scale: no clients to cluster")
@@ -128,7 +125,7 @@ func Cluster(clients []latency.Coord, maxCells, kmeansIters int) ([]Cell, error)
 	}
 
 	centers, radius := cover(clients, maxCells)
-	member := lloyd(clients, centers, radius, kmeansIters)
+	member := lloyd(clients, centers, radius)
 	return finalize(clients, centers, member), nil
 }
 
@@ -174,13 +171,13 @@ func cover(clients []latency.Coord, maxCells int) (centers []latency.Coord, radi
 	}
 }
 
-// lloyd refines centers with k-means rounds: assign every client to its
-// geometrically nearest center, then move each center to its members'
-// centroid (mean height included, so reps keep a realistic access
-// delay). Returns the final membership. radius seeds the search grid's
-// bucket size; the unbounded ring search keeps reassignment correct even
-// when centroids drift apart.
-func lloyd(clients []latency.Coord, centers []latency.Coord, radius float64, iters int) []int {
+// lloyd refines centers with lloydRounds k-means rounds: assign every
+// client to its geometrically nearest center, then move each center to
+// its members' centroid (mean height included, so reps keep a realistic
+// access delay). Returns the final membership. radius seeds the search
+// grid's bucket size; the unbounded ring search keeps reassignment
+// correct even when centroids drift apart.
+func lloyd(clients []latency.Coord, centers []latency.Coord, radius float64) []int {
 	n, k := len(clients), len(centers)
 	member := make([]int, n)
 	sumX := make([]float64, k)
@@ -189,7 +186,7 @@ func lloyd(clients []latency.Coord, centers []latency.Coord, radius float64, ite
 	sumH := make([]float64, k)
 	count := make([]int, k)
 
-	for it := 0; it <= iters; it++ {
+	for it := 0; it <= lloydRounds; it++ {
 		g := newGrid(radius)
 		for id, c := range centers {
 			g.add(c, id)
@@ -197,7 +194,7 @@ func lloyd(clients []latency.Coord, centers []latency.Coord, radius float64, ite
 		for i, c := range clients {
 			member[i] = g.nearest(c, centers)
 		}
-		if it == iters {
+		if it == lloydRounds {
 			return member
 		}
 		for j := 0; j < k; j++ {
@@ -223,9 +220,7 @@ func lloyd(clients []latency.Coord, centers []latency.Coord, radius float64, ite
 }
 
 // finalize builds the Cell list: reps are the member centroids (mean
-// height) and Rho the maximum member→rep distance under the full
-// coordinate metric — geometry plus both heights, since that is the
-// detour the expansion certificate charges. Empty centers are dropped.
+// height). Empty centers are dropped.
 func finalize(clients []latency.Coord, centers []latency.Coord, member []int) []Cell {
 	k := len(centers)
 	cells := make([]Cell, k)
@@ -248,11 +243,6 @@ func finalize(clients []latency.Coord, centers []latency.Coord, member []int) []
 		cells[j].Rep.Y /= f
 		cells[j].Rep.Z /= f
 		cells[j].Rep.H /= f
-		for _, i := range cells[j].Members {
-			if d := clients[i].LatencyTo(cells[j].Rep); d > cells[j].Rho {
-				cells[j].Rho = d
-			}
-		}
 		out = append(out, cells[j])
 	}
 	return out

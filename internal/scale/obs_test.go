@@ -1,19 +1,20 @@
 package scale
 
 import (
+	"runtime"
 	"testing"
 
 	"diacap/internal/obs"
 )
 
 func TestPipelineRecordsMetrics(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	clients := testCoords(t, 400, 9)
 	servers := testCoords(t, 8, 10)
 	reg := obs.NewRegistry()
 	res, err := AssignCoords(clients, Options{
 		Servers:        servers,
 		MaxCells:       50,
-		Workers:        4,
 		RandomRestarts: 2, // widen the job pool past the worker count
 		Metrics:        reg,
 	})
@@ -27,15 +28,8 @@ func TestPipelineRecordsMetrics(t *testing.T) {
 	if v := reg.Gauge("diacap_scale_cells", "").Value(); v != float64(res.Cells) {
 		t.Errorf("cells gauge = %g, result has %d", v, res.Cells)
 	}
-	if v := reg.Gauge("diacap_scale_certified_d_ms", "").Value(); v != res.CertifiedD {
-		t.Errorf("certified-D gauge = %g, result %g", v, res.CertifiedD)
-	}
-	gap := reg.Gauge("diacap_scale_cert_gap_ms", "").Value()
-	if want := res.CertifiedD - res.AuditedD; gap != want {
-		t.Errorf("cert-gap gauge = %g, want %g", gap, want)
-	}
-	if gap < -eps {
-		t.Errorf("certificate slack is negative: %g", gap)
+	if v := reg.Gauge("diacap_scale_d_ms", "").Value(); v != res.ExactD {
+		t.Errorf("D gauge = %g, result %g", v, res.ExactD)
 	}
 	if v := reg.Gauge("diacap_scale_solver_workers", "").Value(); v != 4 {
 		t.Errorf("workers gauge = %g, want 4", v)
@@ -68,7 +62,7 @@ func TestPipelineWithoutMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.CertifiedD != metered.CertifiedD || plain.Cells != metered.Cells {
+	if plain.ExactD != metered.ExactD || plain.Cells != metered.Cells {
 		t.Errorf("metrics changed the pipeline result: %+v vs %+v", plain, metered)
 	}
 	for i := range plain.Assignment {

@@ -6,23 +6,21 @@
 //     height-vector model): O(n) memory, any pairwise latency on demand.
 //  2. Aggregate clients into k ≤ MaxCells cells — a greedy radius-r
 //     covering seeded by a spatial grid, refined by k-means — where each
-//     cell records its member count m and radius ρ (max member→rep
-//     latency).
+//     cell records its members and a representative.
 //  3. Solve the reduced (U + k)-node instance with the paper's
 //     heuristics, capacity-weighted (a cell of m clients consumes m
 //     capacity), fanning per-algorithm/per-seed solves over a worker
-//     pool and keeping the certified-best candidate.
-//  4. Expand back to clients, with a certificate: because the
-//     coordinate metric satisfies the triangle inequality, every
-//     member's path detours through its rep at a cost of at most ρ per
-//     endpoint, so D_clients ≤ CertifiedD ≤ D_cells + 2·max ρ. The
-//     exact client-level D (O(n + U²) via eccentricities) and an
-//     audited random subsample are reported alongside.
+//     pool. Each worker computes the exact client-level D of its
+//     candidate's expansion, in O(n + U²) via per-server
+//     eccentricities; the lowest exact D wins.
+//  4. Expand back to clients: every member follows its cell's server,
+//     and the winner's exact D is the D reported.
 //
 // The reduction is the standard coarsening move for scaling
-// combinatorial heuristics; the coordinate metric is what turns it from
-// a hope into a certificate, which is why this pipeline ingests
-// coordinates rather than raw matrices.
+// combinatorial heuristics. Coordinates make it cheap to judge: any
+// client-server latency is computed on demand, so the D of the expanded
+// assignment is exact rather than estimated, which is why this pipeline
+// ingests coordinates rather than raw matrices.
 package scale
 
 import (
@@ -66,17 +64,11 @@ type Options struct {
 	// the solver pool — cheap diversity that occasionally wins on
 	// degenerate geometries (default 0).
 	RandomRestarts int
-	// Seed drives the random restarts and the audit sample (the
-	// clustering and default solvers are deterministic).
+	// Seed drives the random restarts (the clustering and default
+	// solvers are deterministic).
 	Seed int64
-	// Workers bounds the solver pool fan-out (0 = GOMAXPROCS).
-	Workers int
-	// AuditPairs is the size of the random pair subsample measured
-	// against the expanded assignment (0 = 10000; negative disables).
-	AuditPairs int
-	// Metrics, if non-nil, receives pipeline telemetry: cell count and
-	// radii, stage timings, worker-pool utilization, and the certified
-	// bound vs. audited D gap.
+	// Metrics, if non-nil, receives pipeline telemetry: sizes, the exact
+	// D, stage timings and worker-pool utilization.
 	Metrics *obs.Registry
 }
 
@@ -87,15 +79,9 @@ func (o *Options) fill() {
 	if len(o.Algorithms) == 0 {
 		o.Algorithms = []string{"Nearest-Server", "Longest-First-Batch", "Greedy"}
 	}
-	if o.AuditPairs == 0 {
-		o.AuditPairs = 10000
-	}
-	if o.AuditPairs < 0 {
-		o.AuditPairs = 0
-	}
 }
 
-// Result is a scaled assignment with its quality certificate.
+// Result is a scaled assignment and its exact D.
 type Result struct {
 	// Assignment[i] is the server index for client i.
 	Assignment []int
@@ -103,28 +89,19 @@ type Result struct {
 	Algorithm string
 	// Cells is the reduced instance size k.
 	Cells int
-	// MaxRho is the largest cell radius (ms).
-	MaxRho float64
 	// DCells is the cell-level D of the winning reduced assignment.
 	DCells float64
-	// CertifiedD is the certified upper bound on the client-level D:
-	// ExactD ≤ CertifiedD ≤ DCells + 2·MaxRho, by the triangle
-	// inequality of the coordinate metric.
-	CertifiedD float64
-	// ExactD is the exact client-level D under the coordinate metric.
+	// ExactD is the exact client-level D of Assignment under the
+	// coordinate metric: the lowest among the candidates, by which the
+	// winner was chosen.
 	ExactD float64
-	// AuditedD is the maximum interaction path over AuditPairs random
-	// client pairs — an independent spot-check, never above ExactD.
-	AuditedD float64
-	// AuditPairs is the number of sampled pairs behind AuditedD.
-	AuditPairs int
 	// Loads[k] is the number of clients on server k.
 	Loads []int
 	// ClusterMs, SolveMs, ExpandMs break down the wall-clock time.
 	ClusterMs, SolveMs, ExpandMs float64
 }
 
-// AssignCoords runs the full pipeline: cluster, solve, expand, certify.
+// AssignCoords runs the full pipeline: cluster, solve, expand.
 func AssignCoords(clients []latency.Coord, opts Options) (*Result, error) {
 	opts.fill()
 	if len(clients) == 0 {
@@ -157,58 +134,43 @@ func AssignCoords(clients []latency.Coord, opts Options) (*Result, error) {
 	}
 
 	start := time.Now()
-	cells, err := Cluster(clients, opts.MaxCells, lloydRounds)
+	cells, err := Cluster(clients, opts.MaxCells)
 	if err != nil {
 		return nil, err
 	}
 	clusterMs := msSince(start)
 
 	start = time.Now()
-	red, err := buildReduced(opts.Servers, cells)
+	red, err := buildReduced(clients, opts.Servers, cells)
 	if err != nil {
 		return nil, err
 	}
-	best, _, err := red.solveAll(algorithms, opts.Capacities, opts.Seed, opts.RandomRestarts, opts.Workers, opts.Metrics)
+	best, err := red.solveAll(algorithms, opts.Capacities, opts.Seed, opts.RandomRestarts, opts.Metrics)
 	if err != nil {
 		return nil, err
 	}
 	solveMs := msSince(start)
 
 	start = time.Now()
-	a := expand(len(clients), cells, best.a)
+	a := red.expand(best.a)
 	res := &Result{
 		Assignment: a,
 		Algorithm:  best.name,
 		Cells:      len(cells),
 		DCells:     red.in.MaxInteractionPath(best.a),
-		CertifiedD: best.certD,
-		ExactD:     exactD(clients, opts.Servers, a),
-		AuditPairs: opts.AuditPairs,
+		ExactD:     best.d,
 		Loads:      make([]int, len(opts.Servers)),
 		ClusterMs:  clusterMs,
 		SolveMs:    solveMs,
 	}
-	for _, cell := range cells {
-		if cell.Rho > res.MaxRho {
-			res.MaxRho = cell.Rho
-		}
-	}
 	for _, s := range a {
 		res.Loads[s]++
-	}
-	if opts.AuditPairs > 0 {
-		res.AuditedD = auditD(clients, opts.Servers, a, opts.AuditPairs, opts.Seed)
 	}
 	res.ExpandMs = msSince(start)
 	recordPipeline(opts.Metrics, len(clients), res)
 	return res, nil
 }
 
-// recordPipeline publishes one finished pipeline run: sizes, the
-// certificate chain (cell-level D ≤ certified bound, audited D below the
-// exact value), and per-stage timings. The bound-vs-audit gap is the
-// pipeline's accuracy margin: how much the triangle-inequality
-// certificate over-states the D actually measured on sampled clients.
 // Pipeline metric names and help strings, package-level consts per the
 // dialint/obs-preregister schema discipline.
 const (
@@ -216,28 +178,21 @@ const (
 	hScaleClients  = "Client population of the last pipeline run."
 	nScaleCells    = "diacap_scale_cells"
 	hScaleCells    = "Reduced-instance cell count of the last pipeline run."
-	nScaleMaxRho   = "diacap_scale_max_rho_ms"
-	hScaleMaxRho   = "Largest cell radius of the last pipeline run, in ms."
-	nScaleCertD    = "diacap_scale_certified_d_ms"
-	hScaleCertD    = "Certified upper bound on the client-level D, in ms."
-	nScaleAuditD   = "diacap_scale_audited_d_ms"
-	hScaleAuditD   = "Maximum interaction path over the audited client-pair subsample, in ms."
-	nScaleCertGap  = "diacap_scale_cert_gap_ms"
-	hScaleCertGap  = "Certified bound minus audited D, in ms — the certificate's slack."
+	nScaleD        = "diacap_scale_d_ms"
+	hScaleD        = "Exact client-level D of the last pipeline run's assignment, in ms."
 	nScaleStageSec = "diacap_scale_stage_seconds"
 	hScaleStageSec = "Wall-clock time per pipeline stage in seconds."
 )
 
+// recordPipeline publishes one finished pipeline run: sizes, the exact
+// D, and per-stage timings.
 func recordPipeline(reg *obs.Registry, numClients int, res *Result) {
 	if reg == nil {
 		return
 	}
 	reg.Gauge(nScaleClients, hScaleClients).Set(float64(numClients))
 	reg.Gauge(nScaleCells, hScaleCells).Set(float64(res.Cells))
-	reg.Gauge(nScaleMaxRho, hScaleMaxRho).Set(res.MaxRho)
-	reg.Gauge(nScaleCertD, hScaleCertD).Set(res.CertifiedD)
-	reg.Gauge(nScaleAuditD, hScaleAuditD).Set(res.AuditedD)
-	reg.Gauge(nScaleCertGap, hScaleCertGap).Set(res.CertifiedD - res.AuditedD)
+	reg.Gauge(nScaleD, hScaleD).Set(res.ExactD)
 	observeStage(reg, "cluster", res.ClusterMs)
 	observeStage(reg, "solve", res.SolveMs)
 	observeStage(reg, "expand", res.ExpandMs)

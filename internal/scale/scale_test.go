@@ -3,6 +3,7 @@ package scale
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"diacap/internal/assign"
@@ -46,7 +47,7 @@ func directInstance(t testing.TB, clients, servers []latency.Coord) *core.Instan
 func TestClusterPartitions(t *testing.T) {
 	clients := testCoords(t, 3000, 1)
 	for _, maxCells := range []int{10, 100, 500} {
-		cells, err := Cluster(clients, maxCells, 4)
+		cells, err := Cluster(clients, maxCells)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,17 +59,11 @@ func TestClusterPartitions(t *testing.T) {
 			if len(cell.Members) == 0 {
 				t.Fatal("empty cell survived finalize")
 			}
-			if cell.Rho < 0 {
-				t.Fatalf("negative rho %v", cell.Rho)
-			}
 			for _, i := range cell.Members {
 				if seen[i] {
 					t.Fatalf("client %d in two cells", i)
 				}
 				seen[i] = true
-				if d := clients[i].LatencyTo(cell.Rep); d > cell.Rho+eps {
-					t.Fatalf("member %d at %v exceeds rho %v", i, d, cell.Rho)
-				}
 			}
 		}
 		for i, ok := range seen {
@@ -81,7 +76,7 @@ func TestClusterPartitions(t *testing.T) {
 
 func TestClusterSingletons(t *testing.T) {
 	clients := testCoords(t, 50, 2)
-	cells, err := Cluster(clients, 50, 4)
+	cells, err := Cluster(clients, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,14 +84,15 @@ func TestClusterSingletons(t *testing.T) {
 		t.Fatalf("got %d cells, want 50 singletons", len(cells))
 	}
 	for i, cell := range cells {
-		if cell.Rho != 0 || len(cell.Members) != 1 || cell.Members[0] != i {
+		if cell.Rep != clients[i] || len(cell.Members) != 1 || cell.Members[0] != i {
 			t.Fatalf("cell %d is not the singleton of client %d: %+v", i, i, cell)
 		}
 	}
 }
 
-// TestCertificateHolds is the core property: on every run,
-// AuditedD ≤ ExactD ≤ CertifiedD ≤ DCells + 2·MaxRho.
+// TestCertificateHolds is the core property: the reported ExactD is the
+// D of the returned assignment, recomputed over every client pair of the
+// materialized instance.
 func TestCertificateHolds(t *testing.T) {
 	for _, n := range []int{64, 400, 1500} {
 		clients := testCoords(t, n, int64(n))
@@ -108,14 +104,9 @@ func TestCertificateHolds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.AuditedD > res.ExactD+eps {
-			t.Errorf("n=%d: AuditedD %v > ExactD %v", n, res.AuditedD, res.ExactD)
-		}
-		if res.ExactD > res.CertifiedD+eps {
-			t.Errorf("n=%d: ExactD %v > CertifiedD %v", n, res.ExactD, res.CertifiedD)
-		}
-		if naive := res.DCells + 2*res.MaxRho; res.CertifiedD > naive+eps {
-			t.Errorf("n=%d: CertifiedD %v > DCells+2·MaxRho %v", n, res.CertifiedD, naive)
+		in := directInstance(t, clients, servers)
+		if want := in.MaxInteractionPath(res.Assignment); math.Abs(res.ExactD-want) > 1e-6 {
+			t.Errorf("n=%d: ExactD %v, D of the returned assignment %v", n, res.ExactD, want)
 		}
 		sum := 0
 		for _, l := range res.Loads {
@@ -168,11 +159,11 @@ func TestConvergesToDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Cells != n || res.MaxRho != 0 {
-		t.Fatalf("expected %d singleton cells with rho 0, got %d cells, MaxRho %v", n, res.Cells, res.MaxRho)
+	if res.Cells != n {
+		t.Fatalf("expected %d singleton cells, got %d", n, res.Cells)
 	}
-	if math.Abs(res.ExactD-res.CertifiedD) > eps || math.Abs(res.ExactD-res.DCells) > eps {
-		t.Errorf("singleton run: ExactD %v, CertifiedD %v, DCells %v should coincide", res.ExactD, res.CertifiedD, res.DCells)
+	if math.Abs(res.ExactD-res.DCells) > eps {
+		t.Errorf("singleton run: ExactD %v and DCells %v should coincide", res.ExactD, res.DCells)
 	}
 
 	in := directInstance(t, clients, servers)
@@ -243,27 +234,67 @@ func TestCapacitiesRespected(t *testing.T) {
 }
 
 // TestDeterministicAcrossWorkers pins the worker pool's deterministic
-// best-pick: fan-out width must not change the result. Run with -race
-// this is also the pool's data-race test.
+// best-pick: fan-out width, min(GOMAXPROCS, jobs), must not change the
+// result. Run with -race this is also the pool's data-race test.
 func TestDeterministicAcrossWorkers(t *testing.T) {
 	clients := testCoords(t, 600, 21)
 	servers, err := PlaceServers(clients, 6, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := func(workers int) Options {
-		return Options{Servers: servers, MaxCells: 100, RandomRestarts: 6, Seed: 4, Workers: workers}
+	run := func(procs int) *Result {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		res, err := AssignCoords(clients, Options{Servers: servers, MaxCells: 100, RandomRestarts: 6, Seed: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	r1, err := AssignCoords(clients, opts(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r8, err := AssignCoords(clients, opts(8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1, r8 := run(1), run(8)
 	if r1.Algorithm != r8.Algorithm || !reflect.DeepEqual(r1.Assignment, r8.Assignment) {
 		t.Errorf("worker count changed the result: %q vs %q", r1.Algorithm, r8.Algorithm)
+	}
+}
+
+// TestWinnerHasLowestExactD pins the selection rule: the pipeline returns
+// the lowest exact D among its candidates, bit for bit, under the first
+// solver in job order that reaches it. Both cases are capped at twice
+// the balanced load; in the first, ranking by a cell-radius bound
+// returned Greedy at 520.479 ms over Longest-First-Batch at 507.820 ms,
+// and the second is an exact tie.
+func TestWinnerHasLowestExactD(t *testing.T) {
+	const n, u = 3000, 16
+	for _, tc := range []struct {
+		seed  int64
+		cells int
+	}{{3, 500}, {1, 250}} {
+		clients := testCoords(t, n, tc.seed)
+		servers, err := PlaceServers(clients, u, tc.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{Servers: servers, Capacities: core.UniformCapacities(u, 2*((n+u-1)/u)), MaxCells: tc.cells}
+		res, err := AssignCoords(clients, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantAlg, wantD := "", math.Inf(1)
+		// The default solvers, in job order.
+		for _, name := range []string{"Nearest-Server", "Longest-First-Batch", "Greedy"} {
+			one := opts
+			one.Algorithms = []string{name}
+			r, err := AssignCoords(clients, one)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.ExactD < wantD {
+				wantAlg, wantD = name, r.ExactD
+			}
+		}
+		if res.Algorithm != wantAlg || math.Float64bits(res.ExactD) != math.Float64bits(wantD) {
+			t.Errorf("seed %d, %d cells: winner %s with D %v, want %s with D %v",
+				tc.seed, tc.cells, res.Algorithm, res.ExactD, wantAlg, wantD)
+		}
 	}
 }
 

@@ -26,18 +26,20 @@ const (
 
 // reduced is the cell-level instance: servers keep their identity,
 // cells stand in for their members, and each cell weighs its member
-// count against server capacities.
+// count against server capacities. cellOf[i] is client i's cell, so a
+// cell assignment expands to clients in one walk in client order.
 type reduced struct {
 	in      *core.Instance
-	cells   []Cell
 	weights assign.Weights
+	clients []latency.Coord
 	servers []latency.Coord
+	cellOf  []int
 }
 
 // buildReduced builds the (U + k)-node instance over [servers ∥ cell
 // reps] from coordinates, every entry latency.CoordLatency (floored at
 // 1e-9, so coincident reps are fine here).
-func buildReduced(servers []latency.Coord, cells []Cell) (*reduced, error) {
+func buildReduced(clients, servers []latency.Coord, cells []Cell) (*reduced, error) {
 	u, k := len(servers), len(cells)
 	nodes := make([]latency.Coord, 0, u+k)
 	nodes = append(nodes, servers...)
@@ -57,27 +59,44 @@ func buildReduced(servers []latency.Coord, cells []Cell) (*reduced, error) {
 		return nil, fmt.Errorf("scale: building reduced instance: %w", err)
 	}
 	weights := make(assign.Weights, k)
+	cellOf := make([]int, len(clients))
 	for j, c := range cells {
 		weights[j] = len(c.Members)
+		for _, i := range c.Members {
+			cellOf[i] = j
+		}
 	}
-	return &reduced{in: in, cells: cells, weights: weights, servers: servers}, nil
+	return &reduced{in: in, weights: weights, clients: clients, servers: servers, cellOf: cellOf}, nil
 }
 
-// certifiedD bounds the client-level D implied by a cell assignment,
-// using the per-cell radii: a server's certified eccentricity is
-// max over its cells of d(rep, s) + ρ, and the bound is the usual
-// eccentricity form max_{s,t} ecc(s) + d(s, t) + ecc(t). This is tighter
-// than D_cells + 2·max ρ (which it never exceeds) because each cell's ρ
-// is charged only where the cell actually lands.
-func (r *reduced) certifiedD(a core.Assignment) float64 {
-	u := r.in.NumServers()
+// expand maps a cell assignment back to clients: every member of a cell
+// follows its cell's server. Capacity feasibility carries over exactly
+// because the weighted solve charged each cell its member count.
+func (r *reduced) expand(a core.Assignment) []int {
+	out := make([]int, len(r.cellOf))
+	for i, j := range r.cellOf {
+		out[i] = a[j]
+	}
+	return out
+}
+
+// exactD is the client-level D of a cell assignment's expansion under
+// the coordinate metric, in O(n + U²) via the eccentricity decomposition
+// (core.MaxInteractionPath's trick, restated over coordinates): each
+// client contributes only to its own server's eccentricity, and the
+// pair maximum separates per server. A pair sharing a server has no
+// inter-server leg, whereas Coord.LatencyTo of a point to itself still
+// pays both heights, so the diagonal is zero.
+func (r *reduced) exactD(a core.Assignment) float64 {
+	u := len(r.servers)
 	ecc := make([]float64, u)
 	for k := range ecc {
 		ecc[k] = -1
 	}
-	for j, s := range a {
-		if v := r.in.ClientServerDist(j, s) + r.cells[j].Rho; v > ecc[s] {
-			ecc[s] = v
+	for i, j := range r.cellOf {
+		s := a[j]
+		if d := r.clients[i].LatencyTo(r.servers[s]); d > ecc[s] {
+			ecc[s] = d
 		}
 	}
 	best := 0.0
@@ -85,11 +104,14 @@ func (r *reduced) certifiedD(a core.Assignment) float64 {
 		if ecc[s] < 0 {
 			continue
 		}
-		for t := s; t < u; t++ {
+		if v := 2 * ecc[s]; v > best {
+			best = v
+		}
+		for t := s + 1; t < u; t++ {
 			if ecc[t] < 0 {
 				continue
 			}
-			if v := ecc[s] + r.in.ServerServerDist(s, t) + ecc[t]; v > best {
+			if v := ecc[s] + r.servers[s].LatencyTo(r.servers[t]) + ecc[t]; v > best {
 				best = v
 			}
 		}
@@ -97,24 +119,24 @@ func (r *reduced) certifiedD(a core.Assignment) float64 {
 	return best
 }
 
-// candidate is one solver's output on the reduced instance.
+// candidate is one solver's output on the reduced instance and the
+// exact client-level D of its expansion.
 type candidate struct {
 	name string
 	a    core.Assignment
-	// certD is the certified client-level bound — the selection
-	// objective, since the cell-level D ignores how cell radii land.
-	certD float64
-	err   error
+	d    float64
+	err  error
 }
 
-// solveAll fans the (algorithm × seed) jobs over a worker pool and
-// returns the best feasible candidate. Randomized algorithms contribute
-// one job per restart seed; deterministic ones run once. The winner is
-// the candidate with the lowest certified bound, ties broken by job
-// order, so the result is independent of worker count and scheduling.
+// solveAll fans the (algorithm × seed) jobs over a pool of
+// min(GOMAXPROCS, jobs) workers and returns the best feasible candidate.
+// Randomized algorithms contribute one job per restart seed;
+// deterministic ones run once. Each worker computes the exact D of the
+// candidate it solved; the winner is the lowest exact D, ties broken by
+// job order, so the result is independent of pool width and scheduling.
 // A non-nil reg receives pool telemetry (worker count, jobs, busy-time
 // utilization).
-func (r *reduced) solveAll(algorithms []assign.WeightedAlgorithm, caps core.Capacities, seed int64, restarts, workers int, reg *obs.Registry) (candidate, []candidate, error) {
+func (r *reduced) solveAll(algorithms []assign.WeightedAlgorithm, caps core.Capacities, seed int64, restarts int, reg *obs.Registry) (candidate, error) {
 	type job struct {
 		name  string
 		solve func() (core.Assignment, error)
@@ -133,15 +155,10 @@ func (r *reduced) solveAll(algorithms []assign.WeightedAlgorithm, caps core.Capa
 		}})
 	}
 	if len(jobs) == 0 {
-		return candidate{}, nil, fmt.Errorf("scale: no algorithms to run")
+		return candidate{}, fmt.Errorf("scale: no algorithms to run")
 	}
 
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(jobs))
 	results := make([]candidate, len(jobs))
 	next := make(chan int)
 	var busy atomic.Int64 // summed per-job wall time, ns
@@ -156,7 +173,7 @@ func (r *reduced) solveAll(algorithms []assign.WeightedAlgorithm, caps core.Capa
 				a, err := jobs[idx].solve()
 				c := candidate{name: jobs[idx].name, a: a, err: err}
 				if err == nil {
-					c.certD = r.certifiedD(a)
+					c.d = r.exactD(a)
 				}
 				results[idx] = c
 				busy.Add(int64(time.Since(jobStart)))
@@ -184,12 +201,12 @@ func (r *reduced) solveAll(algorithms []assign.WeightedAlgorithm, caps core.Capa
 		if c.err != nil {
 			continue
 		}
-		if best == -1 || c.certD < results[best].certD {
+		if best == -1 || c.d < results[best].d {
 			best = i
 		}
 	}
 	if best == -1 {
-		return candidate{}, results, fmt.Errorf("scale: every solver failed; first error: %w", results[0].err)
+		return candidate{}, fmt.Errorf("scale: every solver failed; first error: %w", results[0].err)
 	}
-	return results[best], results, nil
+	return results[best], nil
 }

@@ -185,7 +185,6 @@ func TestEndToEndAssignCoordsMatchesEvaluator(t *testing.T) {
 		Clients:      coords,
 		PlaceServers: 5,
 		Seed:         ptr[int64](9),
-		AuditPairs:   500,
 	})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("/v1/assign-coords status = %d, body %s", rec.Code, rec.Body.String())
@@ -224,11 +223,6 @@ func TestEndToEndAssignCoordsMatchesEvaluator(t *testing.T) {
 			resp.ExactD, want, diff, e2eCrossTol)
 	}
 
-	// The certificate chain must bracket the recomputed value.
-	if resp.AuditedD > resp.ExactD+e2eCrossTol || resp.ExactD > resp.CertifiedD+e2eCrossTol {
-		t.Fatalf("certificate order violated: audited %v ≤ exact %v ≤ certified %v",
-			resp.AuditedD, resp.ExactD, resp.CertifiedD)
-	}
 	total := 0
 	for _, l := range resp.Loads {
 		total += l

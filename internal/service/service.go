@@ -573,15 +573,12 @@ type AssignCoordsRequest struct {
 	Algorithms []string `json:"algorithms,omitempty"`
 	// RandomRestarts adds seeded weighted-random candidates.
 	RandomRestarts int `json:"randomRestarts,omitempty"`
-	// Seed drives restarts, audit sampling, and server placement;
-	// omitted means a time-based seed.
+	// Seed drives restarts and server placement; omitted means a
+	// time-based seed.
 	Seed *int64 `json:"seed,omitempty"`
-	// AuditPairs sizes the random pair subsample measured against the
-	// expanded assignment (0 = default; negative disables).
-	AuditPairs int `json:"auditPairs,omitempty"`
 }
 
-// AssignCoordsResponse is the scaled result with its certificate.
+// AssignCoordsResponse is the scaled result and its exact D.
 type AssignCoordsResponse struct {
 	// Assignment[i] is the server index for client i.
 	Assignment []int `json:"assignment"`
@@ -589,21 +586,15 @@ type AssignCoordsResponse struct {
 	// PlaceServers).
 	Servers   []latency.Coord `json:"servers"`
 	Algorithm string          `json:"algorithm"`
-	// Cells is the reduced instance size k; MaxRho the largest cell
-	// radius (ms).
-	Cells  int     `json:"cells"`
-	MaxRho float64 `json:"maxRho"`
-	// DCells ≤ CertifiedD bound the quality: CertifiedD is a certified
-	// upper bound on the client-level D, ExactD the exact value under
-	// the coordinate metric, AuditedD the measured maximum over the
-	// audited subsample.
-	DCells     float64 `json:"dCells"`
-	CertifiedD float64 `json:"certifiedD"`
-	ExactD     float64 `json:"exactD"`
-	AuditedD   float64 `json:"auditedD"`
-	AuditPairs int     `json:"auditPairs"`
-	Loads      []int   `json:"loads"`
-	ElapsedMs  float64 `json:"elapsedMs"`
+	// Cells is the reduced instance size k.
+	Cells int `json:"cells"`
+	// DCells is the cell-level D of the winning reduced assignment;
+	// ExactD is the exact client-level D of Assignment under the
+	// coordinate metric.
+	DCells    float64 `json:"dCells"`
+	ExactD    float64 `json:"exactD"`
+	Loads     []int   `json:"loads"`
+	ElapsedMs float64 `json:"elapsedMs"`
 }
 
 func (s *Server) handleAssignCoords(w http.ResponseWriter, r *http.Request) {
@@ -678,7 +669,6 @@ func (s *Server) doAssignCoords(ctx context.Context, req *AssignCoordsRequest) (
 		Algorithms:     req.Algorithms,
 		RandomRestarts: req.RandomRestarts,
 		Seed:           seed,
-		AuditPairs:     req.AuditPairs,
 		Metrics:        s.opts.Metrics,
 	})
 	if err != nil {
@@ -689,12 +679,8 @@ func (s *Server) doAssignCoords(ctx context.Context, req *AssignCoordsRequest) (
 		Servers:    servers,
 		Algorithm:  res.Algorithm,
 		Cells:      res.Cells,
-		MaxRho:     res.MaxRho,
 		DCells:     res.DCells,
-		CertifiedD: res.CertifiedD,
 		ExactD:     res.ExactD,
-		AuditedD:   res.AuditedD,
-		AuditPairs: res.AuditPairs,
 		Loads:      res.Loads,
 		ElapsedMs:  float64(time.Since(start)) / float64(time.Millisecond),
 	}, nil
